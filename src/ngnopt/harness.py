@@ -1,8 +1,8 @@
 """Run loop, divergence detection, sweeps, config ingestion, CSV, and CLI.
 
-A run evaluates the batch loss at the current iterate, records it, stops
-on the first non-finite or above-threshold loss (divergence) or on
-reaching the success threshold, and otherwise applies one optimizer step.
+run_once is the one loop that steps an optimizer; sweeps, the CLI and the
+audits use it. It stops on divergence (non-finite iterate, loss or gradient
+norm, or loss above threshold) or success, before taking the next step.
 Sweeps execute a deterministic grid of (kind, c, beta, seed[, x0]) cells,
 serially or in a process pool, and aggregate per-cell summaries in cell
 order, so repeated invocations of the same config produce byte-identical
@@ -82,6 +82,8 @@ class RunRecord:
     a stop condition fired). full_losses holds periodic (step, full-batch
     loss) pairs for stochastic runs. coord_data, when coordinate recording
     is on, holds (loss, grad, gamma_coord, c_coord_used) per step.
+    iterates holds x_0 ... x_final, losses[k] evaluated at iterates[k], as
+    references: step functions never modify an iterate in place.
     """
 
     losses: list
@@ -96,6 +98,7 @@ class RunRecord:
     x_final: np.ndarray
     full_losses: list = field(default_factory=list)
     coord_data: Optional[list] = None
+    iterates: list = field(default_factory=list)
 
     @property
     def final_loss(self) -> float:
@@ -154,6 +157,8 @@ class SweepSpec:
                 raise ValueError(f"unknown schedule suffix {sched!r} in {kind!r}")
         if self.x0_grid is not None and not self.x0_grid:
             raise ValueError("x0_grid, when given, must be non-empty")
+        if self.wd_lambda < 0.0:
+            raise ValueError("wd_lambda must be >= 0")
 
     def cells(self) -> list:
         """Deterministic cell order: kind-major, then c, beta, seed, x0."""
@@ -172,10 +177,10 @@ def run_once(problem: StochasticObjective, spec: OptimizerSpec, budget: RunBudge
              full_eval_every: Optional[int] = None) -> RunRecord:
     """Execute one run until a stop condition or the step cap.
 
-    Divergence fires on the first non-finite iterate or loss, or loss
-    above diverge_loss, before any further update executes. Stochastic
-    runs additionally log the full-batch loss every full_eval_every steps
-    (default: about 100 checkpoints per run).
+    Divergence fires on the first non-finite iterate, loss or gradient
+    norm, or loss above diverge_loss, before any further update executes.
+    Stochastic runs additionally log the full-batch loss every
+    full_eval_every steps (default: about 100 checkpoints per run).
     """
     x0 = problem.x0_default if x0 is None else np.asarray(x0, dtype=float)
     state = init_state(x0)
@@ -192,6 +197,7 @@ def run_once(problem: StochasticObjective, spec: OptimizerSpec, budget: RunBudge
     reports: list = []
     full_losses: list = []
     coord_data: Optional[list] = [] if record_coords else None
+    iterates: list = [state.x]
     status = STATUS_BUDGET
     stop_step: Optional[int] = None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
@@ -208,7 +214,8 @@ def run_once(problem: StochasticObjective, spec: OptimizerSpec, budget: RunBudge
             grad_norms.append(math.sqrt(float(np.sum(sample.grad * sample.grad))))
             if stochastic and full_eval_every and k % full_eval_every == 0:
                 full_losses.append((k, evaluate(problem, state.x, full_batch).loss))
-            if not math.isfinite(sample.loss) or sample.loss > budget.diverge_loss:
+            if (not math.isfinite(sample.loss) or sample.loss > budget.diverge_loss
+                    or not math.isfinite(grad_norms[-1])):
                 status = STATUS_DIVERGED
                 stop_step = k
                 break
@@ -217,11 +224,12 @@ def run_once(problem: StochasticObjective, spec: OptimizerSpec, budget: RunBudge
                 stop_step = k
                 break
             state, report = apply_step(state, sample, spec)
+            iterates.append(state.x)
             reports.append(report)
             if record_coords:
                 coord_data.append((sample.loss, sample.grad, report.gamma_coord, report.c_coord_used))
     return RunRecord(losses, grad_norms, reports, status, stop_step, spec, budget,
-                     seed, np.asarray(x0, dtype=float), state.x, full_losses, coord_data)
+                     seed, x0, state.x, full_losses, coord_data, iterates)
 
 
 def make_optimizer_spec(sweep: SweepSpec, kind: str, c: float, beta: float) -> OptimizerSpec:
@@ -446,6 +454,19 @@ _SCHEDULE_ALIASES = {
     "inv_sqrt_step": opt.SCHEDULE_INV_SQRT_STEP,
 }
 
+_WD_KINDS = {"decoupled": opt.DEC_NGN_MDV1, "coupled": opt.NGN_MDV1W}
+_DEFAULT_WD_MODE = "decoupled"
+
+
+def _wd_kinds(kinds: list, wd: float, wd_mode: str) -> list:
+    """With wd > 0, each ngn_md_v1 column becomes the weight-decay kind
+    that wd_mode names, keeping its @schedule suffix."""
+    if wd <= 0.0:
+        return kinds
+    return [_WD_KINDS[wd_mode] + k[len(opt.NGN_MD_V1):] if split_kind(k)[0] == opt.NGN_MD_V1
+            else k for k in kinds]
+
+
 _CONFIG_KEYS = {
     "problem": {"kind", "dim", "n_samples", "seed", "r", "coeffs", "scale",
                 "data", "interpolating", "x0"},
@@ -550,14 +571,10 @@ def parse_config(path: str) -> SweepSpec:
     beta2 = _cfg_float("optimizers", "beta2", osec["beta2"]) if "beta2" in osec else 0.999
     eps = _cfg_float("optimizers", "eps", osec["eps"]) if "eps" in osec else 1e-8
     wd = _cfg_float("optimizers", "wd", osec["wd"]) if "wd" in osec else 0.0
-    if "wd_mode" in osec:
-        wd_mode = osec["wd_mode"].strip().lower()
-        if wd_mode not in ("decoupled", "coupled"):
-            raise ConfigError(f"optimizers.wd_mode: expected decoupled or coupled, got {wd_mode!r}")
-        if wd > 0.0:
-            repl = opt.DEC_NGN_MDV1 if wd_mode == "decoupled" else opt.NGN_MDV1W
-            kinds = [repl + ("" if split_kind(k)[1] is None else "@" + split_kind(k)[1])
-                     if split_kind(k)[0] == opt.NGN_MD_V1 else k for k in kinds]
+    wd_mode = osec.get("wd_mode", _DEFAULT_WD_MODE).strip().lower()
+    if wd_mode not in _WD_KINDS:
+        raise ConfigError(f"optimizers.wd_mode: expected decoupled or coupled, got {wd_mode!r}")
+    kinds = _wd_kinds(kinds, wd, wd_mode)
     sched_raw = osec.get("schedule", "constant").strip().lower()
     if sched_raw not in _SCHEDULE_ALIASES:
         raise ConfigError(f"optimizers.schedule: unknown schedule {sched_raw!r}")
@@ -614,7 +631,7 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--beta2", type=float, default=0.999)
     runp.add_argument("--eps", type=float, default=1e-8)
     runp.add_argument("--wd", type=float, default=0.0)
-    runp.add_argument("--wd-mode", choices=("decoupled", "coupled"), default="decoupled")
+    runp.add_argument("--wd-mode", choices=tuple(_WD_KINDS), default=_DEFAULT_WD_MODE)
     runp.add_argument("--schedule", choices=sorted(_SCHEDULE_ALIASES), default="constant")
     runp.add_argument("--steps", type=int, default=1000)
     runp.add_argument("--batch-size", default="full")
@@ -654,28 +671,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    kind = _PROBLEM_ALIASES[args.problem]
-    pkw = {"kind": kind, "dim": args.dim, "seed": args.problem_seed, "r": args.r,
-           "scale": args.scale, "interpolating": args.interpolating}
-    if args.n_samples is not None:
-        pkw["n_samples"] = args.n_samples
-    if args.data is not None:
-        pkw["data_path"] = args.data
-    if args.coeffs:
-        pkw["coeffs"] = tuple(float(v) for v in args.coeffs.split(","))
-    problem = build_problem(ProblemSpec(**pkw))
-
-    okind = _OPTIMIZER_ALIASES[args.optimizer]
-    if args.wd > 0.0 and okind == opt.NGN_MD_V1:
-        okind = opt.DEC_NGN_MDV1 if args.wd_mode == "decoupled" else opt.NGN_MDV1W
-    schedule = _SCHEDULE_ALIASES[args.schedule]
-    total = args.steps if schedule == opt.SCHEDULE_INV_SQRT_K else None
-    spec = OptimizerSpec(kind=okind, c=args.c, beta1=args.beta, beta2=args.beta2,
-                         eps=args.eps, wd_lambda=args.wd, schedule=schedule, total_steps=total)
+    problem = ProblemSpec(kind=_PROBLEM_ALIASES[args.problem], dim=args.dim,
+                          n_samples=args.n_samples, seed=args.problem_seed, r=args.r,
+                          coeffs=tuple(float(v) for v in args.coeffs.split(",")),
+                          scale=args.scale, data_path=args.data,
+                          interpolating=args.interpolating)
     batch_size = None if str(args.batch_size).lower() == "full" else int(args.batch_size)
-    budget = RunBudget(args.steps, args.success_loss, args.diverge_loss, batch_size)
+    kinds = _wd_kinds([_OPTIMIZER_ALIASES[args.optimizer]], args.wd, args.wd_mode)
+    sweep = SweepSpec(problem, kinds, [args.c], [args.beta], [args.seed],
+                      RunBudget(args.steps, args.success_loss, args.diverge_loss, batch_size),
+                      beta2=args.beta2, eps=args.eps, wd_lambda=args.wd,
+                      schedule=_SCHEDULE_ALIASES[args.schedule])
+    spec = make_optimizer_spec(sweep, kinds[0], args.c, args.beta)
     x0 = None if args.x0 is None else np.array([float(v) for v in args.x0.split(",")])
-    rec = run_once(problem, spec, budget, args.seed, x0=x0)
+    rec = run_once(build_problem(sweep.problem), spec, sweep.budget, args.seed, x0=x0)
     steps = rec.steps_to_success
     print(f"status={rec.status} steps={len(rec.losses)} final_loss={rec.final_loss} "
           f"best_loss={rec.best_loss} steps_to_success={'' if steps is None else steps}")

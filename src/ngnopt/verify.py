@@ -2,7 +2,9 @@
 step-size equality, reduction identities, and convergence-bound checks.
 
 Each audit runs real optimizer code, measures the worst-case residual
-against a stated tolerance, and returns an AuditReport. Audits are
+against a stated tolerance, and returns an AuditReport. Optimizer runs
+go through harness.run_once; the one step loop here is the moving-average
+twin that the equivalence audit checks run_once against. Audits are
 deterministic given their seed, independent of each other, and report
 the exact violation magnitude and where it occurred.
 """
@@ -16,10 +18,10 @@ from typing import Optional
 import numpy as np
 
 from . import theory
-from .harness import RunBudget, RunRecord, ensure_parent_dir, run_once
+from .harness import STATUS_DIVERGED, RunBudget, RunRecord, ensure_parent_dir, run_once
 from .optimizers import (
     NGN, NGN_D, NGN_M_V1, NGN_MD_V1, NGN_MD_V2, NGN_MDV1W,
-    OptimizerSpec, apply_step, init_state, ngn_gamma, schedule_c,
+    OptimizerSpec, ngn_gamma, schedule_c,
 )
 from .problems import (
     KIND_LEAST_SQUARES, ProblemSpec, StochasticObjective, build_problem,
@@ -45,13 +47,16 @@ def _report(name: str, max_violation: float, tolerance: float, location: str) ->
                        location, float(tolerance))
 
 
-def _batches(problem: StochasticObjective, seed: int, steps: int,
-             batch_size: Optional[int]):
-    full = problem.full_batch()
-    n = problem.n_samples
-    bs = n if batch_size is None else batch_size
-    for k in range(steps):
-        yield full if bs >= n else sample_batch(problem, seed, k, bs)
+def _trajectory(problem: StochasticObjective, spec: OptimizerSpec, steps: int,
+                seed: int = 0, batch_size: Optional[int] = None) -> RunRecord:
+    """run_once stopped only by divergence, which voids the audit: exactly
+    `steps` updates and one oracle call per step."""
+    budget = RunBudget(max_steps=steps, success_loss=-1.0, diverge_loss=math.inf,
+                       batch_size=batch_size)
+    run = run_once(problem, spec, budget, seed, full_eval_every=0)
+    if run.status == STATUS_DIVERGED:
+        raise ValueError(f"audit run of {spec.kind} diverged at step {run.stop_step}")
+    return run
 
 
 def audit_ima_equivalence(problem: StochasticObjective, spec: OptimizerSpec,
@@ -72,21 +77,14 @@ def audit_ima_equivalence(problem: StochasticObjective, spec: OptimizerSpec,
         raise ValueError("the moving-average equivalence is defined for the heavy-ball variant")
     beta = spec.beta1
     lam = beta / (1.0 - beta)
-    x0 = problem.x0_default
+    alg_iterates = _trajectory(problem, spec, steps, seed, batch_size).iterates
 
-    state = init_state(x0)
-    alg_iterates = [state.x.copy()]
-    for batch in _batches(problem, seed, steps, batch_size):
-        sample = evaluate(problem, state.x, batch)
-        state, _ = apply_step(state, sample, spec)
-        alg_iterates.append(state.x.copy())
-
+    bs = problem.n_samples if batch_size is None else batch_size
     worst = 0.0
     location = "none"
-    x = x0.copy()
-    z = x0.copy()
-    for k, batch in enumerate(_batches(problem, seed, steps, batch_size)):
-        sample = evaluate(problem, x, batch)
+    x = z = problem.x0_default  # rebound below, never modified in place
+    for k in range(steps):
+        sample = evaluate(problem, x, sample_batch(problem, seed, k, bs))
         c_k = schedule_c(spec.schedule, spec.c, k, spec.total_steps)
         gamma = ngn_gamma(c_k, sample.loss, float(np.sum(sample.grad * sample.grad)))
         z = z - gamma * sample.grad
@@ -216,15 +214,11 @@ def audit_reductions(problem: StochasticObjective, seed: int = 0, steps: int = 1
     worst = 0.0
     location = "none"
     for pair_name, spec_a, spec_b in _reduction_pairs():
-        state_a = init_state(problem.x0_default)
-        state_b = init_state(problem.x0_default)
-        for k, batch in enumerate(_batches(problem, seed, steps, batch_size)):
-            sample_a = evaluate(problem, state_a.x, batch)
-            sample_b = evaluate(problem, state_b.x, batch)
-            state_a, _ = apply_step(state_a, sample_a, spec_a)
-            state_b, _ = apply_step(state_b, sample_b, spec_b)
-            if not np.array_equal(state_a.x, state_b.x):
-                diff = np.abs(state_a.x - state_b.x)
+        run_a = _trajectory(problem, spec_a, steps, seed, batch_size)
+        run_b = _trajectory(problem, spec_b, steps, seed, batch_size)
+        for k, (x_a, x_b) in enumerate(zip(run_a.iterates[1:], run_b.iterates[1:])):
+            if not np.array_equal(x_a, x_b):
+                diff = np.abs(x_a - x_b)
                 gap = float(np.max(diff)) if np.all(np.isfinite(diff)) else float("inf")
                 gap = max(gap, np.finfo(float).tiny)
                 if gap > worst:
@@ -265,14 +259,12 @@ def audit_theorem_bound(problem: StochasticObjective, K: int, c: Optional[float]
     L = float(meta.L)
     x0 = problem.x0_default
     dist0_sq = float(np.sum((x0 - meta.x_star) ** 2))
-    full = problem.full_batch()
 
     if not decaying:
         c_val = 1.0 / math.sqrt(K) if c is None else float(c)
         _, _, beta_max = theory.ngn_m_params(c_val, L)
         spec = OptimizerSpec(kind=NGN_M_V1, c=c_val, beta1=beta_max)
-        budget = RunBudget(max_steps=K, success_loss=-1.0, diverge_loss=float("inf"))
-        run = run_once(problem, spec, budget, seed=0)
+        run = _trajectory(problem, spec, K)
         mean_subopt = float(np.mean(run.losses)) - meta.f_star
         bound = theory.ngn_m_bound(theory.TheoryInputs(c=c_val, L=L, K=K, dist0_sq=dist0_sq))
         worst = max(0.0, mean_subopt - bound)
@@ -285,15 +277,13 @@ def audit_theorem_bound(problem: StochasticObjective, K: int, c: Optional[float]
     spec = OptimizerSpec(kind=NGN_M_V1, c=c0, beta1=beta,
                          schedule="inv_sqrt_step")
     weights = theory.decaying_weights(c0, L, K)
-    state = init_state(x0)
+    run = _trajectory(problem, spec, K)
     xhat = np.zeros_like(x0)
     weighted_subopt = 0.0
-    for k in range(K):
-        sample = evaluate(problem, state.x, full)
-        xhat = xhat + weights[k] * state.x
-        weighted_subopt += weights[k] * (sample.loss - meta.f_star)
-        state, _ = apply_step(state, sample, spec)
-    avg_subopt = evaluate(problem, xhat, full).loss - meta.f_star
+    for w, x, loss in zip(weights, run.iterates, run.losses):
+        xhat = xhat + w * x
+        weighted_subopt += w * (loss - meta.f_star)
+    avg_subopt = evaluate(problem, xhat, problem.full_batch()).loss - meta.f_star
     bound = theory.ngn_m_bound_decaying(c0, L, K, dist0_sq)
     worst = max(0.0, weighted_subopt - bound, avg_subopt - bound)
     location = (f"weighted_subopt {weighted_subopt:.6e} avg_point_subopt "

@@ -20,7 +20,9 @@ from ngnopt import (
     run_once,
     run_sweep,
 )
-from ngnopt.harness import split_kind
+from ngnopt.harness import make_optimizer_spec, split_kind
+from ngnopt.optimizers import OPTIMIZER_KINDS
+from ngnopt.problems import evaluate
 
 QUAD = ProblemSpec(kind="least_squares", dim=3, n_samples=6, seed=0)
 
@@ -92,6 +94,42 @@ def test_run_once_divergence_detected_first():
     rec = run_once(p, spec, budget, seed=0)
     assert rec.status == "diverged"
     assert rec.stop_step < 10000
+
+
+def test_run_once_nonfinite_gradient_is_divergence_for_every_kind():
+    # the loss at (1e60, 0) is finite but ||g||^2 overflows; no kind may
+    # step from there or raise
+    p = build_problem(ProblemSpec(kind="rosenbrock"))
+    budget = RunBudget(max_steps=10, diverge_loss=float("inf"))
+    for kind in OPTIMIZER_KINDS:
+        rec = run_once(p, OptimizerSpec(kind=kind, c=1.0), budget, seed=0,
+                       x0=np.array([1e60, 0.0]))
+        assert math.isfinite(rec.losses[0]), kind
+        assert rec.status == "diverged", kind
+        assert rec.stop_step == 0, kind
+
+
+LSQ_INTERP = ProblemSpec(kind="least_squares", dim=3, n_samples=6, seed=0, interpolating=True)
+
+
+@pytest.mark.parametrize("problem, spec, budget, status", [
+    (LSQ_INTERP, OptimizerSpec(kind="ngn", c=1.0),
+     RunBudget(max_steps=2000, success_loss=1e-12), "converged"),
+    (ProblemSpec(kind="rosenbrock"), OptimizerSpec(kind="sgdm", c=1.0, beta1=0.9),
+     RunBudget(max_steps=10000, success_loss=1e-10), "diverged"),
+    (LSQ_INTERP, OptimizerSpec(kind="ngn_m_v1", c=1e-3),
+     RunBudget(max_steps=7, success_loss=1e-20), "budget_exhausted"),
+], ids=["converged", "diverged", "budget_exhausted"])
+def test_run_once_iterates_invariant(problem, spec, budget, status):
+    p = build_problem(problem)
+    rec = run_once(p, spec, budget, seed=0)
+    assert rec.status == status
+    assert len(rec.iterates) == len(rec.step_reports) + 1
+    assert rec.iterates[-1] is rec.x_final
+    assert np.array_equal(rec.iterates[0], rec.x0)
+    for x, loss in zip(rec.iterates, rec.losses):
+        if np.all(np.isfinite(x)):
+            assert evaluate(p, x, p.full_batch()).loss == loss
 
 
 def test_run_once_budget_exhausted():
@@ -374,8 +412,7 @@ max_steps = 10
         parse_config(write_config(tmp_path, text))
 
 
-def test_parse_config_weight_decay_rewrites_kind(tmp_path):
-    text = """
+WD_CONFIG = """
 [problem]
 kind = least_squares
 dim = 3
@@ -395,12 +432,32 @@ seeds = 0
 [budget]
 max_steps = 10
 """
-    sweep = parse_config(write_config(tmp_path, text))
+
+
+def test_parse_config_weight_decay_rewrites_kind(tmp_path):
+    sweep = parse_config(write_config(tmp_path, WD_CONFIG))
     assert sweep.kinds == ["dec_ngn_mdv1"]
     assert sweep.wd_lambda == 0.1
-    coupled = text.replace("decoupled", "coupled")
+    coupled = WD_CONFIG.replace("decoupled", "coupled")
     sweep = parse_config(write_config(tmp_path, coupled))
     assert sweep.kinds == ["ngn_mdv1w"]
+
+
+def test_parse_config_wd_mode_defaults_to_decoupled(tmp_path):
+    # wd > 0 must never be dropped silently: without wd_mode the
+    # decoupled variant runs, and its spec carries the weight decay
+    sweep = parse_config(write_config(tmp_path, WD_CONFIG.replace("wd_mode = decoupled\n", "")))
+    assert sweep.kinds == ["dec_ngn_mdv1"]
+    assert make_optimizer_spec(sweep, sweep.kinds[0], 1.0, 0.9).wd_lambda == 0.1
+
+
+def test_sweep_spec_rejects_negative_weight_decay(tmp_path):
+    with pytest.raises(ValueError):
+        small_sweep(wd_lambda=-0.1)
+    with pytest.raises(ConfigError):
+        parse_config(write_config(tmp_path, WD_CONFIG.replace("wd = 0.1", "wd = -0.1")))
+    assert cli(["run", "--problem", "least_squares", "--optimizer", "ngn", "--c", "1.0",
+                "--wd", "-0.1", "--steps", "5"]) == 1
 
 
 def test_parse_config_missing_file():
@@ -428,6 +485,26 @@ def test_cli_run_diverged_still_exits_zero(capsys):
                 "--c", "1.0", "--beta", "0.9", "--steps", "200"])
     assert code == 0
     assert "status=diverged" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("run_args, optimizers", [
+    (["--optimizer", "ngn_md_v1", "--beta", "0.9", "--wd", "0.1", "--wd-mode", "coupled"],
+     "kinds = ngn_md_v1\nwd = 0.1\nwd_mode = coupled"),
+    (["--optimizer", "ngn", "--schedule", "inv_sqrt_k"],
+     "kinds = ngn\nschedule = inv_sqrt_k"),
+], ids=["ngn_md_v1-wd-coupled", "ngn-inv_sqrt_k"])
+def test_cli_run_matches_one_cell_sweep(tmp_path, capsys, run_args, optimizers):
+    code = cli(["run", "--problem", "least_squares", "--dim", "3", "--n-samples", "6",
+                "--c", "0.5", "--steps", "60", "--batch-size", "2", "--seed", "4"] + run_args)
+    assert code == 0
+    printed = dict(field.split("=", 1) for field in capsys.readouterr().out.split())
+    beta = "0.9" if "--beta" in run_args else "0.0"
+    text = (f"[problem]\nkind = least_squares\ndim = 3\nn_samples = 6\n"
+            f"[optimizers]\n{optimizers}\n[grid]\nc = 0.5\nbeta = {beta}\nseeds = 4\n"
+            f"[budget]\nmax_steps = 60\nbatch_size = 2\n")
+    (row,) = run_sweep(parse_config(write_config(tmp_path, text))).rows
+    assert printed["status"] == row["status"]
+    assert float(printed["final_loss"]).hex() == row["final_loss"].hex()
 
 
 def test_cli_sweep(tmp_path, capsys):

@@ -17,6 +17,7 @@ from ngnopt import (
     multimodal_global_basin,
     run_default_audits,
     run_once,
+    verify,
 )
 
 
@@ -41,6 +42,28 @@ def test_ima_equivalence_stochastic_passes():
     spec = OptimizerSpec(kind="ngn_m_v1", c=0.5, beta1=0.9)
     rep = audit_ima_equivalence(p, spec, steps=80, seed=3, batch_size=4)
     assert rep.passed
+
+
+def test_ima_equivalence_fails_on_perturbed_twin(monkeypatch):
+    # negative control: a 1e-6 relative change to the twin's step size
+    # must show up against run_once's trajectory
+    exact = verify.ngn_gamma
+    monkeypatch.setattr(verify, "ngn_gamma", lambda c, f, gs: exact(c, f, gs) * (1.0 + 1e-6))
+    rep = audit_ima_equivalence(quadratic(), OptimizerSpec(kind="ngn_m_v1", c=1.0, beta1=0.6),
+                                steps=50, seed=1)
+    assert not rep.passed
+    assert rep.max_violation > 100 * rep.tolerance
+
+
+def test_audits_reject_diverged_runs():
+    # (1e60, 0) gives a finite loss and an overflowing gradient, so run_once
+    # stops at step 0 and the audit cannot check the trajectory it asked for
+    p = dataclasses.replace(build_problem(ProblemSpec(kind="rosenbrock")),
+                            x0_default=np.array([1e60, 0.0]))
+    with pytest.raises(ValueError, match="diverged at step 0"):
+        audit_ima_equivalence(p, OptimizerSpec(kind="ngn_m_v1", c=1.0, beta1=0.5))
+    with pytest.raises(ValueError, match="diverged at step 0"):
+        audit_reductions(p)
 
 
 def test_ima_equivalence_rejects_other_rules():
@@ -145,6 +168,19 @@ def test_reductions_exact():
     assert rep.passed
     assert rep.max_violation == 0.0
     assert rep.tolerance == 0.0
+
+
+def test_reductions_fail_on_perturbed_cap(monkeypatch):
+    # negative control: ngn at c against ngn at c (1 + 1e-6) must differ
+    # from the first update on
+    pairs = verify._reduction_pairs()
+    c = verify._REDUCTION_C
+    perturbed = ("ngn[c] == ngn[c(1+1e-6)]", OptimizerSpec(kind="ngn", c=c),
+                 OptimizerSpec(kind="ngn", c=c * (1.0 + 1e-6)))
+    monkeypatch.setattr(verify, "_reduction_pairs", lambda: pairs + [perturbed])
+    rep = audit_reductions(quadratic(dim=4, n=8, seed=5), seed=1, steps=50, batch_size=4)
+    assert not rep.passed
+    assert rep.location == "ngn[c] == ngn[c(1+1e-6)] at step 1"
 
 
 # --- convergence certificates --------------------------------------------------------
