@@ -241,15 +241,12 @@ def make_optimizer_spec(sweep: SweepSpec, kind: str, c: float, beta: float) -> O
                          wd_lambda=wd, schedule=schedule, total_steps=total)
 
 
-def _cell_row(problem_spec: ProblemSpec, sweep: SweepSpec, cell,
-              problem: Optional[StochasticObjective] = None) -> dict:
+def _cell_row(sweep: SweepSpec, cell, problem: StochasticObjective) -> dict:
     kind, c, beta, seed, x0 = cell
     row = {"optimizer": kind, "c": c, "beta": beta, "seed": seed}
     if sweep.x0_grid is not None:
         row["x0"] = x0
     try:
-        if problem is None:
-            problem = build_problem(problem_spec)
         spec = make_optimizer_spec(sweep, kind, c, beta)
         x0_arr = None if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
         rec = run_once(problem, spec, sweep.budget, seed, x0=x0_arr)
@@ -266,23 +263,34 @@ def _cell_row(problem_spec: ProblemSpec, sweep: SweepSpec, cell,
     return row
 
 
+_worker_problem: list = []  # [(ProblemSpec, StochasticObjective)] in a pool worker
+
+
 def _cell_worker(args) -> dict:
-    problem_spec, sweep, cell = args
-    return _cell_row(problem_spec, sweep, cell)
+    """Run one cell in a pool worker. The worker builds the problem in its
+    first cell and reuses it for the rest, so per-cell timings include the
+    one build. The build sits outside _cell_row's per-cell guard: a problem
+    that cannot be built fails run_sweep as it does on the serial path."""
+    sweep, cell = args
+    if not _worker_problem or _worker_problem[0][0] != sweep.problem:
+        _worker_problem[:] = [(sweep.problem, build_problem(sweep.problem))]
+    return _cell_row(sweep, cell, _worker_problem[0][1])
 
 
 def run_sweep(sweep: SweepSpec, workers: int = 1) -> SweepResult:
     """Execute every cell and aggregate summaries in deterministic cell
-    order. workers > 1 runs cells in a process pool; results are merged
-    by cell index, so parallel and serial output are identical."""
+    order. workers > 1 runs cells in a process pool where each worker
+    builds the problem once; results are merged by cell index, so parallel
+    and serial output are identical. On both paths a problem that cannot
+    be built raises from here, and a cell that fails to run becomes an
+    `error` row."""
     cells = sweep.cells()
     if workers > 1:
-        args = [(sweep.problem, sweep, cell) for cell in cells]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_cell_worker, args))
+            rows = list(pool.map(_cell_worker, [(sweep, cell) for cell in cells]))
     else:
         problem = build_problem(sweep.problem)
-        rows = [_cell_row(sweep.problem, sweep, cell, problem=problem) for cell in cells]
+        rows = [_cell_row(sweep, cell, problem) for cell in cells]
     result = SweepResult(sweep, rows)
     if sweep.out_path is not None:
         emit_csv(result, resolve_out_path(sweep.out_path))
@@ -693,6 +701,9 @@ def _cmd_run(args) -> int:
     return 0
 
 
+_ERRORS_SHOWN = 3  # failed cells whose error text `ngnopt sweep` prints
+
+
 def _cmd_sweep(args) -> int:
     sweep = parse_config(args.config)
     if args.out is not None:
@@ -704,6 +715,11 @@ def _cmd_sweep(args) -> int:
     failed = [r for r in result.rows if r["status"] == STATUS_ERROR]
     if failed:
         print(f"{len(failed)} cells recorded errors")
+        for row in failed[:_ERRORS_SHOWN]:
+            where = " ".join(f"{key}={row[key]}" for key in ("optimizer", "c", "beta", "seed"))
+            if "x0" in row:
+                where += f" x0={_fmt_vector(row['x0'])}"
+            print(f"error: cell {where}: {row['error']}", file=sys.stderr)
         return 1
     return 0
 

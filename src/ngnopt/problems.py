@@ -58,9 +58,16 @@ class ObjectiveMetadata:
 
 @dataclass(frozen=True, eq=False)
 class Batch:
-    """Indices of the samples participating in one stochastic evaluation."""
+    """Indices of the samples participating in one stochastic evaluation.
+
+    `full` is set only by `full_batch()` and by `sample_batch` for a
+    size-n draw: the indices are then 0..n-1 in order, and oracles may
+    read their data without gathering it. A hand-built Batch, even a
+    permutation of all n samples, always gathers.
+    """
 
     indices: np.ndarray
+    full: bool = False
 
     @property
     def size(self) -> int:
@@ -115,7 +122,8 @@ class StochasticObjective:
     """A finite-sum objective with a batched loss/gradient oracle.
 
     `_loss_grad(x, indices)` returns the mean loss and gradient over the
-    indexed samples. `_batch_min(indices)`, when available, returns the
+    indexed samples; `indices=None` means all samples in order (see
+    `Batch.full`). `_batch_min(indices)`, when available, returns the
     exact minimum of that batch loss (least-squares subproblems).
     """
 
@@ -129,7 +137,11 @@ class StochasticObjective:
     poly_scale: Optional[float] = None
 
     def full_batch(self) -> Batch:
-        return Batch(np.arange(self.n_samples))
+        return Batch(np.arange(self.n_samples), full=True)
+
+
+def _oracle_indices(batch: Batch) -> Optional[np.ndarray]:
+    return None if batch.full else batch.indices
 
 
 def evaluate(problem: StochasticObjective, x: np.ndarray, batch: Batch) -> StepSample:
@@ -143,7 +155,7 @@ def evaluate(problem: StochasticObjective, x: np.ndarray, batch: Batch) -> StepS
         raise ValueError(f"x has shape {x.shape}, problem dimension is {problem.dim}")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input coordinates")
-    loss, grad = problem._loss_grad(x, batch.indices)
+    loss, grad = problem._loss_grad(x, _oracle_indices(batch))
     return StepSample(float(loss), grad, batch)
 
 
@@ -151,9 +163,13 @@ def sample_batch(problem: StochasticObjective, seed: int, step: int, batch_size:
     """Draw a without-replacement batch as a pure function of (seed, step).
 
     Uses a Philox stream keyed by (seed, step) and a partial Fisher-Yates
-    shuffle, so the batch sequence is identical across platforms and
-    processes. A full-batch request returns all indices in ascending order
-    without consuming randomness.
+    shuffle of 0..n-1, so the batch sequence is identical across platforms
+    and processes. All batch_size offsets are drawn in one call; the swaps
+    are applied to a dict of displaced entries instead of a length-n
+    array, and give the same batch as swapping array elements one draw at
+    a time. Returns sorted intp indices. A full-batch request returns all
+    indices in ascending order, marked `full`, without consuming
+    randomness.
     """
     n = problem.n_samples
     if not 1 <= batch_size <= n:
@@ -161,13 +177,18 @@ def sample_batch(problem: StochasticObjective, seed: int, step: int, batch_size:
     if seed < 0 or step < 0:
         raise ValueError("seed and step must be >= 0")
     if batch_size == n:
-        return Batch(np.arange(n))
+        return Batch(np.arange(n), full=True)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, step], dtype=np.uint64)))
-    idx = np.arange(n)
-    for i in range(batch_size):
-        j = i + int(rng.integers(n - i))
-        idx[i], idx[j] = idx[j], idx[i]
-    return Batch(np.sort(idx[:batch_size]))
+    offsets = rng.integers(n - np.arange(batch_size)).tolist()
+    displaced: dict = {}  # position -> value, for positions swapped away from identity
+    picked = []
+    for i, offset in enumerate(offsets):
+        j = i + offset
+        picked.append(displaced.get(j, j))
+        displaced[j] = displaced.get(i, i)
+    idx = np.array(picked, dtype=np.intp)
+    idx.sort()
+    return Batch(idx)
 
 
 def finite_diff_grad(problem: StochasticObjective, x: np.ndarray, batch: Batch, h: float) -> np.ndarray:
@@ -181,8 +202,8 @@ def finite_diff_grad(problem: StochasticObjective, x: np.ndarray, batch: Batch, 
         xm = x.copy()
         xp[j] += h
         xm[j] -= h
-        fp, _ = problem._loss_grad(xp, batch.indices)
-        fm, _ = problem._loss_grad(xm, batch.indices)
+        fp, _ = problem._loss_grad(xp, _oracle_indices(batch))
+        fm, _ = problem._loss_grad(xm, _oracle_indices(batch))
         if not (math.isfinite(fp) and math.isfinite(fm)):
             raise ValueError("non-finite intermediate values in finite differences")
         grad[j] = (fp - fm) / (2.0 * h)
@@ -209,12 +230,20 @@ def _least_squares_objective(kind: str, A: np.ndarray, b: np.ndarray,
     f_star = float(resid @ resid) / (2.0 * n)
     pos = evals[evals > 1e-12 * max(L, 1.0)]
     mu = float(pos[0]) if pos.size else None
+    # A gather A[idx] is C-ordered; reading the full batch from a C-ordered
+    # A keeps both matvecs on the same BLAS path, so they round alike.
+    rows = np.ascontiguousarray(A)
 
     def loss_grad(x, idx):
-        r = A[idx] @ x - b[idx]
-        m = idx.size
+        """Mean loss and gradient over the rows idx, or over all rows in
+        order when idx is None. The full batch reads A and b in place; a
+        gather of 0..n-1 would copy them unchanged, so both give the same
+        bits. Any other index array, permuted or repeated, gathers once."""
+        A_b, b_b = (rows, b) if idx is None else (rows[idx], b[idx])
+        r = A_b @ x - b_b
+        m = b_b.size
         loss = float(np.sum(r * r)) / (2.0 * m)
-        grad = A[idx].T @ r / m
+        grad = A_b.T @ r / m
         return loss, grad
 
     def batch_min(idx):

@@ -1,5 +1,7 @@
 import filecmp
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from ngnopt import (
     run_once,
     run_sweep,
 )
+from ngnopt import harness
 from ngnopt.harness import make_optimizer_spec, split_kind
 from ngnopt.optimizers import OPTIMIZER_KINDS
 from ngnopt.problems import evaluate
@@ -191,6 +194,62 @@ def test_run_sweep_bad_cell_is_isolated():
         assert statuses[(kind, -1.0)] == "error"
     errs = [row for row in result.rows if row["status"] == "error"]
     assert all("c" in row["error"] or "positive" in row["error"] for row in errs)
+
+
+def test_run_sweep_bad_cell_error_rows_match_in_pool():
+    serial = run_sweep(small_sweep(c_grid=[1.0, -1.0]), workers=1).rows
+    pooled = run_sweep(small_sweep(c_grid=[1.0, -1.0]), workers=2).rows
+    assert [r["status"] for r in pooled] == [r["status"] for r in serial]
+    assert [r.get("error") for r in pooled] == [r.get("error") for r in serial]
+    assert sum(r["status"] == "error" for r in pooled) == 4
+
+
+MISSING_DATA = ProblemSpec(kind="linear_regression_data", data_path="/nonexistent/data.csv")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_sweep_unbuildable_problem_raises(tmp_path, workers):
+    sweep = small_sweep(tmp_path, problem=MISSING_DATA)
+    with pytest.raises(FileNotFoundError):
+        run_sweep(sweep, workers=workers)
+    assert not (tmp_path / "summary.csv").exists()
+
+
+def test_pool_worker_builds_the_problem_once(monkeypatch):
+    expected = run_sweep(small_sweep()).rows
+    built = []
+
+    def counting_build(spec):
+        built.append(spec)
+        return build_problem(spec)
+
+    monkeypatch.setattr(harness, "build_problem", counting_build)
+    monkeypatch.setattr(harness, "_worker_problem", [])
+    sweep = small_sweep()
+    rows = [harness._cell_worker((sweep, cell)) for cell in sweep.cells()]
+    assert len(built) == 1
+    assert rows == expected
+    other = small_sweep(problem=ProblemSpec(kind="least_squares", dim=3, n_samples=6, seed=1))
+    harness._cell_worker((other, other.cells()[0]))
+    assert len(built) == 2  # a different problem is rebuilt, not reused
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="counts builds through a patch the forked workers inherit")
+def test_pool_builds_at_most_once_per_worker(tmp_path, monkeypatch):
+    log = tmp_path / "builds.txt"
+
+    def logging_build(spec):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return build_problem(spec)
+
+    monkeypatch.setattr(harness, "build_problem", logging_build)
+    sweep = small_sweep()
+    run_sweep(sweep, workers=2)
+    pids = log.read_text().split()
+    assert 1 <= len(pids) <= 2 < len(sweep.cells())
+    assert len(set(pids)) == len(pids)
 
 
 def test_run_sweep_parallel_matches_serial(tmp_path):
@@ -514,6 +573,63 @@ def test_cli_sweep(tmp_path, capsys):
     assert code == 0
     rows = parse_summary_csv(str(out))
     assert len(rows) == 3 * 2 * 2 * 3
+
+
+MISSING_DATA_CONFIG = """
+[problem]
+kind = regression
+data = /nonexistent/data.csv
+[optimizers]
+kinds = ngn
+[grid]
+c = 1.0
+beta = 0.0
+seeds = 0, 1
+[budget]
+max_steps = 10
+"""
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cli_sweep_unbuildable_problem_is_io_error(tmp_path, capsys, workers):
+    out = tmp_path / "results.csv"
+    code = cli(["sweep", "--config", write_config(tmp_path, MISSING_DATA_CONFIG),
+                "--out", str(out), "--workers", workers])
+    assert code == 2
+    assert not out.exists()
+    assert "No such file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cli_sweep_prints_first_cell_errors(tmp_path, capsys, workers):
+    text = GOOD_CONFIG.replace("c = 0.1, 1.0", "c = 0.1, -1.0, -2.0")
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "results.csv"
+    code = cli(["sweep", "--config", cfg, "--out", str(out), "--workers", workers])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "36 cells recorded errors" in captured.out
+    lines = captured.err.splitlines()
+    assert len(lines) == 3
+    assert lines[0].startswith("error: cell optimizer=ngn c=-1.0 beta=0.0 seed=0: ")
+    assert lines[2].startswith("error: cell optimizer=ngn c=-1.0 beta=0.0 seed=2: ")
+    assert all(ln.endswith(": c must be positive and finite") for ln in lines)
+    sweep = parse_config(cfg)
+    sweep.out_path = str(tmp_path / "direct.csv")
+    run_sweep(sweep)
+    assert filecmp.cmp(out, tmp_path / "direct.csv", shallow=False)
+
+
+def test_cli_sweep_cell_errors_name_the_start(tmp_path, capsys):
+    # a 1-d start grid on the 2-d Rosenbrock problem fails every cell
+    text = ("[problem]\nkind = rosenbrock\n[optimizers]\nkinds = ngn\n"
+            "[grid]\nc = 1.0\nbeta = 0.0\nseeds = 0\nx0 = 0.5, 2.0\n[budget]\nmax_steps = 5\n")
+    code = cli(["sweep", "--config", write_config(tmp_path, text), "--out", str(tmp_path / "r.csv")])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    for line, start in zip(lines, ("0.5", "2")):
+        assert line.startswith(f"error: cell optimizer=ngn c=1.0 beta=0.0 seed=0 x0={start}: x has shape")
 
 
 def test_cli_sweep_missing_config_is_io_error(tmp_path):

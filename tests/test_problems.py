@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,17 @@ from ngnopt import (
     sample_batch,
 )
 from ngnopt.problems import PROBLEM_KINDS
+
+
+def reference_sample_indices(seed, step, n, batch_size):
+    """The element-swap partial Fisher-Yates shuffle sample_batch used
+    before its draws were vectorized; its batches are the contract."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, step], dtype=np.uint64)))
+    idx = np.arange(n)
+    for i in range(batch_size):
+        j = i + int(rng.integers(n - i))
+        idx[i], idx[j] = idx[j], idx[i]
+    return np.sort(idx[:batch_size])
 
 
 def rel_err(a, b):
@@ -97,6 +109,82 @@ def test_interpolating_build_has_zero_noise():
     assert p.metadata.f_star <= 1e-25
     s = evaluate(p, p.metadata.x_star, p.full_batch())
     assert s.loss <= 1e-25
+
+
+# --- least squares: the full batch reads A in place ---------------------------
+
+def _gather_form(A, b, x, idx):
+    """The batch oracle with explicit row gathers: the mean over the
+    listed samples, repeats and order included."""
+    r = A[idx] @ x - b[idx]
+    return float(np.sum(r * r)) / (2.0 * idx.size), A[idx].T @ r / idx.size
+
+
+def _lsq_cases(tmp_path):
+    """(problem, A, b) for every least-squares kind at a few (n, d); A and
+    b are rebuilt here from each kind's definition."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for n, d in ((1, 1), (7, 3), (40, 10), (300, 50)):
+        A = rng.standard_normal((n, d))
+        b = rng.standard_normal(n)
+        cases.append((least_squares_problem(A, b), A, b))
+        # a Fortran-ordered A must still match the C-ordered gathers
+        A_f = np.asfortranarray(A)
+        cases.append((least_squares_problem(A_f, b), A_f, b))
+    for d, seed, r in ((4, 0, 0.0), (25, 3, 0.5), (400, 1, 0.0)):
+        g = np.random.default_rng(seed)
+        M = g.standard_normal((d, d)) + r * np.eye(d)
+        y = g.standard_normal(d)
+        cases.append((build_problem(ProblemSpec(kind="ridge_quadratic", dim=d, seed=seed, r=r)), M, y))
+    for n, d in ((5, 1), (60, 4)):
+        data = rng.standard_normal((n, d + 1))
+        path = tmp_path / f"reg_{n}_{d}.csv"
+        path.write_text("\n".join(",".join("%.17g" % v for v in row) for row in data), encoding="utf-8")
+        X, y = data[:, :-1], data[:, -1]
+        std = X.std(axis=0)
+        std[std == 0.0] = 1.0
+        A = (X - X.mean(axis=0)) / std
+        spec = ProblemSpec(kind="linear_regression_data", data_path=str(path))
+        cases.append((build_problem(spec), A, y))
+    return cases
+
+
+def test_full_batch_oracle_is_bit_identical_to_gathers(tmp_path):
+    rng = np.random.default_rng(5)
+    kinds = set()
+    for p, A, b in _lsq_cases(tmp_path):
+        kinds.add(p.kind)
+        n = p.n_samples
+        everything = np.arange(n)
+        for _ in range(3):
+            x = rng.standard_normal(p.dim)
+            full = evaluate(p, x, p.full_batch())
+            loss, grad = _gather_form(A, b, x, everything)
+            assert full.loss == loss
+            assert np.array_equal(full.grad, grad)
+            gathered = evaluate(p, x, Batch(everything))
+            assert gathered.loss == full.loss and np.array_equal(gathered.grad, full.grad)
+    assert kinds == {"least_squares", "ridge_quadratic", "linear_regression_data"}
+
+
+def test_size_n_batch_that_is_not_in_order_gathers(tmp_path):
+    rng = np.random.default_rng(6)
+    for p, A, b in _lsq_cases(tmp_path):
+        n = p.n_samples
+        if n < 2:
+            continue
+        x = rng.standard_normal(p.dim)
+        repeated = np.sort(rng.integers(0, n, size=n))
+        repeated[0] = repeated[1] = 0  # sample 0 twice, so it is not a permutation
+        full = evaluate(p, x, p.full_batch())
+        for idx in (rng.permutation(n), repeated):
+            s = evaluate(p, x, Batch(idx))
+            loss, grad = _gather_form(A, b, x, idx)
+            assert s.loss == loss
+            assert np.array_equal(s.grad, grad)
+        # the repeated batch is a different objective: a size check alone would miss it
+        assert evaluate(p, x, Batch(repeated)).loss != full.loss
 
 
 # --- fixed test functions ----------------------------------------------------
@@ -222,6 +310,27 @@ def test_full_batch_bypasses_rng():
     p = build_problem(ProblemSpec(kind="least_squares", dim=3, n_samples=12, seed=0))
     idx = sample_batch(p, seed=123, step=456, batch_size=12).indices
     assert np.array_equal(idx, np.arange(12))
+
+
+def test_only_full_batches_are_marked_full():
+    p = build_problem(ProblemSpec(kind="least_squares", dim=3, n_samples=12, seed=0))
+    assert p.full_batch().full
+    assert sample_batch(p, seed=1, step=2, batch_size=12).full
+    assert not sample_batch(p, seed=1, step=2, batch_size=11).full
+    assert not Batch(np.arange(12)).full
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), step=st.integers(0, 2**32 - 1),
+       n_bs=st.integers(2, 2000).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))))
+def test_sample_batch_matches_element_swap_reference(seed, step, n_bs):
+    n, bs = n_bs
+    p = build_problem(ProblemSpec(kind="rosenbrock"))
+    p = dataclasses.replace(p, n_samples=n)
+    got = sample_batch(p, seed=seed, step=step, batch_size=bs).indices
+    want = reference_sample_indices(seed, step, n, bs)
+    assert np.array_equal(got, want)
+    assert got.dtype == want.dtype == np.intp
 
 
 def test_sample_batch_validates_arguments():
