@@ -202,7 +202,7 @@ def run_once(problem: StochasticObjective, spec: OptimizerSpec, budget: RunBudge
     stop_step: Optional[int] = None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         for k in range(budget.max_steps):
-            if not np.all(np.isfinite(state.x)):
+            if not np.isfinite(state.x).all():
                 losses.append(float("inf"))
                 grad_norms.append(float("inf"))
                 status = STATUS_DIVERGED
@@ -211,7 +211,7 @@ def run_once(problem: StochasticObjective, spec: OptimizerSpec, budget: RunBudge
             batch = full_batch if not stochastic else sample_batch(problem, seed, k, bs)
             sample = evaluate(problem, state.x, batch)
             losses.append(sample.loss)
-            grad_norms.append(math.sqrt(float(np.sum(sample.grad * sample.grad))))
+            grad_norms.append(math.sqrt(sample.grad_sq))
             if stochastic and full_eval_every and k % full_eval_every == 0:
                 full_losses.append((k, evaluate(problem, state.x, full_batch).loss))
             if (not math.isfinite(sample.loss) or sample.loss > budget.diverge_loss

@@ -13,15 +13,21 @@ rescale either the squared gradient norm (V1) or the per-coordinate c
 (V2) by an RMSprop-style preconditioner D = eps + sqrt(vhat).
 
 Step functions are pure: given (state, sample, spec) they return a new
-state and a report, never mutating their inputs. Squared gradient norms
-are accumulated with np.sum(g*g), never BLAS dot, so that the documented
-reduction identities (beta=0, D=I, lambda=0 collapses) hold bit for bit.
+state and a report, never mutating their inputs. Reductions use ndarray
+methods, `(g*g).sum()`, `.min()`, `.max()`, `.mean()`. They run the same
+ufunc reductions as `np.sum`, `np.min`, ... (`add.reduce` for sums), so
+they give the same bits without the wrappers' dispatch. They never use
+BLAS dot, so that the documented reduction identities (beta=0, D=I,
+lambda=0 collapses) hold bit for bit.
+The squared gradient norm of a sample is computed once, as
+`StepSample.grad_sq`, and the rules that need ||g||^2 read it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -114,18 +120,42 @@ class OptimizerState:
 
 @dataclass(frozen=True, eq=False)
 class StepReport:
-    """Per-step diagnostics: the scalar step size (NaN for purely
-    per-coordinate rules), statistics of the per-coordinate effective
-    step sizes, the update norm, and the full per-coordinate step-size
-    vector for coordinate-level audits."""
+    """Per-step diagnostics of the update from x to x_new.
+
+    gamma_scalar is the scalar step size (NaN for purely per-coordinate
+    rules); gamma_coord, the per-coordinate effective step sizes, and
+    c_coord_used, the per-coordinate caps, are set by the rules that have
+    them, for coordinate-level audits. x_new and x are references to the
+    iterates, not copies: step functions never change an iterate in place.
+
+    gamma_coord_min, gamma_coord_max, gamma_coord_mean and update_norm are
+    computed on first read and then cached, so a run that never reads them
+    never pays for them. Without gamma_coord the three statistics are
+    gamma_scalar.
+    """
 
     gamma_scalar: float
-    gamma_coord_min: float
-    gamma_coord_max: float
-    gamma_coord_mean: float
-    update_norm: float
+    x_new: np.ndarray
+    x: np.ndarray
     gamma_coord: Optional[np.ndarray] = None
     c_coord_used: Optional[np.ndarray] = None
+
+    @cached_property
+    def gamma_coord_min(self) -> float:
+        return self.gamma_scalar if self.gamma_coord is None else float(self.gamma_coord.min())
+
+    @cached_property
+    def gamma_coord_max(self) -> float:
+        return self.gamma_scalar if self.gamma_coord is None else float(self.gamma_coord.max())
+
+    @cached_property
+    def gamma_coord_mean(self) -> float:
+        return self.gamma_scalar if self.gamma_coord is None else float(self.gamma_coord.mean())
+
+    @cached_property
+    def update_norm(self) -> float:
+        upd = self.x_new - self.x
+        return math.sqrt(float((upd * upd).sum()))
 
 
 def init_state(x0: np.ndarray) -> OptimizerState:
@@ -133,13 +163,9 @@ def init_state(x0: np.ndarray) -> OptimizerState:
     return OptimizerState(x0.copy(), x0.copy(), np.zeros_like(x0), np.zeros_like(x0), 0)
 
 
-def _sq_norm(g: np.ndarray) -> float:
-    return float(np.sum(g * g))
-
-
 def _weighted_sq_norm(g: np.ndarray, d: np.ndarray) -> float:
     """||g||^2_{D^-1} = sum_j g_j^2 / d_j."""
-    return float(np.sum(g * g / d))
+    return float((g * g / d).sum())
 
 
 def ngn_gamma(c, loss, grad_sq):
@@ -147,9 +173,11 @@ def ngn_gamma(c, loss, grad_sq):
 
     Accepts scalars or arrays (per-coordinate c_j and g_j^2 broadcast
     against a scalar loss). Always lies in [0, c], is non-increasing in
-    grad_sq, and non-decreasing in loss.
+    grad_sq, and non-decreasing in loss. Python floats, the inputs of every
+    scalar rule, skip np.ndim; every input is validated either way.
     """
-    if np.ndim(c) == 0 and np.ndim(grad_sq) == 0:
+    if ((type(c) is float or np.ndim(c) == 0)
+            and (type(grad_sq) is float or np.ndim(grad_sq) == 0)):
         c = float(c)
         loss = float(loss)
         gs = float(grad_sq)
@@ -165,9 +193,9 @@ def ngn_gamma(c, loss, grad_sq):
     c = np.asarray(c, dtype=float)
     gs = np.asarray(grad_sq, dtype=float)
     loss = float(loss)
-    if not (np.all(np.isfinite(c)) and math.isfinite(loss) and np.all(np.isfinite(gs))):
+    if not (np.isfinite(c).all() and math.isfinite(loss) and np.isfinite(gs).all()):
         raise ValueError("non-finite inputs to ngn_gamma")
-    if np.any(c <= 0.0) or loss < 0.0 or np.any(gs < 0.0):
+    if (c <= 0.0).any() or loss < 0.0 or (gs < 0.0).any():
         raise ValueError("ngn_gamma requires c > 0, loss >= 0, grad_sq >= 0")
     denom = 2.0 * loss + c * gs
     safe = np.where(denom > 0.0, denom, 1.0)
@@ -200,36 +228,20 @@ def schedule_c(schedule: str, c0: float, k: int, total_steps: Optional[int] = No
     raise ValueError(f"unknown schedule {schedule!r}")
 
 
-def _scalar_report(gamma: float, x_new: np.ndarray, x: np.ndarray) -> StepReport:
-    upd = x_new - x
-    return StepReport(gamma, gamma, gamma, gamma, math.sqrt(_sq_norm(upd)))
-
-
-def _coord_report(gamma_scalar: float, coord: np.ndarray, x_new: np.ndarray, x: np.ndarray,
-                  c_coord_used: Optional[np.ndarray] = None) -> StepReport:
-    upd = x_new - x
-    return StepReport(
-        gamma_scalar,
-        float(np.min(coord)),
-        float(np.max(coord)),
-        float(np.mean(coord)),
-        math.sqrt(_sq_norm(upd)),
-        gamma_coord=coord,
-        c_coord_used=c_coord_used,
-    )
-
-
-def _advance(state: OptimizerState, x_new: np.ndarray, **extra) -> OptimizerState:
-    return replace(state, x=x_new, x_prev=state.x, k=state.k + 1, **extra)
+def _advance(state: OptimizerState, x_new: np.ndarray, v: Optional[np.ndarray] = None,
+             m: Optional[np.ndarray] = None) -> OptimizerState:
+    """The state after stepping to x_new; v and m default to the old buffers."""
+    return OptimizerState(x_new, state.x, state.v if v is None else v,
+                          state.m if m is None else m, state.k + 1)
 
 
 def step_ngn(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
     """x' = x - gamma g with the scalar NGN step size."""
     c_k = schedule_c(spec.schedule, spec.c, state.k, spec.total_steps)
     g = sample.grad
-    gamma = ngn_gamma(c_k, sample.loss, _sq_norm(g))
+    gamma = ngn_gamma(c_k, sample.loss, sample.grad_sq)
     x_new = state.x - gamma * g
-    return _advance(state, x_new), _scalar_report(gamma, x_new, state.x)
+    return _advance(state, x_new), StepReport(gamma, x_new, state.x)
 
 
 def step_ngn_m(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
@@ -244,14 +256,14 @@ def step_ngn_m(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
     g = sample.grad
     beta = spec.beta1
     if spec.kind == NGN_M_V1:
-        gamma = ngn_gamma(c_k, sample.loss, _sq_norm(g))
+        gamma = ngn_gamma(c_k, sample.loss, sample.grad_sq)
         update = gamma * g
         x_new = state.x - (1.0 - beta) * update + beta * (state.x - state.x_prev)
-        return _advance(state, x_new), _scalar_report(gamma, x_new, state.x)
+        return _advance(state, x_new), StepReport(gamma, x_new, state.x)
     m_new = beta * state.m + (1.0 - beta) * g
-    gamma = ngn_gamma(c_k, sample.loss, _sq_norm(m_new))
+    gamma = ngn_gamma(c_k, sample.loss, float((m_new * m_new).sum()))
     x_new = state.x - gamma * m_new
-    return _advance(state, x_new, m=m_new), _scalar_report(gamma, x_new, state.x)
+    return _advance(state, x_new, m=m_new), StepReport(gamma, x_new, state.x)
 
 
 def step_ngn_d(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
@@ -275,7 +287,7 @@ def step_ngn_d(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
         c_vec = np.full_like(g, c_k)
     gamma = ngn_gamma(c_vec, sample.loss, g * g)
     x_new = state.x - gamma * g
-    report = _coord_report(float("nan"), gamma, x_new, state.x, c_coord_used=np.asarray(c_vec, dtype=float))
+    report = StepReport(float("nan"), x_new, state.x, gamma, np.asarray(c_vec, dtype=float))
     return _advance(state, x_new, v=v_new), report
 
 
@@ -297,12 +309,12 @@ def step_ngn_md(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
         gamma = ngn_gamma(c_k, sample.loss, _weighted_sq_norm(g, d))
         sigma_inv_g = gamma * (g / d)
         x_new = state.x - (1.0 - beta1) * sigma_inv_g + beta1 * (state.x - state.x_prev)
-        return _advance(state, x_new, v=v_new), _coord_report(gamma, gamma / d, x_new, state.x)
+        return _advance(state, x_new, v=v_new), StepReport(gamma, x_new, state.x, gamma / d)
     c_vec = c_k / d
     gamma = ngn_gamma(c_vec, sample.loss, g * g)
     sigma_inv_g = gamma * g
     x_new = state.x - (1.0 - beta1) * sigma_inv_g + beta1 * (state.x - state.x_prev)
-    report = _coord_report(float("nan"), gamma, x_new, state.x, c_coord_used=c_vec)
+    report = StepReport(float("nan"), x_new, state.x, gamma, c_vec)
     return _advance(state, x_new, v=v_new), report
 
 
@@ -331,11 +343,11 @@ def step_ngn_md_wd(state: OptimizerState, sample: StepSample, spec: OptimizerSpe
         sigma_inv_g = gamma * (g / d)
         x_new = (state.x - (lam * c_k) * state.x
                  - (1.0 - beta1) * sigma_inv_g + beta1 * (state.x - state.x_prev))
-        return _advance(state, x_new, v=v_new), _coord_report(gamma, gamma / d, x_new, state.x)
+        return _advance(state, x_new, v=v_new), StepReport(gamma, x_new, state.x, gamma / d)
     one_plus = 1.0 + lam * c_k
     c_eff = c_k / one_plus
     gdsq = _weighted_sq_norm(g, d)
-    gx = float(np.sum(g * state.x))
+    gx = float((g * state.x).sum())
     denom = 2.0 * sample.loss + c_eff * gdsq
     if lam == 0.0:
         # route through the V1 step size so the collapse is bit-exact,
@@ -347,7 +359,7 @@ def step_ngn_md_wd(state: OptimizerState, sample: StepSample, spec: OptimizerSpe
         gamma = c_eff * max(0.0, 2.0 * sample.loss - (c_k * lam) * gx) / denom
     sigma_inv_g = gamma * (g / d)
     x_new = state.x / one_plus - (1.0 - beta1) * sigma_inv_g + beta1 * (state.x - state.x_prev)
-    return _advance(state, x_new, v=v_new), _coord_report(gamma, gamma / d, x_new, state.x)
+    return _advance(state, x_new, v=v_new), StepReport(gamma, x_new, state.x, gamma / d)
 
 
 def step_baseline(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
@@ -359,7 +371,7 @@ def step_baseline(state: OptimizerState, sample: StepSample, spec: OptimizerSpec
     if spec.kind == SGDM:
         beta = spec.beta1
         x_new = state.x - c_k * g + beta * (state.x - state.x_prev)
-        return _advance(state, x_new), _scalar_report(c_k, x_new, state.x)
+        return _advance(state, x_new), StepReport(c_k, x_new, state.x)
     m_new = spec.beta1 * state.m + (1.0 - spec.beta1) * g
     v_new = spec.beta2 * state.v + (1.0 - spec.beta2) * g * g
     mhat = m_new / (1.0 - spec.beta1 ** (state.k + 1))
@@ -367,7 +379,7 @@ def step_baseline(state: OptimizerState, sample: StepSample, spec: OptimizerSpec
     denom = np.sqrt(vhat) + spec.eps
     x_new = state.x - c_k * mhat / denom
     coord = c_k / denom
-    return _advance(state, x_new, v=v_new, m=m_new), _coord_report(c_k, coord, x_new, state.x)
+    return _advance(state, x_new, v=v_new, m=m_new), StepReport(c_k, x_new, state.x, coord)
 
 
 _STEP_FNS = {

@@ -14,8 +14,9 @@ smoothness upper bounds valid for every batch, not just the full one.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -76,11 +77,21 @@ class Batch:
 
 @dataclass(frozen=True, eq=False)
 class StepSample:
-    """One oracle evaluation: loss value, gradient vector, batch identity."""
+    """One oracle evaluation: loss value, gradient vector, batch identity.
+
+    grad_sq is ||grad||^2, computed once by the constructor as
+    float((grad*grad).sum()), the same bits as float(np.sum(grad*grad)).
+    The run loop reads it for the gradient norm and the divergence check,
+    and the NGN rules read it for the step size.
+    """
 
     loss: float
     grad: np.ndarray
     batch: Batch
+    grad_sq: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "grad_sq", float((self.grad * self.grad).sum()))
 
 
 @dataclass(frozen=True)
@@ -153,10 +164,22 @@ def evaluate(problem: StochasticObjective, x: np.ndarray, batch: Batch) -> StepS
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.dim,):
         raise ValueError(f"x has shape {x.shape}, problem dimension is {problem.dim}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("non-finite input coordinates")
     loss, grad = problem._loss_grad(x, _oracle_indices(batch))
     return StepSample(float(loss), grad, batch)
+
+
+@functools.cache
+def _shared_philox() -> tuple:
+    """(bit generator, its state when new, Generator): one per process,
+    built on the first draw, so importing the package does not load
+    numpy.random. Constructing Philox(key=...) first seeds a SeedSequence
+    from OS entropy, which the key then replaces; re-keying this one skips
+    that. The integer seed only avoids reading entropy: every draw replaces
+    the key, and the counter, buffer and flags are those of any new Philox."""
+    bitgen = np.random.Philox(0)
+    return bitgen, bitgen.state, np.random.Generator(bitgen)
 
 
 def sample_batch(problem: StochasticObjective, seed: int, step: int, batch_size: int) -> Batch:
@@ -170,6 +193,12 @@ def sample_batch(problem: StochasticObjective, seed: int, step: int, batch_size:
     a time. Returns sorted intp indices. A full-batch request returns all
     indices in ascending order, marked `full`, without consuming
     randomness.
+
+    Every draw resets the process's one Philox generator to the state a new
+    Philox(key=(seed, step)) has, so no state carries from one call to the
+    next. That generator is shared: do not call sample_batch from two
+    threads at once. The package parallelises across processes only, and
+    each process has its own generator.
     """
     n = problem.n_samples
     if not 1 <= batch_size <= n:
@@ -178,7 +207,8 @@ def sample_batch(problem: StochasticObjective, seed: int, step: int, batch_size:
         raise ValueError("seed and step must be >= 0")
     if batch_size == n:
         return Batch(np.arange(n), full=True)
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, step], dtype=np.uint64)))
+    bitgen, fresh, rng = _shared_philox()
+    bitgen.state = {**fresh, "state": {**fresh["state"], "key": (seed, step)}}
     offsets = rng.integers(n - np.arange(batch_size)).tolist()
     displaced: dict = {}  # position -> value, for positions swapped away from identity
     picked = []

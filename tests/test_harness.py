@@ -25,7 +25,7 @@ from ngnopt import (
 from ngnopt import harness
 from ngnopt.harness import make_optimizer_spec, split_kind
 from ngnopt.optimizers import OPTIMIZER_KINDS
-from ngnopt.problems import evaluate
+from ngnopt.problems import evaluate, sample_batch
 
 QUAD = ProblemSpec(kind="least_squares", dim=3, n_samples=6, seed=0)
 
@@ -665,3 +665,13 @@ def test_cli_verify_quick(tmp_path, capsys):
     assert "FAIL" not in text
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 10
+
+
+def test_run_once_grad_norms_are_sqrt_of_batch_grad_sq():
+    p = build_problem(ProblemSpec(kind="least_squares", dim=8, n_samples=40, seed=1))
+    spec = OptimizerSpec(kind="ngn_md_v1", c=0.5, beta1=0.5)
+    rec = run_once(p, spec, RunBudget(max_steps=60, batch_size=6), seed=4)
+    assert len(rec.grad_norms) == 60
+    for k, norm in enumerate(rec.grad_norms):
+        g = evaluate(p, rec.iterates[k], sample_batch(p, 4, k, 6)).grad
+        assert norm == math.sqrt(float(np.sum(g * g)))

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,22 +10,58 @@ import ngnopt
 from ngnopt import (
     OptimizerSpec,
     ProblemSpec,
+    RunBudget,
     StepSample,
     apply_step,
     build_problem,
+    cli,
     evaluate,
     init_state,
     ngn_gamma,
     precond_update,
+    run_once,
+    sample_batch,
     schedule_c,
 )
+from ngnopt.harness import TRAJECTORY_COLUMNS, _fmt
+from ngnopt.optimizers import OPTIMIZER_KINDS
 from ngnopt.problems import Batch
 
 DUMMY_BATCH = Batch(np.array([0]))
+WD_KINDS = ("dec_ngn_mdv1", "ngn_mdv1w")
+REPORT_STATS = ("gamma_scalar", "gamma_coord_min", "gamma_coord_max", "gamma_coord_mean",
+                "update_norm")
 
 
 def make_sample(loss, grad):
     return StepSample(float(loss), np.asarray(grad, dtype=float), DUMMY_BATCH)
+
+
+def reference_scalar_report(gamma, x_new, x):
+    """The eager scalar report built on every step before the statistics
+    became lazy; returns the REPORT_STATS values."""
+    upd = x_new - x
+    return (gamma, gamma, gamma, gamma, math.sqrt(float(np.sum(upd * upd))))
+
+
+def reference_coord_report(gamma_scalar, coord, x_new, x):
+    """The eager per-coordinate report, as reference_scalar_report."""
+    upd = x_new - x
+    return (gamma_scalar, float(np.min(coord)), float(np.max(coord)), float(np.mean(coord)),
+            math.sqrt(float(np.sum(upd * upd))))
+
+
+def reference_stats(rep, x_new, x):
+    if rep.gamma_coord is None:
+        return reference_scalar_report(rep.gamma_scalar, x_new, x)
+    return reference_coord_report(rep.gamma_scalar, rep.gamma_coord, x_new, x)
+
+
+def same_bits(a, b) -> bool:
+    """Equal as IEEE doubles, bit for bit; any NaN equals any NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return struct.pack("<d", a) == struct.pack("<d", b)
 
 
 # --- the step-size formula ----------------------------------------------------
@@ -50,6 +87,54 @@ def test_ngn_gamma_vector_matches_scalar():
     expected = [ngn_gamma(ci, 2.0, gi) for ci, gi in zip(c, gs)]
     assert np.allclose(out, expected, rtol=0, atol=0)
     assert out[0] == 0.5
+
+
+SCALAR_TYPES = {
+    "np.float64": np.float64,
+    "np.float32": np.float32,
+    "0-d array": np.array,
+}
+
+
+@pytest.mark.parametrize("position", [0, 1, 2], ids=["c", "loss", "grad_sq"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("wrap", list(SCALAR_TYPES.values()), ids=list(SCALAR_TYPES))
+def test_ngn_gamma_rejects_non_finite_scalars_of_every_type(wrap, bad, position):
+    args = [1.0, 2.0, 4.0]
+    args[position] = wrap(bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        ngn_gamma(*args)
+
+
+@pytest.mark.parametrize("position,value", [(0, 0), (0, -1), (1, -1), (2, -1)],
+                         ids=["c=0", "c<0", "loss<0", "grad_sq<0"])
+@pytest.mark.parametrize("wrap", [int] + list(SCALAR_TYPES.values()),
+                         ids=["int"] + list(SCALAR_TYPES))
+def test_ngn_gamma_rejects_out_of_range_scalars_of_every_type(wrap, position, value):
+    args = [1.0, 2.0, 4.0]
+    args[position] = wrap(value)
+    with pytest.raises(ValueError, match="requires"):
+        ngn_gamma(*args)
+    with pytest.raises(ValueError, match="requires"):
+        ngn_gamma(*(wrap(a) for a in args))
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.floats(1e-8, 1e8), loss=st.floats(0.0, 1e12), gs=st.floats(0.0, 1e12))
+def test_ngn_gamma_same_result_for_python_and_numpy_floats(c, loss, gs):
+    want = ngn_gamma(c, loss, gs)
+    assert type(want) is float
+    for args in [(np.float64(c), np.float64(loss), np.float64(gs)),
+                 (np.float64(c), loss, gs), (c, loss, np.float64(gs)),
+                 (np.array(c), loss, np.array(gs))]:
+        got = ngn_gamma(*args)
+        assert type(got) is float
+        assert same_bits(got, want)
+
+
+def test_ngn_gamma_int_inputs_equal_float_inputs():
+    assert same_bits(ngn_gamma(2, 3, 4), ngn_gamma(2.0, 3.0, 4.0))
+    assert ngn_gamma(2, 3, 0) == 2.0
 
 
 def test_ngn_gamma_rejects_invalid():
@@ -360,3 +445,53 @@ def test_scalar_gamma_bounds_on_quadratic(kind):
         s = evaluate(p, state.x, batch)
         state, rep = apply_step(state, s, spec)
         assert lo - 1e-12 * c <= rep.gamma_scalar <= c + 1e-12 * c
+
+
+# --- lazy reports against the eager formulas -------------------------------------
+
+def spec_for(kind):
+    wd = 0.05 if kind in WD_KINDS else 0.0
+    return OptimizerSpec(kind=kind, c=0.5, beta1=0.6, wd_lambda=wd)
+
+
+@pytest.mark.parametrize("dim", [1, 5])
+@pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+def test_lazy_report_matches_eager_reference(kind, dim):
+    p = build_problem(ProblemSpec(kind="least_squares", dim=dim, n_samples=4 * dim + 2, seed=dim))
+    spec = spec_for(kind)
+    state = init_state(p.x0_default + 1.0)
+    for k in range(25):
+        sample = evaluate(p, state.x, sample_batch(p, 3, k, 2 * dim))
+        new, rep = apply_step(state, sample, spec)
+        assert rep.x_new is new.x and rep.x is state.x
+        want = reference_stats(rep, new.x, state.x)
+        for name, value in zip(REPORT_STATS, want):
+            got = getattr(rep, name)
+            assert isinstance(got, float), name
+            assert same_bits(got, value), (k, name, got, value)
+            assert getattr(rep, name) is got  # computed once, then cached
+        state = new
+
+
+@pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+def test_cli_trajectory_matches_eager_reference(kind, tmp_path):
+    path = tmp_path / "traj.csv"
+    argv = ["run", "--problem", "least_squares", "--optimizer", kind, "--c", "0.5",
+            "--beta", "0.6", "--dim", "5", "--n-samples", "20", "--batch-size", "5",
+            "--steps", "40", "--seed", "2", "--out", str(path)]
+    if kind in WD_KINDS:
+        argv += ["--wd", "0.05"]
+    assert cli(argv) == 0
+    problem = build_problem(ProblemSpec(kind="least_squares", dim=5, n_samples=20))
+    rec = run_once(problem, spec_for(kind), RunBudget(40, batch_size=5), seed=2)
+    full = dict(rec.full_losses)
+    lines = [",".join(TRAJECTORY_COLUMNS)]
+    for k, loss in enumerate(rec.losses):
+        cells = [str(k), _fmt(loss), _fmt(full.get(k)), _fmt(rec.grad_norms[k])]
+        if k < len(rec.step_reports):
+            stats = reference_stats(rec.step_reports[k], rec.iterates[k + 1], rec.iterates[k])
+            cells += [_fmt(v) for v in stats]
+        else:
+            cells += [""] * len(REPORT_STATS)
+        lines.append(",".join(cells))
+    assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"

@@ -1,10 +1,13 @@
 import dataclasses
 import math
+import random
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ngnopt import (
     Batch,
@@ -15,7 +18,7 @@ from ngnopt import (
     least_squares_problem,
     sample_batch,
 )
-from ngnopt.problems import PROBLEM_KINDS
+from ngnopt.problems import PROBLEM_KINDS, StepSample
 
 
 def reference_sample_indices(seed, step, n, batch_size):
@@ -333,6 +336,25 @@ def test_sample_batch_matches_element_swap_reference(seed, step, n_bs):
     assert got.dtype == want.dtype == np.intp
 
 
+def test_sample_batch_draws_share_no_state():
+    # sample_batch re-keys one generator per process; draws for many
+    # (seed, step, n, bs), interleaved in a shuffled order with repeats,
+    # must each equal a draw from a freshly built generator. Odd batch
+    # sizes leave a buffered 32-bit half behind, which must not leak.
+    base = build_problem(ProblemSpec(kind="rosenbrock"))
+    cases = [(seed, step, n, bs)
+             for seed in (0, 1, 2**32 - 1)
+             for step in (0, 1, 7, 2**31)
+             for n, bs in ((10, 3), (1000, 33), (50, 49), (2, 1))]
+    order = list(range(len(cases))) * 2
+    random.Random(0).shuffle(order)
+    for i in order:
+        seed, step, n, bs = cases[i]
+        p = dataclasses.replace(base, n_samples=n)
+        got = sample_batch(p, seed=seed, step=step, batch_size=bs).indices
+        assert np.array_equal(got, reference_sample_indices(seed, step, n, bs)), cases[i]
+
+
 def test_sample_batch_validates_arguments():
     p = build_problem(ProblemSpec(kind="least_squares", dim=3, n_samples=12, seed=0))
     with pytest.raises(ValueError):
@@ -391,3 +413,17 @@ def test_finite_diff_rejects_bad_h():
     p = build_problem(ProblemSpec(kind="least_squares", dim=2, n_samples=4, seed=0))
     with pytest.raises(ValueError):
         finite_diff_grad(p, np.zeros(2), p.full_batch(), 0.0)
+
+
+# --- the shared squared gradient norm --------------------------------------------
+
+GRAD_ENTRIES = st.one_of(st.floats(-1e3, 1e3), st.floats(5e149, 2e150), st.floats(-2e150, -5e149))
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=st.integers(1, 600).flatmap(lambda d: arrays(np.float64, d, elements=GRAD_ENTRIES)))
+def test_step_sample_grad_sq_equals_np_sum(g):
+    got = StepSample(1.0, g, Batch(np.array([0]))).grad_sq
+    want = float(np.sum(g * g))
+    assert type(got) is float
+    assert struct.pack("<d", got) == struct.pack("<d", want)
