@@ -50,8 +50,12 @@ def race_the_family():
     print(f"  {'rule':<10} {'final loss':>12} {'effective steps seen':>24}")
     for name, opt in runs:
         rec = run_once(problem, opt, budget, seed=0)
-        gammas = [r.gamma_coord_min for r in rec.step_reports] + \
-                 [r.gamma_coord_max for r in rec.step_reports]
+        gammas = []
+        for r in rec.step_reports:
+            if r.gamma_coord is None:
+                gammas.append(r.gamma_scalar)
+            else:
+                gammas += [float(r.gamma_coord.min()), float(r.gamma_coord.max())]
         finite = [g for g in gammas if np.isfinite(g)]
         lo, hi = (min(finite), max(finite)) if finite else (float("nan"),) * 2
         print(f"  {name:<10} {rec.final_loss:12.3e} "

@@ -77,28 +77,37 @@ class RunBudget:
 class RunRecord:
     """Everything recorded during one run, plus the config echo.
 
-    losses[k] is the batch loss at iterate k; step_reports[k] describes
-    the update taken from iterate k (absent for the final evaluation when
-    a stop condition fired). full_losses holds periodic (step, full-batch
-    loss) pairs for stochastic runs. coord_data, when coordinate recording
-    is on, holds (loss, grad, gamma_coord, c_coord_used) per step.
-    iterates holds x_0 ... x_final, losses[k] evaluated at iterates[k], as
-    references: step functions never modify an iterate in place.
+    iterates holds x_0 ... x_final as references (step functions never
+    modify an iterate in place), and losses[k] and grad_norms[k] were
+    evaluated at iterates[k]. step_reports[k] describes the update from
+    iterates[k] to iterates[k + 1]; there is none for the final
+    evaluation when a stop condition fired. full_losses holds periodic
+    (step, full-batch loss) pairs for stochastic runs. x0, x_final and
+    stop_step are read off this history.
     """
 
     losses: list
     grad_norms: list
     step_reports: list
     status: str
-    stop_step: Optional[int]
     spec: OptimizerSpec
     budget: RunBudget
     seed: int
-    x0: np.ndarray
-    x_final: np.ndarray
+    iterates: list
     full_losses: list = field(default_factory=list)
-    coord_data: Optional[list] = None
-    iterates: list = field(default_factory=list)
+
+    @property
+    def x0(self) -> np.ndarray:
+        return self.iterates[0]
+
+    @property
+    def x_final(self) -> np.ndarray:
+        return self.iterates[-1]
+
+    @property
+    def stop_step(self) -> Optional[int]:
+        """The step at which a stop condition fired; None out of budget."""
+        return None if self.status == STATUS_BUDGET else len(self.losses) - 1
 
     @property
     def final_loss(self) -> float:
@@ -157,8 +166,8 @@ class SweepSpec:
                 raise ValueError(f"unknown schedule suffix {sched!r} in {kind!r}")
         if self.x0_grid is not None and not self.x0_grid:
             raise ValueError("x0_grid, when given, must be non-empty")
-        if self.wd_lambda < 0.0:
-            raise ValueError("wd_lambda must be >= 0")
+        if not (math.isfinite(self.wd_lambda) and self.wd_lambda >= 0.0):
+            raise ValueError("wd_lambda must be finite and >= 0")
 
     def cells(self) -> list:
         """Deterministic cell order: kind-major, then c, beta, seed, x0."""
@@ -173,7 +182,7 @@ class SweepResult:
 
 
 def run_once(problem: StochasticObjective, spec: OptimizerSpec, budget: RunBudget,
-             seed: int, x0: Optional[np.ndarray] = None, record_coords: bool = False,
+             seed: int, x0: Optional[np.ndarray] = None,
              full_eval_every: Optional[int] = None) -> RunRecord:
     """Execute one run until a stop condition or the step cap.
 
@@ -196,17 +205,14 @@ def run_once(problem: StochasticObjective, spec: OptimizerSpec, budget: RunBudge
     grad_norms: list = []
     reports: list = []
     full_losses: list = []
-    coord_data: Optional[list] = [] if record_coords else None
     iterates: list = [state.x]
     status = STATUS_BUDGET
-    stop_step: Optional[int] = None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         for k in range(budget.max_steps):
             if not np.isfinite(state.x).all():
                 losses.append(float("inf"))
                 grad_norms.append(float("inf"))
                 status = STATUS_DIVERGED
-                stop_step = k
                 break
             batch = full_batch if not stochastic else sample_batch(problem, seed, k, bs)
             sample = evaluate(problem, state.x, batch)
@@ -217,19 +223,15 @@ def run_once(problem: StochasticObjective, spec: OptimizerSpec, budget: RunBudge
             if (not math.isfinite(sample.loss) or sample.loss > budget.diverge_loss
                     or not math.isfinite(grad_norms[-1])):
                 status = STATUS_DIVERGED
-                stop_step = k
                 break
             if sample.loss <= budget.success_loss:
                 status = STATUS_CONVERGED
-                stop_step = k
                 break
             state, report = apply_step(state, sample, spec)
             iterates.append(state.x)
             reports.append(report)
-            if record_coords:
-                coord_data.append((sample.loss, sample.grad, report.gamma_coord, report.c_coord_used))
-    return RunRecord(losses, grad_norms, reports, status, stop_step, spec, budget,
-                     seed, x0, state.x, full_losses, coord_data, iterates)
+    return RunRecord(losses, grad_norms, reports, status, spec, budget, seed, iterates,
+                     full_losses)
 
 
 def make_optimizer_spec(sweep: SweepSpec, kind: str, c: float, beta: float) -> OptimizerSpec:
@@ -343,22 +345,26 @@ def emit_csv(obj, path: str) -> None:
         raise TypeError(f"emit_csv expects RunRecord or SweepResult, got {type(obj).__name__}")
 
 
+def _step_stats(rep, x, x_new) -> tuple:
+    """gamma_scalar, gamma_coord_min/max/mean and update_norm of the update
+    from x to x_new; without gamma_coord the three statistics are
+    gamma_scalar."""
+    g = rep.gamma_coord
+    coord = (rep.gamma_scalar,) * 3 if g is None else (float(g.min()), float(g.max()), float(g.mean()))
+    upd = x_new - x
+    return (rep.gamma_scalar, *coord, math.sqrt(float((upd * upd).sum())))
+
+
 def _emit_trajectory(rec: RunRecord, path: str) -> None:
     full = dict(rec.full_losses)
+    its = rec.iterates
     lines = [",".join(TRAJECTORY_COLUMNS)]
     for k, loss in enumerate(rec.losses):
-        rep = rec.step_reports[k] if k < len(rec.step_reports) else None
-        cells = [
-            str(k),
-            _fmt(loss),
-            _fmt(full.get(k)),
-            _fmt(rec.grad_norms[k]),
-            _fmt(rep.gamma_scalar if rep else None),
-            _fmt(rep.gamma_coord_min if rep else None),
-            _fmt(rep.gamma_coord_max if rep else None),
-            _fmt(rep.gamma_coord_mean if rep else None),
-            _fmt(rep.update_norm if rep else None),
-        ]
+        cells = [str(k), _fmt(loss), _fmt(full.get(k)), _fmt(rec.grad_norms[k])]
+        if k < len(rec.step_reports):
+            cells += [_fmt(v) for v in _step_stats(rec.step_reports[k], its[k], its[k + 1])]
+        else:
+            cells += [""] * (len(TRAJECTORY_COLUMNS) - len(cells))
         lines.append(",".join(cells))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -14,11 +14,10 @@ rescale either the squared gradient norm (V1) or the per-coordinate c
 
 Step functions are pure: given (state, sample, spec) they return a new
 state and a report, never mutating their inputs. Reductions use ndarray
-methods, `(g*g).sum()`, `.min()`, `.max()`, `.mean()`. They run the same
-ufunc reductions as `np.sum`, `np.min`, ... (`add.reduce` for sums), so
-they give the same bits without the wrappers' dispatch. They never use
-BLAS dot, so that the documented reduction identities (beta=0, D=I,
-lambda=0 collapses) hold bit for bit.
+methods such as `(g*g).sum()`. They run the same ufunc reductions as
+`np.sum` (`add.reduce`), so they give the same bits without the wrappers'
+dispatch. They never use BLAS dot, so that the documented reduction
+identities (beta=0, D=I, lambda=0 collapses) hold bit for bit.
 The squared gradient norm of a sample is computed once, as
 `StepSample.grad_sq`, and the rules that need ||g||^2 read it.
 """
@@ -27,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -91,10 +89,10 @@ class OptimizerSpec:
             raise ValueError("beta1 must lie in [0, 1)")
         if not 0.0 <= self.beta2 < 1.0:
             raise ValueError("beta2 must lie in [0, 1)")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
-        if self.wd_lambda < 0.0:
-            raise ValueError("wd_lambda must be >= 0")
+        if not (math.isfinite(self.eps) and self.eps > 0.0):
+            raise ValueError("eps must be positive and finite")
+        if not (math.isfinite(self.wd_lambda) and self.wd_lambda >= 0.0):
+            raise ValueError("wd_lambda must be finite and >= 0")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}; expected one of {SCHEDULES}")
         if self.schedule == SCHEDULE_INV_SQRT_K and self.total_steps is None:
@@ -120,42 +118,20 @@ class OptimizerState:
 
 @dataclass(frozen=True, eq=False)
 class StepReport:
-    """Per-step diagnostics of the update from x to x_new.
+    """Per-step diagnostics of one update.
 
     gamma_scalar is the scalar step size (NaN for purely per-coordinate
     rules); gamma_coord, the per-coordinate effective step sizes, and
     c_coord_used, the per-coordinate caps, are set by the rules that have
-    them, for coordinate-level audits. x_new and x are references to the
-    iterates, not copies: step functions never change an iterate in place.
-
-    gamma_coord_min, gamma_coord_max, gamma_coord_mean and update_norm are
-    computed on first read and then cached, so a run that never reads them
-    never pays for them. Without gamma_coord the three statistics are
-    gamma_scalar.
+    them. The two per-coordinate NGN rules (NGN-D and NGN-MD V2), the only
+    ones that set c_coord_used, also keep a reference to their batch
+    gradient in grad, for the fundamental-equality audit.
     """
 
     gamma_scalar: float
-    x_new: np.ndarray
-    x: np.ndarray
     gamma_coord: Optional[np.ndarray] = None
     c_coord_used: Optional[np.ndarray] = None
-
-    @cached_property
-    def gamma_coord_min(self) -> float:
-        return self.gamma_scalar if self.gamma_coord is None else float(self.gamma_coord.min())
-
-    @cached_property
-    def gamma_coord_max(self) -> float:
-        return self.gamma_scalar if self.gamma_coord is None else float(self.gamma_coord.max())
-
-    @cached_property
-    def gamma_coord_mean(self) -> float:
-        return self.gamma_scalar if self.gamma_coord is None else float(self.gamma_coord.mean())
-
-    @cached_property
-    def update_norm(self) -> float:
-        upd = self.x_new - self.x
-        return math.sqrt(float((upd * upd).sum()))
+    grad: Optional[np.ndarray] = None
 
 
 def init_state(x0: np.ndarray) -> OptimizerState:
@@ -187,9 +163,14 @@ def ngn_gamma(c, loss, grad_sq):
             raise ValueError("ngn_gamma requires c > 0, loss >= 0, grad_sq >= 0")
         if gs == 0.0:
             return c
+        denom = 2.0 * loss + c * gs
+        if denom == 0.0:
+            # loss = 0 and c*gs underflowed: the quotient's limit, as on
+            # the array path
+            return 0.0
         # the quotient can land one ulp above c when c*gs underflows
         # against 2*loss in the denominator; the cap is a hard contract
-        return min(c, 2.0 * c * loss / (2.0 * loss + c * gs))
+        return min(c, 2.0 * c * loss / denom)
     c = np.asarray(c, dtype=float)
     gs = np.asarray(grad_sq, dtype=float)
     loss = float(loss)
@@ -241,7 +222,7 @@ def step_ngn(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
     g = sample.grad
     gamma = ngn_gamma(c_k, sample.loss, sample.grad_sq)
     x_new = state.x - gamma * g
-    return _advance(state, x_new), StepReport(gamma, x_new, state.x)
+    return _advance(state, x_new), StepReport(gamma)
 
 
 def step_ngn_m(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
@@ -259,11 +240,11 @@ def step_ngn_m(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
         gamma = ngn_gamma(c_k, sample.loss, sample.grad_sq)
         update = gamma * g
         x_new = state.x - (1.0 - beta) * update + beta * (state.x - state.x_prev)
-        return _advance(state, x_new), StepReport(gamma, x_new, state.x)
+        return _advance(state, x_new), StepReport(gamma)
     m_new = beta * state.m + (1.0 - beta) * g
     gamma = ngn_gamma(c_k, sample.loss, float((m_new * m_new).sum()))
     x_new = state.x - gamma * m_new
-    return _advance(state, x_new, m=m_new), StepReport(gamma, x_new, state.x)
+    return _advance(state, x_new, m=m_new), StepReport(gamma)
 
 
 def step_ngn_d(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
@@ -287,7 +268,7 @@ def step_ngn_d(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
         c_vec = np.full_like(g, c_k)
     gamma = ngn_gamma(c_vec, sample.loss, g * g)
     x_new = state.x - gamma * g
-    report = StepReport(float("nan"), x_new, state.x, gamma, np.asarray(c_vec, dtype=float))
+    report = StepReport(float("nan"), gamma, np.asarray(c_vec, dtype=float), g)
     return _advance(state, x_new, v=v_new), report
 
 
@@ -309,12 +290,12 @@ def step_ngn_md(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
         gamma = ngn_gamma(c_k, sample.loss, _weighted_sq_norm(g, d))
         sigma_inv_g = gamma * (g / d)
         x_new = state.x - (1.0 - beta1) * sigma_inv_g + beta1 * (state.x - state.x_prev)
-        return _advance(state, x_new, v=v_new), StepReport(gamma, x_new, state.x, gamma / d)
+        return _advance(state, x_new, v=v_new), StepReport(gamma, gamma / d)
     c_vec = c_k / d
     gamma = ngn_gamma(c_vec, sample.loss, g * g)
     sigma_inv_g = gamma * g
     x_new = state.x - (1.0 - beta1) * sigma_inv_g + beta1 * (state.x - state.x_prev)
-    report = StepReport(float("nan"), x_new, state.x, gamma, c_vec)
+    report = StepReport(float("nan"), gamma, c_vec, g)
     return _advance(state, x_new, v=v_new), report
 
 
@@ -343,7 +324,7 @@ def step_ngn_md_wd(state: OptimizerState, sample: StepSample, spec: OptimizerSpe
         sigma_inv_g = gamma * (g / d)
         x_new = (state.x - (lam * c_k) * state.x
                  - (1.0 - beta1) * sigma_inv_g + beta1 * (state.x - state.x_prev))
-        return _advance(state, x_new, v=v_new), StepReport(gamma, x_new, state.x, gamma / d)
+        return _advance(state, x_new, v=v_new), StepReport(gamma, gamma / d)
     one_plus = 1.0 + lam * c_k
     c_eff = c_k / one_plus
     gdsq = _weighted_sq_norm(g, d)
@@ -359,7 +340,7 @@ def step_ngn_md_wd(state: OptimizerState, sample: StepSample, spec: OptimizerSpe
         gamma = c_eff * max(0.0, 2.0 * sample.loss - (c_k * lam) * gx) / denom
     sigma_inv_g = gamma * (g / d)
     x_new = state.x / one_plus - (1.0 - beta1) * sigma_inv_g + beta1 * (state.x - state.x_prev)
-    return _advance(state, x_new, v=v_new), StepReport(gamma, x_new, state.x, gamma / d)
+    return _advance(state, x_new, v=v_new), StepReport(gamma, gamma / d)
 
 
 def step_baseline(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
@@ -371,7 +352,7 @@ def step_baseline(state: OptimizerState, sample: StepSample, spec: OptimizerSpec
     if spec.kind == SGDM:
         beta = spec.beta1
         x_new = state.x - c_k * g + beta * (state.x - state.x_prev)
-        return _advance(state, x_new), StepReport(c_k, x_new, state.x)
+        return _advance(state, x_new), StepReport(c_k)
     m_new = spec.beta1 * state.m + (1.0 - spec.beta1) * g
     v_new = spec.beta2 * state.v + (1.0 - spec.beta2) * g * g
     mhat = m_new / (1.0 - spec.beta1 ** (state.k + 1))
@@ -379,7 +360,7 @@ def step_baseline(state: OptimizerState, sample: StepSample, spec: OptimizerSpec
     denom = np.sqrt(vhat) + spec.eps
     x_new = state.x - c_k * mhat / denom
     coord = c_k / denom
-    return _advance(state, x_new, v=v_new, m=m_new), StepReport(c_k, x_new, state.x, coord)
+    return _advance(state, x_new, v=v_new, m=m_new), StepReport(c_k, coord)
 
 
 _STEP_FNS = {

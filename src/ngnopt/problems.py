@@ -145,7 +145,6 @@ class StochasticObjective:
     x0_default: np.ndarray
     _loss_grad: Callable[[np.ndarray, np.ndarray], tuple]
     _batch_min: Optional[Callable[[np.ndarray], float]] = None
-    poly_scale: Optional[float] = None
 
     def full_batch(self) -> Batch:
         return Batch(np.arange(self.n_samples), full=True)
@@ -375,8 +374,8 @@ def _poly_growth_constant(p: np.polynomial.Polynomial) -> float:
 def _build_polynomial(spec: ProblemSpec) -> StochasticObjective:
     """f(x) = L x^2 (1 + p(x)^2) with L = spec.scale and p from spec.coeffs."""
     L = float(spec.scale)
-    if L <= 0.0:
-        raise ValueError("polynomial scale must be positive")
+    if not (math.isfinite(L) and L > 0.0):
+        raise ValueError("polynomial scale must be positive and finite")
     p = np.polynomial.Polynomial(np.asarray(spec.coeffs, dtype=float))
     dp = p.deriv()
     C = _poly_growth_constant(p)
@@ -390,7 +389,7 @@ def _build_polynomial(spec: ProblemSpec) -> StochasticObjective:
 
     meta = ObjectiveMetadata(f_star=0.0, x_star=np.array([0.0]), C_poly=C)
     x0 = np.array([3.0]) if spec.x0 is None else np.asarray(spec.x0, dtype=float)
-    return StochasticObjective(KIND_POLYNOMIAL, 1, 1, meta, x0, loss_grad, poly_scale=L)
+    return StochasticObjective(KIND_POLYNOMIAL, 1, 1, meta, x0, loss_grad)
 
 
 def _load_regression_csv(path: str) -> tuple:

@@ -152,16 +152,16 @@ def audit_fundamental_equality(run: RunRecord, name: str = "fundamental_equality
 
     The identity is algebraic in the step-size formula, so it must hold
     to rounding error on every step and coordinate of a recorded
-    per-coordinate run. Residuals are measured relative to f_S
+    per-coordinate NGN run (NGN-D or NGN-MD V2, whose step reports keep
+    their batch gradient). Residuals are measured relative to f_S
     (a zero loss requires an exactly zero residual); tolerance 1e-12.
     """
-    if run.coord_data is None:
-        raise ValueError("run must be recorded with record_coords=True")
     worst = 0.0
     location = "none"
-    for k, (loss, grad, gamma, c_vec) in enumerate(run.coord_data):
-        if gamma is None or c_vec is None:
+    for k, rep in enumerate(run.step_reports):
+        if rep.grad is None:
             raise ValueError("run lacks per-coordinate step-size data")
+        loss, grad, gamma, c_vec = run.losses[k], rep.grad, rep.gamma_coord, rep.c_coord_used
         lhs = gamma * grad * grad
         rhs = 2.0 * ((c_vec - gamma) / c_vec) * loss
         resid = np.abs(lhs - rhs)
@@ -345,7 +345,7 @@ def run_default_audits(seed: int = 0, quick: bool = False) -> list:
     coord_spec = OptimizerSpec(kind=NGN_D, c=1.0, c_coord=np.full(problem.dim, 0.7))
     coord_budget = RunBudget(max_steps=steps, success_loss=1e-30,
                              batch_size=max(1, problem.n_samples // 4))
-    coord_run = run_once(problem, coord_spec, coord_budget, seed=seed, record_coords=True)
+    coord_run = run_once(problem, coord_spec, coord_budget, seed=seed)
     reports.append(audit_stepsize_bounds(coord_run, np.full(problem.dim, 0.7),
                                          meta.L_coord, name="stepsize_bounds_coordinate"))
     reports.append(audit_fundamental_equality(coord_run))

@@ -108,9 +108,9 @@ def test_criterion_02_fundamental_equality(verdict):
     c_stable = float(0.45 / np.max(p.metadata.L_coord))
     spec = OptimizerSpec(kind="ngn_d", c=c_stable)
     budget = RunBudget(max_steps=1000, success_loss=0.0, batch_size=10)
-    run = run_once(p, spec, budget, seed=0, record_coords=True)
+    run = run_once(p, spec, budget, seed=0)
     rep = audit_fundamental_equality(run)
-    ok = rep.passed and rep.tolerance == 1e-12 and len(run.coord_data) == 1000
+    ok = rep.passed and rep.tolerance == 1e-12 and len(run.step_reports) == 1000
     verdict(2, "fundamental step-size equality", ok,
             f"max relative residual {rep.max_violation:.2e} over 1000 steps")
 

@@ -69,6 +69,20 @@ def test_sweep_spec_validation():
         small_sweep(seeds=[])
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_sweep_spec_rejects_non_finite_wd(value):
+    with pytest.raises(ValueError, match="wd_lambda"):
+        small_sweep(wd_lambda=value)
+
+
+@pytest.mark.parametrize("flag", ["--wd", "--eps"])
+def test_cli_run_rejects_non_finite_optimizer_settings(flag, capsys):
+    argv = ["run", "--problem", "least_squares", "--dim", "3", "--optimizer", "ngn_md_v1",
+            "--c", "0.5", "--steps", "5", flag, "nan"]
+    assert cli(argv) == 1
+    assert "finite" in capsys.readouterr().err
+
+
 def test_split_kind():
     assert split_kind("ngn") == ("ngn", None)
     assert split_kind("ngn@inv_sqrt_step") == ("ngn", "inv_sqrt_step")
@@ -128,8 +142,7 @@ def test_run_once_iterates_invariant(problem, spec, budget, status):
     rec = run_once(p, spec, budget, seed=0)
     assert rec.status == status
     assert len(rec.iterates) == len(rec.step_reports) + 1
-    assert rec.iterates[-1] is rec.x_final
-    assert np.array_equal(rec.iterates[0], rec.x0)
+    assert np.array_equal(rec.iterates[0], p.x0_default)
     for x, loss in zip(rec.iterates, rec.losses):
         if np.all(np.isfinite(x)):
             assert evaluate(p, x, p.full_batch()).loss == loss

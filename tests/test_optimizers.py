@@ -23,7 +23,7 @@ from ngnopt import (
     sample_batch,
     schedule_c,
 )
-from ngnopt.harness import TRAJECTORY_COLUMNS, _fmt
+from ngnopt.harness import TRAJECTORY_COLUMNS, _fmt, _step_stats
 from ngnopt.optimizers import OPTIMIZER_KINDS
 from ngnopt.problems import Batch
 
@@ -38,8 +38,8 @@ def make_sample(loss, grad):
 
 
 def reference_scalar_report(gamma, x_new, x):
-    """The eager scalar report built on every step before the statistics
-    became lazy; returns the REPORT_STATS values."""
+    """The eager scalar report statistics, as once built on every step;
+    returns the REPORT_STATS values."""
     upd = x_new - x
     return (gamma, gamma, gamma, gamma, math.sqrt(float(np.sum(upd * upd))))
 
@@ -169,6 +169,13 @@ def test_ngn_gamma_cap_holds_when_denominator_rounds_down():
     assert np.all(vec <= c)
 
 
+def test_ngn_gamma_zero_loss_with_underflowing_denominator():
+    # c*gs underflows to 0 at f = 0, so the whole denominator is 0; both
+    # paths return the limit 0 instead of dividing by zero
+    assert ngn_gamma(0.5, 0.0, 5e-324) == 0.0
+    assert np.all(ngn_gamma(np.full(2, 0.5), 0.0, np.full(2, 5e-324)) == 0.0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(c=st.floats(1e-6, 1e6), loss=st.floats(1e-12, 1e12),
        gs=st.floats(0.0, 1e12), factor=st.floats(1.0 + 1e-9, 1e6))
@@ -221,6 +228,13 @@ def test_optimizer_spec_validation():
         OptimizerSpec(kind="ngn_d", c=1.0, c_coord=np.array([1.0, -1.0]))
 
 
+@pytest.mark.parametrize("field", ["eps", "wd_lambda"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_optimizer_spec_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        OptimizerSpec(kind="dec_ngn_mdv1", c=1.0, **{field: value})
+
+
 # --- one-step oracles, hand computed --------------------------------------------
 
 def test_ngn_step_oracle():
@@ -267,8 +281,8 @@ def test_ngn_d_step_oracle():
     # gamma_0 = 2*2/(4+4) = 0.5; gamma_1 = c = 1 (zero gradient coordinate)
     assert np.allclose(rep.gamma_coord, [0.5, 1.0])
     assert np.allclose(new.x, [-1.0, 0.0])
-    assert rep.gamma_coord_min == 0.5
-    assert rep.gamma_coord_max == 1.0
+    assert rep.gamma_coord.min() == 0.5
+    assert rep.gamma_coord.max() == 1.0
 
 
 def test_ngn_d_c_coord_oracle():
@@ -447,7 +461,7 @@ def test_scalar_gamma_bounds_on_quadratic(kind):
         assert lo - 1e-12 * c <= rep.gamma_scalar <= c + 1e-12 * c
 
 
-# --- lazy reports against the eager formulas -------------------------------------
+# --- report statistics against the eager formulas -------------------------------
 
 def spec_for(kind):
     wd = 0.05 if kind in WD_KINDS else 0.0
@@ -457,41 +471,42 @@ def spec_for(kind):
 @pytest.mark.parametrize("dim", [1, 5])
 @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
 def test_lazy_report_matches_eager_reference(kind, dim):
+    # a report is plain data; the trajectory writer derives its statistics
+    # from it and the two iterates, only when it writes them
     p = build_problem(ProblemSpec(kind="least_squares", dim=dim, n_samples=4 * dim + 2, seed=dim))
     spec = spec_for(kind)
     state = init_state(p.x0_default + 1.0)
     for k in range(25):
         sample = evaluate(p, state.x, sample_batch(p, 3, k, 2 * dim))
         new, rep = apply_step(state, sample, spec)
-        assert rep.x_new is new.x and rep.x is state.x
+        assert rep.grad is (sample.grad if kind in ("ngn_d", "ngn_md_v2") else None)
         want = reference_stats(rep, new.x, state.x)
-        for name, value in zip(REPORT_STATS, want):
-            got = getattr(rep, name)
+        for name, got, value in zip(REPORT_STATS, _step_stats(rep, state.x, new.x), want):
             assert isinstance(got, float), name
             assert same_bits(got, value), (k, name, got, value)
-            assert getattr(rep, name) is got  # computed once, then cached
         state = new
 
 
 @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
 def test_cli_trajectory_matches_eager_reference(kind, tmp_path):
-    path = tmp_path / "traj.csv"
-    argv = ["run", "--problem", "least_squares", "--optimizer", kind, "--c", "0.5",
-            "--beta", "0.6", "--dim", "5", "--n-samples", "20", "--batch-size", "5",
-            "--steps", "40", "--seed", "2", "--out", str(path)]
-    if kind in WD_KINDS:
-        argv += ["--wd", "0.05"]
-    assert cli(argv) == 0
-    problem = build_problem(ProblemSpec(kind="least_squares", dim=5, n_samples=20))
-    rec = run_once(problem, spec_for(kind), RunBudget(40, batch_size=5), seed=2)
-    full = dict(rec.full_losses)
-    lines = [",".join(TRAJECTORY_COLUMNS)]
-    for k, loss in enumerate(rec.losses):
-        cells = [str(k), _fmt(loss), _fmt(full.get(k)), _fmt(rec.grad_norms[k])]
-        if k < len(rec.step_reports):
-            stats = reference_stats(rec.step_reports[k], rec.iterates[k + 1], rec.iterates[k])
-            cells += [_fmt(v) for v in stats]
-        else:
-            cells += [""] * len(REPORT_STATS)
-        lines.append(",".join(cells))
-    assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+    for dim in (1, 5):
+        path = tmp_path / f"traj_{dim}.csv"
+        argv = ["run", "--problem", "least_squares", "--optimizer", kind, "--c", "0.5",
+                "--beta", "0.6", "--dim", str(dim), "--n-samples", str(4 * dim), "--batch-size",
+                str(dim), "--steps", "40", "--seed", "2", "--out", str(path)]
+        if kind in WD_KINDS:
+            argv += ["--wd", "0.05"]
+        assert cli(argv) == 0
+        problem = build_problem(ProblemSpec(kind="least_squares", dim=dim, n_samples=4 * dim))
+        rec = run_once(problem, spec_for(kind), RunBudget(40, batch_size=dim), seed=2)
+        full = dict(rec.full_losses)
+        lines = [",".join(TRAJECTORY_COLUMNS)]
+        for k, loss in enumerate(rec.losses):
+            cells = [str(k), _fmt(loss), _fmt(full.get(k)), _fmt(rec.grad_norms[k])]
+            if k < len(rec.step_reports):
+                stats = reference_stats(rec.step_reports[k], rec.iterates[k + 1], rec.iterates[k])
+                cells += [_fmt(v) for v in stats]
+            else:
+                cells += [""] * len(REPORT_STATS)
+            lines.append(",".join(cells))
+        assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n", dim

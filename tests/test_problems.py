@@ -244,6 +244,12 @@ def test_polynomial_scale_and_constant_coeffs():
         build_problem(ProblemSpec(kind="polynomial_1d", scale=0.0))
 
 
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf")])
+def test_polynomial_rejects_non_finite_scale(scale):
+    with pytest.raises(ValueError, match="scale"):
+        build_problem(ProblemSpec(kind="polynomial_1d", scale=scale))
+
+
 def test_ridge_metadata_scales_with_r():
     small = build_problem(ProblemSpec(kind="ridge_quadratic", dim=20, seed=0, r=0.01))
     large = build_problem(ProblemSpec(kind="ridge_quadratic", dim=20, seed=0, r=100.0))

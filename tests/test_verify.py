@@ -112,7 +112,7 @@ def test_stepsize_bounds_coordinate_passes():
     c_coord = np.array([0.5, 1.0, 2.0])
     spec = OptimizerSpec(kind="ngn_d", c=1.0, c_coord=c_coord)
     budget = RunBudget(max_steps=60, success_loss=0.0, batch_size=3)
-    run = run_once(p, spec, budget, seed=2, record_coords=True)
+    run = run_once(p, spec, budget, seed=2)
     rep = audit_stepsize_bounds(run, c=c_coord, L=p.metadata.L_coord)
     assert rep.passed
 
@@ -133,7 +133,7 @@ def test_stepsize_bounds_coordinate_needs_coordinate_rule():
 def coordinate_run(p, steps=60):
     spec = OptimizerSpec(kind="ngn_d", c=1.0)
     budget = RunBudget(max_steps=steps, success_loss=0.0, batch_size=p.n_samples // 2)
-    return run_once(p, spec, budget, seed=0, record_coords=True)
+    return run_once(p, spec, budget, seed=0)
 
 
 def test_fundamental_equality_passes():
@@ -146,15 +146,28 @@ def test_fundamental_equality_passes():
 def test_fundamental_equality_fails_on_tampered_gamma():
     p = quadratic(dim=3, n=12)
     run = coordinate_run(p)
-    loss, grad, gamma, c_used = run.coord_data[5]
-    run.coord_data[5] = (loss, grad, gamma * 1.01, c_used)
+    rep5 = run.step_reports[5]
+    run.step_reports[5] = dataclasses.replace(rep5, gamma_coord=1.01 * rep5.gamma_coord)
     rep = audit_fundamental_equality(run)
     assert not rep.passed
 
 
-def test_fundamental_equality_needs_recording():
+def test_ngn_md_v2_run_passes_coordinate_audits():
+    # NGN-MD V2 records its caps c/D_j and its batch gradient, so both
+    # coordinate audits read its reports, the bounds one with c=None
     p = quadratic(dim=3, n=12)
-    spec = OptimizerSpec(kind="ngn_d", c=1.0)
+    spec = OptimizerSpec(kind="ngn_md_v2", c=0.5, beta1=0.6)
+    run = run_once(p, spec, RunBudget(max_steps=60, success_loss=0.0, batch_size=3), seed=1)
+    assert len(run.step_reports) == 60
+    assert audit_fundamental_equality(run).passed
+    assert audit_stepsize_bounds(run, c=None, L=p.metadata.L_coord).passed
+
+
+def test_fundamental_equality_needs_recording():
+    # only the per-coordinate NGN rules record their gradient; a scalar-rule
+    # run is an error rather than a silent pass
+    p = quadratic(dim=3, n=12)
+    spec = OptimizerSpec(kind="ngn", c=1.0)
     run = run_once(p, spec, RunBudget(max_steps=5, success_loss=0.0), seed=0)
     with pytest.raises(ValueError):
         audit_fundamental_equality(run)
