@@ -1,12 +1,17 @@
 """Run loop, divergence detection, sweeps, config ingestion, CSV, and CLI.
 
-run_once is the one loop that steps an optimizer; sweeps, the CLI and the
-audits use it. It stops on divergence (non-finite iterate, loss or gradient
-norm, or loss above threshold) or success, before taking the next step.
-Sweeps execute a deterministic grid of (kind, c, beta, seed[, x0]) cells,
-serially or in a process pool, and aggregate per-cell summaries in cell
-order, so repeated invocations of the same config produce byte-identical
-CSV output.
+run_lockstep is the one loop that steps an optimizer. It steps a group
+of cells that share a batch sequence (every cell of a full-batch run, or
+every cell with the same seed on mini-batches) with one batch draw and
+one stacked oracle call per step; each cell then applies the stop rules
+and its own step rule. A cell stops on divergence (non-finite iterate,
+loss or gradient norm, or loss above threshold) or success, before taking
+the next step, and records why. run_once is the loop's one-cell case;
+sweeps, the CLI and the audits use these two. Sweeps execute a
+deterministic grid of (kind, c, beta, seed[, x0]) cells, serially (one
+group per batch sequence) or in a process pool (one cell per task), and
+aggregate per-cell summaries in cell order, so repeated invocations of
+the same config produce byte-identical CSV output.
 
 Config files use a flat INI-style key-value schema with [problem],
 [optimizers], [grid], [budget], and [output] sections; unknown sections
@@ -33,14 +38,23 @@ from . import theory
 from .optimizers import OptimizerSpec, apply_step, init_state
 from .problems import (
     KIND_LEAST_SQUARES, KIND_MULTIMODAL, KIND_POLYNOMIAL, KIND_REGRESSION,
-    KIND_RIDGE, KIND_ROSENBROCK, PROBLEM_KINDS, ProblemSpec,
-    StochasticObjective, build_problem, evaluate, sample_batch,
+    KIND_RIDGE, KIND_ROSENBROCK, PROBLEM_KINDS, ProblemSpec, StepSample,
+    StochasticObjective, build_problem, check_point, evaluate_cells,
+    evaluate_loss, sample_batch,
 )
 
 STATUS_CONVERGED = "converged"
 STATUS_DIVERGED = "diverged"
 STATUS_BUDGET = "budget_exhausted"
 STATUS_ERROR = "error"
+
+# Why a run stopped; the first four end it as diverged.
+STOP_NON_FINITE_ITERATE = "non_finite_iterate"
+STOP_NON_FINITE_LOSS = "non_finite_loss"
+STOP_NON_FINITE_GRAD = "non_finite_grad"
+STOP_LOSS_ABOVE_THRESHOLD = "loss_above_threshold"
+STOP_SUCCESS = "success"
+STOP_BUDGET = "budget"
 
 OUT_DIR_ENV = "NGNOPT_OUT_DIR"
 
@@ -83,7 +97,8 @@ class RunRecord:
     iterates[k] to iterates[k + 1]; there is none for the final
     evaluation when a stop condition fired. full_losses holds periodic
     (step, full-batch loss) pairs for stochastic runs. x0, x_final and
-    stop_step are read off this history.
+    stop_step are read off this history. stop_reason is one of the STOP_*
+    names: the test that ended the run, or `budget`.
     """
 
     losses: list
@@ -95,6 +110,7 @@ class RunRecord:
     seed: int
     iterates: list
     full_losses: list = field(default_factory=list)
+    stop_reason: str = STOP_BUDGET
 
     @property
     def x0(self) -> np.ndarray:
@@ -181,57 +197,139 @@ class SweepResult:
     rows: list
 
 
+class Cell:
+    """One run inside a lockstep group: its rule, its state and what it
+    records.
+
+    A group run with history fills losses, grad_norms, reports, iterates
+    and full_losses, which a RunRecord holds. Every group keeps what a
+    sweep row reads: the last and the best loss, the stop step and the
+    state, whose x is the final iterate. status and stop_reason are set
+    when a stop rule fires; error holds an exception that ended the cell.
+    """
+
+    def __init__(self, problem: StochasticObjective, spec: OptimizerSpec,
+                 x0: Optional[np.ndarray] = None):
+        self.spec = spec
+        self.state = init_state(check_point(problem, problem.x0_default if x0 is None else x0))
+        self.losses: list = []
+        self.grad_norms: list = []
+        self.reports: list = []
+        self.iterates: list = [self.state.x]
+        self.full_losses: list = []
+        self.final_loss = self.best_loss = float("nan")
+        self.stop_step: Optional[int] = None
+        self.status = STATUS_BUDGET
+        self.stop_reason = STOP_BUDGET
+        self.error: Optional[Exception] = None
+
+    def record(self, k: int, loss: float, grad_norm: float, history: bool) -> None:
+        """Record the evaluation of step k; the running minimum has the
+        bits of min(losses), a NaN first loss included."""
+        if history:
+            self.losses.append(loss)
+            self.grad_norms.append(grad_norm)
+        if k == 0 or loss < self.best_loss:
+            self.best_loss = loss
+        self.final_loss = loss
+
+    def stop(self, k: int, status: str, reason: str) -> None:
+        self.stop_step, self.status, self.stop_reason = k, status, reason
+
+
+def run_lockstep(problem: StochasticObjective, cells: list, budget: RunBudget, seed: int,
+                 full_eval_every: Optional[int] = None, history: bool = True) -> None:
+    """Step cells that share one batch sequence until each one stops.
+
+    Each step draws one batch (for the group's seed), stacks the active
+    iterates and makes one oracle call; stochastic runs also log the
+    full-batch loss of every active cell every full_eval_every steps
+    (default: about 100 checkpoints per run). Each cell then applies
+    run_once's stop rules in Python floats, before any further update:
+    a non-finite iterate, loss or gradient norm, or a loss above
+    diverge_loss is divergence, a loss at or below success_loss success.
+    A cell that does not stop takes one step of its own rule through
+    apply_step. Cells leave the group as they stop, so every cell ends
+    where its one-cell run ends, with the same bits. An exception in a
+    step rule ends that cell alone (Cell.error); any other exception ends
+    every cell still running. history=False records only what Cell
+    keeps for a sweep row.
+    """
+    step_fn = apply_step  # read here, so a patched harness.apply_step is the one called
+    active = [cell for cell in cells if cell.error is None]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+        try:
+            n = problem.n_samples
+            bs = n if budget.batch_size is None else budget.batch_size
+            if bs > n:
+                raise ValueError(f"batch_size {bs} exceeds n_samples {n}")
+            stochastic = bs < n
+            if full_eval_every is None:
+                full_eval_every = max(1, budget.max_steps // 100) if stochastic else 0
+            full_batch = problem.full_batch()
+            diverge_loss, success_loss = budget.diverge_loss, budget.success_loss
+            for k in range(budget.max_steps if active else 0):
+                X = np.array([cell.state.x for cell in active])
+                if not np.isfinite(X).all():
+                    finite = np.isfinite(X).all(axis=1)
+                    for cell, ok in zip(active, finite.tolist()):
+                        if not ok:
+                            cell.record(k, math.inf, math.inf, history)
+                            cell.stop(k, STATUS_DIVERGED, STOP_NON_FINITE_ITERATE)
+                    active = [cell for cell in active if cell.status == STATUS_BUDGET]
+                    if not active:
+                        break
+                    X = X[finite]
+                batch = full_batch if not stochastic else sample_batch(problem, seed, k, bs)
+                losses, grads, grad_sqs = evaluate_cells(problem, X, batch)
+                if history and stochastic and full_eval_every and k % full_eval_every == 0:
+                    for cell, full in zip(active, evaluate_loss(problem, X, full_batch).tolist()):
+                        cell.full_losses.append((k, full))
+                running = []
+                for cell, loss, grad, grad_sq in zip(active, losses.tolist(), grads,
+                                                     grad_sqs.tolist()):
+                    grad_norm = math.sqrt(grad_sq)
+                    cell.record(k, loss, grad_norm, history)
+                    if not math.isfinite(loss):
+                        cell.stop(k, STATUS_DIVERGED, STOP_NON_FINITE_LOSS)
+                    elif loss > diverge_loss:
+                        cell.stop(k, STATUS_DIVERGED, STOP_LOSS_ABOVE_THRESHOLD)
+                    elif not math.isfinite(grad_norm):
+                        cell.stop(k, STATUS_DIVERGED, STOP_NON_FINITE_GRAD)
+                    elif loss <= success_loss:
+                        cell.stop(k, STATUS_CONVERGED, STOP_SUCCESS)
+                    else:
+                        try:
+                            cell.state, report = step_fn(
+                                cell.state, StepSample._with_grad_sq(loss, grad, batch, grad_sq),
+                                cell.spec)
+                        except Exception as exc:  # this cell's rule failed
+                            cell.error = exc
+                            continue
+                        if history:
+                            cell.iterates.append(cell.state.x)
+                            cell.reports.append(report)
+                        running.append(cell)
+                active = running
+                if not active:
+                    break
+        except Exception as exc:  # the group's batch or oracle failed
+            for cell in active:
+                if cell.status == STATUS_BUDGET and cell.error is None:
+                    cell.error = exc
+
+
 def run_once(problem: StochasticObjective, spec: OptimizerSpec, budget: RunBudget,
              seed: int, x0: Optional[np.ndarray] = None,
              full_eval_every: Optional[int] = None) -> RunRecord:
-    """Execute one run until a stop condition or the step cap.
-
-    Divergence fires on the first non-finite iterate, loss or gradient
-    norm, or loss above diverge_loss, before any further update executes.
-    Stochastic runs additionally log the full-batch loss every
-    full_eval_every steps (default: about 100 checkpoints per run).
-    """
-    x0 = problem.x0_default if x0 is None else np.asarray(x0, dtype=float)
-    state = init_state(x0)
-    n = problem.n_samples
-    bs = n if budget.batch_size is None else budget.batch_size
-    if bs > n:
-        raise ValueError(f"batch_size {bs} exceeds n_samples {n}")
-    stochastic = bs < n
-    if full_eval_every is None:
-        full_eval_every = max(1, budget.max_steps // 100) if stochastic else 0
-    full_batch = problem.full_batch()
-    losses: list = []
-    grad_norms: list = []
-    reports: list = []
-    full_losses: list = []
-    iterates: list = [state.x]
-    status = STATUS_BUDGET
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        for k in range(budget.max_steps):
-            if not np.isfinite(state.x).all():
-                losses.append(float("inf"))
-                grad_norms.append(float("inf"))
-                status = STATUS_DIVERGED
-                break
-            batch = full_batch if not stochastic else sample_batch(problem, seed, k, bs)
-            sample = evaluate(problem, state.x, batch)
-            losses.append(sample.loss)
-            grad_norms.append(math.sqrt(sample.grad_sq))
-            if stochastic and full_eval_every and k % full_eval_every == 0:
-                full_losses.append((k, evaluate(problem, state.x, full_batch).loss))
-            if (not math.isfinite(sample.loss) or sample.loss > budget.diverge_loss
-                    or not math.isfinite(grad_norms[-1])):
-                status = STATUS_DIVERGED
-                break
-            if sample.loss <= budget.success_loss:
-                status = STATUS_CONVERGED
-                break
-            state, report = apply_step(state, sample, spec)
-            iterates.append(state.x)
-            reports.append(report)
-    return RunRecord(losses, grad_norms, reports, status, spec, budget, seed, iterates,
-                     full_losses)
+    """Execute one run until a stop condition or the step cap: the
+    one-cell case of run_lockstep, with its whole history recorded."""
+    cell = Cell(problem, spec, x0)
+    run_lockstep(problem, [cell], budget, seed, full_eval_every)
+    if cell.error is not None:
+        raise cell.error
+    return RunRecord(cell.losses, cell.grad_norms, cell.reports, cell.status, spec, budget,
+                     seed, cell.iterates, cell.full_losses, cell.stop_reason)
 
 
 def make_optimizer_spec(sweep: SweepSpec, kind: str, c: float, beta: float) -> OptimizerSpec:
@@ -243,56 +341,82 @@ def make_optimizer_spec(sweep: SweepSpec, kind: str, c: float, beta: float) -> O
                          wd_lambda=wd, schedule=schedule, total_steps=total)
 
 
-def _cell_row(sweep: SweepSpec, cell, problem: StochasticObjective) -> dict:
+def _sweep_row(sweep: SweepSpec, cell, run) -> dict:
+    """The summary row of a cell from its run, or from the exception that
+    kept it from being built."""
     kind, c, beta, seed, x0 = cell
     row = {"optimizer": kind, "c": c, "beta": beta, "seed": seed}
     if sweep.x0_grid is not None:
         row["x0"] = x0
-    try:
-        spec = make_optimizer_spec(sweep, kind, c, beta)
-        x0_arr = None if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
-        rec = run_once(problem, spec, sweep.budget, seed, x0=x0_arr)
-        row.update(status=rec.status, final_loss=rec.final_loss, best_loss=rec.best_loss,
-                   steps_to_success=rec.steps_to_success)
+    error = run if isinstance(run, Exception) else run.error
+    if error is None:
+        row.update(status=run.status, final_loss=run.final_loss, best_loss=run.best_loss,
+                   steps_to_success=run.stop_step if run.status == STATUS_CONVERGED else None,
+                   stop_reason=run.stop_reason)
         if sweep.x0_grid is not None:
-            row["x_final"] = rec.x_final
-    except Exception as exc:  # record the failure, never abort the sweep
+            row["x_final"] = run.state.x
+    else:  # record the failure, never abort the sweep
         row.update(status=STATUS_ERROR, final_loss=float("nan"), best_loss=float("nan"),
-                   steps_to_success=None)
+                   steps_to_success=None, stop_reason=None)
         if sweep.x0_grid is not None:
             row["x_final"] = None
-        row["error"] = str(exc)
+        row["error"] = str(error)
     return row
+
+
+def _sweep_rows(sweep: SweepSpec, cells: list, problem: StochasticObjective) -> list:
+    """Run sweep cells in lockstep, one group per batch sequence: all of
+    them on a full batch, the cells of each seed on mini-batches. Rows
+    come back in the order of cells."""
+    runs = []
+    for kind, c, beta, _, x0 in cells:
+        try:
+            spec = make_optimizer_spec(sweep, kind, c, beta)
+            x0_arr = None if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
+            runs.append(Cell(problem, spec, x0_arr))
+        except Exception as exc:  # a bad spec or start fails its cell alone
+            runs.append(exc)
+    bs = sweep.budget.batch_size
+    shared = bs is None or bs >= problem.n_samples  # the seed picks no batch
+    groups: dict = {}
+    for cell, run in zip(cells, runs):
+        if isinstance(run, Cell):
+            groups.setdefault(0 if shared else cell[3], []).append(run)
+    for seed, group in groups.items():
+        run_lockstep(problem, group, sweep.budget, seed, history=False)
+    return [_sweep_row(sweep, cell, run) for cell, run in zip(cells, runs)]
 
 
 _worker_problem: list = []  # [(ProblemSpec, StochasticObjective)] in a pool worker
 
 
 def _cell_worker(args) -> dict:
-    """Run one cell in a pool worker. The worker builds the problem in its
-    first cell and reuses it for the rest, so per-cell timings include the
-    one build. The build sits outside _cell_row's per-cell guard: a problem
-    that cannot be built fails run_sweep as it does on the serial path."""
+    """Run one cell in a pool worker, as a one-cell group. The worker
+    builds the problem in its first cell and reuses it for the rest, so
+    per-cell timings include the one build. The build sits outside the
+    per-cell guard: a problem that cannot be built fails run_sweep as it
+    does on the serial path."""
     sweep, cell = args
     if not _worker_problem or _worker_problem[0][0] != sweep.problem:
         _worker_problem[:] = [(sweep.problem, build_problem(sweep.problem))]
-    return _cell_row(sweep, cell, _worker_problem[0][1])
+    return _sweep_rows(sweep, [cell], _worker_problem[0][1])[0]
 
 
 def run_sweep(sweep: SweepSpec, workers: int = 1) -> SweepResult:
     """Execute every cell and aggregate summaries in deterministic cell
-    order. workers > 1 runs cells in a process pool where each worker
-    builds the problem once; results are merged by cell index, so parallel
-    and serial output are identical. On both paths a problem that cannot
-    be built raises from here, and a cell that fails to run becomes an
-    `error` row."""
+    order. The serial path runs one lockstep group per batch sequence;
+    workers > 1 runs one cell per task in a process pool where each worker
+    builds the problem once. Every cell ends with the bits of its one-cell
+    run and results are merged by cell index, so parallel and serial
+    output are identical. On both paths a problem that cannot be built
+    raises from here, and a cell that fails to run becomes an `error`
+    row."""
     cells = sweep.cells()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_cell_worker, [(sweep, cell) for cell in cells]))
     else:
-        problem = build_problem(sweep.problem)
-        rows = [_cell_row(sweep, cell, problem) for cell in cells]
+        rows = _sweep_rows(sweep, cells, build_problem(sweep.problem))
     result = SweepResult(sweep, rows)
     if sweep.out_path is not None:
         emit_csv(result, resolve_out_path(sweep.out_path))

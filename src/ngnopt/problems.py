@@ -6,6 +6,14 @@ sampling that is a pure function of (seed, step), and analytic metadata
 (smoothness constants, optima, per-batch minima) consumed by the theory
 and verification layers.
 
+Every oracle works on a cell axis: it takes C points stacked as X of
+shape (C, d) and returns the C losses, shape (C,), and gradients, shape
+(C, d). Row i depends on X[i] alone and has the bits a one-point call at
+X[i] has, so the run loop can evaluate all the cells that share a batch
+in one call. The oracles therefore use only operations that round the
+same on any number of rows: stacked matvecs `rows @ X[:, :, None]` (one
+gemv per cell), row sums, and explicit products in place of `**`.
+
 Least-squares style problems use the per-sample convention
 f_i(x) = (1/2)(a_i^T x - b_i)^2, so the full-batch loss is
 (1/(2n))||Ax - b||^2 and L = lambda_max(A^T A), L_j = (A^T A)_jj are
@@ -79,10 +87,9 @@ class Batch:
 class StepSample:
     """One oracle evaluation: loss value, gradient vector, batch identity.
 
-    grad_sq is ||grad||^2, computed once by the constructor as
+    grad_sq is ||grad||^2, computed by the constructor as
     float((grad*grad).sum()), the same bits as float(np.sum(grad*grad)).
-    The run loop reads it for the gradient norm and the divergence check,
-    and the NGN rules read it for the step size.
+    The NGN rules read it for the step size.
     """
 
     loss: float
@@ -92,6 +99,19 @@ class StepSample:
 
     def __post_init__(self):
         object.__setattr__(self, "grad_sq", float((self.grad * self.grad).sum()))
+
+    @classmethod
+    def _with_grad_sq(cls, loss: float, grad: np.ndarray, batch: Batch,
+                      grad_sq: float) -> "StepSample":
+        """A sample whose grad_sq the run loop has already computed, as a
+        row of evaluate_cells' row sums: the same bits the constructor
+        computes."""
+        sample = cls.__new__(cls)
+        object.__setattr__(sample, "loss", loss)
+        object.__setattr__(sample, "grad", grad)
+        object.__setattr__(sample, "batch", batch)
+        object.__setattr__(sample, "grad_sq", grad_sq)
+        return sample
 
 
 @dataclass(frozen=True)
@@ -120,6 +140,8 @@ class ProblemSpec:
     def __post_init__(self):
         if self.kind not in PROBLEM_KINDS:
             raise ValueError(f"unknown problem kind {self.kind!r}; expected one of {PROBLEM_KINDS}")
+        if not math.isfinite(self.r):
+            raise ValueError(f"r must be finite, got {self.r!r}")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if self.n_samples is not None and self.n_samples < 1:
@@ -132,10 +154,12 @@ class ProblemSpec:
 class StochasticObjective:
     """A finite-sum objective with a batched loss/gradient oracle.
 
-    `_loss_grad(x, indices)` returns the mean loss and gradient over the
-    indexed samples; `indices=None` means all samples in order (see
-    `Batch.full`). `_batch_min(indices)`, when available, returns the
-    exact minimum of that batch loss (least-squares subproblems).
+    `_loss_grad(X, indices)` returns the mean losses (C,) and gradients
+    (C, d) over the indexed samples at the C rows of X; `indices=None`
+    means all samples in order (see `Batch.full`). `_loss(X, indices)`,
+    when available, returns the same losses without the gradients.
+    `_batch_min(indices)`, when available, returns the exact minimum of
+    that batch loss (least-squares subproblems).
     """
 
     kind: str
@@ -145,6 +169,7 @@ class StochasticObjective:
     x0_default: np.ndarray
     _loss_grad: Callable[[np.ndarray, np.ndarray], tuple]
     _batch_min: Optional[Callable[[np.ndarray], float]] = None
+    _loss: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def full_batch(self) -> Batch:
         return Batch(np.arange(self.n_samples), full=True)
@@ -154,19 +179,43 @@ def _oracle_indices(batch: Batch) -> Optional[np.ndarray]:
     return None if batch.full else batch.indices
 
 
+def check_point(problem: StochasticObjective, x: np.ndarray) -> np.ndarray:
+    """x as a float vector of the problem's dimension; ValueError otherwise."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (problem.dim,):
+        raise ValueError(f"x has shape {x.shape}, problem dimension is {problem.dim}")
+    return x
+
+
 def evaluate(problem: StochasticObjective, x: np.ndarray, batch: Batch) -> StepSample:
     """Evaluate the batch loss and gradient at x.
 
     Raises ValueError on shape mismatch or non-finite coordinates; the run
     loop is expected to detect divergence before the iterate degenerates.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (problem.dim,):
-        raise ValueError(f"x has shape {x.shape}, problem dimension is {problem.dim}")
+    x = check_point(problem, x)
     if not np.isfinite(x).all():
         raise ValueError("non-finite input coordinates")
-    loss, grad = problem._loss_grad(x, _oracle_indices(batch))
-    return StepSample(float(loss), grad, batch)
+    loss, grad = problem._loss_grad(x[None, :], _oracle_indices(batch))
+    return StepSample(float(loss[0]), grad[0], batch)
+
+
+def evaluate_cells(problem: StochasticObjective, X: np.ndarray, batch: Batch) -> tuple:
+    """Losses (C,), gradients (C, d) and squared gradient norms (C,) at
+    the rows of X (C, d), from one oracle call. Row i has the bits of
+    `evaluate` at X[i]: a row sum reduces a row as the whole-vector sum
+    reduces the vector. No input checks; the run loop checks its iterates
+    before it evaluates them."""
+    loss, grad = problem._loss_grad(X, _oracle_indices(batch))
+    return loss, grad, np.add.reduce(grad * grad, axis=1)
+
+
+def evaluate_loss(problem: StochasticObjective, X: np.ndarray, batch: Batch) -> np.ndarray:
+    """The batch losses (C,) at the rows of X (C, d), with no gradient and
+    no input checks; the same bits as the losses of `evaluate_cells`."""
+    if problem._loss is None:
+        return problem._loss_grad(X, _oracle_indices(batch))[0]
+    return problem._loss(X, _oracle_indices(batch))
 
 
 @functools.cache
@@ -231,8 +280,8 @@ def finite_diff_grad(problem: StochasticObjective, x: np.ndarray, batch: Batch, 
         xm = x.copy()
         xp[j] += h
         xm[j] -= h
-        fp, _ = problem._loss_grad(xp, _oracle_indices(batch))
-        fm, _ = problem._loss_grad(xm, _oracle_indices(batch))
+        fp = float(evaluate_loss(problem, xp[None, :], batch)[0])
+        fm = float(evaluate_loss(problem, xm[None, :], batch)[0])
         if not (math.isfinite(fp) and math.isfinite(fm)):
             raise ValueError("non-finite intermediate values in finite differences")
         grad[j] = (fp - fm) / (2.0 * h)
@@ -263,17 +312,30 @@ def _least_squares_objective(kind: str, A: np.ndarray, b: np.ndarray,
     # A keeps both matvecs on the same BLAS path, so they round alike.
     rows = np.ascontiguousarray(A)
 
-    def loss_grad(x, idx):
-        """Mean loss and gradient over the rows idx, or over all rows in
-        order when idx is None. The full batch reads A and b in place; a
-        gather of 0..n-1 would copy them unchanged, so both give the same
-        bits. Any other index array, permuted or repeated, gathers once."""
+    def residuals(X, idx):
+        """The rows of A and the residuals (C, m) over the samples idx, or
+        over all samples in order when idx is None. The full batch reads A
+        and b in place; a gather of 0..n-1 would copy them unchanged, so
+        both give the same bits. Any other index array, permuted or
+        repeated, gathers once for all C points. One point skips the
+        stacking views: its product is the same gemv."""
         A_b, b_b = (rows, b) if idx is None else (rows[idx], b[idx])
-        r = A_b @ x - b_b
-        m = b_b.size
-        loss = float(np.sum(r * r)) / (2.0 * m)
-        grad = A_b.T @ r / m
-        return loss, grad
+        if X.shape[0] == 1:
+            return A_b, (A_b @ X[0] - b_b)[None, :]
+        return A_b, (A_b @ X[:, :, None])[:, :, 0] - b_b
+
+    def loss(X, idx):
+        _, R = residuals(X, idx)
+        return np.add.reduce(R * R, axis=1) / (2.0 * R.shape[1])
+
+    def loss_grad(X, idx):
+        A_b, R = residuals(X, idx)
+        m = R.shape[1]
+        if R.shape[0] == 1:
+            grad = (A_b.T @ R[0] / m)[None, :]
+        else:
+            grad = (A_b.T @ R[:, :, None])[:, :, 0] / m
+        return np.add.reduce(R * R, axis=1) / (2.0 * m), grad
 
     def batch_min(idx):
         sol = np.linalg.lstsq(A[idx], b[idx], rcond=None)[0]
@@ -283,7 +345,8 @@ def _least_squares_objective(kind: str, A: np.ndarray, b: np.ndarray,
     meta = ObjectiveMetadata(L=L, L_coord=L_coord, f_star=f_star, x_star=x_star, mu=mu)
     if x0 is None:
         x0 = np.zeros(d)
-    return StochasticObjective(kind, d, n, meta, np.asarray(x0, dtype=float), loss_grad, batch_min)
+    return StochasticObjective(kind, d, n, meta, np.asarray(x0, dtype=float), loss_grad,
+                               batch_min, loss)
 
 
 def least_squares_problem(A: np.ndarray, b: np.ndarray,
@@ -317,17 +380,50 @@ def _build_ridge(spec: ProblemSpec) -> StochasticObjective:
     return _least_squares_objective(KIND_RIDGE, M, y, x0)
 
 
-def _build_rosenbrock(spec: ProblemSpec) -> StochasticObjective:
-    def loss_grad(x, idx):
-        a, b = x[0], x[1]
-        gap = b - a * a
-        loss = (a - 1.0) ** 2 + 100.0 * gap * gap
-        grad = np.array([2.0 * (a - 1.0) - 400.0 * a * gap, 200.0 * gap])
-        return loss, grad
+def _pointwise(formula: Callable) -> Callable:
+    """The cell-axis oracle of a closed-form objective.
 
+    formula takes the d coordinates and returns the loss and a tuple of
+    the d partial derivatives. A stack of points passes columns of shape
+    (C,). One point passes Python floats: their +, - and * are the same
+    IEEE operations, and a ufunc such as np.sin runs the same loop on
+    them, without the per-call cost of an array. One-cell runs (pool
+    tasks, run_once) take this path: on the quartic-pool benchmark,
+    1-element arrays made the whole run 1.6x slower (2-vCPU x86 VM).
+    """
+
+    def loss_grad(X, idx):
+        if X.shape[0] == 1:
+            loss, grad = formula(*X[0].tolist())
+            return np.array([loss]), np.array([grad])
+        loss, grad = formula(*X.T)
+        return loss, np.stack(grad, axis=1)
+
+    return loss_grad
+
+
+def _rosenbrock(a, b):
+    gap = b - a * a
+    loss = (a - 1.0) * (a - 1.0) + 100.0 * gap * gap
+    return loss, (2.0 * (a - 1.0) - 400.0 * a * gap, 200.0 * gap)
+
+
+def _build_rosenbrock(spec: ProblemSpec) -> StochasticObjective:
     meta = ObjectiveMetadata(f_star=0.0, x_star=np.array([1.0, 1.0]))
     x0 = np.array([-1.2, 1.0]) if spec.x0 is None else np.asarray(spec.x0, dtype=float)
-    return StochasticObjective(KIND_ROSENBROCK, 2, 1, meta, x0, loss_grad)
+    return StochasticObjective(KIND_ROSENBROCK, 2, 1, meta, x0, _pointwise(_rosenbrock))
+
+
+def _multimodal(t):
+    u1 = 1.0 + np.cos(-np.pi + t)
+    u2 = 1.0 + np.cos(np.pi - t)
+    t1 = np.sin(u1) - 0.2 * t
+    t2 = np.sin(u2) + 0.2 * t
+    t2_cubed = t2 * t2 * t2
+    loss = t1 * t1 + t2_cubed * t2
+    dt1 = np.cos(u1) * (-np.sin(-np.pi + t)) - 0.2
+    dt2 = np.cos(u2) * np.sin(np.pi - t) + 0.2
+    return loss, (2.0 * t1 * dt1 + 4.0 * t2_cubed * dt2,)
 
 
 def _build_multimodal(spec: ProblemSpec) -> StochasticObjective:
@@ -335,40 +431,44 @@ def _build_multimodal(spec: ProblemSpec) -> StochasticObjective:
 
     Many sharp suboptimal local minima, one flat global minimum f(0) = 0.
     """
-
-    def loss_grad(x, idx):
-        t = x[0]
-        u1 = 1.0 + np.cos(-np.pi + t)
-        u2 = 1.0 + np.cos(np.pi - t)
-        t1 = np.sin(u1) - 0.2 * t
-        t2 = np.sin(u2) + 0.2 * t
-        loss = t1 * t1 + t2 ** 4
-        dt1 = np.cos(u1) * (-np.sin(-np.pi + t)) - 0.2
-        dt2 = np.cos(u2) * np.sin(np.pi - t) + 0.2
-        g = 2.0 * t1 * dt1 + 4.0 * t2 ** 3 * dt2
-        return float(loss), np.array([g])
-
     meta = ObjectiveMetadata(f_star=0.0, x_star=np.array([0.0]))
     x0 = np.array([10.0]) if spec.x0 is None else np.asarray(spec.x0, dtype=float)
-    return StochasticObjective(KIND_MULTIMODAL, 1, 1, meta, x0, loss_grad)
+    return StochasticObjective(KIND_MULTIMODAL, 1, 1, meta, x0, _pointwise(_multimodal))
 
 
 def _poly_growth_constant(p: np.polynomial.Polynomial) -> float:
-    """Smallest C with C(1 + p(x)^2) >= x p(x) p'(x), up to grid resolution.
+    """Smallest C with C(1 + p(x)^2) >= x p(x) p'(x): the supremum of
+    r = x p p' / (1 + p^2).
 
-    The ratio tends to deg(p) as |x| -> inf; interior maxima are scanned on
-    a dense symmetric grid. Exact (C = deg p) whenever the grid never
-    exceeds the limit, e.g. p(x) = x gives C = 1.
+    r tends to deg p as |x| -> inf, so the supremum is the larger of
+    deg p and r's largest value at a real critical point, a root of
+    (x p p')' (1 + p^2) - x p p' (1 + p^2)'. r is evaluated at the real
+    part of every root: any real point gives a value no larger than the
+    supremum, and r is flat at a critical point, so a root error of delta
+    moves the value by O(delta^2). p(x) = x gives C = 1.
     """
-    deg = int(p.degree()) if any(c != 0.0 for c in p.coef[1:]) else 0
+    p = p.trim()
+    deg = int(p.degree())
     if deg == 0:
         return 0.0
     dp = p.deriv()
-    xs = np.concatenate([np.linspace(-1e4, 1e4, 400001), np.linspace(-100.0, 100.0, 400001)])
+    x = np.polynomial.Polynomial([0.0, 1.0])
+    num = x * p * dp
+    den = 1.0 + p * p
+    xs = (num.deriv() * den - num * den.deriv()).roots().real
     with np.errstate(over="ignore", invalid="ignore"):
-        ratio = xs * p(xs) * dp(xs) / (1.0 + p(xs) ** 2)
-    ratio = ratio[np.isfinite(ratio)]
-    return float(max(0.0, float(np.max(ratio)), float(deg)))
+        ratio = num(xs) / den(xs)
+    return float(np.max(ratio[np.isfinite(ratio)], initial=float(deg)))
+
+
+def _horner(coef: list, t):
+    """p(t) for ascending coefficients by Horner's rule: the multiply-adds
+    Polynomial.__call__ runs, so both give the same bits. Its first one,
+    coef[-1] + t*0, is coef[-1] itself at a finite t."""
+    value = coef[-1]
+    for c in coef[-2::-1]:
+        value = c + value * t
+    return value
 
 
 def _build_polynomial(spec: ProblemSpec) -> StochasticObjective:
@@ -377,19 +477,18 @@ def _build_polynomial(spec: ProblemSpec) -> StochasticObjective:
     if not (math.isfinite(L) and L > 0.0):
         raise ValueError("polynomial scale must be positive and finite")
     p = np.polynomial.Polynomial(np.asarray(spec.coeffs, dtype=float))
-    dp = p.deriv()
+    coef, dcoef = p.coef.tolist(), p.deriv().coef.tolist()
     C = _poly_growth_constant(p)
 
-    def loss_grad(x, idx):
-        t = x[0]
-        pv = p(t)
-        loss = L * t * t * (1.0 + pv * pv)
-        g = 2.0 * L * t * (1.0 + pv * pv + t * pv * dp(t))
-        return float(loss), np.array([g])
+    def polynomial(t):
+        pv = _horner(coef, t)
+        grow = 1.0 + pv * pv
+        loss = L * t * t * grow
+        return loss, (2.0 * L * t * (grow + t * pv * _horner(dcoef, t)),)
 
     meta = ObjectiveMetadata(f_star=0.0, x_star=np.array([0.0]), C_poly=C)
     x0 = np.array([3.0]) if spec.x0 is None else np.asarray(spec.x0, dtype=float)
-    return StochasticObjective(KIND_POLYNOMIAL, 1, 1, meta, x0, loss_grad)
+    return StochasticObjective(KIND_POLYNOMIAL, 1, 1, meta, x0, _pointwise(polynomial))
 
 
 def _load_regression_csv(path: str) -> tuple:

@@ -25,7 +25,7 @@ from .optimizers import (
 )
 from .problems import (
     KIND_LEAST_SQUARES, ProblemSpec, StochasticObjective, build_problem,
-    evaluate, sample_batch,
+    evaluate, evaluate_loss, sample_batch,
 )
 
 AUDIT_CSV_COLUMNS = ("name", "passed", "max_violation", "location")
@@ -291,6 +291,9 @@ def audit_theorem_bound(problem: StochasticObjective, K: int, c: Optional[float]
     return _report(name or "theorem_bound_decaying", worst, 0.0, location)
 
 
+_SCAN_CHUNK = 4096  # grid points per oracle call; bounds the oracle's temporaries
+
+
 def multimodal_global_basin(problem: StochasticObjective, lo: float = -25.0,
                             hi: float = 25.0, n_grid: int = 200001) -> tuple:
     """Attraction interval of the global minimum, from a dense grid.
@@ -302,7 +305,8 @@ def multimodal_global_basin(problem: StochasticObjective, lo: float = -25.0,
     """
     xs = np.linspace(lo, hi, n_grid)
     batch = problem.full_batch()
-    fs = np.array([evaluate(problem, np.array([t]), batch).loss for t in xs])
+    fs = np.concatenate([evaluate_loss(problem, xs[i:i + _SCAN_CHUNK, None], batch)
+                         for i in range(0, n_grid, _SCAN_CHUNK)])
     i_star = int(np.argmin(fs))
     right = i_star
     while right + 1 < n_grid and fs[right + 1] >= fs[right]:

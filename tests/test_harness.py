@@ -83,6 +83,14 @@ def test_cli_run_rejects_non_finite_optimizer_settings(flag, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_run_rejects_non_finite_r(value, capsys):
+    argv = ["run", "--problem", "ridge", "--dim", "3", "--optimizer", "ngn", "--c", "1.0",
+            "--steps", "5", "--r", value]
+    assert cli(argv) == 1
+    assert "r must be finite" in capsys.readouterr().err
+
+
 def test_split_kind():
     assert split_kind("ngn") == ("ngn", None)
     assert split_kind("ngn@inv_sqrt_step") == ("ngn", "inv_sqrt_step")

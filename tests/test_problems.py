@@ -18,7 +18,7 @@ from ngnopt import (
     least_squares_problem,
     sample_batch,
 )
-from ngnopt.problems import PROBLEM_KINDS, StepSample
+from ngnopt.problems import PROBLEM_KINDS, StepSample, _poly_growth_constant
 
 
 def reference_sample_indices(seed, step, n, batch_size):
@@ -51,6 +51,12 @@ def test_problem_spec_rejects_bad_dim_and_seed():
         ProblemSpec(kind="least_squares", seed=-1)
     with pytest.raises(ValueError):
         ProblemSpec(kind="least_squares", n_samples=0)
+
+
+@pytest.mark.parametrize("r", [float("nan"), float("inf"), float("-inf")])
+def test_problem_spec_rejects_non_finite_r(r):
+    with pytest.raises(ValueError, match="r must be finite"):
+        ProblemSpec(kind="ridge_quadratic", dim=3, r=r)
 
 
 def test_build_is_deterministic_given_seed():
@@ -242,6 +248,21 @@ def test_polynomial_scale_and_constant_coeffs():
     assert s.grad[0] == pytest.approx(10.0)
     with pytest.raises(ValueError, match="scale"):
         build_problem(ProblemSpec(kind="polynomial_1d", scale=0.0))
+
+
+def test_poly_growth_constant_is_the_supremum_at_the_critical_points():
+    P = np.polynomial.Polynomial
+    assert _poly_growth_constant(P([0.0, 1.0])) == 1.0
+    p = P([0.5, -2.0, 0.0, 1.0])
+    C = _poly_growth_constant(p)
+    # an 800k-point grid scan read 6.037878575 here, below the supremum
+    assert C == pytest.approx(6.037878596, abs=1e-9)
+    xs = np.linspace(-10.0, 10.0, 200001)
+    ratio = xs * p(xs) * p.deriv()(xs) / (1.0 + p(xs) ** 2)
+    assert ratio.max() <= C
+    assert ratio.max() > C - 1e-7
+    # trailing zero coefficients do not raise the degree
+    assert _poly_growth_constant(P([0.0, 0.0, 1.0, 0.0])) == 2.0
 
 
 @pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf")])
