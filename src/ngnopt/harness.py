@@ -27,7 +27,6 @@ import itertools
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -413,6 +412,8 @@ def run_sweep(sweep: SweepSpec, workers: int = 1) -> SweepResult:
     row."""
     cells = sweep.cells()
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only pooled sweeps pay its import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_cell_worker, [(sweep, cell) for cell in cells]))
     else:

@@ -4,7 +4,9 @@ Every objective is a finite-sum loss f(x) = mean_i f_i(x) with f_i >= 0.
 A problem bundles a mini-batch loss/gradient oracle, deterministic batch
 sampling that is a pure function of (seed, step), and analytic metadata
 (smoothness constants, optima, per-batch minima) consumed by the theory
-and verification layers.
+and verification layers. The step rules read none of the metadata, so
+an objective computes it on the first read of `metadata` and keeps it:
+runs and sweeps never pay for the eigendecomposition or the lstsq.
 
 Every oracle works on a cell axis: it takes C points stacked as X of
 shape (C, d) and returns the C losses, shape (C,), and gradients, shape
@@ -159,17 +161,33 @@ class StochasticObjective:
     means all samples in order (see `Batch.full`). `_loss(X, indices)`,
     when available, returns the same losses without the gradients.
     `_batch_min(indices)`, when available, returns the exact minimum of
-    that batch loss (least-squares subproblems).
+    that batch loss (least-squares subproblems). `_metadata()` computes
+    the ObjectiveMetadata; `metadata` calls it once, on its first read.
+
+    x0_default must be a finite point of dimension `dim`.
     """
 
     kind: str
     dim: int
     n_samples: int
-    metadata: ObjectiveMetadata
+    _metadata: Callable[[], ObjectiveMetadata]
     x0_default: np.ndarray
     _loss_grad: Callable[[np.ndarray, np.ndarray], tuple]
     _batch_min: Optional[Callable[[np.ndarray], float]] = None
     _loss: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        x0 = self.x0_default
+        if x0.shape != (self.dim,):
+            raise ValueError(f"x0 has shape {x0.shape}, problem dimension is {self.dim}")
+        if not np.isfinite(x0).all():
+            raise ValueError(f"x0 must be finite, got {x0.tolist()}")
+
+    @functools.cached_property
+    def metadata(self) -> ObjectiveMetadata:
+        """The objective's ObjectiveMetadata, computed on the first read and
+        kept: every later read returns the same object."""
+        return self._metadata()
 
     def full_batch(self) -> Batch:
         return Batch(np.arange(self.n_samples), full=True)
@@ -298,19 +316,25 @@ def _least_squares_objective(kind: str, A: np.ndarray, b: np.ndarray,
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
         raise ValueError(f"dimension mismatch between A {A.shape} and b {b.shape}")
+    for name, data in (("A", A), ("b", b)):
+        if not np.isfinite(data).all():
+            raise ValueError(f"least-squares data {name} has non-finite entries")
     n, d = A.shape
-    AtA = A.T @ A
-    evals = _spd_eigvals(AtA)
-    L = float(evals[-1])
-    L_coord = np.diag(AtA).copy()
-    x_star = np.linalg.lstsq(A, b, rcond=None)[0]
-    resid = A @ x_star - b
-    f_star = float(resid @ resid) / (2.0 * n)
-    pos = evals[evals > 1e-12 * max(L, 1.0)]
-    mu = float(pos[0]) if pos.size else None
     # A gather A[idx] is C-ordered; reading the full batch from a C-ordered
     # A keeps both matvecs on the same BLAS path, so they round alike.
     rows = np.ascontiguousarray(A)
+
+    def metadata():
+        AtA = A.T @ A
+        evals = _spd_eigvals(AtA)
+        L = float(evals[-1])
+        L_coord = np.diag(AtA).copy()
+        x_star = np.linalg.lstsq(A, b, rcond=None)[0]
+        resid = A @ x_star - b
+        f_star = float(resid @ resid) / (2.0 * n)
+        pos = evals[evals > 1e-12 * max(L, 1.0)]
+        mu = float(pos[0]) if pos.size else None
+        return ObjectiveMetadata(L=L, L_coord=L_coord, f_star=f_star, x_star=x_star, mu=mu)
 
     def residuals(X, idx):
         """The rows of A and the residuals (C, m) over the samples idx, or
@@ -342,10 +366,9 @@ def _least_squares_objective(kind: str, A: np.ndarray, b: np.ndarray,
         r = A[idx] @ sol - b[idx]
         return float(np.sum(r * r)) / (2.0 * idx.size)
 
-    meta = ObjectiveMetadata(L=L, L_coord=L_coord, f_star=f_star, x_star=x_star, mu=mu)
     if x0 is None:
         x0 = np.zeros(d)
-    return StochasticObjective(kind, d, n, meta, np.asarray(x0, dtype=float), loss_grad,
+    return StochasticObjective(kind, d, n, metadata, np.asarray(x0, dtype=float), loss_grad,
                                batch_min, loss)
 
 
@@ -409,9 +432,11 @@ def _rosenbrock(a, b):
 
 
 def _build_rosenbrock(spec: ProblemSpec) -> StochasticObjective:
-    meta = ObjectiveMetadata(f_star=0.0, x_star=np.array([1.0, 1.0]))
+    def metadata():
+        return ObjectiveMetadata(f_star=0.0, x_star=np.array([1.0, 1.0]))
+
     x0 = np.array([-1.2, 1.0]) if spec.x0 is None else np.asarray(spec.x0, dtype=float)
-    return StochasticObjective(KIND_ROSENBROCK, 2, 1, meta, x0, _pointwise(_rosenbrock))
+    return StochasticObjective(KIND_ROSENBROCK, 2, 1, metadata, x0, _pointwise(_rosenbrock))
 
 
 def _multimodal(t):
@@ -431,9 +456,11 @@ def _build_multimodal(spec: ProblemSpec) -> StochasticObjective:
 
     Many sharp suboptimal local minima, one flat global minimum f(0) = 0.
     """
-    meta = ObjectiveMetadata(f_star=0.0, x_star=np.array([0.0]))
+    def metadata():
+        return ObjectiveMetadata(f_star=0.0, x_star=np.array([0.0]))
+
     x0 = np.array([10.0]) if spec.x0 is None else np.asarray(spec.x0, dtype=float)
-    return StochasticObjective(KIND_MULTIMODAL, 1, 1, meta, x0, _pointwise(_multimodal))
+    return StochasticObjective(KIND_MULTIMODAL, 1, 1, metadata, x0, _pointwise(_multimodal))
 
 
 def _poly_growth_constant(p: np.polynomial.Polynomial) -> float:
@@ -478,7 +505,6 @@ def _build_polynomial(spec: ProblemSpec) -> StochasticObjective:
         raise ValueError("polynomial scale must be positive and finite")
     p = np.polynomial.Polynomial(np.asarray(spec.coeffs, dtype=float))
     coef, dcoef = p.coef.tolist(), p.deriv().coef.tolist()
-    C = _poly_growth_constant(p)
 
     def polynomial(t):
         pv = _horner(coef, t)
@@ -486,9 +512,11 @@ def _build_polynomial(spec: ProblemSpec) -> StochasticObjective:
         loss = L * t * t * grow
         return loss, (2.0 * L * t * (grow + t * pv * _horner(dcoef, t)),)
 
-    meta = ObjectiveMetadata(f_star=0.0, x_star=np.array([0.0]), C_poly=C)
+    def metadata():
+        return ObjectiveMetadata(f_star=0.0, x_star=np.array([0.0]), C_poly=_poly_growth_constant(p))
+
     x0 = np.array([3.0]) if spec.x0 is None else np.asarray(spec.x0, dtype=float)
-    return StochasticObjective(KIND_POLYNOMIAL, 1, 1, meta, x0, _pointwise(polynomial))
+    return StochasticObjective(KIND_POLYNOMIAL, 1, 1, metadata, x0, _pointwise(polynomial))
 
 
 def _load_regression_csv(path: str) -> tuple:
@@ -505,9 +533,12 @@ def _load_regression_csv(path: str) -> tuple:
     for ln in lines[start:]:
         cells = ln.split(",")
         try:
-            rows.append([float(c) for c in cells])
+            row = [float(c) for c in cells]
         except ValueError as exc:
             raise ValueError(f"malformed row in {path!r}: {ln!r}") from exc
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"non-finite value in {path!r}: {ln!r}")
+        rows.append(row)
     data = np.asarray(rows, dtype=float)
     if data.ndim != 2 or data.shape[1] < 2:
         raise ValueError("regression CSV needs at least one feature column plus a target column")

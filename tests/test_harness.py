@@ -2,6 +2,8 @@ import filecmp
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -234,6 +236,15 @@ def test_run_sweep_unbuildable_problem_raises(tmp_path, workers):
     with pytest.raises(FileNotFoundError):
         run_sweep(sweep, workers=workers)
     assert not (tmp_path / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_sweep_rejects_a_bad_start_before_any_cell(tmp_path, workers):
+    for x0 in ((1.0, 2.0), (1.0, float("nan"), 0.0)):
+        bad = ProblemSpec(kind="least_squares", dim=3, n_samples=6, seed=0, x0=x0)
+        with pytest.raises(ValueError, match="x0"):
+            run_sweep(small_sweep(tmp_path, problem=bad), workers=workers)
+        assert not (tmp_path / "summary.csv").exists()
 
 
 def test_pool_worker_builds_the_problem_once(monkeypatch):
@@ -622,6 +633,31 @@ def test_cli_sweep_unbuildable_problem_is_io_error(tmp_path, capsys, workers):
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
+def test_cli_sweep_non_finite_regression_data_is_validation_error(tmp_path, capsys, workers):
+    data = tmp_path / "data.csv"
+    data.write_text("1,2,3\n4,nan,6\n7,8,10\n", encoding="utf-8")
+    out = tmp_path / "results.csv"
+    text = MISSING_DATA_CONFIG.replace("/nonexistent/data.csv", str(data))
+    code = cli(["sweep", "--config", write_config(tmp_path, text),
+                "--out", str(out), "--workers", workers])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite value in") and str(data) in err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cli_sweep_bad_start_is_validation_error(tmp_path, capsys, workers):
+    text = GOOD_CONFIG.replace("r = 0.5", "r = 0.5\nx0 = 1, 2")
+    out = tmp_path / "results.csv"
+    code = cli(["sweep", "--config", write_config(tmp_path, text),
+                "--out", str(out), "--workers", workers])
+    assert code == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: x0 has shape (2,), problem dimension is 8\n"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
 def test_cli_sweep_prints_first_cell_errors(tmp_path, capsys, workers):
     text = GOOD_CONFIG.replace("c = 0.1, 1.0", "c = 0.1, -1.0, -2.0")
     cfg = write_config(tmp_path, text)
@@ -696,3 +732,13 @@ def test_run_once_grad_norms_are_sqrt_of_batch_grad_sq():
     for k, norm in enumerate(rec.grad_norms):
         g = evaluate(p, rec.iterates[k], sample_batch(p, 4, k, 6)).grad
         assert norm == math.sqrt(float(np.sum(g * g)))
+
+
+def test_import_loads_neither_the_process_pool_nor_numpy_random():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys, ngnopt; "
+            "print(sorted(m for m in ('concurrent.futures', 'numpy.random') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -11,13 +11,20 @@ from hypothesis.extra.numpy import arrays
 
 from ngnopt import (
     Batch,
+    ObjectiveMetadata,
+    OptimizerSpec,
     ProblemSpec,
+    RunBudget,
+    SweepSpec,
     build_problem,
     evaluate,
     finite_diff_grad,
     least_squares_problem,
+    run_once,
+    run_sweep,
     sample_batch,
 )
+from ngnopt import problems
 from ngnopt.problems import PROBLEM_KINDS, StepSample, _poly_growth_constant
 
 
@@ -118,6 +125,214 @@ def test_interpolating_build_has_zero_noise():
     assert p.metadata.f_star <= 1e-25
     s = evaluate(p, p.metadata.x_star, p.full_batch())
     assert s.loss <= 1e-25
+
+
+# --- metadata on first read ----------------------------------------------------
+
+def eager_least_squares_metadata(A, b):
+    """The metadata every least-squares build computed up front before it
+    moved to the first read of `metadata`: the reference for its bits."""
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    AtA = A.T @ A
+    evals = np.linalg.eigvalsh((AtA + AtA.T) / 2.0)
+    L = float(evals[-1])
+    x_star = np.linalg.lstsq(A, b, rcond=None)[0]
+    resid = A @ x_star - b
+    pos = evals[evals > 1e-12 * max(L, 1.0)]
+    return ObjectiveMetadata(L=L, L_coord=np.diag(AtA).copy(),
+                             f_star=float(resid @ resid) / (2.0 * A.shape[0]),
+                             x_star=x_star, mu=float(pos[0]) if pos.size else None)
+
+
+def least_squares_data(dim, n, seed, interpolating):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, dim))
+    return A, (A @ rng.standard_normal(dim) if interpolating else rng.standard_normal(n))
+
+
+def ridge_data(dim, seed, r):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((dim, dim))
+    return A + r * np.eye(dim), rng.standard_normal(dim)
+
+
+def standardized(X, y):
+    std = X.std(axis=0)
+    std[std == 0.0] = 1.0
+    return (X - X.mean(axis=0)) / std, y
+
+
+def synthetic_regression_data(seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((442, 10))
+    w = rng.standard_normal(10)
+    return standardized(X, X @ w + 0.5 * rng.standard_normal(442))
+
+
+def assert_same_metadata(got, want):
+    for f in dataclasses.fields(ObjectiveMetadata):
+        g, w = getattr(got, f.name), getattr(want, f.name)
+        if w is None:
+            assert g is None, f.name
+        elif isinstance(w, np.ndarray):
+            assert g.dtype == w.dtype and np.array_equal(g, w), f.name
+        else:
+            assert type(g) is type(w) and g == w, f.name
+
+
+@pytest.mark.parametrize("dim, n, seed, interpolating", [
+    (3, 6, 0, False), (5, 12, 3, False), (6, 12, 2, True), (20, 40, 0, True),
+    (50, 100, 5, False), (8, 4, 1, False),  # n < d: rank-deficient
+])
+def test_least_squares_metadata_keeps_the_eager_bits(dim, n, seed, interpolating):
+    p = build_problem(ProblemSpec(kind="least_squares", dim=dim, n_samples=n, seed=seed,
+                                  interpolating=interpolating))
+    assert_same_metadata(p.metadata, eager_least_squares_metadata(
+        *least_squares_data(dim, n, seed, interpolating)))
+
+
+@pytest.mark.parametrize("dim, seed, r", [
+    (5, 0, 0.0), (5, 1, 0.01), (20, 0, 1.0), (20, 3, 100.0), (40, 2, -0.5),
+])
+def test_ridge_metadata_keeps_the_eager_bits(dim, seed, r):
+    p = build_problem(ProblemSpec(kind="ridge_quadratic", dim=dim, seed=seed, r=r))
+    assert_same_metadata(p.metadata, eager_least_squares_metadata(*ridge_data(dim, seed, r)))
+
+
+def test_regression_metadata_keeps_the_eager_bits(tmp_path):
+    for seed in (0, 1):
+        p = build_problem(ProblemSpec(kind="linear_regression_data", seed=seed))
+        assert_same_metadata(p.metadata, eager_least_squares_metadata(
+            *synthetic_regression_data(seed)))
+    data = np.random.default_rng(4).standard_normal((30, 4))
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(",".join(repr(v) for v in row.tolist()) for row in data) + "\n")
+    p = build_problem(ProblemSpec(kind="linear_regression_data", data_path=str(path)))
+    assert_same_metadata(p.metadata, eager_least_squares_metadata(
+        *standardized(data[:, :-1], data[:, -1])))
+
+
+@pytest.mark.parametrize("A, b", [
+    (np.eye(2), np.array([1.0, 2.0])),
+    (np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 1.0], [0.0, 0.0, 3.0], [1.0, 1.0, 1.0]]),
+     np.array([1.0, -1.0, 2.0, 0.5])),  # two equal columns: rank 2 of 3
+    (np.zeros((4, 3)), np.ones(4)),  # L = 0 and no positive eigenvalue: mu is None
+    (np.asfortranarray(np.random.default_rng(7).standard_normal((9, 4))),
+     np.random.default_rng(8).standard_normal(9)),
+])
+def test_least_squares_problem_metadata_keeps_the_eager_bits(A, b):
+    want = eager_least_squares_metadata(A, b)
+    assert_same_metadata(least_squares_problem(A, b).metadata, want)
+    if not A.any():
+        assert want.mu is None
+
+
+@pytest.mark.parametrize("coeffs, scale", [
+    ((0.0, 1.0), 1.0), ((0.0,), 2.5), ((0.5, -2.0, 0.0, 1.0), 1.0), ((1.0, 0.0, 0.3), 0.5),
+])
+def test_polynomial_metadata_keeps_the_eager_bits(coeffs, scale):
+    p = build_problem(ProblemSpec(kind="polynomial_1d", coeffs=coeffs, scale=scale))
+    C = _poly_growth_constant(np.polynomial.Polynomial(np.asarray(coeffs, dtype=float)))
+    assert_same_metadata(p.metadata, ObjectiveMetadata(f_star=0.0, x_star=np.array([0.0]),
+                                                       C_poly=C))
+
+
+def _raise_if_called(*args, **kwargs):
+    raise AssertionError("metadata was computed")
+
+
+LAZY_CASES = [
+    (ProblemSpec(kind="least_squares", dim=4, n_samples=9, seed=1), 3),
+    (ProblemSpec(kind="ridge_quadratic", dim=6, seed=2, r=0.5), None),
+    (ProblemSpec(kind="linear_regression_data", seed=0), 32),
+    (ProblemSpec(kind="polynomial_1d", coeffs=(0.5, -2.0, 0.0, 1.0)), None),
+]
+
+
+@pytest.mark.parametrize("spec, batch_size", LAZY_CASES)
+def test_builds_runs_and_sweeps_compute_no_metadata(monkeypatch, spec, batch_size):
+    monkeypatch.setattr(problems, "_spd_eigvals", _raise_if_called)
+    monkeypatch.setattr(np.linalg, "lstsq", _raise_if_called)
+    monkeypatch.setattr(problems, "_poly_growth_constant", _raise_if_called)
+    budget = RunBudget(max_steps=30, batch_size=batch_size)
+    p = build_problem(spec)
+    run_once(p, OptimizerSpec(kind="ngn_m_v1", c=0.1, beta1=0.9), budget, seed=0)
+    rows = run_sweep(SweepSpec(spec, ["ngn", "ngn_md_v1"], [0.1, 1.0], [0.9], [0, 1],
+                               budget)).rows
+    assert [row["status"] for row in rows if row["status"] == "error"] == []
+    with pytest.raises(AssertionError, match="metadata was computed"):
+        p.metadata
+
+
+def test_least_squares_problem_computes_no_metadata(monkeypatch):
+    monkeypatch.setattr(problems, "_spd_eigvals", _raise_if_called)
+    monkeypatch.setattr(np.linalg, "lstsq", _raise_if_called)
+    A, b = least_squares_data(4, 10, 0, False)
+    p = least_squares_problem(A, b)
+    run_once(p, OptimizerSpec(kind="ngn", c=0.1), RunBudget(max_steps=30, batch_size=2), seed=0)
+    with pytest.raises(AssertionError, match="metadata was computed"):
+        p.metadata
+
+
+@pytest.mark.parametrize("spec, computes", [
+    (ProblemSpec(kind="ridge_quadratic", dim=5), "_spd_eigvals"),
+    (ProblemSpec(kind="least_squares", dim=3, seed=4), "_spd_eigvals"),
+    (ProblemSpec(kind="polynomial_1d"), "_poly_growth_constant"),
+])
+def test_metadata_is_computed_once_on_first_read(monkeypatch, spec, computes):
+    real = getattr(problems, computes)
+    calls = []
+
+    def counted(arg):
+        calls.append(arg)
+        return real(arg)
+
+    monkeypatch.setattr(problems, computes, counted)
+    p = build_problem(spec)
+    assert calls == []
+    first = p.metadata
+    assert p.metadata is first
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", ["rosenbrock", "multimodal_1d"])
+def test_closed_form_metadata_is_kept_after_the_first_read(kind):
+    p = build_problem(ProblemSpec(kind=kind))
+    assert p.metadata is p.metadata
+    assert p.metadata.f_star == 0.0
+
+
+# --- non-finite data and bad starts fail the build ------------------------------
+
+@pytest.mark.parametrize("where", ["A", "b"])
+def test_least_squares_problem_rejects_non_finite_data(where):
+    A, b = least_squares_data(3, 6, 0, False)
+    (A if where == "A" else b)[2] = np.inf
+    with pytest.raises(ValueError, match=f"data {where} has non-finite entries"):
+        least_squares_problem(A, b)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_regression_csv_rejects_non_finite_cells(tmp_path, cell):
+    path = tmp_path / "data.csv"
+    path.write_text(f"f1,f2,target\n1,2,3\n4,{cell},6\n7,8,10\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="non-finite value") as info:
+        build_problem(ProblemSpec(kind="linear_regression_data", data_path=str(path)))
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("kind, x0, match", [
+    ("least_squares", (1.0, 2.0), r"x0 has shape \(2,\), problem dimension is 3"),
+    ("ridge_quadratic", (1.0, 2.0, 3.0, 4.0), r"x0 has shape \(4,\), problem dimension is 3"),
+    ("rosenbrock", (1.0,), r"x0 has shape \(1,\), problem dimension is 2"),
+    ("polynomial_1d", (1.0, 2.0), r"x0 has shape \(2,\), problem dimension is 1"),
+    ("least_squares", (1.0, float("nan"), 0.0), "x0 must be finite"),
+    ("multimodal_1d", (float("inf"),), "x0 must be finite"),
+])
+def test_build_rejects_a_bad_start(kind, x0, match):
+    with pytest.raises(ValueError, match=match):
+        build_problem(ProblemSpec(kind=kind, dim=3, x0=x0))
 
 
 # --- least squares: the full batch reads A in place ---------------------------
