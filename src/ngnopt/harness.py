@@ -268,7 +268,10 @@ def run_lockstep(problem: StochasticObjective, cells: list, budget: RunBudget, s
             full_batch = problem.full_batch()
             diverge_loss, success_loss = budget.diverge_loss, budget.success_loss
             for k in range(budget.max_steps if active else 0):
-                X = np.array([cell.state.x for cell in active])
+                if len(active) == 1:  # a view: the oracle reads X and never writes it
+                    X = active[0].state.x[None, :]
+                else:
+                    X = np.array([cell.state.x for cell in active])
                 if not np.isfinite(X).all():
                     finite = np.isfinite(X).all(axis=1)
                     for cell, ok in zip(active, finite.tolist()):

@@ -13,11 +13,16 @@ rescale either the squared gradient norm (V1) or the per-coordinate c
 (V2) by an RMSprop-style preconditioner D = eps + sqrt(vhat).
 
 Step functions are pure: given (state, sample, spec) they return a new
-state and a report, never mutating their inputs. Reductions use ndarray
-methods such as `(g*g).sum()`. They run the same ufunc reductions as
-`np.sum` (`add.reduce`), so they give the same bits without the wrappers'
-dispatch. They never use BLAS dot, so that the documented reduction
-identities (beta=0, D=I, lambda=0 collapses) hold bit for bit.
+state and a report. OptimizerState, StepReport and StepSample are
+slotted plain data, not frozen (a frozen dataclass pays for every field
+it sets); rules never assign to them or write into their arrays, so a
+run history can keep iterates and gradients by reference.
+
+Reductions use ndarray methods such as `(g*g).sum()`. They run the same
+ufunc reductions as `np.sum` (`add.reduce`), so they give the same bits
+without the wrappers' dispatch. They never use BLAS dot, so that the
+documented reduction identities (beta=0, D=I, lambda=0 collapses) hold
+bit for bit.
 The squared gradient norm of a sample is computed once, as
 `StepSample.grad_sq`, and the rules that need ||g||^2 read it.
 """
@@ -104,7 +109,7 @@ class OptimizerSpec:
             object.__setattr__(self, "c_coord", cc)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class OptimizerState:
     """Iterate, previous iterate, second-moment buffer, momentum buffer,
     and the 0-based step counter k."""
@@ -116,7 +121,7 @@ class OptimizerState:
     k: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class StepReport:
     """Per-step diagnostics of one update.
 
@@ -150,7 +155,9 @@ def ngn_gamma(c, loss, grad_sq):
     Accepts scalars or arrays (per-coordinate c_j and g_j^2 broadcast
     against a scalar loss). Always lies in [0, c], is non-increasing in
     grad_sq, and non-decreasing in loss. Python floats, the inputs of every
-    scalar rule, skip np.ndim; every input is validated either way.
+    scalar rule, skip np.ndim; every input is validated either way, on
+    the array path by min/max reductions. A positive loss with every
+    g_j^2 positive needs no guard against a zero denominator.
     """
     if ((type(c) is float or np.ndim(c) == 0)
             and (type(grad_sq) is float or np.ndim(grad_sq) == 0)):
@@ -174,10 +181,19 @@ def ngn_gamma(c, loss, grad_sq):
     c = np.asarray(c, dtype=float)
     gs = np.asarray(grad_sq, dtype=float)
     loss = float(loss)
-    if not (np.isfinite(c).all() and math.isfinite(loss) and np.isfinite(gs).all()):
+    # min and max see every NaN and +-inf; `initial` lets an empty operand
+    # through, as the elementwise checks did
+    c_lo, c_hi = c.min(initial=1.0), c.max(initial=1.0)
+    gs_lo, gs_hi = gs.min(initial=1.0), gs.max(initial=1.0)
+    if not (math.isfinite(c_lo) and math.isfinite(c_hi) and math.isfinite(loss)
+            and math.isfinite(gs_lo) and math.isfinite(gs_hi)):
         raise ValueError("non-finite inputs to ngn_gamma")
-    if (c <= 0.0).any() or loss < 0.0 or (gs < 0.0).any():
+    if c_lo <= 0.0 or loss < 0.0 or gs_lo < 0.0:
         raise ValueError("ngn_gamma requires c > 0, loss >= 0, grad_sq >= 0")
+    if loss > 0.0 and gs_lo > 0.0:
+        # every denominator is positive and no g_j^2 is zero, so both
+        # np.where's below would keep this quotient: the same bits
+        return np.minimum(c, 2.0 * c * loss / (2.0 * loss + c * gs))
     denom = 2.0 * loss + c * gs
     safe = np.where(denom > 0.0, denom, 1.0)
     return np.where(gs == 0.0, c, np.minimum(c, 2.0 * c * loss / safe))

@@ -85,13 +85,14 @@ class Batch:
         return int(self.indices.size)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class StepSample:
     """One oracle evaluation: loss value, gradient vector, batch identity.
 
     grad_sq is ||grad||^2, computed by the constructor as
     float((grad*grad).sum()), the same bits as float(np.sum(grad*grad)).
-    The NGN rules read it for the step size.
+    The NGN rules read it for the step size. Plain slotted data: the step
+    rules never assign to a sample or write into its gradient.
     """
 
     loss: float
@@ -100,7 +101,7 @@ class StepSample:
     grad_sq: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "grad_sq", float((self.grad * self.grad).sum()))
+        self.grad_sq = float((self.grad * self.grad).sum())
 
     @classmethod
     def _with_grad_sq(cls, loss: float, grad: np.ndarray, batch: Batch,
@@ -109,10 +110,7 @@ class StepSample:
         row of evaluate_cells' row sums: the same bits the constructor
         computes."""
         sample = cls.__new__(cls)
-        object.__setattr__(sample, "loss", loss)
-        object.__setattr__(sample, "grad", grad)
-        object.__setattr__(sample, "batch", batch)
-        object.__setattr__(sample, "grad_sq", grad_sq)
+        sample.loss, sample.grad, sample.batch, sample.grad_sq = loss, grad, batch, grad_sq
         return sample
 
 
@@ -551,7 +549,8 @@ def _load_regression_csv(path: str) -> tuple:
 def _build_regression(spec: ProblemSpec) -> StochasticObjective:
     """Linear regression data: CSV when given, else a seeded synthetic
     442 x 10 Gaussian regression. Features standardized to zero mean and
-    unit variance; the last CSV column is the target."""
+    unit variance; a feature column whose mean or std overflows is an
+    error, named by its 0-based index. The last CSV column is the target."""
     if spec.data_path is not None:
         X, y = _load_regression_csv(spec.data_path)
     else:
@@ -559,8 +558,13 @@ def _build_regression(spec: ProblemSpec) -> StochasticObjective:
         X = rng.standard_normal((442, 10))
         w = rng.standard_normal(10)
         y = X @ w + 0.5 * rng.standard_normal(442)
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=0)
+        std = X.std(axis=0)
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if bad.size:
+        raise ValueError(f"regression CSV {spec.data_path!r}: feature column {int(bad[0])} "
+                         f"cannot be standardized (its mean or std overflows)")
     std[std == 0.0] = 1.0
     A = (X - mean) / std
     x0 = None if spec.x0 is None else np.asarray(spec.x0, dtype=float)

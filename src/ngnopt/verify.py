@@ -3,10 +3,12 @@ step-size equality, reduction identities, and convergence-bound checks.
 
 Each audit runs real optimizer code, measures the worst-case residual
 against a stated tolerance, and returns an AuditReport. Optimizer runs
-go through harness.run_once; the one step loop here is the moving-average
-twin that the equivalence audit checks run_once against. Audits are
-deterministic given their seed, independent of each other, and report
-the exact violation magnitude and where it occurred.
+go through harness.run_lockstep or its one-cell case run_once (the
+reduction pairs step as one group on one batch sequence); the one step
+loop here is the moving-average twin that the equivalence audit checks
+the harness against. Audits are deterministic given their seed,
+independent of each other, and report the exact violation magnitude and
+where it occurred.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from typing import Optional
 import numpy as np
 
 from . import theory
-from .harness import STATUS_DIVERGED, RunBudget, RunRecord, ensure_parent_dir, run_once
+from .harness import (
+    STATUS_DIVERGED, Cell, RunBudget, RunRecord, ensure_parent_dir, run_lockstep, run_once,
+)
 from .optimizers import (
     NGN, NGN_D, NGN_M_V1, NGN_MD_V1, NGN_MD_V2, NGN_MDV1W,
     OptimizerSpec, ngn_gamma, schedule_c,
@@ -47,16 +51,22 @@ def _report(name: str, max_violation: float, tolerance: float, location: str) ->
                        location, float(tolerance))
 
 
-def _trajectory(problem: StochasticObjective, spec: OptimizerSpec, steps: int,
-                seed: int = 0, batch_size: Optional[int] = None) -> RunRecord:
-    """run_once stopped only by divergence, which voids the audit: exactly
-    `steps` updates and one oracle call per step."""
+def _trajectories(problem: StochasticObjective, specs: list, steps: int, seed: int = 0,
+                  batch_size: Optional[int] = None) -> list:
+    """One cell per spec, stepped as one lockstep group stopped only by
+    divergence, which voids the audit: exactly `steps` updates and one
+    oracle call per step. The first cell in the order of specs that
+    failed or diverged raises."""
     budget = RunBudget(max_steps=steps, success_loss=-1.0, diverge_loss=math.inf,
                        batch_size=batch_size)
-    run = run_once(problem, spec, budget, seed, full_eval_every=0)
-    if run.status == STATUS_DIVERGED:
-        raise ValueError(f"audit run of {spec.kind} diverged at step {run.stop_step}")
-    return run
+    cells = [Cell(problem, spec) for spec in specs]
+    run_lockstep(problem, cells, budget, seed, full_eval_every=0)
+    for cell in cells:
+        if cell.error is not None:
+            raise cell.error
+        if cell.status == STATUS_DIVERGED:
+            raise ValueError(f"audit run of {cell.spec.kind} diverged at step {cell.stop_step}")
+    return cells
 
 
 def audit_ima_equivalence(problem: StochasticObjective, spec: OptimizerSpec,
@@ -77,7 +87,7 @@ def audit_ima_equivalence(problem: StochasticObjective, spec: OptimizerSpec,
         raise ValueError("the moving-average equivalence is defined for the heavy-ball variant")
     beta = spec.beta1
     lam = beta / (1.0 - beta)
-    alg_iterates = _trajectory(problem, spec, steps, seed, batch_size).iterates
+    alg_iterates = _trajectories(problem, [spec], steps, seed, batch_size)[0].iterates
 
     bs = problem.n_samples if batch_size is None else batch_size
     worst = 0.0
@@ -207,15 +217,16 @@ def audit_reductions(problem: StochasticObjective, seed: int = 0, steps: int = 1
     with beta1=0 and identity preconditioner equals NGN-D; the diagonal
     heavy-ball rule with identity preconditioner equals scalar NGN-M; and
     the coupled weight-decay rule at lambda=0 equals the diagonal rule.
-    Each pair runs on the same batch sequence and every iterate must
-    compare equal (IEEE equality, which identifies +0 and -0). Tolerance
-    is exactly zero.
+    The runs of all pairs step as one lockstep group on one batch
+    sequence, and every iterate of a pair must compare equal (IEEE
+    equality, which identifies +0 and -0). Tolerance is exactly zero.
     """
+    pairs = _reduction_pairs()
+    specs = [spec for _, spec_a, spec_b in pairs for spec in (spec_a, spec_b)]
+    cells = _trajectories(problem, specs, steps, seed, batch_size)
     worst = 0.0
     location = "none"
-    for pair_name, spec_a, spec_b in _reduction_pairs():
-        run_a = _trajectory(problem, spec_a, steps, seed, batch_size)
-        run_b = _trajectory(problem, spec_b, steps, seed, batch_size)
+    for (pair_name, _, _), run_a, run_b in zip(pairs, cells[::2], cells[1::2]):
         for k, (x_a, x_b) in enumerate(zip(run_a.iterates[1:], run_b.iterates[1:])):
             if not np.array_equal(x_a, x_b):
                 diff = np.abs(x_a - x_b)
@@ -264,7 +275,7 @@ def audit_theorem_bound(problem: StochasticObjective, K: int, c: Optional[float]
         c_val = 1.0 / math.sqrt(K) if c is None else float(c)
         _, _, beta_max = theory.ngn_m_params(c_val, L)
         spec = OptimizerSpec(kind=NGN_M_V1, c=c_val, beta1=beta_max)
-        run = _trajectory(problem, spec, K)
+        run = _trajectories(problem, [spec], K)[0]
         mean_subopt = float(np.mean(run.losses)) - meta.f_star
         bound = theory.ngn_m_bound(theory.TheoryInputs(c=c_val, L=L, K=K, dist0_sq=dist0_sq))
         worst = max(0.0, mean_subopt - bound)
@@ -277,7 +288,7 @@ def audit_theorem_bound(problem: StochasticObjective, K: int, c: Optional[float]
     spec = OptimizerSpec(kind=NGN_M_V1, c=c0, beta1=beta,
                          schedule="inv_sqrt_step")
     weights = theory.decaying_weights(c0, L, K)
-    run = _trajectory(problem, spec, K)
+    run = _trajectories(problem, [spec], K)[0]
     xhat = np.zeros_like(x0)
     weighted_subopt = 0.0
     for w, x, loss in zip(weights, run.iterates, run.losses):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import struct
 
 import numpy as np
@@ -9,8 +11,10 @@ from hypothesis import strategies as st
 import ngnopt
 from ngnopt import (
     OptimizerSpec,
+    OptimizerState,
     ProblemSpec,
     RunBudget,
+    StepReport,
     StepSample,
     apply_step,
     build_problem,
@@ -189,6 +193,108 @@ def test_ngn_gamma_smoothness_lower_bound():
     for f in (1e-8, 0.5, 10.0, 1e6):
         gs = 2.0 * L * f
         assert ngn_gamma(c, f, gs) >= c / (1.0 + c * L) * (1 - 1e-12)
+
+
+def reference_ngn_gamma_vector(c, loss, grad_sq):
+    """The array path of ngn_gamma as it stood before its fast path: full
+    validation, then two np.where's. The fast path must return these
+    bits, and raise these errors."""
+    c = np.asarray(c, dtype=float)
+    gs = np.asarray(grad_sq, dtype=float)
+    loss = float(loss)
+    if not (np.isfinite(c).all() and math.isfinite(loss) and np.isfinite(gs).all()):
+        raise ValueError("non-finite inputs to ngn_gamma")
+    if (c <= 0.0).any() or loss < 0.0 or (gs < 0.0).any():
+        raise ValueError("ngn_gamma requires c > 0, loss >= 0, grad_sq >= 0")
+    denom = 2.0 * loss + c * gs
+    safe = np.where(denom > 0.0, denom, 1.0)
+    return np.where(gs == 0.0, c, np.minimum(c, 2.0 * c * loss / safe))
+
+
+# zero, subnormals, the smallest normal, and values whose products
+# underflow or overflow
+EDGE_VALUES = (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-200, 1e-160, 0.5, 1.0,
+               3.0, 1e160, 1e200, 1.7976931348623157e308)
+non_negative = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(0.0, 1e300),
+                         st.floats(0.0, allow_infinity=False, allow_subnormal=True))
+positive = non_negative.filter(lambda v: v > 0.0)
+bad_values = st.sampled_from((math.nan, math.inf, -math.inf, -1.0, -5e-324, -0.0, -1e300))
+
+
+def vector_inputs(draw, length):
+    """(c, grad_sq): at least one of them a vector of length `length`."""
+    shape = draw(st.sampled_from(("both", "c scalar", "grad_sq scalar")))
+    c = np.array(draw(st.lists(positive, min_size=length, max_size=length)))
+    gs = np.array(draw(st.lists(non_negative, min_size=length, max_size=length)))
+    if shape == "c scalar":
+        c = draw(positive)
+    elif shape == "grad_sq scalar":
+        gs = draw(non_negative)
+    return c, gs
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def assert_same_outcome(c, loss, gs):
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        got = outcome(ngn_gamma, c, loss, gs)
+        want = outcome(reference_ngn_gamma_vector, c, loss, gs)
+    assert got[0] == want[0], (got, want)
+    if got[0] == "error":
+        assert got[1] == want[1]
+    else:
+        assert type(got[1]) is np.ndarray
+        assert got[1].shape == want[1].shape and got[1].dtype == want[1].dtype
+        assert got[1].tobytes() == want[1].tobytes(), (c, loss, gs, got[1], want[1])
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), length=st.integers(1, 6), loss=non_negative)
+def test_ngn_gamma_vector_has_the_reference_bits(data, length, loss):
+    c, gs = vector_inputs(data.draw, length)
+    assert_same_outcome(c, loss, gs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), length=st.integers(1, 6), loss=non_negative, bad=bad_values,
+       where=st.sampled_from(("c", "loss", "grad_sq")))
+def test_ngn_gamma_vector_rejects_what_the_reference_rejects(data, length, loss, bad, where):
+    c, gs = vector_inputs(data.draw, length)
+    if where == "loss":
+        loss = bad
+    else:
+        arr = np.array(c if where == "c" else gs, dtype=float, ndmin=1)
+        arr[data.draw(st.integers(0, arr.size - 1))] = bad
+        c, gs = (arr, gs) if where == "c" else (c, arr)
+    assert_same_outcome(c, loss, gs)
+
+
+def test_ngn_gamma_vector_edge_cases_have_the_reference_bits():
+    one = np.ones(3)
+    for c, loss, gs in [
+        (one, 0.0, one),                                   # zero loss
+        (one, 2.0, np.array([0.0, 1.0, 0.0])),             # zero g_j^2
+        (one, 0.0, np.zeros(3)),                           # 0/0 corner
+        (np.full(3, 1e-200), 1.0, np.full(3, 1e-200)),     # c*gs underflows
+        (np.full(3, 0.5), 0.0, np.full(3, 5e-324)),        # whole denominator underflows
+        (np.full(3, 1e200), 1e200, np.full(3, 1e200)),     # numerator and denominator overflow
+        (np.full(3, 1.7976931348623157e308), 1.0, one),   # 2c overflows
+        (np.full(3, 5e-324), 5e-324, np.full(3, 5e-324)),  # all subnormal
+        (0.5, 3.0, np.array([4.0])),                       # scalar c, one coordinate
+        (np.array([0.5, 2.0]), 3.0, 4.0),                  # scalar grad_sq
+        (np.array([1.0, math.nan]), 1.0, one[:2]),         # NaN cap
+        (one, 1.0, np.array([1.0, -0.0, 1.0])),            # negative zero
+        (one, -0.0, one),
+        (one, math.inf, one),
+        (np.array([1.0, 0.0]), 1.0, one[:2]),              # zero cap
+        (np.empty(0), 1.0, np.empty(0)),                   # no coordinates
+    ]:
+        assert_same_outcome(c, loss, gs)
 
 
 # --- schedules and preconditioner ----------------------------------------------
@@ -510,3 +616,94 @@ def test_cli_trajectory_matches_eager_reference(kind, tmp_path):
                 cells += [""] * len(REPORT_STATS)
             lines.append(",".join(cells))
         assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n", dim
+
+
+# --- step objects are slotted plain data, and rules never touch their inputs ----
+
+@pytest.mark.parametrize("cls, args, scalar", [
+    (OptimizerState, (np.ones(2), np.zeros(2), np.zeros(2), np.zeros(2), 3), "k"),
+    (StepReport, (0.5, np.ones(2), np.ones(2), np.ones(2)), "gamma_scalar"),
+    (StepSample, (2.0, np.array([3.0, 4.0]), DUMMY_BATCH), "loss"),
+])
+def test_step_objects_are_slotted_plain_data(cls, args, scalar):
+    obj = cls(*args)
+    assert not hasattr(obj, "__dict__")
+    assert not cls.__dataclass_params__.frozen
+    names = [f.name for f in dataclasses.fields(cls) if f.init]
+    assert all(getattr(obj, name) is arg for name, arg in zip(names, args))
+    copy = dataclasses.replace(obj, **{scalar: 7})
+    assert getattr(copy, scalar) == 7 and getattr(obj, scalar) == args[names.index(scalar)]
+    restored = pickle.loads(pickle.dumps(obj))
+    for f in dataclasses.fields(cls):
+        value = getattr(obj, f.name)
+        if isinstance(value, Batch):
+            assert np.array_equal(getattr(restored, f.name).indices, value.indices)
+        else:
+            assert np.array_equal(getattr(restored, f.name), value)
+
+
+def test_sample_with_grad_sq_equals_the_constructor():
+    grad = np.array([0.1, -2.5, 3.0])
+    built = StepSample(1.5, grad, DUMMY_BATCH)
+    assert same_bits(built.grad_sq, float(np.sum(grad * grad)))
+    fast = StepSample._with_grad_sq(1.5, grad, DUMMY_BATCH, built.grad_sq)
+    for f in dataclasses.fields(StepSample):
+        assert getattr(fast, f.name) is getattr(built, f.name)
+    assert dataclasses.replace(built, loss=2.0).grad_sq == built.grad_sq
+
+
+def rule_specs(kind, dim):
+    """The spec variants of a kind that take different branches."""
+    base = spec_for(kind)
+    specs = [base, dataclasses.replace(base, schedule="inv_sqrt_step")]
+    if kind == "ngn_d":
+        specs += [dataclasses.replace(base, c_coord=np.linspace(0.2, 0.7, dim)),
+                  dataclasses.replace(base, ngn_d_precond=True)]
+    if kind.startswith("ngn_md") or kind in WD_KINDS:
+        specs.append(dataclasses.replace(base, precond_identity=True))
+    if kind in WD_KINDS:
+        specs.append(dataclasses.replace(base, wd_lambda=0.0))
+    return specs
+
+
+def held(obj) -> dict:
+    """Each field of a dataclass: the object it holds and, for an array,
+    its bytes."""
+    out = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        out[f.name] = (value, value.tobytes() if isinstance(value, np.ndarray) else None)
+    return out
+
+
+def assert_untouched(obj, before: dict) -> None:
+    for name, (value, data) in before.items():
+        assert getattr(obj, name) is value, name
+        if data is not None:
+            assert value.tobytes() == data, name
+
+
+@pytest.mark.parametrize("minibatch", [False, True], ids=["full", "minibatch"])
+@pytest.mark.parametrize("dim", [1, 5])
+@pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+def test_step_rules_never_mutate_their_inputs(kind, dim, minibatch):
+    # a run record keeps every iterate by reference, so a rule that wrote
+    # into an input array would rewrite the history behind it
+    p = build_problem(ProblemSpec(kind="least_squares", dim=dim, n_samples=4 * dim + 2, seed=dim))
+    for spec in rule_specs(kind, dim):
+        spec_before = held(spec)
+        state = init_state(p.x0_default + 1.0)
+        seen = [(state.x, state.x.tobytes())]
+        for k in range(20):
+            batch = sample_batch(p, 3, k, 2 * dim) if minibatch else p.full_batch()
+            sample = evaluate(p, state.x, batch)
+            state_before, sample_before = held(state), held(sample)
+            batch_indices = batch.indices.tobytes()
+            new, _ = apply_step(state, sample, spec)
+            assert_untouched(state, state_before)
+            assert_untouched(sample, sample_before)
+            assert batch.indices.tobytes() == batch_indices
+            state = new
+            seen.append((state.x, state.x.tobytes()))
+        assert_untouched(spec, spec_before)
+        assert all(x.tobytes() == data for x, data in seen), spec

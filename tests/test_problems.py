@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -319,6 +320,22 @@ def test_regression_csv_rejects_non_finite_cells(tmp_path, cell):
     path.write_text(f"f1,f2,target\n1,2,3\n4,{cell},6\n7,8,10\n", encoding="utf-8")
     with pytest.raises(ValueError, match="non-finite value") as info:
         build_problem(ProblemSpec(kind="linear_regression_data", data_path=str(path)))
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("rows, column", [
+    # the mean is finite and the std overflows: once an all-zero feature
+    (("1e308,5,1", "-1e308,6,2", "1e308,7,3"), 0),
+    # the sum overflows, so the mean is inf and the std NaN
+    (("5,1e308,1", "6,1e308,2", "7,-1e308,3"), 1),
+])
+def test_regression_csv_rejects_overflowing_column(tmp_path, rows, column):
+    path = tmp_path / "huge.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # any RuntimeWarning fails the test
+        with pytest.raises(ValueError, match=f"feature column {column} cannot be standardized") as info:
+            build_problem(ProblemSpec(kind="linear_regression_data", data_path=str(path)))
     assert str(path) in str(info.value)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from ngnopt import (
     OptimizerSpec,
     ProblemSpec,
     RunBudget,
+    STATUS_DIVERGED,
     audit_fundamental_equality,
     audit_ima_equivalence,
     audit_reductions,
@@ -14,6 +16,7 @@ from ngnopt import (
     audit_theorem_bound,
     audits_to_csv,
     build_problem,
+    harness,
     multimodal_global_basin,
     run_default_audits,
     run_once,
@@ -194,6 +197,47 @@ def test_reductions_fail_on_perturbed_cap(monkeypatch):
     rep = audit_reductions(quadratic(dim=4, n=8, seed=5), seed=1, steps=50, batch_size=4)
     assert not rep.passed
     assert rep.location == "ngn[c] == ngn[c(1+1e-6)] at step 1"
+
+
+def test_reductions_draw_one_batch_per_step(monkeypatch):
+    # every run of every pair steps in one lockstep group
+    calls = []
+    original = harness.sample_batch
+
+    def counted(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(harness, "sample_batch", counted)
+    rep = audit_reductions(quadratic(dim=4, n=8, seed=5), seed=1, steps=50, batch_size=4)
+    assert rep.passed
+    assert calls == list(range(50))
+
+
+@pytest.mark.parametrize("order", ["slow first", "fast first", "error first"])
+def test_reductions_raise_for_the_first_bad_run_in_pair_order(monkeypatch, order):
+    # the run first in pair order raises what its own run raises, even
+    # when a later run diverges at an earlier step
+    p = quadratic(dim=4, n=8, seed=5)
+    ok = OptimizerSpec(kind="ngn", c=0.5)
+    slow = OptimizerSpec(kind="sgdm", c=8.0)  # overflows at step 149
+    fast = OptimizerSpec(kind="sgdm", c=1e200)  # overflows on the first step
+    broken = OptimizerSpec(kind="ngn_d", c=0.5, c_coord=np.ones(3))  # wrong shape for d=4
+    first, later = {"slow first": (slow, fast), "fast first": (fast, slow),
+                    "error first": (broken, fast)}[order]
+    pairs = [("ok", ok, ok), ("first", ok, first), ("later", later, ok)]
+    monkeypatch.setattr(verify, "_reduction_pairs", lambda: pairs)
+    budget = RunBudget(max_steps=300, success_loss=-1.0, diverge_loss=math.inf, batch_size=4)
+    try:
+        run = run_once(p, first, budget, seed=1, full_eval_every=0)
+    except ValueError as error:
+        want = str(error)
+    else:
+        assert run.status == STATUS_DIVERGED
+        want = f"audit run of {first.kind} diverged at step {run.stop_step}"
+    with pytest.raises(ValueError) as got:
+        audit_reductions(p, seed=1, steps=300, batch_size=4)
+    assert str(got.value) == want
 
 
 # --- convergence certificates --------------------------------------------------------
