@@ -1,13 +1,14 @@
 """Run loop, divergence detection, sweeps, config ingestion, CSV, and CLI.
 
 run_lockstep is the one loop that steps an optimizer. It steps a group
-of cells that share a batch sequence (every cell of a full-batch run, or
-every cell with the same seed on mini-batches) with one batch draw and
-one stacked oracle call per step; each cell then applies the stop rules
-and its own step rule. A cell stops on divergence (non-finite iterate,
-loss or gradient norm, or loss above threshold) or success, before taking
-the next step, and records why. run_once is the loop's one-cell case;
-sweeps, the CLI and the audits use these two. Sweeps execute a
+of cells, one RunRecord each, that share a batch sequence (every cell of
+a full-batch run, or every cell with the same seed on mini-batches) with
+one batch draw and one stacked oracle call per step; each cell then
+applies the stop rules and its own step rule. A cell stops on divergence
+(non-finite iterate, loss or gradient norm, or loss above threshold) or
+success, before taking the next step, and records why. run_once is the
+loop's one-cell case and returns the record it stepped; sweeps, the CLI
+and the audits use these two. Sweeps execute a
 deterministic grid of (kind, c, beta, seed[, x0]) cells, serially (one
 group per batch sequence) or in a process pool (one cell per task), and
 aggregate per-cell summaries in cell order, so repeated invocations of
@@ -27,7 +28,7 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -86,30 +87,54 @@ class RunBudget:
             raise ValueError("batch_size must be >= 1")
 
 
-@dataclass(eq=False)
 class RunRecord:
-    """Everything recorded during one run, plus the config echo.
+    """One run: its rule, its state and what it records; the object the
+    run loop steps.
 
     iterates holds x_0 ... x_final as references (step functions never
     modify an iterate in place), and losses[k] and grad_norms[k] were
     evaluated at iterates[k]. step_reports[k] describes the update from
     iterates[k] to iterates[k + 1]; there is none for the final
     evaluation when a stop condition fired. full_losses holds periodic
-    (step, full-batch loss) pairs for stochastic runs. x0, x_final and
-    stop_step are read off this history. stop_reason is one of the STOP_*
-    names: the test that ended the run, or `budget`.
+    (step, full-batch loss) pairs for stochastic runs. A run stepped
+    without history (a sweep cell) records none of these past x_0.
+
+    Every run keeps a running summary: final_loss and best_loss have the
+    bits of losses[-1] and min(losses), and stop_step is the step at
+    which a stop condition fired (None out of budget). x_final is
+    state.x, with history the same object as iterates[-1]. status and
+    stop_reason (one of the STOP_* names: the test that ended the run, or
+    `budget`) are set when a stop rule fires; error holds an exception
+    that ended the run.
     """
 
-    losses: list
-    grad_norms: list
-    step_reports: list
-    status: str
-    spec: OptimizerSpec
-    budget: RunBudget
-    seed: int
-    iterates: list
-    full_losses: list = field(default_factory=list)
-    stop_reason: str = STOP_BUDGET
+    def __init__(self, problem: StochasticObjective, spec: OptimizerSpec,
+                 x0: Optional[np.ndarray] = None):
+        self.spec = spec
+        self.state = init_state(check_point(problem, problem.x0_default if x0 is None else x0))
+        self.losses: list = []
+        self.grad_norms: list = []
+        self.step_reports: list = []
+        self.iterates: list = [self.state.x]
+        self.full_losses: list = []
+        self.final_loss = self.best_loss = float("nan")
+        self.stop_step: Optional[int] = None
+        self.status = STATUS_BUDGET
+        self.stop_reason = STOP_BUDGET
+        self.error: Optional[Exception] = None
+
+    def record(self, k: int, loss: float, grad_norm: float, history: bool) -> None:
+        """Record the evaluation of step k; the running minimum has the
+        bits of min(losses), a NaN first loss included."""
+        if history:
+            self.losses.append(loss)
+            self.grad_norms.append(grad_norm)
+        if k == 0 or loss < self.best_loss:
+            self.best_loss = loss
+        self.final_loss = loss
+
+    def stop(self, k: int, status: str, reason: str) -> None:
+        self.stop_step, self.status, self.stop_reason = k, status, reason
 
     @property
     def x0(self) -> np.ndarray:
@@ -117,20 +142,7 @@ class RunRecord:
 
     @property
     def x_final(self) -> np.ndarray:
-        return self.iterates[-1]
-
-    @property
-    def stop_step(self) -> Optional[int]:
-        """The step at which a stop condition fired; None out of budget."""
-        return None if self.status == STATUS_BUDGET else len(self.losses) - 1
-
-    @property
-    def final_loss(self) -> float:
-        return self.losses[-1] if self.losses else float("nan")
-
-    @property
-    def best_loss(self) -> float:
-        return min(self.losses) if self.losses else float("nan")
+        return self.state.x
 
     @property
     def steps_to_success(self) -> Optional[int]:
@@ -196,49 +208,10 @@ class SweepResult:
     rows: list
 
 
-class Cell:
-    """One run inside a lockstep group: its rule, its state and what it
-    records.
-
-    A group run with history fills losses, grad_norms, reports, iterates
-    and full_losses, which a RunRecord holds. Every group keeps what a
-    sweep row reads: the last and the best loss, the stop step and the
-    state, whose x is the final iterate. status and stop_reason are set
-    when a stop rule fires; error holds an exception that ended the cell.
-    """
-
-    def __init__(self, problem: StochasticObjective, spec: OptimizerSpec,
-                 x0: Optional[np.ndarray] = None):
-        self.spec = spec
-        self.state = init_state(check_point(problem, problem.x0_default if x0 is None else x0))
-        self.losses: list = []
-        self.grad_norms: list = []
-        self.reports: list = []
-        self.iterates: list = [self.state.x]
-        self.full_losses: list = []
-        self.final_loss = self.best_loss = float("nan")
-        self.stop_step: Optional[int] = None
-        self.status = STATUS_BUDGET
-        self.stop_reason = STOP_BUDGET
-        self.error: Optional[Exception] = None
-
-    def record(self, k: int, loss: float, grad_norm: float, history: bool) -> None:
-        """Record the evaluation of step k; the running minimum has the
-        bits of min(losses), a NaN first loss included."""
-        if history:
-            self.losses.append(loss)
-            self.grad_norms.append(grad_norm)
-        if k == 0 or loss < self.best_loss:
-            self.best_loss = loss
-        self.final_loss = loss
-
-    def stop(self, k: int, status: str, reason: str) -> None:
-        self.stop_step, self.status, self.stop_reason = k, status, reason
-
-
 def run_lockstep(problem: StochasticObjective, cells: list, budget: RunBudget, seed: int,
                  full_eval_every: Optional[int] = None, history: bool = True) -> None:
-    """Step cells that share one batch sequence until each one stops.
+    """Step runs (RunRecords, the cells of a group) that share one batch
+    sequence until each one stops.
 
     Each step draws one batch (for the group's seed), stacks the active
     iterates and makes one oracle call; stochastic runs also log the
@@ -250,9 +223,9 @@ def run_lockstep(problem: StochasticObjective, cells: list, budget: RunBudget, s
     A cell that does not stop takes one step of its own rule through
     apply_step. Cells leave the group as they stop, so every cell ends
     where its one-cell run ends, with the same bits. An exception in a
-    step rule ends that cell alone (Cell.error); any other exception ends
-    every cell still running. history=False records only what Cell
-    keeps for a sweep row.
+    step rule ends that cell alone (RunRecord.error); any other exception
+    ends every cell still running. history=False keeps only the running
+    summary and the state, which is what a sweep row reads.
     """
     step_fn = apply_step  # read here, so a patched harness.apply_step is the one called
     active = [cell for cell in cells if cell.error is None]
@@ -310,7 +283,7 @@ def run_lockstep(problem: StochasticObjective, cells: list, budget: RunBudget, s
                             continue
                         if history:
                             cell.iterates.append(cell.state.x)
-                            cell.reports.append(report)
+                            cell.step_reports.append(report)
                         running.append(cell)
                 active = running
                 if not active:
@@ -322,16 +295,16 @@ def run_lockstep(problem: StochasticObjective, cells: list, budget: RunBudget, s
 
 
 def run_once(problem: StochasticObjective, spec: OptimizerSpec, budget: RunBudget,
-             seed: int, x0: Optional[np.ndarray] = None,
-             full_eval_every: Optional[int] = None) -> RunRecord:
+             seed: int, x0: Optional[np.ndarray] = None) -> RunRecord:
     """Execute one run until a stop condition or the step cap: the
-    one-cell case of run_lockstep, with its whole history recorded."""
-    cell = Cell(problem, spec, x0)
-    run_lockstep(problem, [cell], budget, seed, full_eval_every)
-    if cell.error is not None:
-        raise cell.error
-    return RunRecord(cell.losses, cell.grad_norms, cell.reports, cell.status, spec, budget,
-                     seed, cell.iterates, cell.full_losses, cell.stop_reason)
+    one-cell case of run_lockstep, with its whole history recorded.
+    Returns the record the loop stepped; an exception that ended the run
+    is raised."""
+    rec = RunRecord(problem, spec, x0)
+    run_lockstep(problem, [rec], budget, seed)
+    if rec.error is not None:
+        raise rec.error
+    return rec
 
 
 def make_optimizer_spec(sweep: SweepSpec, kind: str, c: float, beta: float) -> OptimizerSpec:
@@ -353,10 +326,9 @@ def _sweep_row(sweep: SweepSpec, cell, run) -> dict:
     error = run if isinstance(run, Exception) else run.error
     if error is None:
         row.update(status=run.status, final_loss=run.final_loss, best_loss=run.best_loss,
-                   steps_to_success=run.stop_step if run.status == STATUS_CONVERGED else None,
-                   stop_reason=run.stop_reason)
+                   steps_to_success=run.steps_to_success, stop_reason=run.stop_reason)
         if sweep.x0_grid is not None:
-            row["x_final"] = run.state.x
+            row["x_final"] = run.x_final
     else:  # record the failure, never abort the sweep
         row.update(status=STATUS_ERROR, final_loss=float("nan"), best_loss=float("nan"),
                    steps_to_success=None, stop_reason=None)
@@ -375,14 +347,14 @@ def _sweep_rows(sweep: SweepSpec, cells: list, problem: StochasticObjective) -> 
         try:
             spec = make_optimizer_spec(sweep, kind, c, beta)
             x0_arr = None if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
-            runs.append(Cell(problem, spec, x0_arr))
+            runs.append(RunRecord(problem, spec, x0_arr))
         except Exception as exc:  # a bad spec or start fails its cell alone
             runs.append(exc)
     bs = sweep.budget.batch_size
     shared = bs is None or bs >= problem.n_samples  # the seed picks no batch
     groups: dict = {}
     for cell, run in zip(cells, runs):
-        if isinstance(run, Cell):
+        if isinstance(run, RunRecord):
             groups.setdefault(0 if shared else cell[3], []).append(run)
     for seed, group in groups.items():
         run_lockstep(problem, group, sweep.budget, seed, history=False)
@@ -407,17 +379,18 @@ def _cell_worker(args) -> dict:
 def run_sweep(sweep: SweepSpec, workers: int = 1) -> SweepResult:
     """Execute every cell and aggregate summaries in deterministic cell
     order. The serial path runs one lockstep group per batch sequence;
-    workers > 1 runs one cell per task in a process pool where each worker
-    builds the problem once. Every cell ends with the bits of its one-cell
-    run and results are merged by cell index, so parallel and serial
-    output are identical. On both paths a problem that cannot be built
+    workers > 1 runs one cell per task in a process pool of at most one
+    worker per cell, where each worker builds the problem once. Every
+    cell ends with the bits of its one-cell run and results are merged by
+    cell index, so parallel and serial output are identical. On both paths a problem that cannot be built
     raises from here, and a cell that fails to run becomes an `error`
     row."""
     cells = sweep.cells()
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only pooled sweeps pay its import
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork-started pool starts all its workers on the first submit
+        with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
             rows = list(pool.map(_cell_worker, [(sweep, cell) for cell in cells]))
     else:
         rows = _sweep_rows(sweep, cells, build_problem(sweep.problem))
@@ -794,7 +767,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweepp = sub.add_parser("sweep", help="execute a config-driven sweep")
     sweepp.add_argument("--config", required=True)
     sweepp.add_argument("--out", default=None, help="override output.path")
-    sweepp.add_argument("--workers", type=int, default=1)
+    sweepp.add_argument("--workers", type=int, default=1, help="capped at the CPU count")
 
     verifyp = sub.add_parser("verify", help="run the audit suite")
     verifyp.add_argument("--quick", action="store_true", help="smaller audit sizes")
@@ -844,7 +817,7 @@ def _cmd_sweep(args) -> int:
         sweep.out_path = args.out
     if sweep.out_path is None:
         raise ConfigError("no output path: set output.path in the config or pass --out")
-    result = run_sweep(sweep, workers=args.workers)
+    result = run_sweep(sweep, workers=min(args.workers, os.cpu_count() or 1))
     print(f"wrote {len(result.rows)} rows to {resolve_out_path(sweep.out_path)}")
     failed = [r for r in result.rows if r["status"] == STATUS_ERROR]
     if failed:

@@ -68,9 +68,8 @@ class OptimizerSpec:
     the second-moment decay, wd_lambda the weight-decay strength for the
     decoupled/coupled variants. c_coord supplies per-coordinate c_j for
     NGN-D; precond_identity forces D = I in the diagonal variants (used
-    by the reduction audits); ngn_d_precond switches NGN-D to the
-    preconditioner-assisted c_j = c / D_j mode. total_steps is the
-    horizon K required by the inv_sqrt_k schedule.
+    by the reduction audits). total_steps is the horizon K required by
+    the inv_sqrt_k schedule.
     """
 
     kind: str
@@ -83,7 +82,6 @@ class OptimizerSpec:
     total_steps: Optional[int] = None
     c_coord: Optional[np.ndarray] = None
     precond_identity: bool = False
-    ngn_d_precond: bool = False
 
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
@@ -266,17 +264,13 @@ def step_ngn_m(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
 def step_ngn_d(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
     """Per-coordinate NGN: gamma_j = ngn_gamma(c_j, f_S, g_j^2), x'_j = x_j - gamma_j g_j.
 
-    c_j comes from spec.c_coord (rescaled by the schedule factor c_k/c),
-    from the preconditioner as c / D_j when ngn_d_precond is set, or from
-    broadcasting the scalar c.
+    c_j comes from spec.c_coord (rescaled by the schedule factor c_k/c) or
+    from broadcasting the scalar c. The preconditioner-assisted mode
+    c_j = c / D_j is NGN-MD V2 with beta1 = 0.
     """
     c_k = schedule_c(spec.schedule, spec.c, state.k, spec.total_steps)
     g = sample.grad
-    v_new = state.v
-    if spec.ngn_d_precond:
-        v_new, d = precond_update(state.v, g, spec.beta2, state.k, spec.eps)
-        c_vec = c_k / d
-    elif spec.c_coord is not None:
+    if spec.c_coord is not None:
         if spec.c_coord.shape != g.shape:
             raise ValueError(f"c_coord has shape {spec.c_coord.shape}, gradient has {g.shape}")
         c_vec = spec.c_coord * (c_k / spec.c)
@@ -285,38 +279,17 @@ def step_ngn_d(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
     gamma = ngn_gamma(c_vec, sample.loss, g * g)
     x_new = state.x - gamma * g
     report = StepReport(float("nan"), gamma, np.asarray(c_vec, dtype=float), g)
-    return _advance(state, x_new, v=v_new), report
+    return _advance(state, x_new), report
 
 
 def step_ngn_md(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
-    """Diagonally preconditioned NGN with heavy-ball momentum.
+    """Diagonally preconditioned NGN with heavy-ball momentum, and the
+    weight-decay variants of its V1 rule (lambda = wd_lambda).
 
     After D = eps + sqrt(vhat) (or D = I when precond_identity):
     V1: gamma = ngn_gamma(c, f_S, ||g||^2_{D^-1}), Sigma^-1 g = gamma D^-1 g.
     V2: gamma_j = ngn_gamma(c / D_j, f_S, g_j^2),  Sigma^-1 g = gamma_j g_j.
     Then x' = x - (1-beta1) Sigma^-1 g + beta1 (x - x_prev).
-    """
-    c_k = schedule_c(spec.schedule, spec.c, state.k, spec.total_steps)
-    g = sample.grad
-    beta1 = spec.beta1
-    v_new, d = precond_update(state.v, g, spec.beta2, state.k, spec.eps)
-    if spec.precond_identity:
-        d = np.ones_like(g)
-    if spec.kind == NGN_MD_V1:
-        gamma = ngn_gamma(c_k, sample.loss, _weighted_sq_norm(g, d))
-        sigma_inv_g = gamma * (g / d)
-        x_new = state.x - (1.0 - beta1) * sigma_inv_g + beta1 * (state.x - state.x_prev)
-        return _advance(state, x_new, v=v_new), StepReport(gamma, gamma / d)
-    c_vec = c_k / d
-    gamma = ngn_gamma(c_vec, sample.loss, g * g)
-    sigma_inv_g = gamma * g
-    x_new = state.x - (1.0 - beta1) * sigma_inv_g + beta1 * (state.x - state.x_prev)
-    report = StepReport(float("nan"), gamma, c_vec, g)
-    return _advance(state, x_new, v=v_new), report
-
-
-def step_ngn_md_wd(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
-    """Weight-decay variants of the V1 diagonal rule (lambda = wd_lambda).
 
     Decoupled: x' = x - lambda c x - (1-beta1) gamma D^-1 g + beta1 (x - x_prev)
     with gamma exactly as in V1.
@@ -326,7 +299,7 @@ def step_ngn_md_wd(state: OptimizerState, sample: StepSample, spec: OptimizerSpe
              x' = x/(1+lambda c) - (1-beta1) gamma D^-1 g + beta1 (x - x_prev),
     the division-safe form of the damped step size; when the whole
     denominator vanishes (f_S = 0 and g = 0) it returns c/(1+lambda c).
-    Both reduce bit-exactly to the V1 rule at lambda = 0.
+    Both weight-decay variants reduce bit-exactly to V1 at lambda = 0.
     """
     c_k = schedule_c(spec.schedule, spec.c, state.k, spec.total_steps)
     g = sample.grad
@@ -335,27 +308,37 @@ def step_ngn_md_wd(state: OptimizerState, sample: StepSample, spec: OptimizerSpe
     v_new, d = precond_update(state.v, g, spec.beta2, state.k, spec.eps)
     if spec.precond_identity:
         d = np.ones_like(g)
-    if spec.kind == DEC_NGN_MDV1:
-        gamma = ngn_gamma(c_k, sample.loss, _weighted_sq_norm(g, d))
+    if spec.kind == NGN_MD_V2:
+        c_vec = c_k / d
+        gamma = ngn_gamma(c_vec, sample.loss, g * g)
+        sigma_inv_g = gamma * g
+        x_new = state.x - (1.0 - beta1) * sigma_inv_g + beta1 * (state.x - state.x_prev)
+        report = StepReport(float("nan"), gamma, c_vec, g)
+        return _advance(state, x_new, v=v_new), report
+    if spec.kind == NGN_MDV1W:
+        one_plus = 1.0 + lam * c_k
+        c_eff = c_k / one_plus
+        gdsq = _weighted_sq_norm(g, d)
+        gx = float((g * state.x).sum())
+        denom = 2.0 * sample.loss + c_eff * gdsq
+        if lam == 0.0:
+            # route through the V1 step size so the collapse is bit-exact,
+            # including its cap clamp
+            gamma = ngn_gamma(c_k, sample.loss, gdsq)
+        elif denom == 0.0:
+            gamma = c_eff
+        else:
+            gamma = c_eff * max(0.0, 2.0 * sample.loss - (c_k * lam) * gx) / denom
         sigma_inv_g = gamma * (g / d)
+        x_new = state.x / one_plus - (1.0 - beta1) * sigma_inv_g + beta1 * (state.x - state.x_prev)
+        return _advance(state, x_new, v=v_new), StepReport(gamma, gamma / d)
+    gamma = ngn_gamma(c_k, sample.loss, _weighted_sq_norm(g, d))
+    sigma_inv_g = gamma * (g / d)
+    if spec.kind == DEC_NGN_MDV1:
         x_new = (state.x - (lam * c_k) * state.x
                  - (1.0 - beta1) * sigma_inv_g + beta1 * (state.x - state.x_prev))
-        return _advance(state, x_new, v=v_new), StepReport(gamma, gamma / d)
-    one_plus = 1.0 + lam * c_k
-    c_eff = c_k / one_plus
-    gdsq = _weighted_sq_norm(g, d)
-    gx = float((g * state.x).sum())
-    denom = 2.0 * sample.loss + c_eff * gdsq
-    if lam == 0.0:
-        # route through the V1 step size so the collapse is bit-exact,
-        # including its cap clamp
-        gamma = ngn_gamma(c_k, sample.loss, gdsq)
-    elif denom == 0.0:
-        gamma = c_eff
     else:
-        gamma = c_eff * max(0.0, 2.0 * sample.loss - (c_k * lam) * gx) / denom
-    sigma_inv_g = gamma * (g / d)
-    x_new = state.x / one_plus - (1.0 - beta1) * sigma_inv_g + beta1 * (state.x - state.x_prev)
+        x_new = state.x - (1.0 - beta1) * sigma_inv_g + beta1 * (state.x - state.x_prev)
     return _advance(state, x_new, v=v_new), StepReport(gamma, gamma / d)
 
 
@@ -386,8 +369,8 @@ _STEP_FNS = {
     NGN_D: step_ngn_d,
     NGN_MD_V1: step_ngn_md,
     NGN_MD_V2: step_ngn_md,
-    DEC_NGN_MDV1: step_ngn_md_wd,
-    NGN_MDV1W: step_ngn_md_wd,
+    DEC_NGN_MDV1: step_ngn_md,
+    NGN_MDV1W: step_ngn_md,
     SGDM: step_baseline,
     ADAM: step_baseline,
 }

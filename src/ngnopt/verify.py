@@ -2,9 +2,10 @@
 step-size equality, reduction identities, and convergence-bound checks.
 
 Each audit runs real optimizer code, measures the worst-case residual
-against a stated tolerance, and returns an AuditReport. Optimizer runs
-go through harness.run_lockstep or its one-cell case run_once (the
-reduction pairs step as one group on one batch sequence); the one step
+against a stated tolerance, and returns an AuditReport. Every optimizer
+run is a harness.RunRecord stepped by harness.run_lockstep, directly
+(the audit trajectories; the reduction pairs step as one group on one
+batch sequence) or through its one-cell case run_once; the one step
 loop here is the moving-average twin that the equivalence audit checks
 the harness against. Audits are deterministic given their seed,
 independent of each other, and report the exact violation magnitude and
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import theory
 from .harness import (
-    STATUS_DIVERGED, Cell, RunBudget, RunRecord, ensure_parent_dir, run_lockstep, run_once,
+    STATUS_DIVERGED, RunBudget, RunRecord, ensure_parent_dir, run_lockstep, run_once,
 )
 from .optimizers import (
     NGN, NGN_D, NGN_M_V1, NGN_MD_V1, NGN_MD_V2, NGN_MDV1W,
@@ -53,20 +54,20 @@ def _report(name: str, max_violation: float, tolerance: float, location: str) ->
 
 def _trajectories(problem: StochasticObjective, specs: list, steps: int, seed: int = 0,
                   batch_size: Optional[int] = None) -> list:
-    """One cell per spec, stepped as one lockstep group stopped only by
-    divergence, which voids the audit: exactly `steps` updates and one
-    oracle call per step. The first cell in the order of specs that
-    failed or diverged raises."""
+    """One RunRecord per spec, stepped as one lockstep group stopped only
+    by divergence, which voids the audit: exactly `steps` updates and one
+    oracle call per step, with no full-batch checkpoints. The first run in
+    the order of specs that failed or diverged raises."""
     budget = RunBudget(max_steps=steps, success_loss=-1.0, diverge_loss=math.inf,
                        batch_size=batch_size)
-    cells = [Cell(problem, spec) for spec in specs]
-    run_lockstep(problem, cells, budget, seed, full_eval_every=0)
-    for cell in cells:
-        if cell.error is not None:
-            raise cell.error
-        if cell.status == STATUS_DIVERGED:
-            raise ValueError(f"audit run of {cell.spec.kind} diverged at step {cell.stop_step}")
-    return cells
+    runs = [RunRecord(problem, spec) for spec in specs]
+    run_lockstep(problem, runs, budget, seed, full_eval_every=0)
+    for run in runs:
+        if run.error is not None:
+            raise run.error
+        if run.status == STATUS_DIVERGED:
+            raise ValueError(f"audit run of {run.spec.kind} diverged at step {run.stop_step}")
+    return runs
 
 
 def audit_ima_equivalence(problem: StochasticObjective, spec: OptimizerSpec,
@@ -223,10 +224,10 @@ def audit_reductions(problem: StochasticObjective, seed: int = 0, steps: int = 1
     """
     pairs = _reduction_pairs()
     specs = [spec for _, spec_a, spec_b in pairs for spec in (spec_a, spec_b)]
-    cells = _trajectories(problem, specs, steps, seed, batch_size)
+    runs = _trajectories(problem, specs, steps, seed, batch_size)
     worst = 0.0
     location = "none"
-    for (pair_name, _, _), run_a, run_b in zip(pairs, cells[::2], cells[1::2]):
+    for (pair_name, _, _), run_a, run_b in zip(pairs, runs[::2], runs[1::2]):
         for k, (x_a, x_b) in enumerate(zip(run_a.iterates[1:], run_b.iterates[1:])):
             if not np.array_equal(x_a, x_b):
                 diff = np.abs(x_a - x_b)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import filecmp
 import math
 import multiprocessing
@@ -282,6 +283,47 @@ def test_pool_builds_at_most_once_per_worker(tmp_path, monkeypatch):
     pids = log.read_text().split()
     assert 1 <= len(pids) <= 2 < len(sweep.cells())
     assert len(set(pids)) == len(pids)
+
+
+def recording_pool(monkeypatch) -> list:
+    """Replace the process pool with one that records its size and maps
+    in this process; returns the recorded sizes."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "_worker_problem", [])
+    return sizes
+
+
+def test_run_sweep_starts_no_more_workers_than_cells(monkeypatch):
+    expected = run_sweep(small_sweep()).rows
+    sizes = recording_pool(monkeypatch)
+    assert run_sweep(small_sweep(), workers=5000).rows == expected
+    assert run_sweep(small_sweep(), workers=3).rows == expected
+    assert sizes == [8, 3]  # small_sweep has 8 cells
+
+
+@pytest.mark.parametrize("cpus, pools", [(3, [3]), (None, [])])
+def test_cli_sweep_caps_workers_at_the_cpu_count(tmp_path, monkeypatch, cpus, pools):
+    sizes = recording_pool(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    cfg = write_config(tmp_path, GOOD_CONFIG)
+    assert cli(["sweep", "--config", cfg, "--out", str(tmp_path / "r.csv"),
+                "--workers", "5000"]) == 0
+    assert sizes == pools  # no CPU count runs serially
 
 
 def test_run_sweep_parallel_matches_serial(tmp_path):

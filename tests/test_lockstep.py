@@ -20,7 +20,7 @@ from ngnopt import (
     run_sweep,
 )
 from ngnopt import harness
-from ngnopt.harness import Cell, run_lockstep
+from ngnopt.harness import STATUS_BUDGET, RunRecord, run_lockstep
 from ngnopt.optimizers import (
     DEC_NGN_MDV1, NGN_D, NGN_MDV1W, OPTIMIZER_KINDS, SCHEDULE_INV_SQRT_K, SCHEDULES,
     StepSample, apply_step, init_state,
@@ -61,8 +61,12 @@ def same_run(cell, rec) -> None:
     assert all(bits(a) == bits(b) for a, b in zip(cell.iterates, rec.iterates))
     assert [k for k, _ in cell.full_losses] == [k for k, _ in rec.full_losses]
     assert bits([v for _, v in cell.full_losses]) == bits([v for _, v in rec.full_losses])
-    assert bits([r.gamma_scalar for r in cell.reports]) == bits(
+    assert bits([r.gamma_scalar for r in cell.step_reports]) == bits(
         [r.gamma_scalar for r in rec.step_reports])
+    # the running summary keeps the bits of its definition on the history
+    assert bits([rec.final_loss, rec.best_loss]) == bits([rec.losses[-1], min(rec.losses)])
+    assert rec.stop_step == (None if rec.status == STATUS_BUDGET else len(rec.losses) - 1)
+    assert rec.x_final is rec.iterates[-1]
 
 
 def same_summary(cell, rec) -> None:
@@ -110,8 +114,8 @@ def groups(draw):
 def test_every_cell_of_a_group_equals_its_one_cell_run(group):
     name, budget, seed, cells = group
     problem = problem_named(name)
-    full = [Cell(problem, spec, x0) for spec, x0 in cells]
-    summary = [Cell(problem, spec, x0) for spec, x0 in cells]
+    full = [RunRecord(problem, spec, x0) for spec, x0 in cells]
+    summary = [RunRecord(problem, spec, x0) for spec, x0 in cells]
     run_lockstep(problem, full, budget, seed)
     run_lockstep(problem, summary, budget, seed, history=False)
     for (spec, x0), cell, lean in zip(cells, full, summary):
@@ -248,7 +252,7 @@ def counting_sampler(monkeypatch):
 def test_a_group_draws_one_batch_per_step(monkeypatch):
     calls = counting_sampler(monkeypatch)
     p = build_problem(LSQ)
-    cells = [Cell(p, OptimizerSpec(kind=kind, c=0.1)) for kind in ("ngn", "ngn_d", "adam", "sgdm")]
+    cells = [RunRecord(p, OptimizerSpec(kind=kind, c=0.1)) for kind in ("ngn", "ngn_d", "adam", "sgdm")]
     run_lockstep(p, cells, RunBudget(max_steps=25, batch_size=4, **FOREVER), seed=5)
     assert calls == [(5, k) for k in range(25)]
     assert all(len(cell.losses) == 25 for cell in cells)
@@ -289,7 +293,7 @@ def test_group_samples_carry_the_squared_norm_of_their_gradient(monkeypatch, nam
     monkeypatch.setattr(harness, "apply_step", recorded)
     problem = problem_named(name)
     reach = START_RANGE.get(name, 3.0)
-    cells = [Cell(problem, OptimizerSpec(kind=kind, c=0.1, beta1=0.5),
+    cells = [RunRecord(problem, OptimizerSpec(kind=kind, c=0.1, beta1=0.5),
                   np.linspace(-reach, reach, problem.dim) * scale)
              for kind in ("ngn", "ngn_m_v1", "sgdm") for scale in (0.3, 1.0)]
     batch_size = None if problem.n_samples == 1 else 3
@@ -302,8 +306,8 @@ def test_group_samples_carry_the_squared_norm_of_their_gradient(monkeypatch, nam
 
 def test_stopped_cells_leave_the_group():
     p = build_problem(ProblemSpec(kind="rosenbrock"))
-    stable = Cell(p, OptimizerSpec(kind="ngn_m_v1", c=1e-3, beta1=0.9))
-    unstable = Cell(p, OptimizerSpec(kind="sgdm", c=1.0, beta1=0.9))
+    stable = RunRecord(p, OptimizerSpec(kind="ngn_m_v1", c=1e-3, beta1=0.9))
+    unstable = RunRecord(p, OptimizerSpec(kind="sgdm", c=1.0, beta1=0.9))
     run_lockstep(p, [stable, unstable], RunBudget(max_steps=200, success_loss=1e-10), seed=0)
     assert unstable.status == "diverged" and unstable.stop_step < 10
     assert stable.status == "budget_exhausted" and len(stable.losses) == 200
@@ -316,7 +320,7 @@ def test_an_error_cell_is_isolated_from_its_group():
     specs = [OptimizerSpec(kind="ngn", c=0.1),
              OptimizerSpec(kind=NGN_D, c=0.1, c_coord=np.ones(3)),
              OptimizerSpec(kind="adam", c=0.1)]
-    cells = [Cell(p, spec) for spec in specs]
+    cells = [RunRecord(p, spec) for spec in specs]
     run_lockstep(p, cells, budget, seed=2)
     assert "c_coord" in str(cells[1].error)
     for cell, spec in zip(cells, specs):
@@ -350,8 +354,8 @@ def test_a_failing_batch_ends_only_the_cells_still_running(monkeypatch):
         return sample_batch(problem, seed, step, batch_size)
 
     monkeypatch.setattr(harness, "sample_batch", failing)
-    done = Cell(p, OptimizerSpec(kind="ngn", c=0.1), p.metadata.x_star)
-    running = Cell(p, OptimizerSpec(kind="ngn", c=1e-6), np.full(4, 10.0))
+    done = RunRecord(p, OptimizerSpec(kind="ngn", c=0.1), p.metadata.x_star)
+    running = RunRecord(p, OptimizerSpec(kind="ngn", c=1e-6), np.full(4, 10.0))
     run_lockstep(p, [done, running], budget, seed=0)
     assert (done.status, done.stop_step, done.error) == ("converged", 0, None)
     assert str(running.error) == "no batch at step 3" and len(running.losses) == 3
@@ -435,7 +439,7 @@ def test_sweep_rows_carry_the_stop_reason_but_the_csv_does_not(tmp_path):
 
 def test_checkpoints_are_the_full_batch_loss_of_each_iterate():
     p = build_problem(ProblemSpec(kind="least_squares", dim=6, n_samples=50, seed=3))
-    cells = [Cell(p, OptimizerSpec(kind=kind, c=0.1, beta1=0.5))
+    cells = [RunRecord(p, OptimizerSpec(kind=kind, c=0.1, beta1=0.5))
              for kind in ("ngn", "ngn_m_v1", "ngn_md_v1")]
     run_lockstep(p, cells, RunBudget(max_steps=300, batch_size=5, **FOREVER), seed=1)
     for cell in cells:

@@ -657,8 +657,7 @@ def rule_specs(kind, dim):
     base = spec_for(kind)
     specs = [base, dataclasses.replace(base, schedule="inv_sqrt_step")]
     if kind == "ngn_d":
-        specs += [dataclasses.replace(base, c_coord=np.linspace(0.2, 0.7, dim)),
-                  dataclasses.replace(base, ngn_d_precond=True)]
+        specs.append(dataclasses.replace(base, c_coord=np.linspace(0.2, 0.7, dim)))
     if kind.startswith("ngn_md") or kind in WD_KINDS:
         specs.append(dataclasses.replace(base, precond_identity=True))
     if kind in WD_KINDS:

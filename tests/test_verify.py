@@ -229,7 +229,7 @@ def test_reductions_raise_for_the_first_bad_run_in_pair_order(monkeypatch, order
     monkeypatch.setattr(verify, "_reduction_pairs", lambda: pairs)
     budget = RunBudget(max_steps=300, success_loss=-1.0, diverge_loss=math.inf, batch_size=4)
     try:
-        run = run_once(p, first, budget, seed=1, full_eval_every=0)
+        run = run_once(p, first, budget, seed=1)
     except ValueError as error:
         want = str(error)
     else:
