@@ -208,6 +208,13 @@ class SweepResult:
     rows: list
 
 
+# Stacks of at most this many entries are checked for non-finite values on
+# Python floats, larger ones by np.isfinite: 0.55 against 2.5 us at one
+# entry, 1.2 against 2.3 us at 16, 2.7 against 1.8 us at 64 (timeit,
+# 2-vCPU x86 VM, NumPy 2.4).
+_FLOAT_CHECK_MAX = 32
+
+
 def run_lockstep(problem: StochasticObjective, cells: list, budget: RunBudget, seed: int,
                  full_eval_every: Optional[int] = None, history: bool = True) -> None:
     """Step runs (RunRecords, the cells of a group) that share one batch
@@ -222,10 +229,13 @@ def run_lockstep(problem: StochasticObjective, cells: list, budget: RunBudget, s
     diverge_loss is divergence, a loss at or below success_loss success.
     A cell that does not stop takes one step of its own rule through
     apply_step. Cells leave the group as they stop, so every cell ends
-    where its one-cell run ends, with the same bits. An exception in a
-    step rule ends that cell alone (RunRecord.error); any other exception
-    ends every cell still running. history=False keeps only the running
-    summary and the state, which is what a sweep row reads.
+    where its one-cell run ends, with the same bits. A few-cell step is
+    mostly fixed cost (about 1 us per NumPy call on a 1-element array),
+    so small stacks are checked on Python floats and the oracle hands the
+    loop floats (see evaluate_cells). An exception in a step rule ends
+    that cell alone (RunRecord.error); any other exception ends every
+    cell still running. history=False keeps only the running summary and
+    the state, which is what a sweep row reads.
     """
     step_fn = apply_step  # read here, so a patched harness.apply_step is the one called
     active = [cell for cell in cells if cell.error is None]
@@ -245,7 +255,8 @@ def run_lockstep(problem: StochasticObjective, cells: list, budget: RunBudget, s
                     X = active[0].state.x[None, :]
                 else:
                     X = np.array([cell.state.x for cell in active])
-                if not np.isfinite(X).all():
+                if not (all(map(math.isfinite, X.ravel().tolist())) if X.size <= _FLOAT_CHECK_MAX
+                        else np.isfinite(X).all()):
                     finite = np.isfinite(X).all(axis=1)
                     for cell, ok in zip(active, finite.tolist()):
                         if not ok:
@@ -261,8 +272,7 @@ def run_lockstep(problem: StochasticObjective, cells: list, budget: RunBudget, s
                     for cell, full in zip(active, evaluate_loss(problem, X, full_batch).tolist()):
                         cell.full_losses.append((k, full))
                 running = []
-                for cell, loss, grad, grad_sq in zip(active, losses.tolist(), grads,
-                                                     grad_sqs.tolist()):
+                for cell, loss, grad, grad_sq in zip(active, losses, grads, grad_sqs):
                     grad_norm = math.sqrt(grad_sq)
                     cell.record(k, loss, grad_norm, history)
                     if not math.isfinite(loss):

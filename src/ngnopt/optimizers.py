@@ -175,7 +175,8 @@ def ngn_gamma(c, loss, grad_sq):
             return 0.0
         # the quotient can land one ulp above c when c*gs underflows
         # against 2*loss in the denominator; the cap is a hard contract
-        return min(c, 2.0 * c * loss / denom)
+        gamma = 2.0 * c * loss / denom
+        return gamma if gamma < c else c  # min(c, gamma) without a call; NaN gives c
     c = np.asarray(c, dtype=float)
     gs = np.asarray(grad_sq, dtype=float)
     loss = float(loss)
@@ -223,20 +224,13 @@ def schedule_c(schedule: str, c0: float, k: int, total_steps: Optional[int] = No
     raise ValueError(f"unknown schedule {schedule!r}")
 
 
-def _advance(state: OptimizerState, x_new: np.ndarray, v: Optional[np.ndarray] = None,
-             m: Optional[np.ndarray] = None) -> OptimizerState:
-    """The state after stepping to x_new; v and m default to the old buffers."""
-    return OptimizerState(x_new, state.x, state.v if v is None else v,
-                          state.m if m is None else m, state.k + 1)
-
-
 def step_ngn(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
     """x' = x - gamma g with the scalar NGN step size."""
     c_k = schedule_c(spec.schedule, spec.c, state.k, spec.total_steps)
     g = sample.grad
     gamma = ngn_gamma(c_k, sample.loss, sample.grad_sq)
     x_new = state.x - gamma * g
-    return _advance(state, x_new), StepReport(gamma)
+    return OptimizerState(x_new, state.x, state.v, state.m, state.k + 1), StepReport(gamma)
 
 
 def step_ngn_m(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
@@ -254,11 +248,11 @@ def step_ngn_m(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
         gamma = ngn_gamma(c_k, sample.loss, sample.grad_sq)
         update = gamma * g
         x_new = state.x - (1.0 - beta) * update + beta * (state.x - state.x_prev)
-        return _advance(state, x_new), StepReport(gamma)
+        return OptimizerState(x_new, state.x, state.v, state.m, state.k + 1), StepReport(gamma)
     m_new = beta * state.m + (1.0 - beta) * g
     gamma = ngn_gamma(c_k, sample.loss, float((m_new * m_new).sum()))
     x_new = state.x - gamma * m_new
-    return _advance(state, x_new, m=m_new), StepReport(gamma)
+    return OptimizerState(x_new, state.x, state.v, m_new, state.k + 1), StepReport(gamma)
 
 
 def step_ngn_d(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
@@ -279,7 +273,7 @@ def step_ngn_d(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
     gamma = ngn_gamma(c_vec, sample.loss, g * g)
     x_new = state.x - gamma * g
     report = StepReport(float("nan"), gamma, np.asarray(c_vec, dtype=float), g)
-    return _advance(state, x_new), report
+    return OptimizerState(x_new, state.x, state.v, state.m, state.k + 1), report
 
 
 def step_ngn_md(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
@@ -314,7 +308,7 @@ def step_ngn_md(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
         sigma_inv_g = gamma * g
         x_new = state.x - (1.0 - beta1) * sigma_inv_g + beta1 * (state.x - state.x_prev)
         report = StepReport(float("nan"), gamma, c_vec, g)
-        return _advance(state, x_new, v=v_new), report
+        return OptimizerState(x_new, state.x, v_new, state.m, state.k + 1), report
     if spec.kind == NGN_MDV1W:
         one_plus = 1.0 + lam * c_k
         c_eff = c_k / one_plus
@@ -331,7 +325,8 @@ def step_ngn_md(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
             gamma = c_eff * max(0.0, 2.0 * sample.loss - (c_k * lam) * gx) / denom
         sigma_inv_g = gamma * (g / d)
         x_new = state.x / one_plus - (1.0 - beta1) * sigma_inv_g + beta1 * (state.x - state.x_prev)
-        return _advance(state, x_new, v=v_new), StepReport(gamma, gamma / d)
+        return (OptimizerState(x_new, state.x, v_new, state.m, state.k + 1),
+                StepReport(gamma, gamma / d))
     gamma = ngn_gamma(c_k, sample.loss, _weighted_sq_norm(g, d))
     sigma_inv_g = gamma * (g / d)
     if spec.kind == DEC_NGN_MDV1:
@@ -339,7 +334,7 @@ def step_ngn_md(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
                  - (1.0 - beta1) * sigma_inv_g + beta1 * (state.x - state.x_prev))
     else:
         x_new = state.x - (1.0 - beta1) * sigma_inv_g + beta1 * (state.x - state.x_prev)
-    return _advance(state, x_new, v=v_new), StepReport(gamma, gamma / d)
+    return OptimizerState(x_new, state.x, v_new, state.m, state.k + 1), StepReport(gamma, gamma / d)
 
 
 def step_baseline(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
@@ -351,7 +346,7 @@ def step_baseline(state: OptimizerState, sample: StepSample, spec: OptimizerSpec
     if spec.kind == SGDM:
         beta = spec.beta1
         x_new = state.x - c_k * g + beta * (state.x - state.x_prev)
-        return _advance(state, x_new), StepReport(c_k)
+        return OptimizerState(x_new, state.x, state.v, state.m, state.k + 1), StepReport(c_k)
     m_new = spec.beta1 * state.m + (1.0 - spec.beta1) * g
     v_new = spec.beta2 * state.v + (1.0 - spec.beta2) * g * g
     mhat = m_new / (1.0 - spec.beta1 ** (state.k + 1))
@@ -359,7 +354,7 @@ def step_baseline(state: OptimizerState, sample: StepSample, spec: OptimizerSpec
     denom = np.sqrt(vhat) + spec.eps
     x_new = state.x - c_k * mhat / denom
     coord = c_k / denom
-    return _advance(state, x_new, v=v_new, m=m_new), StepReport(c_k, coord)
+    return OptimizerState(x_new, state.x, v_new, m_new, state.k + 1), StepReport(c_k, coord)
 
 
 _STEP_FNS = {

@@ -14,7 +14,9 @@ shape (C, d) and returns the C losses, shape (C,), and gradients, shape
 X[i] has, so the run loop can evaluate all the cells that share a batch
 in one call. The oracles therefore use only operations that round the
 same on any number of rows: stacked matvecs `rows @ X[:, :, None]` (one
-gemv per cell), row sums, and explicit products in place of `**`.
+gemv per cell), row sums, and explicit products in place of `**`. A
+closed-form objective also has a one-point oracle, computed in Python
+floats with the bits of a stacked row, that `evaluate_cells` takes.
 
 Least-squares style problems use the per-sample convention
 f_i(x) = (1/2)(a_i^T x - b_i)^2, so the full-batch loss is
@@ -159,8 +161,10 @@ class StochasticObjective:
     means all samples in order (see `Batch.full`). `_loss(X, indices)`,
     when available, returns the same losses without the gradients.
     `_batch_min(indices)`, when available, returns the exact minimum of
-    that batch loss (least-squares subproblems). `_metadata()` computes
-    the ObjectiveMetadata; `metadata` calls it once, on its first read.
+    that batch loss (least-squares subproblems). `_point(coords)`, when
+    available, maps the d floats of one point to its loss, gradient (d,)
+    and ||g||^2, with the bits of `evaluate_cells`' row. `_metadata()`
+    computes the ObjectiveMetadata; `metadata` calls it on first read.
 
     x0_default must be a finite point of dimension `dim`.
     """
@@ -173,6 +177,7 @@ class StochasticObjective:
     _loss_grad: Callable[[np.ndarray, np.ndarray], tuple]
     _batch_min: Optional[Callable[[np.ndarray], float]] = None
     _loss: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    _point: Optional[Callable[[list], tuple]] = None
 
     def __post_init__(self):
         x0 = self.x0_default
@@ -217,13 +222,17 @@ def evaluate(problem: StochasticObjective, x: np.ndarray, batch: Batch) -> StepS
 
 
 def evaluate_cells(problem: StochasticObjective, X: np.ndarray, batch: Batch) -> tuple:
-    """Losses (C,), gradients (C, d) and squared gradient norms (C,) at
-    the rows of X (C, d), from one oracle call. Row i has the bits of
-    `evaluate` at X[i]: a row sum reduces a row as the whole-vector sum
-    reduces the vector. No input checks; the run loop checks its iterates
-    before it evaluates them."""
+    """The losses and squared gradient norms, as lists of C floats, and
+    the C gradients (d,) at the rows of X (C, d), from one oracle call
+    (the one-point oracle for one point, when there is one). Row i has
+    the bits of `evaluate` at X[i]: a row sum reduces a row as the
+    whole-vector sum reduces the vector. No input checks; the run loop
+    checks its iterates before it evaluates them."""
+    if problem._point is not None and X.shape[0] == 1:
+        loss, grad, grad_sq = problem._point(X[0].tolist())
+        return [loss], [grad], [grad_sq]
     loss, grad = problem._loss_grad(X, _oracle_indices(batch))
-    return loss, grad, np.add.reduce(grad * grad, axis=1)
+    return loss.tolist(), grad, np.add.reduce(grad * grad, axis=1).tolist()
 
 
 def evaluate_loss(problem: StochasticObjective, X: np.ndarray, batch: Batch) -> np.ndarray:
@@ -308,6 +317,29 @@ def _spd_eigvals(H: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh((H + H.T) / 2.0)
 
 
+# Cache-line size in bytes. The stacked ridge oracle (d=400, 6 cells) took
+# 209-240 us with its data at a 64-byte boundary and 298-360 us at offsets
+# 16, 32 and 48, with the same bits (2-vCPU x86 VM, OpenBLAS, 1 thread).
+_CACHE_LINE = 64
+
+
+def _aligned_empty(shape: tuple) -> np.ndarray:
+    """An empty C-ordered float array starting at a cache line."""
+    nbytes = 8 * math.prod(shape)
+    buf = np.empty(nbytes + _CACHE_LINE, dtype=np.uint8)
+    start = -buf.ctypes.data % _CACHE_LINE
+    return buf[start:start + nbytes].view(np.float64).reshape(shape)
+
+
+def _cache_aligned(A: np.ndarray) -> np.ndarray:
+    """A itself when it is C-contiguous from a cache line, else such a copy."""
+    if A.flags.c_contiguous and A.ctypes.data % _CACHE_LINE == 0:
+        return A
+    out = _aligned_empty(A.shape)
+    out[...] = A
+    return out
+
+
 def _least_squares_objective(kind: str, A: np.ndarray, b: np.ndarray,
                              x0: Optional[np.ndarray] = None) -> StochasticObjective:
     A = np.asarray(A, dtype=float)
@@ -320,15 +352,16 @@ def _least_squares_objective(kind: str, A: np.ndarray, b: np.ndarray,
     n, d = A.shape
     # A gather A[idx] is C-ordered; reading the full batch from a C-ordered
     # A keeps both matvecs on the same BLAS path, so they round alike.
-    rows = np.ascontiguousarray(A)
+    # metadata and batch_min read rows too, so no second copy of A is kept.
+    rows = _cache_aligned(A)
 
     def metadata():
-        AtA = A.T @ A
+        AtA = rows.T @ rows
         evals = _spd_eigvals(AtA)
         L = float(evals[-1])
         L_coord = np.diag(AtA).copy()
-        x_star = np.linalg.lstsq(A, b, rcond=None)[0]
-        resid = A @ x_star - b
+        x_star = np.linalg.lstsq(rows, b, rcond=None)[0]
+        resid = rows @ x_star - b
         f_star = float(resid @ resid) / (2.0 * n)
         pos = evals[evals > 1e-12 * max(L, 1.0)]
         mu = float(pos[0]) if pos.size else None
@@ -360,8 +393,8 @@ def _least_squares_objective(kind: str, A: np.ndarray, b: np.ndarray,
         return np.add.reduce(R * R, axis=1) / (2.0 * m), grad
 
     def batch_min(idx):
-        sol = np.linalg.lstsq(A[idx], b[idx], rcond=None)[0]
-        r = A[idx] @ sol - b[idx]
+        sol = np.linalg.lstsq(rows[idx], b[idx], rcond=None)[0]
+        r = rows[idx] @ sol - b[idx]
         return float(np.sum(r * r)) / (2.0 * idx.size)
 
     if x0 is None:
@@ -380,7 +413,7 @@ def _build_least_squares(spec: ProblemSpec) -> StochasticObjective:
     d = spec.dim
     n = spec.n_samples if spec.n_samples is not None else 2 * d
     rng = np.random.default_rng(spec.seed)
-    A = rng.standard_normal((n, d))
+    A = rng.standard_normal(out=_aligned_empty((n, d)))
     if spec.interpolating:
         x_true = rng.standard_normal(d)
         b = A @ x_true
@@ -394,33 +427,41 @@ def _build_ridge(spec: ProblemSpec) -> StochasticObjective:
     """f(x) = mean_i (1/2)((A + rI)x - y)_i^2 with A, y standard normal."""
     d = spec.dim
     rng = np.random.default_rng(spec.seed)
-    A = rng.standard_normal((d, d))
+    M = rng.standard_normal(out=_aligned_empty((d, d)))
     y = rng.standard_normal(d)
-    M = A + spec.r * np.eye(d)
+    M += spec.r * np.eye(d)  # A + rI, added in place
     x0 = None if spec.x0 is None else np.asarray(spec.x0, dtype=float)
     return _least_squares_objective(KIND_RIDGE, M, y, x0)
 
 
-def _pointwise(formula: Callable) -> Callable:
-    """The cell-axis oracle of a closed-form objective.
+def _pointwise(formula: Callable) -> dict:
+    """The oracles of a closed-form objective of dimension d <= 2: the
+    cell-axis `_loss_grad` and the one-point `_point`.
 
     formula takes the d coordinates and returns the loss and a tuple of
-    the d partial derivatives. A stack of points passes columns of shape
-    (C,). One point passes Python floats: their +, - and * are the same
-    IEEE operations, and a ufunc such as np.sin runs the same loop on
-    them, without the per-call cost of an array. One-cell runs (pool
-    tasks, run_once) take this path: on the quartic-pool benchmark,
-    1-element arrays made the whole run 1.6x slower (2-vCPU x86 VM).
+    the d partial derivatives. `_loss_grad` passes the columns (C,) of a
+    stack. `_point` passes one point's Python floats: their +, - and *
+    are the same IEEE operations, and a ufunc such as np.sin runs the
+    same loop on them, without the per-call cost of an array. It sums
+    ||g||^2 in floats too: with at most two terms, the row sum's single
+    rounding. One-cell runs (pool tasks, run_once) take it: on the
+    quartic-pool benchmark, 1-element arrays made the whole run 1.6x
+    slower, and a loop that takes floats from `_point` cut its wall time
+    by another 28% (2-vCPU x86 VM).
     """
 
+    def point(coords):
+        loss, grad = formula(*coords)
+        grad_sq = 0.0
+        for g in grad:
+            grad_sq += g * g
+        return float(loss), np.array(grad), float(grad_sq)
+
     def loss_grad(X, idx):
-        if X.shape[0] == 1:
-            loss, grad = formula(*X[0].tolist())
-            return np.array([loss]), np.array([grad])
         loss, grad = formula(*X.T)
         return loss, np.stack(grad, axis=1)
 
-    return loss_grad
+    return {"_loss_grad": loss_grad, "_point": point}
 
 
 def _rosenbrock(a, b):
@@ -434,19 +475,23 @@ def _build_rosenbrock(spec: ProblemSpec) -> StochasticObjective:
         return ObjectiveMetadata(f_star=0.0, x_star=np.array([1.0, 1.0]))
 
     x0 = np.array([-1.2, 1.0]) if spec.x0 is None else np.asarray(spec.x0, dtype=float)
-    return StochasticObjective(KIND_ROSENBROCK, 2, 1, metadata, x0, _pointwise(_rosenbrock))
+    return StochasticObjective(KIND_ROSENBROCK, 2, 1, metadata, x0, **_pointwise(_rosenbrock))
 
 
 def _multimodal(t):
-    u1 = 1.0 + np.cos(-np.pi + t)
-    u2 = 1.0 + np.cos(np.pi - t)
-    t1 = np.sin(u1) - 0.2 * t
-    t2 = np.sin(u2) + 0.2 * t
+    """The multimodal loss and derivative with four sin/cos calls, not
+    eight: fl(-pi + t) is exactly -fl(pi - t), and np.cos is even and
+    np.sin odd bit for bit, so 1 + cos(-pi + t) and 1 + cos(pi - t) are
+    one u, and cos(u) * (-sin(-pi + t)) is cos(u) * sin(pi - t)."""
+    y = np.pi - t
+    u = 1.0 + np.cos(y)
+    sin_u = np.sin(u)
+    t1 = sin_u - 0.2 * t
+    t2 = sin_u + 0.2 * t
     t2_cubed = t2 * t2 * t2
     loss = t1 * t1 + t2_cubed * t2
-    dt1 = np.cos(u1) * (-np.sin(-np.pi + t)) - 0.2
-    dt2 = np.cos(u2) * np.sin(np.pi - t) + 0.2
-    return loss, (2.0 * t1 * dt1 + 4.0 * t2_cubed * dt2,)
+    w = np.cos(u) * np.sin(y)
+    return loss, (2.0 * t1 * (w - 0.2) + 4.0 * t2_cubed * (w + 0.2),)
 
 
 def _build_multimodal(spec: ProblemSpec) -> StochasticObjective:
@@ -458,7 +503,7 @@ def _build_multimodal(spec: ProblemSpec) -> StochasticObjective:
         return ObjectiveMetadata(f_star=0.0, x_star=np.array([0.0]))
 
     x0 = np.array([10.0]) if spec.x0 is None else np.asarray(spec.x0, dtype=float)
-    return StochasticObjective(KIND_MULTIMODAL, 1, 1, metadata, x0, _pointwise(_multimodal))
+    return StochasticObjective(KIND_MULTIMODAL, 1, 1, metadata, x0, **_pointwise(_multimodal))
 
 
 def _poly_growth_constant(p: np.polynomial.Polynomial) -> float:
@@ -514,7 +559,7 @@ def _build_polynomial(spec: ProblemSpec) -> StochasticObjective:
         return ObjectiveMetadata(f_star=0.0, x_star=np.array([0.0]), C_poly=_poly_growth_constant(p))
 
     x0 = np.array([3.0]) if spec.x0 is None else np.asarray(spec.x0, dtype=float)
-    return StochasticObjective(KIND_POLYNOMIAL, 1, 1, metadata, x0, _pointwise(polynomial))
+    return StochasticObjective(KIND_POLYNOMIAL, 1, 1, metadata, x0, **_pointwise(polynomial))
 
 
 def _load_regression_csv(path: str) -> tuple:

@@ -446,3 +446,58 @@ def test_checkpoints_are_the_full_batch_loss_of_each_iterate():
         assert [k for k, _ in cell.full_losses] == list(range(0, 300, 3))
         for k, loss in cell.full_losses:
             assert loss == evaluate(p, cell.iterates[k], p.full_batch()).loss
+
+
+# --- the iterate check: Python floats for small stacks, np.isfinite for large ones ----
+
+def diverged_on_the_iterate(rec, k) -> None:
+    assert (rec.status, rec.stop_reason, rec.stop_step) == ("diverged", "non_finite_iterate", k)
+    assert rec.final_loss == math.inf and rec.losses[-1] == math.inf
+
+
+CHECK_SIZES = [0, harness._FLOAT_CHECK_MAX, 10**9]  # always array, as shipped, always floats
+
+
+@pytest.mark.parametrize("float_check_max", CHECK_SIZES)
+def test_non_finite_iterate_one_cell_one_dimension(monkeypatch, float_check_max):
+    # c * p'(3) overflows, so the step lands on -inf while the loss at 3 is finite
+    monkeypatch.setattr(harness, "_FLOAT_CHECK_MAX", float_check_max)
+    p = build_problem(ProblemSpec(kind="polynomial_1d"))
+    rec = run_once(p, OptimizerSpec(kind="sgdm", c=1e307),
+                   RunBudget(max_steps=10, diverge_loss=math.inf), seed=0, x0=np.array([3.0]))
+    diverged_on_the_iterate(rec, 1)
+    assert rec.losses == [90.0, math.inf]
+
+
+@pytest.mark.parametrize("float_check_max", CHECK_SIZES)
+def test_non_finite_iterate_one_cell_ridge_400(monkeypatch, float_check_max):
+    # residuals near 1e150 keep the loss finite, but c times the gradient overflows
+    monkeypatch.setattr(harness, "_FLOAT_CHECK_MAX", float_check_max)
+    p = build_problem(ProblemSpec(kind="ridge_quadratic", dim=400, seed=0))
+    rec = run_once(p, OptimizerSpec(kind="sgdm", c=1e200),
+                   RunBudget(max_steps=10, diverge_loss=math.inf), seed=0,
+                   x0=np.full(400, 1e148))
+    diverged_on_the_iterate(rec, 1)
+    assert not np.isfinite(rec.x_final).any()
+
+
+@pytest.mark.parametrize("float_check_max", CHECK_SIZES)
+def test_non_finite_iterate_in_a_mixed_group(monkeypatch, float_check_max):
+    # 40 one-point cells: the check starts on 40 entries, over the float
+    # limit, and after the NaN starts leave it runs on 30, under it
+    monkeypatch.setattr(harness, "_FLOAT_CHECK_MAX", float_check_max)
+    p = build_problem(ProblemSpec(kind="polynomial_1d"))
+    budget = RunBudget(max_steps=30, diverge_loss=math.inf)
+    specs = {"nan_start": OptimizerSpec(kind="ngn", c=0.1),
+             "overflow": OptimizerSpec(kind="sgdm", c=1e307),
+             "running": OptimizerSpec(kind="ngn_m_v1", c=1e-3, beta1=0.9)}
+    starts = {"nan_start": np.array([np.nan]), "overflow": np.array([3.0]), "running": None}
+    names = ["nan_start", "overflow", "running", "running"] * 10
+    cells = [RunRecord(p, specs[name], starts[name]) for name in names]
+    run_lockstep(p, cells, budget, seed=0)
+    for name, cell in zip(names, cells):
+        same_run(cell, run_once(p, specs[name], budget, seed=0, x0=starts[name]))
+        if name == "running":
+            assert cell.status == STATUS_BUDGET and len(cell.losses) == 30
+        else:
+            diverged_on_the_iterate(cell, 0 if name == "nan_start" else 1)

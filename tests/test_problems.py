@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import random
 import struct
@@ -686,3 +687,142 @@ def test_step_sample_grad_sq_equals_np_sum(g):
     want = float(np.sum(g * g))
     assert type(got) is float
     assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
+# --- the one-point oracle of closed-form objectives ------------------------------------
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+CLOSED_FORM = {
+    "rosenbrock": ProblemSpec(kind="rosenbrock"),
+    "multimodal": ProblemSpec(kind="multimodal_1d"),
+    "poly_x": ProblemSpec(kind="polynomial_1d"),
+    "poly_cubic": ProblemSpec(kind="polynomial_1d", coeffs=(0.5, -2.0, 0.0, 1.0)),
+    "poly_constant": ProblemSpec(kind="polynomial_1d", coeffs=(2.0,), scale=0.5),
+    "poly_quartic": ProblemSpec(kind="polynomial_1d", coeffs=(1.0, 0.0, -3.0, 0.0, 0.25),
+                                scale=3.0),
+}
+# moderate points, and points far enough out that losses and squares overflow
+COORDS = st.one_of(st.floats(-30.0, 30.0), st.floats(-1e200, 1e200), st.sampled_from([0.0, -0.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(CLOSED_FORM)), data=st.data())
+def test_one_point_oracle_has_the_bits_of_a_stacked_row(name, data):
+    p = build_problem(CLOSED_FORM[name])
+    count = data.draw(st.integers(2, 6))
+    X = data.draw(arrays(np.float64, (count, p.dim), elements=COORDS))
+    with np.errstate(all="ignore"):
+        losses, grads, grad_sqs = problems.evaluate_cells(p, X, p.full_batch())
+        for i in range(count):
+            loss, grad, grad_sq = problems.evaluate_cells(p, X[i:i + 1], p.full_batch())
+            assert type(loss[0]) is float and type(grad_sq[0]) is float
+            assert grad[0].shape == (p.dim,) and grad[0].dtype == np.float64
+            assert bits(loss[0]) == bits(losses[i])
+            assert bits(grad[0]) == bits(grads[i])
+            assert bits(grad_sq[0]) == bits(grad_sqs[i])
+
+
+def multimodal_eight_calls(t):
+    """The multimodal oracle as first written, with eight sin/cos calls:
+    the reference for the bits of the four-call form."""
+    u1 = 1.0 + np.cos(-np.pi + t)
+    u2 = 1.0 + np.cos(np.pi - t)
+    t1 = np.sin(u1) - 0.2 * t
+    t2 = np.sin(u2) + 0.2 * t
+    t2_cubed = t2 * t2 * t2
+    loss = t1 * t1 + t2_cubed * t2
+    dt1 = np.cos(u1) * (-np.sin(-np.pi + t)) - 0.2
+    dt2 = np.cos(u2) * np.sin(np.pi - t) + 0.2
+    return loss, (2.0 * t1 * dt1 + 4.0 * t2_cubed * dt2,)
+
+
+MULTIMODAL_POINTS = st.one_of(
+    st.floats(-50.0, 50.0), st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, math.pi, -math.pi, 1e300, -1e300]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ts=st.lists(MULTIMODAL_POINTS, min_size=1, max_size=8))
+def test_multimodal_oracle_has_the_bits_of_the_eight_call_form(ts):
+    with np.errstate(all="ignore"):
+        column = np.array(ts)
+        want_loss, (want_grad,) = multimodal_eight_calls(column)
+        loss, (grad,) = problems._multimodal(column)
+        assert bits(loss) == bits(want_loss) and bits(grad) == bits(want_grad)
+        for t in ts:  # one point, on Python floats
+            want_loss, (want_grad,) = multimodal_eight_calls(t)
+            loss, (grad,) = problems._multimodal(t)
+            assert bits(loss) == bits(want_loss) and bits(grad) == bits(want_grad)
+
+
+# --- least-squares data at a cache-line boundary ---------------------------------------
+
+def oracle_rows(problem):
+    """The data matrix the least-squares oracle reads, from its closure."""
+    residuals = inspect.getclosurevars(problem._loss_grad).nonlocals["residuals"]
+    return inspect.getclosurevars(residuals).nonlocals["rows"]
+
+
+def test_least_squares_data_is_cache_aligned_and_kept_once(tmp_path):
+    kinds = set()
+    for p, A, _ in _lsq_cases(tmp_path):
+        kinds.add(p.kind)
+        rows = oracle_rows(p)
+        assert rows.ctypes.data % 64 == 0 and rows.flags.c_contiguous
+        assert np.array_equal(rows, A)
+        # metadata and batch_min read the oracle's array: no second copy of A
+        for reader in (p._metadata, p._batch_min):
+            held = inspect.getclosurevars(reader).nonlocals
+            assert held["rows"] is rows and "A" not in held
+    assert kinds == {"least_squares", "ridge_quadratic", "linear_regression_data"}
+
+
+@pytest.mark.parametrize("spec", [
+    ProblemSpec(kind="least_squares", dim=50, n_samples=1000, seed=0),
+    ProblemSpec(kind="ridge_quadratic", dim=400, seed=0, r=0.1),
+], ids=["least_squares", "ridge"])
+def test_builds_draw_their_data_aligned_without_a_copy(monkeypatch, spec):
+    # a copy would hold a second matrix while the first is alive and
+    # raise the peak memory of every build by one matrix
+    real, made = problems._aligned_empty, []
+
+    def recorded(shape):
+        made.append(real(shape))
+        return made[-1]
+
+    monkeypatch.setattr(problems, "_aligned_empty", recorded)
+    p = build_problem(spec)
+    assert len(made) == 1 and oracle_rows(p) is made[0]
+
+
+def misaligned_copy(A):
+    """A C-ordered copy of A whose data starts 16 bytes past a cache line."""
+    buf = np.empty(A.nbytes + 128, dtype=np.uint8)
+    start = (-buf.ctypes.data % 64) + 16
+    out = buf[start:start + A.nbytes].view(np.float64).reshape(A.shape)
+    out[...] = A
+    return out
+
+
+def test_least_squares_oracle_bits_do_not_depend_on_alignment(tmp_path, monkeypatch):
+    aligned = _lsq_cases(tmp_path)
+    monkeypatch.setattr(problems, "_cache_aligned", misaligned_copy)
+    moved = _lsq_cases(tmp_path)
+    rng = np.random.default_rng(12)
+    for (p, _, _), (q, _, _) in zip(aligned, moved):
+        assert oracle_rows(q).ctypes.data % 64 == 16
+        n = p.n_samples
+        batches = [p.full_batch(), Batch(np.sort(rng.choice(n, size=max(1, n // 3), replace=False)))]
+        for C in (1, 6):
+            X = rng.standard_normal((C, p.dim))
+            for batch in batches:
+                want = problems.evaluate_cells(p, X, batch)
+                got = problems.evaluate_cells(q, X, batch)
+                assert bits(got[0]) == bits(want[0]) and bits(got[2]) == bits(want[2])
+                assert bits(got[1]) == bits(want[1])
+                assert bits(problems.evaluate_loss(q, X, batch)) == bits(
+                    problems.evaluate_loss(p, X, batch))
+        assert_same_metadata(q.metadata, p.metadata)
