@@ -211,7 +211,9 @@ class SweepResult:
 # Stacks of at most this many entries are checked for non-finite values on
 # Python floats, larger ones by np.isfinite: 0.55 against 2.5 us at one
 # entry, 1.2 against 2.3 us at 16, 2.7 against 1.8 us at 64 (timeit,
-# 2-vCPU x86 VM, NumPy 2.4).
+# 2-vCPU x86 VM, NumPy 2.4). A larger stack is summed: a finite sum means
+# finite entries, and only an infinite or NaN sum, which finite entries
+# can give by overflow, runs the per-row np.isfinite.
 _FLOAT_CHECK_MAX = 32
 
 
@@ -256,7 +258,7 @@ def run_lockstep(problem: StochasticObjective, cells: list, budget: RunBudget, s
                 else:
                     X = np.array([cell.state.x for cell in active])
                 if not (all(map(math.isfinite, X.ravel().tolist())) if X.size <= _FLOAT_CHECK_MAX
-                        else np.isfinite(X).all()):
+                        else math.isfinite(np.add.reduce(X, axis=None))):
                     finite = np.isfinite(X).all(axis=1)
                     for cell, ok in zip(active, finite.tolist()):
                         if not ok:
@@ -350,25 +352,28 @@ def _sweep_row(sweep: SweepSpec, cell, run) -> dict:
 
 def _sweep_rows(sweep: SweepSpec, cells: list, problem: StochasticObjective) -> list:
     """Run sweep cells in lockstep, one group per batch sequence: all of
-    them on a full batch, the cells of each seed on mini-batches. Rows
-    come back in the order of cells."""
-    runs = []
-    for kind, c, beta, _, x0 in cells:
+    them on a full batch, the cells of each seed on mini-batches. On a
+    full batch the seed picks nothing, so cells that differ only in seed
+    share one run, stepped once. Rows come back in the order of cells."""
+    bs = sweep.budget.batch_size
+    shared = bs is None or bs >= problem.n_samples  # the seed picks no batch
+    # (group seed, trajectory); repr tells 0.0 from -0.0 and takes list starts
+    keys = [(0 if shared else seed, repr((kind, c, beta, x0))) for kind, c, beta, seed, x0 in cells]
+    runs: dict = {}  # one run (or the exception that kept it from being built) per key
+    groups: dict = {}
+    for key, (kind, c, beta, _, x0) in zip(keys, cells):
+        if key in runs:
+            continue
         try:
             spec = make_optimizer_spec(sweep, kind, c, beta)
             x0_arr = None if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
-            runs.append(RunRecord(problem, spec, x0_arr))
+            runs[key] = RunRecord(problem, spec, x0_arr)
+            groups.setdefault(key[0], []).append(runs[key])
         except Exception as exc:  # a bad spec or start fails its cell alone
-            runs.append(exc)
-    bs = sweep.budget.batch_size
-    shared = bs is None or bs >= problem.n_samples  # the seed picks no batch
-    groups: dict = {}
-    for cell, run in zip(cells, runs):
-        if isinstance(run, RunRecord):
-            groups.setdefault(0 if shared else cell[3], []).append(run)
+            runs[key] = exc
     for seed, group in groups.items():
         run_lockstep(problem, group, sweep.budget, seed, history=False)
-    return [_sweep_row(sweep, cell, run) for cell, run in zip(cells, runs)]
+    return [_sweep_row(sweep, cell, runs[key]) for key, cell in zip(keys, cells)]
 
 
 _worker_problem: list = []  # [(ProblemSpec, StochasticObjective)] in a pool worker

@@ -14,9 +14,10 @@ shape (C, d) and returns the C losses, shape (C,), and gradients, shape
 X[i] has, so the run loop can evaluate all the cells that share a batch
 in one call. The oracles therefore use only operations that round the
 same on any number of rows: stacked matvecs `rows @ X[:, :, None]` (one
-gemv per cell), row sums, and explicit products in place of `**`. A
-closed-form objective also has a one-point oracle, computed in Python
-floats with the bits of a stacked row, that `evaluate_cells` takes.
+gemv per cell), row sums, and explicit products in place of `**`. Every
+objective also has a one-point oracle with the bits of a stacked row,
+which `evaluate` and `evaluate_cells` take for one point: a closed form
+computes on Python floats, least squares with a row's gemvs and sums.
 
 Least-squares style problems use the per-sample convention
 f_i(x) = (1/2)(a_i^T x - b_i)^2, so the full-batch loss is
@@ -108,9 +109,9 @@ class StepSample:
     @classmethod
     def _with_grad_sq(cls, loss: float, grad: np.ndarray, batch: Batch,
                       grad_sq: float) -> "StepSample":
-        """A sample whose grad_sq the run loop has already computed, as a
-        row of evaluate_cells' row sums: the same bits the constructor
-        computes."""
+        """A sample whose grad_sq an oracle has already computed, as a
+        row sum or the one-point oracle's sum: the same bits the
+        constructor computes."""
         sample = cls.__new__(cls)
         sample.loss, sample.grad, sample.batch, sample.grad_sq = loss, grad, batch, grad_sq
         return sample
@@ -161,10 +162,11 @@ class StochasticObjective:
     means all samples in order (see `Batch.full`). `_loss(X, indices)`,
     when available, returns the same losses without the gradients.
     `_batch_min(indices)`, when available, returns the exact minimum of
-    that batch loss (least-squares subproblems). `_point(coords)`, when
-    available, maps the d floats of one point to its loss, gradient (d,)
-    and ||g||^2, with the bits of `evaluate_cells`' row. `_metadata()`
-    computes the ObjectiveMetadata; `metadata` calls it on first read.
+    that batch loss (least-squares subproblems). `_point(x, indices)` maps
+    one point x (d,) to its batch loss, gradient (d,) and ||g||^2, the
+    loss and ||g||^2 as floats, with the bits of a row of `_loss_grad`
+    and its row sum. `_metadata()` computes the ObjectiveMetadata;
+    `metadata` calls it on first read.
 
     x0_default must be a finite point of dimension `dim`.
     """
@@ -175,9 +177,9 @@ class StochasticObjective:
     _metadata: Callable[[], ObjectiveMetadata]
     x0_default: np.ndarray
     _loss_grad: Callable[[np.ndarray, np.ndarray], tuple]
+    _point: Callable[[np.ndarray, np.ndarray], tuple]
     _batch_min: Optional[Callable[[np.ndarray], float]] = None
     _loss: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    _point: Optional[Callable[[list], tuple]] = None
 
     def __post_init__(self):
         x0 = self.x0_default
@@ -217,8 +219,8 @@ def evaluate(problem: StochasticObjective, x: np.ndarray, batch: Batch) -> StepS
     x = check_point(problem, x)
     if not np.isfinite(x).all():
         raise ValueError("non-finite input coordinates")
-    loss, grad = problem._loss_grad(x[None, :], _oracle_indices(batch))
-    return StepSample(float(loss[0]), grad[0], batch)
+    loss, grad, grad_sq = problem._point(x, _oracle_indices(batch))
+    return StepSample._with_grad_sq(loss, grad, batch, grad_sq)
 
 
 def evaluate_cells(problem: StochasticObjective, X: np.ndarray, batch: Batch) -> tuple:
@@ -228,8 +230,8 @@ def evaluate_cells(problem: StochasticObjective, X: np.ndarray, batch: Batch) ->
     the bits of `evaluate` at X[i]: a row sum reduces a row as the
     whole-vector sum reduces the vector. No input checks; the run loop
     checks its iterates before it evaluates them."""
-    if problem._point is not None and X.shape[0] == 1:
-        loss, grad, grad_sq = problem._point(X[0].tolist())
+    if X.shape[0] == 1:
+        loss, grad, grad_sq = problem._point(X[0], _oracle_indices(batch))
         return [loss], [grad], [grad_sq]
     loss, grad = problem._loss_grad(X, _oracle_indices(batch))
     return loss.tolist(), grad, np.add.reduce(grad * grad, axis=1).tolist()
@@ -372,11 +374,8 @@ def _least_squares_objective(kind: str, A: np.ndarray, b: np.ndarray,
         over all samples in order when idx is None. The full batch reads A
         and b in place; a gather of 0..n-1 would copy them unchanged, so
         both give the same bits. Any other index array, permuted or
-        repeated, gathers once for all C points. One point skips the
-        stacking views: its product is the same gemv."""
+        repeated, gathers once for all C points."""
         A_b, b_b = (rows, b) if idx is None else (rows[idx], b[idx])
-        if X.shape[0] == 1:
-            return A_b, (A_b @ X[0] - b_b)[None, :]
         return A_b, (A_b @ X[:, :, None])[:, :, 0] - b_b
 
     def loss(X, idx):
@@ -386,11 +385,18 @@ def _least_squares_objective(kind: str, A: np.ndarray, b: np.ndarray,
     def loss_grad(X, idx):
         A_b, R = residuals(X, idx)
         m = R.shape[1]
-        if R.shape[0] == 1:
-            grad = (A_b.T @ R[0] / m)[None, :]
-        else:
-            grad = (A_b.T @ R[:, :, None])[:, :, 0] / m
-        return np.add.reduce(R * R, axis=1) / (2.0 * m), grad
+        return np.add.reduce(R * R, axis=1) / (2.0 * m), (A_b.T @ R[:, :, None])[:, :, 0] / m
+
+    def point(x, idx):
+        """One point x (d,): the gather, BLAS calls and sums of a stacked
+        row, with no stacking views. ndarray.dot makes the BLAS call
+        matmul makes (gemv, or dot for one row) at about half its
+        per-call cost, and m as a float divides faster than the int."""
+        A_b, b_b = (rows, b) if idx is None else (rows[idx], b[idx])
+        r = A_b.dot(x) - b_b
+        m = float(r.shape[0])
+        g = A_b.T.dot(r) / m
+        return float(np.add.reduce(r * r)) / (2.0 * m), g, float(np.add.reduce(g * g))
 
     def batch_min(idx):
         sol = np.linalg.lstsq(rows[idx], b[idx], rcond=None)[0]
@@ -400,7 +406,7 @@ def _least_squares_objective(kind: str, A: np.ndarray, b: np.ndarray,
     if x0 is None:
         x0 = np.zeros(d)
     return StochasticObjective(kind, d, n, metadata, np.asarray(x0, dtype=float), loss_grad,
-                               batch_min, loss)
+                               point, batch_min, loss)
 
 
 def least_squares_problem(A: np.ndarray, b: np.ndarray,
@@ -429,14 +435,15 @@ def _build_ridge(spec: ProblemSpec) -> StochasticObjective:
     rng = np.random.default_rng(spec.seed)
     M = rng.standard_normal(out=_aligned_empty((d, d)))
     y = rng.standard_normal(d)
-    M += spec.r * np.eye(d)  # A + rI, added in place
+    M.ravel()[::d + 1] += spec.r  # A + rI: r added to the diagonal in place
     x0 = None if spec.x0 is None else np.asarray(spec.x0, dtype=float)
     return _least_squares_objective(KIND_RIDGE, M, y, x0)
 
 
 def _pointwise(formula: Callable) -> dict:
     """The oracles of a closed-form objective of dimension d <= 2: the
-    cell-axis `_loss_grad` and the one-point `_point`.
+    cell-axis `_loss_grad` and the one-point `_point`; both ignore the
+    batch, as a closed form has one sample.
 
     formula takes the d coordinates and returns the loss and a tuple of
     the d partial derivatives. `_loss_grad` passes the columns (C,) of a
@@ -450,8 +457,8 @@ def _pointwise(formula: Callable) -> dict:
     by another 28% (2-vCPU x86 VM).
     """
 
-    def point(coords):
-        loss, grad = formula(*coords)
+    def point(x, idx):
+        loss, grad = formula(*x.tolist())
         grad_sq = 0.0
         for g in grad:
             grad_sq += g * g

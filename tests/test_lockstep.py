@@ -279,7 +279,38 @@ def test_full_batch_sweep_is_one_group(monkeypatch):
     sweep = SweepSpec(LSQ, ["ngn", "sgdm"], [0.01, 0.1], [0.0], [0, 1, 2],
                       RunBudget(max_steps=10, **FOREVER))
     run_sweep(sweep)
-    assert evaluated == [12] * 10
+    assert evaluated == [4] * 10  # the distinct runs: three seeds make one run
+
+
+@pytest.mark.parametrize("problem, x0_grid", [
+    (LSQ, None),
+    (ProblemSpec(kind="polynomial_1d", coeffs=(0.5, -2.0, 0.0, 1.0)), [2.0, 0.0, -0.0, 1.5]),
+], ids=["least_squares", "polynomial_x0_grid"])
+def test_a_full_batch_sweep_steps_each_trajectory_once(monkeypatch, tmp_path, problem, x0_grid):
+    # the seed picks no full batch: a 3-seed sweep steps its distinct runs
+    # once and writes, row for row, the CSV of three one-seed sweeps
+    steps = []
+
+    def counted(state, sample, spec):
+        steps.append(spec.kind)
+        return apply_step(state, sample, spec)
+
+    monkeypatch.setattr(harness, "apply_step", counted)
+
+    def sweep(seeds, name):
+        return SweepSpec(problem, ["ngn", "ngn_m_v1", "sgdm"], [0.01, 0.1], [0.0, 0.9], seeds,
+                         RunBudget(max_steps=60), out_path=str(tmp_path / name), x0_grid=x0_grid)
+
+    three = sweep([0, 1, 2], "three.csv")
+    run_sweep(three)
+    three_steps, rows = len(steps), {}
+    for seed in (0, 1, 2):
+        for row in run_sweep(sweep([seed], f"seed{seed}.csv")).rows:
+            rows[row["optimizer"], row["c"], row["beta"], row["seed"], repr(row.get("x0"))] = row
+    assert three_steps > 0 and 3 * three_steps == len(steps) - three_steps
+    merged = [rows[kind, c, beta, seed, repr(x0)] for kind, c, beta, seed, x0 in three.cells()]
+    harness.emit_csv(harness.SweepResult(three, merged), str(tmp_path / "merged.csv"))
+    assert filecmp.cmp(tmp_path / "three.csv", tmp_path / "merged.csv", shallow=False)
 
 
 @pytest.mark.parametrize("name", ["least_squares", "ridge", "rosenbrock", "multimodal"])
@@ -501,3 +532,43 @@ def test_non_finite_iterate_in_a_mixed_group(monkeypatch, float_check_max):
             assert cell.status == STATUS_BUDGET and len(cell.losses) == 30
         else:
             diverged_on_the_iterate(cell, 0 if name == "nan_start" else 1)
+
+
+@pytest.mark.parametrize("float_check_max", CHECK_SIZES)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_a_stack_whose_sum_overflows_is_finite(monkeypatch, float_check_max, sign):
+    # 40 entries of +-1e308 sum to +-inf, but each is finite: the loss at
+    # the start, not the iterate, ends the run
+    monkeypatch.setattr(harness, "_FLOAT_CHECK_MAX", float_check_max)
+    p = build_problem(ProblemSpec(kind="least_squares", dim=40, n_samples=80, seed=0))
+    rec = run_once(p, OptimizerSpec(kind="sgdm", c=0.1), RunBudget(max_steps=10), seed=0,
+                   x0=np.full(40, sign * 1e308))
+    assert (rec.status, rec.stop_reason, rec.stop_step) == ("diverged", "non_finite_loss", 0)
+
+
+@pytest.mark.parametrize("float_check_max", CHECK_SIZES)
+def test_non_finite_iterate_in_a_stack_whose_sum_overflows(monkeypatch, float_check_max):
+    # 80 one-point cells: the +-1e308 starts make the stack's sum overflow
+    # at step 0, when the NaN and infinite starts are in it too; at step 1
+    # the overflowed iterates of 8 cells sit in a stack of 40
+    monkeypatch.setattr(harness, "_FLOAT_CHECK_MAX", float_check_max)
+    p = build_problem(ProblemSpec(kind="polynomial_1d"))
+    budget = RunBudget(max_steps=30, diverge_loss=math.inf)
+    running = OptimizerSpec(kind="ngn_m_v1", c=1e-3, beta1=0.9)
+    cases = {"huge": (running, 1e308), "huge_negative": (running, -1e308),
+             "nan_start": (running, math.nan), "inf_start": (running, math.inf),
+             "negative_inf_start": (running, -math.inf),
+             "overflow": (OptimizerSpec(kind="sgdm", c=1e307), 3.0), "running": (running, 3.0)}
+    names = ["huge", "huge_negative", "nan_start", "inf_start", "negative_inf_start", "overflow",
+             "running", "running", "running", "running"] * 8
+    cells = [RunRecord(p, cases[name][0], np.array([cases[name][1]])) for name in names]
+    run_lockstep(p, cells, budget, seed=0)
+    for name, cell in zip(names, cells):
+        spec, x0 = cases[name]
+        same_run(cell, run_once(p, spec, budget, seed=0, x0=np.array([x0])))
+        if name == "running":
+            assert cell.status == STATUS_BUDGET and len(cell.losses) == 30
+        elif name.startswith("huge"):
+            assert (cell.stop_reason, cell.stop_step) == ("non_finite_loss", 0)
+        else:
+            diverged_on_the_iterate(cell, 1 if name == "overflow" else 0)

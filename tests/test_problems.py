@@ -1,8 +1,10 @@
 import dataclasses
 import inspect
 import math
+import pathlib
 import random
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,12 +24,15 @@ from ngnopt import (
     evaluate,
     finite_diff_grad,
     least_squares_problem,
+    parse_config,
     run_once,
     run_sweep,
     sample_batch,
 )
 from ngnopt import problems
 from ngnopt.problems import PROBLEM_KINDS, StepSample, _poly_growth_constant
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def reference_sample_indices(seed, step, n, batch_size):
@@ -725,6 +730,54 @@ def test_one_point_oracle_has_the_bits_of_a_stacked_row(name, data):
             assert bits(grad_sq[0]) == bits(grad_sqs[i])
 
 
+LEAST_SQUARES = {
+    "least_squares": ProblemSpec(kind="least_squares", dim=4, n_samples=12, seed=1),
+    "least_squares_50": ProblemSpec(kind="least_squares", dim=50, n_samples=120, seed=2),
+    "ridge": ProblemSpec(kind="ridge_quadratic", dim=5, seed=3, r=0.5),
+    "regression": ProblemSpec(kind="linear_regression_data", seed=0),
+}
+_LEAST_SQUARES_BUILT: dict = {}
+
+
+def draw_batch(p, batching, data):
+    """A batch of p: the full one, a sample_batch draw, or hand-built
+    indices, a permutation of all n or n' draws with repeats."""
+    n = p.n_samples
+    if batching == "full":
+        return p.full_batch()
+    if batching == "sampled":
+        return sample_batch(p, data.draw(st.integers(0, 99)), data.draw(st.integers(0, 99)),
+                            data.draw(st.integers(1, n)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if batching == "permuted":
+        return Batch(rng.permutation(n))
+    return Batch(rng.integers(0, n, size=data.draw(st.integers(1, 2 * n))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(LEAST_SQUARES)),
+       batching=st.sampled_from(["full", "sampled", "permuted", "repeated"]), data=st.data())
+def test_least_squares_one_point_oracle_has_the_bits_of_a_stacked_row(name, batching, data):
+    if name not in _LEAST_SQUARES_BUILT:
+        _LEAST_SQUARES_BUILT[name] = build_problem(LEAST_SQUARES[name])
+    p = _LEAST_SQUARES_BUILT[name]
+    batch = draw_batch(p, batching, data)
+    count = data.draw(st.integers(2, 6))
+    X = data.draw(arrays(np.float64, (count, p.dim), elements=COORDS))
+    with np.errstate(all="ignore"):
+        losses, grads, grad_sqs = problems.evaluate_cells(p, X, batch)
+        for i in range(count):
+            loss, grad, grad_sq = problems.evaluate_cells(p, X[i:i + 1], batch)
+            assert type(loss[0]) is float and type(grad_sq[0]) is float
+            assert grad[0].shape == (p.dim,) and grad[0].dtype == np.float64
+            assert bits(loss[0]) == bits(losses[i])
+            assert bits(grad[0]) == bits(grads[i])
+            assert bits(grad_sq[0]) == bits(grad_sqs[i])
+            sample = evaluate(p, X[i], batch)
+            assert bits([sample.loss, sample.grad_sq]) == bits([losses[i], grad_sqs[i]])
+            assert bits(sample.grad) == bits(grads[i])
+
+
 def multimodal_eight_calls(t):
     """The multimodal oracle as first written, with eight sin/cos calls:
     the reference for the bits of the four-call form."""
@@ -796,6 +849,48 @@ def test_builds_draw_their_data_aligned_without_a_copy(monkeypatch, spec):
     monkeypatch.setattr(problems, "_aligned_empty", recorded)
     p = build_problem(spec)
     assert len(made) == 1 and oracle_rows(p) is made[0]
+
+
+def ridge_with_a_dense_shift(spec):
+    """The ridge build as first written: A + r * eye(d), a dense add."""
+    rng = np.random.default_rng(spec.seed)
+    M = rng.standard_normal((spec.dim, spec.dim))
+    y = rng.standard_normal(spec.dim)
+    return problems._least_squares_objective(problems.KIND_RIDGE, M + spec.r * np.eye(spec.dim), y)
+
+
+@pytest.mark.parametrize("d, seed, r", [(1, 0, 0.1), (5, 3, -0.5), (400, 0, 0.1), (37, 1, 0.0)])
+def test_ridge_adds_its_shift_on_the_diagonal(d, seed, r):
+    spec = ProblemSpec(kind="ridge_quadratic", dim=d, seed=seed, r=r)
+    want = oracle_rows(ridge_with_a_dense_shift(spec))
+    got = oracle_rows(build_problem(spec))
+    assert np.array_equal(got, want) and bits(got) == bits(want)
+
+
+def test_shipped_ridge_summary_keeps_its_bytes(monkeypatch, tmp_path):
+    # the shipped quadratic config, with its budget cut to keep the suite
+    # fast, against the same sweep on the dense-shift build
+    sweep = parse_config(str(CONFIG_DIR / "quadratic_schedules.cfg"))
+    sweep.budget = dataclasses.replace(sweep.budget, max_steps=300)
+    sweep.out_path = str(tmp_path / "diagonal.csv")
+    run_sweep(sweep)
+    monkeypatch.setitem(problems._BUILDERS, problems.KIND_RIDGE, ridge_with_a_dense_shift)
+    sweep.out_path = str(tmp_path / "dense.csv")
+    run_sweep(sweep)
+    assert (tmp_path / "diagonal.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
+
+
+def test_ridge_build_peak_memory_is_under_two_matrices():
+    # the matrix itself is 8 d^2 bytes; a dense r * eye(d) would add two more
+    d = 400
+    build_problem(ProblemSpec(kind="ridge_quadratic", dim=d, seed=0, r=0.1))  # warm caches
+    tracemalloc.start()
+    try:
+        build_problem(ProblemSpec(kind="ridge_quadratic", dim=d, seed=0, r=0.1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * d * d < peak < 2 * 8 * d * d
 
 
 def misaligned_copy(A):
