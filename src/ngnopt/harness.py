@@ -10,7 +10,7 @@ success, before taking the next step, and records why. run_once is the
 loop's one-cell case and returns the record it stepped; sweeps, the CLI
 and the audits use these two. Sweeps execute a
 deterministic grid of (kind, c, beta, seed[, x0]) cells, serially (one
-group per batch sequence) or in a process pool (one cell per task), and
+group per batch sequence) or in a process pool (one run per task), and
 aggregate per-cell summaries in cell order, so repeated invocations of
 the same config produce byte-identical CSV output.
 
@@ -27,6 +27,7 @@ import configparser
 import itertools
 import math
 import os
+import pickle
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -60,6 +61,7 @@ OUT_DIR_ENV = "NGNOPT_OUT_DIR"
 
 SUMMARY_COLUMNS = ("optimizer", "c", "beta", "seed", "status",
                    "final_loss", "best_loss", "steps_to_success")
+_ROW_FIELDS = SUMMARY_COLUMNS + ("stop_reason", "x0", "x_final", "error")  # what _sweep_row writes
 TRAJECTORY_COLUMNS = ("step", "loss", "full_loss", "grad_norm", "gamma_scalar",
                       "gamma_coord_min", "gamma_coord_max", "gamma_coord_mean", "update_norm")
 
@@ -352,28 +354,25 @@ def _sweep_row(sweep: SweepSpec, cell, run) -> dict:
 
 def _sweep_rows(sweep: SweepSpec, cells: list, problem: StochasticObjective) -> list:
     """Run sweep cells in lockstep, one group per batch sequence: all of
-    them on a full batch, the cells of each seed on mini-batches. On a
-    full batch the seed picks nothing, so cells that differ only in seed
-    share one run, stepped once. Rows come back in the order of cells."""
-    bs = sweep.budget.batch_size
-    shared = bs is None or bs >= problem.n_samples  # the seed picks no batch
-    # (group seed, trajectory); repr tells 0.0 from -0.0 and takes list starts
-    keys = [(0 if shared else seed, repr((kind, c, beta, x0))) for kind, c, beta, seed, x0 in cells]
-    runs: dict = {}  # one run (or the exception that kept it from being built) per key
-    groups: dict = {}
-    for key, (kind, c, beta, _, x0) in zip(keys, cells):
-        if key in runs:
-            continue
+    them on a full batch, the cells of each seed on mini-batches. Rows
+    come back in the order of cells."""
+    runs = []
+    for kind, c, beta, _, x0 in cells:
         try:
             spec = make_optimizer_spec(sweep, kind, c, beta)
             x0_arr = None if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
-            runs[key] = RunRecord(problem, spec, x0_arr)
-            groups.setdefault(key[0], []).append(runs[key])
+            runs.append(RunRecord(problem, spec, x0_arr))
         except Exception as exc:  # a bad spec or start fails its cell alone
-            runs[key] = exc
+            runs.append(exc)
+    bs = sweep.budget.batch_size
+    shared = bs is None or bs >= problem.n_samples  # the seed picks no batch
+    groups: dict = {}
+    for cell, run in zip(cells, runs):
+        if isinstance(run, RunRecord):
+            groups.setdefault(0 if shared else cell[3], []).append(run)
     for seed, group in groups.items():
         run_lockstep(problem, group, sweep.budget, seed, history=False)
-    return [_sweep_row(sweep, cell, runs[key]) for key, cell in zip(keys, cells)]
+    return [_sweep_row(sweep, cell, run) for cell, run in zip(cells, runs)]
 
 
 _worker_problem: list = []  # [(ProblemSpec, StochasticObjective)] in a pool worker
@@ -393,22 +392,33 @@ def _cell_worker(args) -> dict:
 
 def run_sweep(sweep: SweepSpec, workers: int = 1) -> SweepResult:
     """Execute every cell and aggregate summaries in deterministic cell
-    order. The serial path runs one lockstep group per batch sequence;
-    workers > 1 runs one cell per task in a process pool of at most one
-    worker per cell, where each worker builds the problem once. Every
-    cell ends with the bits of its one-cell run and results are merged by
-    cell index, so parallel and serial output are identical. On both paths a problem that cannot be built
-    raises from here, and a cell that fails to run becomes an `error`
-    row."""
+    order. On a full batch, cells that differ only in seed are one run,
+    stepped once for all their rows. Serially the distinct runs make one
+    lockstep group per batch sequence; workers > 1 runs one per task in a
+    pool of at most one worker per task, each building the problem once.
+    Rows are merged by cell index and every run has the bits of its
+    one-cell run, so both paths write the same output. A problem that
+    cannot be built raises from here; a cell that fails is an `error` row."""
     cells = sweep.cells()
+    bs = sweep.budget.batch_size  # a pool builds the problem in its workers; here for n_samples
+    problem = build_problem(sweep.problem) if workers <= 1 or bs is not None else None
+    shared = bs is None or bs >= problem.n_samples  # the seed picks no batch
+    # the first cell of each distinct run, keyed on bits: 0.0 and -0.0 differ, as do close starts
+    first: dict = {}
+    reps = [first.setdefault(pickle.dumps((kind, c, beta, None if shared else seed, x0)), i)
+            for i, (kind, c, beta, seed, x0) in enumerate(cells)]
+    distinct = [cells[i] for i in first.values()]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only pooled sweeps pay its import
 
         # a fork-started pool starts all its workers on the first submit
-        with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
-            rows = list(pool.map(_cell_worker, [(sweep, cell) for cell in cells]))
+        with ProcessPoolExecutor(max_workers=min(workers, len(distinct))) as pool:
+            runs = list(pool.map(_cell_worker, [(sweep, cell) for cell in distinct]))
     else:
-        rows = _sweep_rows(sweep, cells, build_problem(sweep.problem))
+        runs = _sweep_rows(sweep, distinct, problem)
+    row_of = dict(zip(first.values(), runs))
+    rows = [row_of[i] if i == j else {f: row_of[j][f] for f in _ROW_FIELDS if f in row_of[j]}
+            | {"seed": cell[3]} for i, (j, cell) in enumerate(zip(reps, cells))]
     result = SweepResult(sweep, rows)
     if sweep.out_path is not None:
         emit_csv(result, resolve_out_path(sweep.out_path))

@@ -226,10 +226,10 @@ def evaluate(problem: StochasticObjective, x: np.ndarray, batch: Batch) -> StepS
 def evaluate_cells(problem: StochasticObjective, X: np.ndarray, batch: Batch) -> tuple:
     """The losses and squared gradient norms, as lists of C floats, and
     the C gradients (d,) at the rows of X (C, d), from one oracle call
-    (the one-point oracle for one point, when there is one). Row i has
-    the bits of `evaluate` at X[i]: a row sum reduces a row as the
-    whole-vector sum reduces the vector. No input checks; the run loop
-    checks its iterates before it evaluates them."""
+    (the one-point oracle for one point). Row i has the bits of
+    `evaluate` at X[i]: a row sum reduces a row as the whole-vector sum
+    reduces the vector. No input checks; the run loop checks its
+    iterates before it evaluates them."""
     if X.shape[0] == 1:
         loss, grad, grad_sq = problem._point(X[0], _oracle_indices(batch))
         return [loss], [grad], [grad_sq]
@@ -388,13 +388,11 @@ def _least_squares_objective(kind: str, A: np.ndarray, b: np.ndarray,
         return np.add.reduce(R * R, axis=1) / (2.0 * m), (A_b.T @ R[:, :, None])[:, :, 0] / m
 
     def point(x, idx):
-        """One point x (d,): the gather, BLAS calls and sums of a stacked
-        row, with no stacking views. ndarray.dot makes the BLAS call
-        matmul makes (gemv, or dot for one row) at about half its
-        per-call cost, and m as a float divides faster than the int."""
+        """One point x (d,): a stacked row's gather, BLAS calls and sums, no
+        stacking views. ndarray.dot is matmul's BLAS call at half its cost."""
         A_b, b_b = (rows, b) if idx is None else (rows[idx], b[idx])
         r = A_b.dot(x) - b_b
-        m = float(r.shape[0])
+        m = float(r.shape[0])  # a float m divides faster than the int, with its bits
         g = A_b.T.dot(r) / m
         return float(np.add.reduce(r * r)) / (2.0 * m), g, float(np.add.reduce(g * g))
 

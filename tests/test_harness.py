@@ -313,7 +313,22 @@ def test_run_sweep_starts_no_more_workers_than_cells(monkeypatch):
     sizes = recording_pool(monkeypatch)
     assert run_sweep(small_sweep(), workers=5000).rows == expected
     assert run_sweep(small_sweep(), workers=3).rows == expected
-    assert sizes == [8, 3]  # small_sweep has 8 cells
+    assert sizes == [4, 3]  # small_sweep has 8 cells, 4 distinct runs on its full batch
+
+
+@pytest.mark.parametrize("batch_size, tasks", [(None, 4), (6, 4), (3, 8)])
+def test_pool_runs_each_distinct_run_once(tmp_path, monkeypatch, batch_size, tasks):
+    # a batch of all 6 samples is a full batch: 2 seeds of 4 runs make 4 tasks
+    sweep = small_sweep(tmp_path, budget=RunBudget(max_steps=50, batch_size=batch_size))
+    run_sweep(sweep)
+    serial = (tmp_path / "summary.csv").read_bytes()
+    recording_pool(monkeypatch)
+    ran = []
+    worker = harness._cell_worker
+    monkeypatch.setattr(harness, "_cell_worker", lambda args: ran.append(args[1]) or worker(args))
+    rows = run_sweep(sweep, workers=2).rows
+    assert len(ran) == tasks and len(rows) == 8
+    assert (tmp_path / "summary.csv").read_bytes() == serial
 
 
 @pytest.mark.parametrize("cpus, pools", [(3, [3]), (None, [])])

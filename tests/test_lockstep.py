@@ -313,6 +313,28 @@ def test_a_full_batch_sweep_steps_each_trajectory_once(monkeypatch, tmp_path, pr
     assert filecmp.cmp(tmp_path / "three.csv", tmp_path / "merged.csv", shallow=False)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("problem, starts", [
+    (LSQ, [np.full(4, 0.1), np.full(4, 0.1 + 1e-12)]),
+    (ProblemSpec(kind="least_squares", dim=1001, n_samples=2, seed=0),
+     [np.zeros(1001), np.where(np.arange(1001) == 500, 1e-3, 0.0)]),
+], ids=["starts_1e-12_apart", "d1001_starts_apart_in_the_middle"])
+def test_full_batch_starts_that_print_alike_stay_distinct_runs(tmp_path, problem, starts, workers):
+    # NumPy prints both starts of each pair alike (8 digits, or '...' past
+    # 1000 entries); a 2-seed sweep still writes each start's own row
+    def sweep(x0_grid, seeds, name):
+        return SweepSpec(problem, ["ngn_m_v1"], [0.5], [0.9], seeds, RunBudget(max_steps=40),
+                         out_path=str(tmp_path / name), x0_grid=x0_grid)
+
+    assert repr(starts[0]) == repr(starts[1])
+    rows = run_sweep(sweep(starts, [0, 1], "both.csv"), workers=workers).rows
+    alone = [run_sweep(sweep([x0], [seed], f"{i}_{seed}.csv")).rows[0]
+             for seed in (0, 1) for i, x0 in enumerate(starts)]
+    assert not np.array_equal(alone[0]["x_final"], alone[1]["x_final"])
+    assert [(r["seed"], r["final_loss"], r["best_loss"], r["x_final"].tobytes()) for r in rows] == [
+        (r["seed"], r["final_loss"], r["best_loss"], r["x_final"].tobytes()) for r in alone]
+
+
 @pytest.mark.parametrize("name", ["least_squares", "ridge", "rosenbrock", "multimodal"])
 def test_group_samples_carry_the_squared_norm_of_their_gradient(monkeypatch, name):
     samples = []
