@@ -290,8 +290,7 @@ def run_lockstep(problem: StochasticObjective, cells: list, budget: RunBudget, s
                     else:
                         try:
                             cell.state, report = step_fn(
-                                cell.state, StepSample._with_grad_sq(loss, grad, batch, grad_sq),
-                                cell.spec)
+                                cell.state, StepSample(loss, grad, grad_sq), cell.spec)
                         except Exception as exc:  # this cell's rule failed
                             cell.error = exc
                             continue
@@ -806,7 +805,6 @@ def _build_parser() -> argparse.ArgumentParser:
     boundsp.add_argument("--dist0", type=float, required=True, help="||x0 - x*||")
     boundsp.add_argument("--sigma-int", type=float, default=0.0, help="sigma_int^2")
     boundsp.add_argument("--sigma-pos", type=float, default=0.0, help="sigma_pos^2")
-    boundsp.add_argument("--c-poly", type=float, default=None)
     return parser
 
 
@@ -870,19 +868,17 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    """Every value is computed, and so every argument checked, before
+    the first line is printed."""
+    theory._check("non-negative", dist0=args.dist0)  # squared below, which drops its sign
     rho, lambda_max, beta_max = theory.ngn_m_params(args.c, args.L)
-    inputs = theory.TheoryInputs(c=args.c, L=args.L, K=args.K, dist0_sq=args.dist0 ** 2,
-                                 sigma_int_sq=args.sigma_int, sigma_pos_sq=args.sigma_pos)
+    bound_args = (args.c, args.L, args.K, args.dist0 ** 2, args.sigma_int, args.sigma_pos)
+    bound, decaying = theory.ngn_m_bound(*bound_args), theory.ngn_m_bound_decaying(*bound_args)
     print(f"rho {rho}")
     print(f"lambda_max {lambda_max}")
     print(f"beta_max {beta_max}")
-    print(f"ngn_m_bound {theory.ngn_m_bound(inputs)}")
-    print(f"ngn_m_bound_decaying "
-          f"{theory.ngn_m_bound_decaying(args.c, args.L, args.K, args.dist0 ** 2, args.sigma_int, args.sigma_pos)}")
-    if args.c_poly is not None:
-        lo, hi, thresh = theory.gammahat_range(args.c_poly)
-        print(f"gammahat_range ({lo}, {hi})")
-        print(f"beta_threshold {thresh}")
+    print(f"ngn_m_bound {bound}")
+    print(f"ngn_m_bound_decaying {decaying}")
     return 0
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -56,10 +56,10 @@ class ObjectiveMetadata:
     """Analytic facts about an objective; None where no closed form exists.
 
     L is a global smoothness constant (lambda_max(A^T A) for quadratics),
-    L_coord the per-coordinate constants (diag(A^T A)), mu the smallest
-    positive eigenvalue of A^T A when the objective satisfies a PL-type
-    inequality, and C_poly the growth constant C with
-    C (1 + p(x)^2) >= x p(x) p'(x) for the scaled polynomial objective.
+    L_coord the per-coordinate constants (diag(A^T A)), and mu the
+    smallest positive eigenvalue of A^T A. L and L_coord bound every batch
+    loss. The mean loss (1/(2n))||Ax - b||^2 has Hessian A^T A / n, so its
+    PL constant is mu / n: a bound evaluated at mu itself is not one.
     """
 
     L: Optional[float] = None
@@ -67,7 +67,6 @@ class ObjectiveMetadata:
     f_star: Optional[float] = None
     x_star: Optional[np.ndarray] = None
     mu: Optional[float] = None
-    C_poly: Optional[float] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,31 +89,18 @@ class Batch:
 
 @dataclass(eq=False, slots=True)
 class StepSample:
-    """One oracle evaluation: loss value, gradient vector, batch identity.
-
-    grad_sq is ||grad||^2, computed by the constructor as
-    float((grad*grad).sum()), the same bits as float(np.sum(grad*grad)).
-    The NGN rules read it for the step size. Plain slotted data: the step
-    rules never assign to a sample or write into its gradient.
+    """One oracle evaluation: the loss, the gradient and grad_sq =
+    ||grad||^2, which the NGN rules read for the step size and the run
+    loop for the gradient norm. The oracles compute grad_sq as a row sum
+    or a float sum, with the bits of float((grad*grad).sum()) and of
+    float(np.sum(grad*grad)); a hand-built sample passes those bits.
+    Plain slotted data: the step rules never assign to a sample or write
+    into its gradient.
     """
 
     loss: float
     grad: np.ndarray
-    batch: Batch
-    grad_sq: float = field(init=False)
-
-    def __post_init__(self):
-        self.grad_sq = float((self.grad * self.grad).sum())
-
-    @classmethod
-    def _with_grad_sq(cls, loss: float, grad: np.ndarray, batch: Batch,
-                      grad_sq: float) -> "StepSample":
-        """A sample whose grad_sq an oracle has already computed, as a
-        row sum or the one-point oracle's sum: the same bits the
-        constructor computes."""
-        sample = cls.__new__(cls)
-        sample.loss, sample.grad, sample.batch, sample.grad_sq = loss, grad, batch, grad_sq
-        return sample
+    grad_sq: float
 
 
 @dataclass(frozen=True)
@@ -219,8 +205,7 @@ def evaluate(problem: StochasticObjective, x: np.ndarray, batch: Batch) -> StepS
     x = check_point(problem, x)
     if not np.isfinite(x).all():
         raise ValueError("non-finite input coordinates")
-    loss, grad, grad_sq = problem._point(x, _oracle_indices(batch))
-    return StepSample._with_grad_sq(loss, grad, batch, grad_sq)
+    return StepSample(*problem._point(x, _oracle_indices(batch)))
 
 
 def evaluate_cells(problem: StochasticObjective, X: np.ndarray, batch: Batch) -> tuple:
@@ -511,31 +496,6 @@ def _build_multimodal(spec: ProblemSpec) -> StochasticObjective:
     return StochasticObjective(KIND_MULTIMODAL, 1, 1, metadata, x0, **_pointwise(_multimodal))
 
 
-def _poly_growth_constant(p: np.polynomial.Polynomial) -> float:
-    """Smallest C with C(1 + p(x)^2) >= x p(x) p'(x): the supremum of
-    r = x p p' / (1 + p^2).
-
-    r tends to deg p as |x| -> inf, so the supremum is the larger of
-    deg p and r's largest value at a real critical point, a root of
-    (x p p')' (1 + p^2) - x p p' (1 + p^2)'. r is evaluated at the real
-    part of every root: any real point gives a value no larger than the
-    supremum, and r is flat at a critical point, so a root error of delta
-    moves the value by O(delta^2). p(x) = x gives C = 1.
-    """
-    p = p.trim()
-    deg = int(p.degree())
-    if deg == 0:
-        return 0.0
-    dp = p.deriv()
-    x = np.polynomial.Polynomial([0.0, 1.0])
-    num = x * p * dp
-    den = 1.0 + p * p
-    xs = (num.deriv() * den - num * den.deriv()).roots().real
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratio = num(xs) / den(xs)
-    return float(np.max(ratio[np.isfinite(ratio)], initial=float(deg)))
-
-
 def _horner(coef: list, t):
     """p(t) for ascending coefficients by Horner's rule: the multiply-adds
     Polynomial.__call__ runs, so both give the same bits. Its first one,
@@ -561,7 +521,7 @@ def _build_polynomial(spec: ProblemSpec) -> StochasticObjective:
         return loss, (2.0 * L * t * (grow + t * pv * _horner(dcoef, t)),)
 
     def metadata():
-        return ObjectiveMetadata(f_star=0.0, x_star=np.array([0.0]), C_poly=_poly_growth_constant(p))
+        return ObjectiveMetadata(f_star=0.0, x_star=np.array([0.0]))
 
     x0 = np.array([3.0]) if spec.x0 is None else np.asarray(spec.x0, dtype=float)
     return StochasticObjective(KIND_POLYNOMIAL, 1, 1, metadata, x0, **_pointwise(polynomial))

@@ -1,50 +1,33 @@
 """Convergence bounds and hyperparameter constraints as closed-form functions.
 
-Implements the guarantees for the NGN family exactly as stated:
-the heavy-ball parameter cap and rate constant for NGN-M, the constant-c
-and decaying-c suboptimality bounds, the per-coordinate nonconvex and PL
-bounds for NGN-D, and the step-size range plus momentum threshold for the
-scaled polynomial family. Also estimates the two noise quantities the
-bounds consume, sigma_int^2 = E_S[f* - f_S*] and sigma_pos^2 = E_S[f_S*].
+Implements the guarantees for the NGN family exactly as stated: the
+heavy-ball parameter cap and rate constant for NGN-M, the constant-c and
+decaying-c suboptimality bounds, and the per-coordinate nonconvex and PL
+bounds for NGN-D. Every function takes plain numbers (vectors for the
+per-coordinate constants) and raises ValueError, naming the argument,
+when one is non-finite or out of range. Also estimates the two noise
+quantities the bounds consume, sigma_int^2 = E_S[f* - f_S*] and
+sigma_pos^2 = E_S[f_S*].
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .problems import StochasticObjective, sample_batch
 
 
-@dataclass(frozen=True, eq=False)
-class TheoryInputs:
-    """Inputs to the bound evaluators; leave unused fields at None.
-
-    dist0_sq is ||x0 - x*||^2, f0_gap is f(x0) - f*, sigma_coord the
-    per-coordinate noise levels sigma_j, and c_coord/L_coord the
-    per-coordinate step caps and smoothness constants.
-    """
-
-    c: Optional[float] = None
-    L: Optional[float] = None
-    K: Optional[int] = None
-    dist0_sq: float = 0.0
-    sigma_int_sq: float = 0.0
-    sigma_pos_sq: float = 0.0
-    mu: Optional[float] = None
-    sigma_coord: Optional[np.ndarray] = None
-    c_coord: Optional[np.ndarray] = None
-    L_coord: Optional[np.ndarray] = None
-    f0_gap: float = 0.0
-
-    def __post_init__(self):
-        for name in ("dist0_sq", "sigma_int_sq", "sigma_pos_sq", "f0_gap"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
+def _check(low: str, **values) -> None:
+    """ValueError naming the first argument that is not finite and
+    `low`: "positive" or "non-negative". A vector must be so in every
+    entry; None is no number and fails."""
+    for name, value in values.items():
+        a = np.asarray(value, dtype=float)
+        if not (np.isfinite(a).all() and (a > 0.0 if low == "positive" else a >= 0.0).all()):
+            raise ValueError(f"{name} must be finite and {low}, got {value!r}")
 
 
 def ngn_m_params(c: float, L: float) -> tuple:
@@ -55,8 +38,7 @@ def ngn_m_params(c: float, L: float) -> tuple:
     lambda <= min{cL, 0.5 (1+cL)^-1 (1+2cL)^-1}, and beta = lambda/(1+lambda).
     Returns (rho, lambda_max, beta_max).
     """
-    if c <= 0.0 or L <= 0.0:
-        raise ValueError("c and L must be positive")
+    _check("positive", c=c, L=L)
     cl = c * L
     denom = (1.0 + cl) * (1.0 + 2.0 * cl)
     rho = c / denom
@@ -65,20 +47,21 @@ def ngn_m_params(c: float, L: float) -> tuple:
     return rho, lambda_max, beta_max
 
 
-def ngn_m_bound(inputs: TheoryInputs) -> float:
-    """Average-iterate suboptimality bound for constant-c NGN-M:
+def ngn_m_bound(c: float, L: float, K: int, dist0_sq: float,
+                sigma_int_sq: float = 0.0, sigma_pos_sq: float = 0.0) -> float:
+    """Average-iterate suboptimality bound for constant-c NGN-M, with
+    dist0_sq = ||x0 - x*||^2:
 
     ||x0-x*||^2 (1+2cL)^2 / (cK) + 8cL(1+2cL)^2 sigma_int^2
       + 2cL max{2cL - 1, 0} sigma_pos^2.
     """
-    c, L, K = inputs.c, inputs.L, inputs.K
-    if c is None or L is None or K is None or c <= 0.0 or L <= 0.0 or K <= 0:
-        raise ValueError("ngn_m_bound requires positive c, L, K")
+    _check("positive", c=c, L=L, K=K)
+    _check("non-negative", dist0_sq=dist0_sq, sigma_int_sq=sigma_int_sq, sigma_pos_sq=sigma_pos_sq)
     cl = c * L
     sq = (1.0 + 2.0 * cl) ** 2
-    return (inputs.dist0_sq * sq / (c * K)
-            + 8.0 * cl * sq * inputs.sigma_int_sq
-            + 2.0 * cl * max(2.0 * cl - 1.0, 0.0) * inputs.sigma_pos_sq)
+    return (dist0_sq * sq / (c * K)
+            + 8.0 * cl * sq * sigma_int_sq
+            + 2.0 * cl * max(2.0 * cl - 1.0, 0.0) * sigma_pos_sq)
 
 
 def ngn_m_bound_decaying(c0: float, L: float, K: int, dist0_sq: float,
@@ -91,8 +74,8 @@ def ngn_m_bound_decaying(c0: float, L: float, K: int, dist0_sq: float,
 
     The averaged iterate uses the weights from decaying_weights().
     """
-    if c0 <= 0.0 or L <= 0.0 or K <= 0:
-        raise ValueError("ngn_m_bound_decaying requires positive c0, L, K")
+    _check("positive", c0=c0, L=L, K=K)
+    _check("non-negative", dist0_sq=dist0_sq, sigma_int_sq=sigma_int_sq, sigma_pos_sq=sigma_pos_sq)
     cl = c0 * L
     one = (1.0 + cl) * (1.0 + 2.0 * cl)
     sqrt_k = math.sqrt(K)
@@ -105,8 +88,7 @@ def ngn_m_bound_decaying(c0: float, L: float, K: int, dist0_sq: float,
 def decaying_weights(c0: float, L: float, K: int) -> np.ndarray:
     """Normalized averaging weights rho_k / sum rho_k for the decaying
     schedule, with rho_k = c_k / ((1+c_k L)(1+2 c_k L)), c_k = c0/sqrt(k+1)."""
-    if c0 <= 0.0 or L <= 0.0 or K <= 0:
-        raise ValueError("decaying_weights requires positive c0, L, K")
+    _check("positive", c0=c0, L=L, K=K)
     ks = np.arange(K, dtype=float)
     ck = c0 / np.sqrt(ks + 1.0)
     rho = ck / ((1.0 + ck * L) * (1.0 + 2.0 * ck * L))
@@ -117,62 +99,44 @@ MODE_NONCONVEX = "nonconvex"
 MODE_PL = "pl"
 
 
-def ngn_d_bound(inputs: TheoryInputs, mode: str) -> float:
-    """Per-coordinate NGN-D bounds.
+def ngn_d_bound(c_coord, L_coord, K: int, f0_gap: float, mode: str,
+                sigma_coord=None, mu=None) -> float:
+    """Per-coordinate NGN-D bounds, with f0_gap = f(x0) - f* and the
+    per-coordinate step caps c_j, smoothness constants L_j and noise
+    levels sigma_j (zero when sigma_coord is None).
 
     Nonconvex (requires c_j <= 1/(2 L_j) for all j):
         12 f0_gap / (c_min K) + (1/c_min) sum_j 18 L_j c_j^2 sigma_j^2,
     bounding min_k E||grad f(x^k)||^2.
 
-    PL (requires c_j <= min{1/(2 L_j), 6/mu}):
-        (1 - mu c_min / 6)^K f0_gap + (9/(mu c_min)) sum_j L_j c_j^2 sigma_j^2.
+    PL with constant mu (requires c_j <= min{1/(2 L_j), 6/mu}):
+        (1 - mu c_min / 6)^K f0_gap + (9/(mu c_min)) sum_j L_j c_j^2 sigma_j^2,
+    bounding E[f(x^K)] - f*.
     """
-    if inputs.c_coord is None or inputs.L_coord is None:
-        raise ValueError("ngn_d_bound requires c_coord and L_coord")
-    c = np.asarray(inputs.c_coord, dtype=float)
-    Lc = np.asarray(inputs.L_coord, dtype=float)
+    _check("positive", c_coord=c_coord, L_coord=L_coord, K=K)
+    if mu is not None or mode == MODE_PL:
+        _check("positive", mu=mu)
+    c = np.asarray(c_coord, dtype=float)
+    Lc = np.asarray(L_coord, dtype=float)
+    sigma = np.zeros_like(c) if sigma_coord is None else np.asarray(sigma_coord, dtype=float)
+    _check("non-negative", f0_gap=f0_gap, sigma_coord=sigma)
     if c.shape != Lc.shape or c.ndim != 1:
         raise ValueError("c_coord and L_coord must be 1-D vectors of equal length")
-    if np.any(c <= 0.0) or np.any(Lc <= 0.0):
-        raise ValueError("c_coord and L_coord must be positive")
-    K = inputs.K
-    if K is None or K <= 0:
-        raise ValueError("ngn_d_bound requires a positive horizon K")
-    sigma = inputs.sigma_coord
-    sigma = np.zeros_like(c) if sigma is None else np.asarray(sigma, dtype=float)
     if sigma.shape != c.shape:
         raise ValueError("sigma_coord must match c_coord in length")
     c_min = float(np.min(c))
     if mode == MODE_NONCONVEX:
         if np.any(c > 1.0 / (2.0 * Lc)):
             raise ValueError("nonconvex mode requires c_j <= 1/(2 L_j) for every coordinate")
-        return (12.0 * inputs.f0_gap / (c_min * K)
+        return (12.0 * f0_gap / (c_min * K)
                 + (1.0 / c_min) * float(np.sum(18.0 * Lc * c * c * sigma * sigma)))
     if mode == MODE_PL:
-        if inputs.mu is None or inputs.mu <= 0.0:
-            raise ValueError("PL mode requires mu > 0")
-        if np.any(c > np.minimum(1.0 / (2.0 * Lc), 6.0 / inputs.mu)):
+        if np.any(c > np.minimum(1.0 / (2.0 * Lc), 6.0 / mu)):
             raise ValueError("PL mode requires c_j <= min{1/(2 L_j), 6/mu} for every coordinate")
-        rate = 1.0 - inputs.mu * c_min / 6.0
-        return (rate ** K * inputs.f0_gap
-                + (9.0 / (inputs.mu * c_min)) * float(np.sum(Lc * c * c * sigma * sigma)))
+        rate = 1.0 - mu * c_min / 6.0
+        return (rate ** K * f0_gap
+                + (9.0 / (mu * c_min)) * float(np.sum(Lc * c * c * sigma * sigma)))
     raise ValueError(f"unknown mode {mode!r}; expected 'nonconvex' or 'pl'")
-
-
-def gammahat_range(C_poly: float) -> tuple:
-    """Normalized step-size range and momentum threshold on the scaled
-    polynomial family f = L x^2 (1 + p(x)^2) once c >= 1/(2L):
-
-    gammahat in [1/(2(1+C)), 2], and heavy-ball momentum converges to
-    f* = 0 for beta >= (2(1+C)-1)^2 / (2(1+C)+1)^2.
-    Returns (lo, hi, beta_threshold).
-    """
-    if C_poly < 0.0:
-        raise ValueError("C_poly must be >= 0")
-    two = 2.0 * (1.0 + C_poly)
-    lo = 1.0 / two
-    beta_threshold = (two - 1.0) ** 2 / (two + 1.0) ** 2
-    return lo, 2.0, beta_threshold
 
 
 _ENUMERATION_LIMIT = 10 ** 4

@@ -278,7 +278,7 @@ def audit_theorem_bound(problem: StochasticObjective, K: int, c: Optional[float]
         spec = OptimizerSpec(kind=NGN_M_V1, c=c_val, beta1=beta_max)
         run = _trajectories(problem, [spec], K)[0]
         mean_subopt = float(np.mean(run.losses)) - meta.f_star
-        bound = theory.ngn_m_bound(theory.TheoryInputs(c=c_val, L=L, K=K, dist0_sq=dist0_sq))
+        bound = theory.ngn_m_bound(c_val, L, K, dist0_sq)
         worst = max(0.0, mean_subopt - bound)
         location = f"mean_subopt {mean_subopt:.6e} vs bound {bound:.6e}"
         return _report(name or "theorem_bound_constant", worst, 0.0, location)

@@ -770,6 +770,17 @@ def test_cli_bounds_rejects_bad_input():
                 "--dist0", "1.0"]) == 1
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--c", "nan"), ("--L", "inf"), ("--dist0", "nan"), ("--dist0", "-3"), ("--K", "0"),
+])
+def test_cli_bounds_checks_every_argument_before_printing(capsys, flag, value):
+    args = {"--c": "1.0", "--L": "1.0", "--K": "100", "--dist0": "1.0", flag: value}
+    assert cli(["bounds", *(item for pair in args.items() for item in pair)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {flag[2:]}")
+
+
 def test_cli_verify_quick(tmp_path, capsys):
     out = tmp_path / "audits.csv"
     code = cli(["verify", "--quick", "--out", str(out)])

@@ -172,7 +172,7 @@ def reference_run_once(problem, oracle, spec, budget, seed, x0=None):
                 break
             batch = full_batch if not stochastic else sample_batch(problem, seed, k, bs)
             loss, grad = oracle(state.x, None if batch.full else batch.indices)
-            sample = StepSample(loss, grad, batch)
+            sample = StepSample(loss, grad, float((grad * grad).sum()))
             losses.append(loss)
             if stochastic and k % full_eval_every == 0:
                 full_losses.append((k, oracle(state.x, None)[0]))

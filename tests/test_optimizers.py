@@ -29,16 +29,15 @@ from ngnopt import (
 )
 from ngnopt.harness import TRAJECTORY_COLUMNS, _fmt, _step_stats
 from ngnopt.optimizers import OPTIMIZER_KINDS
-from ngnopt.problems import Batch
 
-DUMMY_BATCH = Batch(np.array([0]))
 WD_KINDS = ("dec_ngn_mdv1", "ngn_mdv1w")
 REPORT_STATS = ("gamma_scalar", "gamma_coord_min", "gamma_coord_max", "gamma_coord_mean",
                 "update_norm")
 
 
 def make_sample(loss, grad):
-    return StepSample(float(loss), np.asarray(grad, dtype=float), DUMMY_BATCH)
+    grad = np.asarray(grad, dtype=float)
+    return StepSample(float(loss), grad, float((grad * grad).sum()))
 
 
 def reference_scalar_report(gamma, x_new, x):
@@ -623,7 +622,7 @@ def test_cli_trajectory_matches_eager_reference(kind, tmp_path):
 @pytest.mark.parametrize("cls, args, scalar", [
     (OptimizerState, (np.ones(2), np.zeros(2), np.zeros(2), np.zeros(2), 3), "k"),
     (StepReport, (0.5, np.ones(2), np.ones(2), np.ones(2)), "gamma_scalar"),
-    (StepSample, (2.0, np.array([3.0, 4.0]), DUMMY_BATCH), "loss"),
+    (StepSample, (2.0, np.array([3.0, 4.0]), 25.0), "loss"),
 ])
 def test_step_objects_are_slotted_plain_data(cls, args, scalar):
     obj = cls(*args)
@@ -635,21 +634,7 @@ def test_step_objects_are_slotted_plain_data(cls, args, scalar):
     assert getattr(copy, scalar) == 7 and getattr(obj, scalar) == args[names.index(scalar)]
     restored = pickle.loads(pickle.dumps(obj))
     for f in dataclasses.fields(cls):
-        value = getattr(obj, f.name)
-        if isinstance(value, Batch):
-            assert np.array_equal(getattr(restored, f.name).indices, value.indices)
-        else:
-            assert np.array_equal(getattr(restored, f.name), value)
-
-
-def test_sample_with_grad_sq_equals_the_constructor():
-    grad = np.array([0.1, -2.5, 3.0])
-    built = StepSample(1.5, grad, DUMMY_BATCH)
-    assert same_bits(built.grad_sq, float(np.sum(grad * grad)))
-    fast = StepSample._with_grad_sq(1.5, grad, DUMMY_BATCH, built.grad_sq)
-    for f in dataclasses.fields(StepSample):
-        assert getattr(fast, f.name) is getattr(built, f.name)
-    assert dataclasses.replace(built, loss=2.0).grad_sq == built.grad_sq
+        assert np.array_equal(getattr(restored, f.name), getattr(obj, f.name))
 
 
 def rule_specs(kind, dim):

@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 
 from ngnopt import (
+    OptimizerSpec,
     ProblemSpec,
-    TheoryInputs,
+    RunBudget,
     build_problem,
     decaying_weights,
     estimate_sigmas,
-    gammahat_range,
+    evaluate,
     least_squares_problem,
     ngn_d_bound,
     ngn_m_bound,
     ngn_m_bound_decaying,
     ngn_m_params,
+    run_once,
 )
 
 
@@ -46,29 +48,26 @@ def test_ngn_m_params_validation():
 # --- fixed step-size bound ----------------------------------------------------
 
 def test_ngn_m_bound_noiseless_pinned():
-    t = TheoryInputs(c=1.0, L=1.0, K=100, dist0_sq=1.0)
     # dist0^2 (1+2cL)^2 / (cK) = 9/100
-    assert ngn_m_bound(t) == pytest.approx(0.09)
+    assert ngn_m_bound(1.0, 1.0, 100, 1.0) == pytest.approx(0.09)
 
 
 def test_ngn_m_bound_with_noise_terms():
-    t = TheoryInputs(c=1.0, L=1.0, K=100, dist0_sq=1.0,
-                     sigma_int_sq=0.5, sigma_pos_sq=0.25)
     # + 8cL(1+2cL)^2 sigma_int^2 = 8*9*0.5 = 36
     # + 2cL max(2cL-1, 0) sigma_pos^2 = 2*1*0.25 = 0.5
-    assert ngn_m_bound(t) == pytest.approx(0.09 + 36.0 + 0.5)
+    got = ngn_m_bound(1.0, 1.0, 100, 1.0, sigma_int_sq=0.5, sigma_pos_sq=0.25)
+    assert got == pytest.approx(0.09 + 36.0 + 0.5)
 
 
 def test_ngn_m_bound_small_c_drops_positive_part():
-    t = TheoryInputs(c=0.25, L=1.0, K=100, dist0_sq=1.0, sigma_pos_sq=10.0)
     # 2cL - 1 = -0.5 <= 0: the sigma_pos term vanishes
     base = 1.0 * (1.5 ** 2) / (0.25 * 100)
-    assert ngn_m_bound(t) == pytest.approx(base)
+    assert ngn_m_bound(0.25, 1.0, 100, 1.0, sigma_pos_sq=10.0) == pytest.approx(base)
 
 
 def test_ngn_m_bound_requires_K():
-    with pytest.raises(ValueError):
-        ngn_m_bound(TheoryInputs(c=1.0, L=1.0, dist0_sq=1.0))
+    with pytest.raises(ValueError, match="K must be finite and positive, got None"):
+        ngn_m_bound(1.0, 1.0, None, 1.0)
 
 
 # --- decaying step-size bound ---------------------------------------------------
@@ -125,70 +124,100 @@ def test_ngn_d_bound_nonconvex_hand_value():
     c_coord = np.array([0.2, 0.1])
     L_coord = np.array([1.0, 2.0])
     sigma = np.array([0.3, 0.4])
-    t = TheoryInputs(K=100, f0_gap=2.0, c_coord=c_coord, L_coord=L_coord,
-                     sigma_coord=sigma)
     c_min = 0.1
     noise = (18.0 * 1.0 * 0.04 * 0.09 + 18.0 * 2.0 * 0.01 * 0.16) / c_min
     expected = 12.0 * 2.0 / (c_min * 100) + noise
-    assert ngn_d_bound(t, "nonconvex") == pytest.approx(expected, rel=1e-12)
+    got = ngn_d_bound(c_coord, L_coord, 100, 2.0, "nonconvex", sigma_coord=sigma)
+    assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_ngn_d_bound_rejects_large_steps():
-    t = TheoryInputs(K=10, f0_gap=1.0, c_coord=np.array([0.6]),
-                     L_coord=np.array([1.0]), sigma_coord=np.array([0.0]))
-    with pytest.raises(ValueError):
-        ngn_d_bound(t, "nonconvex")  # needs c_j <= 1/(2 L_j) = 0.5
+    with pytest.raises(ValueError, match="1/\\(2 L_j\\)"):  # needs c_j <= 1/(2 L_j) = 0.5
+        ngn_d_bound(np.array([0.6]), np.array([1.0]), 10, 1.0, "nonconvex",
+                    sigma_coord=np.array([0.0]))
 
 
 def test_ngn_d_bound_pl_hand_value():
     c_coord = np.array([0.2])
     L_coord = np.array([1.0])
     sigma = np.array([0.5])
-    t = TheoryInputs(K=10, f0_gap=4.0, mu=1.0, c_coord=c_coord,
-                     L_coord=L_coord, sigma_coord=sigma)
     rate = (1.0 - 1.0 * 0.2 / 6.0) ** 10
     noise = (9.0 / (1.0 * 0.2)) * (1.0 * 0.04 * 0.25)
-    assert ngn_d_bound(t, "pl") == pytest.approx(rate * 4.0 + noise, rel=1e-12)
+    got = ngn_d_bound(c_coord, L_coord, 10, 4.0, "pl", sigma_coord=sigma, mu=1.0)
+    assert got == pytest.approx(rate * 4.0 + noise, rel=1e-12)
 
 
 def test_ngn_d_bound_pl_step_cap_includes_mu():
     # c_j <= min{1/(2L_j), 6/mu}; mu = 100 makes 6/mu = 0.06 the binding cap
-    t = TheoryInputs(K=10, f0_gap=1.0, mu=100.0, c_coord=np.array([0.1]),
-                     L_coord=np.array([1.0]), sigma_coord=np.array([0.0]))
-    with pytest.raises(ValueError):
-        ngn_d_bound(t, "pl")
+    with pytest.raises(ValueError, match="6/mu"):
+        ngn_d_bound(np.array([0.1]), np.array([1.0]), 10, 1.0, "pl",
+                    sigma_coord=np.array([0.0]), mu=100.0)
 
 
 def test_ngn_d_bound_requires_fields():
-    with pytest.raises(ValueError):
-        ngn_d_bound(TheoryInputs(K=10, f0_gap=1.0), "nonconvex")
-    t = TheoryInputs(K=10, f0_gap=1.0, c_coord=np.array([0.1]),
-                     L_coord=np.array([1.0]), sigma_coord=np.array([0.0]))
-    with pytest.raises(ValueError):
-        ngn_d_bound(t, "pl")  # pl needs mu
-    with pytest.raises(ValueError):
-        ngn_d_bound(t, "other")
+    with pytest.raises(ValueError, match="c_coord"):
+        ngn_d_bound(None, None, 10, 1.0, "nonconvex")
+    args = (np.array([0.1]), np.array([1.0]), 10, 1.0)
+    with pytest.raises(ValueError, match="mu must be finite and positive, got None"):
+        ngn_d_bound(*args, "pl")  # pl needs mu
+    with pytest.raises(ValueError, match="unknown mode"):
+        ngn_d_bound(*args, "other")
+    with pytest.raises(ValueError, match="equal length"):
+        ngn_d_bound(np.array([0.1, 0.1]), np.array([1.0]), 10, 1.0, "nonconvex")
+    with pytest.raises(ValueError, match="sigma_coord must match"):
+        ngn_d_bound(*args, "nonconvex", sigma_coord=np.array([0.1, 0.1]))
 
 
-# --- effective step-size ratio window ----------------------------------------------
+# --- an NGN-D run against its bounds -------------------------------------------------
 
-def test_gammahat_range_pinned():
-    lo, hi, thresh = gammahat_range(1.0)
-    assert lo == pytest.approx(0.25)
-    assert hi == pytest.approx(2.0)
-    assert thresh == pytest.approx(0.36)
+NGN_D_STEPS = 4000
 
 
-def test_gammahat_range_zero_growth():
-    lo, hi, thresh = gammahat_range(0.0)
-    assert lo == pytest.approx(0.5)
-    assert hi == pytest.approx(2.0)
-    assert thresh == pytest.approx(1.0 / 9.0)
+@pytest.fixture(scope="module")
+def ngn_d_run():
+    """NGN-D on full-batch least squares (d=20, n=40, seed 0) at
+    c_j = 1/(2 L_j) for NGN_D_STEPS steps, and its constants. L_j =
+    (A^T A)_jj bounds every batch loss; the PL constant of the mean loss
+    (1/(2n))||Ax - b||^2, whose Hessian is A^T A / n, is mu = metadata.mu / n.
+    On a full batch both noise terms vanish."""
+    p = build_problem(ProblemSpec(kind="least_squares", dim=20, n_samples=40, seed=0))
+    meta = p.metadata
+    c = 1.0 / (2.0 * meta.L_coord)
+    spec = OptimizerSpec(kind="ngn_d", c=float(np.min(c)), c_coord=c)
+    budget = RunBudget(max_steps=NGN_D_STEPS, success_loss=-1.0, diverge_loss=math.inf)
+    rec = run_once(p, spec, budget, seed=0)
+    assert rec.status == "budget_exhausted" and len(rec.losses) == NGN_D_STEPS
+    final_gap = evaluate(p, rec.x_final, p.full_batch()).loss - meta.f_star
+    return p, rec, c, meta.mu / p.n_samples, final_gap
 
 
-def test_gammahat_range_validation():
-    with pytest.raises(ValueError):
-        gammahat_range(-0.5)
+def test_ngn_d_run_meets_the_pl_bound(ngn_d_run):
+    p, rec, c, mu, final_gap = ngn_d_run
+    f0_gap = rec.losses[0] - p.metadata.f_star
+    bound = ngn_d_bound(c, p.metadata.L_coord, NGN_D_STEPS, f0_gap, "pl", mu=mu)
+    # measured 1.59e-7 against 6.25e-2
+    assert 0.0 < final_gap <= bound
+
+
+def test_ngn_d_run_meets_the_nonconvex_bound(ngn_d_run):
+    p, rec, c, _, _ = ngn_d_run
+    f0_gap = rec.losses[0] - p.metadata.f_star
+    bound = ngn_d_bound(c, p.metadata.L_coord, NGN_D_STEPS, f0_gap, "nonconvex")
+    assert 0.0 < min(g * g for g in rec.grad_norms) <= bound
+
+
+def test_ngn_d_pl_bound_fails_with_an_overstated_mu(ngn_d_run):
+    # Negative control: metadata.mu, the eigenvalue of A^T A, is n times
+    # the PL constant. The run breaks the PL inequality at that constant,
+    # and the "bound" it gives falls below the measured gap (3.83e-8
+    # against 1.59e-7; it holds at 2,000 steps and fails from 3,000).
+    p, rec, c, mu, final_gap = ngn_d_run
+    f_star = p.metadata.f_star
+    pl_ratio = min(g * g / (2.0 * (loss - f_star)) for g, loss in zip(rec.grad_norms, rec.losses))
+    assert mu <= pl_ratio < p.metadata.mu
+    f0_gap = rec.losses[0] - f_star
+    bound = ngn_d_bound(c, p.metadata.L_coord, NGN_D_STEPS, f0_gap, "pl", mu=p.metadata.mu)
+    assert final_gap > bound
 
 
 # --- noise estimation ----------------------------------------------------------------
@@ -241,19 +270,59 @@ def test_estimate_sigmas_validation():
         estimate_sigmas(p, batch_size=5)
 
 
-# --- input container ----------------------------------------------------------------
+# --- argument checks ---------------------------------------------------------------
 
 def test_theory_inputs_validation():
-    with pytest.raises(ValueError):
-        TheoryInputs(dist0_sq=-1.0)
-    with pytest.raises(ValueError):
-        TheoryInputs(sigma_int_sq=-0.1)
-    with pytest.raises(ValueError):
-        TheoryInputs(sigma_pos_sq=-0.1)
-    with pytest.raises(ValueError):
-        TheoryInputs(f0_gap=-2.0)
-    # missing c/L/K surfaces at evaluation time, not at construction
-    with pytest.raises(ValueError):
-        ngn_m_bound(TheoryInputs(dist0_sq=1.0))
-    with pytest.raises(ValueError):
-        ngn_m_bound(TheoryInputs(c=1.0, L=1.0, K=0, dist0_sq=1.0))
+    with pytest.raises(ValueError, match="dist0_sq"):
+        ngn_m_bound(1.0, 1.0, 10, -1.0)
+    with pytest.raises(ValueError, match="sigma_int_sq"):
+        ngn_m_bound(1.0, 1.0, 10, 1.0, sigma_int_sq=-0.1)
+    with pytest.raises(ValueError, match="sigma_pos_sq"):
+        ngn_m_bound_decaying(1.0, 1.0, 10, 1.0, sigma_pos_sq=-0.1)
+    with pytest.raises(ValueError, match="f0_gap"):
+        ngn_d_bound(np.array([0.1]), np.array([1.0]), 10, -2.0, "nonconvex")
+    with pytest.raises(ValueError, match="K"):
+        ngn_m_bound(1.0, 1.0, 0, 1.0)
+    # a negative distance once gave a negative "bound"
+    with pytest.raises(ValueError, match="dist0_sq"):
+        ngn_m_bound_decaying(1, 1, 10, -5.0)
+
+
+NAN, INF = float("nan"), float("inf")
+POSITIVE = ("c", "c0", "L", "K", "c_coord", "L_coord", "mu")
+VALID_ARGUMENTS = [
+    (ngn_m_params, dict(c=1.0, L=1.0)),
+    (ngn_m_bound, dict(c=1.0, L=1.0, K=100, dist0_sq=1.0, sigma_int_sq=0.5, sigma_pos_sq=0.25)),
+    (ngn_m_bound_decaying, dict(c0=1.0, L=1.0, K=100, dist0_sq=1.0, sigma_int_sq=0.5,
+                                sigma_pos_sq=0.25)),
+    (decaying_weights, dict(c0=1.0, L=1.0, K=100)),
+] + [
+    (ngn_d_bound, dict(c_coord=np.array([0.2, 0.1]), L_coord=np.array([1.0, 2.0]), K=100,
+                       f0_gap=2.0, mode=mode, sigma_coord=np.array([0.3, 0.4]), mu=1.0))
+    for mode in ("nonconvex", "pl")
+]
+
+
+def bad_argument_cases():
+    for fn, kwargs in VALID_ARGUMENTS:
+        for name, value in kwargs.items():
+            if name == "mode":
+                continue
+            out_of_range = (0.0, -1.0) if name in POSITIVE else (-1e-300, -1.0)
+            for bad in (NAN, INF, -INF) + out_of_range:
+                label = "-".join(filter(None, (fn.__name__, kwargs.get("mode"), name, repr(bad))))
+                if isinstance(value, np.ndarray):
+                    bad = np.array([value[0], bad])  # one bad coordinate
+                yield pytest.param(fn, {**kwargs, name: bad}, name, id=label)
+
+
+@pytest.mark.parametrize("fn, kwargs", VALID_ARGUMENTS)
+def test_theory_functions_accept_the_valid_arguments(fn, kwargs):
+    value = fn(**kwargs)
+    assert np.all(np.isfinite(value))
+
+
+@pytest.mark.parametrize("fn, kwargs, name", bad_argument_cases())
+def test_theory_functions_reject_non_finite_and_out_of_range_arguments(fn, kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and"):
+        fn(**kwargs)
