@@ -872,7 +872,11 @@ def _cmd_bounds(args) -> int:
     the first line is printed."""
     theory._check("non-negative", dist0=args.dist0)  # squared below, which drops its sign
     rho, lambda_max, beta_max = theory.ngn_m_params(args.c, args.L)
-    bound_args = (args.c, args.L, args.K, args.dist0 ** 2, args.sigma_int, args.sigma_pos)
+    try:
+        dist0_sq = args.dist0 ** 2
+    except OverflowError:
+        raise ValueError(f"dist0 squared overflows a double, got {args.dist0!r}") from None
+    bound_args = (args.c, args.L, args.K, dist0_sq, args.sigma_int, args.sigma_pos)
     bound, decaying = theory.ngn_m_bound(*bound_args), theory.ngn_m_bound_decaying(*bound_args)
     print(f"rho {rho}")
     print(f"lambda_max {lambda_max}")

@@ -25,12 +25,33 @@ documented reduction identities (beta=0, D=I, lambda=0 collapses) hold
 bit for bit.
 The squared gradient norm of a sample is computed once, as
 `StepSample.grad_sq`, and the rules that need ||g||^2 read it.
+
+NGN-M V1 and SGDM write their update once, as a module function of the
+step size, beta, x, x_prev and g. When x, x_prev and g are vectors of
+one length of at most _FLOAT_MAX coordinates, it is mapped over Python
+floats, one coordinate at a time; otherwise it runs on the arrays, which
+also serve other shapes and broadcasting. Both sides give the same bits:
+these updates only add, subtract and multiply, each +, - and * is one
+IEEE double operation on either side, in the same order, and neither
+side fuses operations. Python float + - * never raises on overflow, inf
+or NaN. The rules that divide (Adam, NGN-MD), take per-coordinate step
+sizes (NGN-D) or reduce (NGN-M V2) stay on arrays: a Python float
+division by zero raises, and a Python sum adds in another order. Plain
+NGN stays on arrays too: its update is two ufunc calls, and mapped over
+floats it was no faster at any d (the update alone: 1.3-2.1 against
+1.3-1.8 us at d=1-4). _FLOAT_MAX is a measured crossover: the largest d
+at which neither rule's float side of `apply_step` is slower. Median
+ratio of float-side to array-side time, over 60 adjacent pairs of
+2000-call timeit runs (Python 3.11, NumPy 2.4, 2-vCPU VM): ngn_m_v1 0.60
+at d=1, 0.86 at d=7, 0.98 at d=10 and 1.03 at d=11; sgdm, one ufunc call
+cheaper on arrays, 0.65 at d=1, 0.97 at d=7 and 1.01-1.03 at d=8.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -58,6 +79,10 @@ SCHEDULE_INV_SQRT_K = "inv_sqrt_k"
 SCHEDULE_INV_SQRT_STEP = "inv_sqrt_step"
 
 SCHEDULES = (SCHEDULE_CONSTANT, SCHEDULE_INV_SQRT_K, SCHEDULE_INV_SQRT_STEP)
+
+# Largest iterate size whose NGN-M V1 and SGDM updates run on Python
+# floats: a measured crossover, see the module docstring.
+_FLOAT_MAX = 7
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,6 +249,14 @@ def schedule_c(schedule: str, c0: float, k: int, total_steps: Optional[int] = No
     raise ValueError(f"unknown schedule {schedule!r}")
 
 
+def _ngn_m_v1_update(gamma, beta, x, x_prev, g):
+    return x - (1.0 - beta) * (gamma * g) + beta * (x - x_prev)
+
+
+def _sgdm_update(c, beta, x, x_prev, g):
+    return x - c * g + beta * (x - x_prev)
+
+
 def step_ngn(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
     """x' = x - gamma g with the scalar NGN step size."""
     c_k = schedule_c(spec.schedule, spec.c, state.k, spec.total_steps)
@@ -246,9 +279,13 @@ def step_ngn_m(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
     beta = spec.beta1
     if spec.kind == NGN_M_V1:
         gamma = ngn_gamma(c_k, sample.loss, sample.grad_sq)
-        update = gamma * g
-        x_new = state.x - (1.0 - beta) * update + beta * (state.x - state.x_prev)
-        return OptimizerState(x_new, state.x, state.v, state.m, state.k + 1), StepReport(gamma)
+        x, x_prev = state.x, state.x_prev
+        if x.size <= _FLOAT_MAX and x.ndim == 1 and x.shape == x_prev.shape == g.shape:
+            update = partial(_ngn_m_v1_update, gamma, beta)
+            x_new = np.fromiter(map(update, x.tolist(), x_prev.tolist(), g.tolist()), float, x.size)
+        else:
+            x_new = _ngn_m_v1_update(gamma, beta, x, x_prev, g)
+        return OptimizerState(x_new, x, state.v, state.m, state.k + 1), StepReport(gamma)
     m_new = beta * state.m + (1.0 - beta) * g
     gamma = ngn_gamma(c_k, sample.loss, float((m_new * m_new).sum()))
     x_new = state.x - gamma * m_new
@@ -345,8 +382,13 @@ def step_baseline(state: OptimizerState, sample: StepSample, spec: OptimizerSpec
     g = sample.grad
     if spec.kind == SGDM:
         beta = spec.beta1
-        x_new = state.x - c_k * g + beta * (state.x - state.x_prev)
-        return OptimizerState(x_new, state.x, state.v, state.m, state.k + 1), StepReport(c_k)
+        x, x_prev = state.x, state.x_prev
+        if x.size <= _FLOAT_MAX and x.ndim == 1 and x.shape == x_prev.shape == g.shape:
+            update = partial(_sgdm_update, c_k, beta)
+            x_new = np.fromiter(map(update, x.tolist(), x_prev.tolist(), g.tolist()), float, x.size)
+        else:
+            x_new = _sgdm_update(c_k, beta, x, x_prev, g)
+        return OptimizerState(x_new, x, state.v, state.m, state.k + 1), StepReport(c_k)
     m_new = spec.beta1 * state.m + (1.0 - spec.beta1) * g
     v_new = spec.beta2 * state.v + (1.0 - spec.beta2) * g * g
     mhat = m_new / (1.0 - spec.beta1 ** (state.k + 1))

@@ -5,7 +5,8 @@ heavy-ball parameter cap and rate constant for NGN-M, the constant-c and
 decaying-c suboptimality bounds, and the per-coordinate nonconvex and PL
 bounds for NGN-D. Every function takes plain numbers (vectors for the
 per-coordinate constants) and raises ValueError, naming the argument,
-when one is non-finite or out of range. Also estimates the two noise
+when one is non-finite or out of range; the two NGN-M bounds also raise
+it when the bound overflows a double. Also estimates the two noise
 quantities the bounds consume, sigma_int^2 = E_S[f* - f_S*] and
 sigma_pos^2 = E_S[f_S*].
 """
@@ -25,9 +26,20 @@ def _check(low: str, **values) -> None:
     `low`: "positive" or "non-negative". A vector must be so in every
     entry; None is no number and fails."""
     for name, value in values.items():
-        a = np.asarray(value, dtype=float)
+        try:
+            a = np.asarray(value, dtype=float)
+        except OverflowError:  # an integer beyond the double range
+            a = np.array(math.inf)
         if not (np.isfinite(a).all() and (a > 0.0 if low == "positive" else a >= 0.0).all()):
             raise ValueError(f"{name} must be finite and {low}, got {value!r}")
+
+
+def _finite(bound: float, name: str, *args) -> float:
+    """bound, or ValueError when it overflowed a double: an infinite or
+    NaN bound bounds nothing."""
+    if not math.isfinite(bound):
+        raise ValueError(f"{name}{args!r} overflows a double")
+    return bound
 
 
 def ngn_m_params(c: float, L: float) -> tuple:
@@ -58,10 +70,14 @@ def ngn_m_bound(c: float, L: float, K: int, dist0_sq: float,
     _check("positive", c=c, L=L, K=K)
     _check("non-negative", dist0_sq=dist0_sq, sigma_int_sq=sigma_int_sq, sigma_pos_sq=sigma_pos_sq)
     cl = c * L
-    sq = (1.0 + 2.0 * cl) ** 2
-    return (dist0_sq * sq / (c * K)
-            + 8.0 * cl * sq * sigma_int_sq
-            + 2.0 * cl * max(2.0 * cl - 1.0, 0.0) * sigma_pos_sq)
+    try:
+        sq = (1.0 + 2.0 * cl) ** 2
+    except OverflowError:  # float ** raises where * returns inf
+        sq = math.inf
+    bound = (dist0_sq * sq / (c * K)
+             + 8.0 * cl * sq * sigma_int_sq
+             + 2.0 * cl * max(2.0 * cl - 1.0, 0.0) * sigma_pos_sq)
+    return _finite(bound, "ngn_m_bound", c, L, K, dist0_sq, sigma_int_sq, sigma_pos_sq)
 
 
 def ngn_m_bound_decaying(c0: float, L: float, K: int, dist0_sq: float,
@@ -80,9 +96,10 @@ def ngn_m_bound_decaying(c0: float, L: float, K: int, dist0_sq: float,
     one = (1.0 + cl) * (1.0 + 2.0 * cl)
     sqrt_k = math.sqrt(K)
     log_k = math.log(K + 2.0)
-    return (5.0 * one * dist0_sq / (4.0 * c0 * sqrt_k)
-            + 10.0 * L * c0 * one * sigma_int_sq * log_k / sqrt_k
-            + 5.0 * cl * (1.0 + cl) * (log_k / (2.0 * sqrt_k)) * max(2.0 * cl - 1.0, 0.0) * sigma_pos_sq)
+    bound = (5.0 * one * dist0_sq / (4.0 * c0 * sqrt_k)
+             + 10.0 * L * c0 * one * sigma_int_sq * log_k / sqrt_k
+             + 5.0 * cl * (1.0 + cl) * (log_k / (2.0 * sqrt_k)) * max(2.0 * cl - 1.0, 0.0) * sigma_pos_sq)
+    return _finite(bound, "ngn_m_bound_decaying", c0, L, K, dist0_sq, sigma_int_sq, sigma_pos_sq)
 
 
 def decaying_weights(c0: float, L: float, K: int) -> np.ndarray:

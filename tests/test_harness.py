@@ -781,6 +781,20 @@ def test_cli_bounds_checks_every_argument_before_printing(capsys, flag, value):
     assert err.startswith(f"error: {flag[2:]}")
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--c", "1e200", "ngn_m_bound(1e+200, 1.0, 10, 1.0, 0.0, 0.0) overflows a double"),
+    ("--L", "1e300", "ngn_m_bound(1.0, 1e+300, 10, 1.0, 0.0, 0.0) overflows a double"),
+    ("--dist0", "1e200", "dist0 squared overflows a double, got 1e+200"),
+    ("--K", "1" + "0" * 400, "K must be finite and positive, got 1" + "0" * 400),
+])
+def test_cli_bounds_rejects_arguments_that_overflow(capsys, flag, value, message):
+    args = {"--c": "1.0", "--L": "1.0", "--K": "10", "--dist0": "1.0", flag: value}
+    assert cli(["bounds", *(item for pair in args.items() for item in pair)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_cli_verify_quick(tmp_path, capsys):
     out = tmp_path / "audits.csv"
     code = cli(["verify", "--quick", "--out", str(out)])

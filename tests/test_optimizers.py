@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import pickle
 import struct
@@ -27,10 +28,12 @@ from ngnopt import (
     sample_batch,
     schedule_c,
 )
+from ngnopt import optimizers
 from ngnopt.harness import TRAJECTORY_COLUMNS, _fmt, _step_stats
 from ngnopt.optimizers import OPTIMIZER_KINDS
 
 WD_KINDS = ("dec_ngn_mdv1", "ngn_mdv1w")
+FLOAT_SIDE_KINDS = ("ngn_m_v1", "sgdm")  # the rules with a float side
 REPORT_STATS = ("gamma_scalar", "gamma_coord_min", "gamma_coord_max", "gamma_coord_mean",
                 "update_norm")
 
@@ -573,7 +576,11 @@ def spec_for(kind):
     return OptimizerSpec(kind=kind, c=0.5, beta1=0.6, wd_lambda=wd)
 
 
-@pytest.mark.parametrize("dim", [1, 5])
+# both sides of the float-side threshold
+DIMS = [1, 5, optimizers._FLOAT_MAX + 1]
+
+
+@pytest.mark.parametrize("dim", DIMS)
 @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
 def test_lazy_report_matches_eager_reference(kind, dim):
     # a report is plain data; the trajectory writer derives its statistics
@@ -594,7 +601,7 @@ def test_lazy_report_matches_eager_reference(kind, dim):
 
 @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
 def test_cli_trajectory_matches_eager_reference(kind, tmp_path):
-    for dim in (1, 5):
+    for dim in DIMS:
         path = tmp_path / f"traj_{dim}.csv"
         argv = ["run", "--problem", "least_squares", "--optimizer", kind, "--c", "0.5",
                 "--beta", "0.6", "--dim", str(dim), "--n-samples", str(4 * dim), "--batch-size",
@@ -668,7 +675,7 @@ def assert_untouched(obj, before: dict) -> None:
 
 
 @pytest.mark.parametrize("minibatch", [False, True], ids=["full", "minibatch"])
-@pytest.mark.parametrize("dim", [1, 5])
+@pytest.mark.parametrize("dim", DIMS)
 @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
 def test_step_rules_never_mutate_their_inputs(kind, dim, minibatch):
     # a run record keeps every iterate by reference, so a rule that wrote
@@ -686,8 +693,95 @@ def test_step_rules_never_mutate_their_inputs(kind, dim, minibatch):
             new, _ = apply_step(state, sample, spec)
             assert_untouched(state, state_before)
             assert_untouched(sample, sample_before)
+            # a fresh iterate, on either side of the float-side threshold
+            assert new.x.dtype == np.float64 and new.x.shape == (dim,)
+            assert new.x.flags.c_contiguous and new.x.flags.owndata
+            inputs = (state.x, state.x_prev, state.v, state.m, sample.grad, batch.indices)
+            assert not any(np.shares_memory(new.x, a) for a in inputs)
             assert batch.indices.tobytes() == batch_indices
             state = new
             seen.append((state.x, state.x.tobytes()))
         assert_untouched(spec, spec_before)
         assert all(x.tobytes() == data for x, data in seen), spec
+
+
+# --- small iterates step on Python floats, with the array side's bits ---------
+
+# every sign of zero and infinity, NaN, subnormals, and magnitudes near both
+# ends of the double range; values of one magnitude, whose sums round, too
+COORDINATE_EDGES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1e-300,
+                    -1e-300, 1.0, -3.0, 1e300, -1e300, 1.7976931348623157e308, math.inf,
+                    -math.inf, math.nan)
+coordinates = st.one_of(st.sampled_from(COORDINATE_EDGES), st.floats(-4.0, 4.0),
+                        st.floats(allow_subnormal=True))
+step_size = st.one_of(positive, st.floats(1e-3, 10.0))
+momentum = st.one_of(st.sampled_from((0.0, 0.5, 0.9, 1.0 - 2.0 ** -53)),
+                     st.floats(0.0, 1.0, exclude_max=True))
+
+
+def step_on(side, state, sample, spec):
+    """apply_step with the size threshold moved so that the update runs on
+    `side`: "float" or "array"."""
+    saved = optimizers._FLOAT_MAX
+    optimizers._FLOAT_MAX = 2 ** 62 if side == "float" else -1
+    try:
+        with np.errstate(all="ignore"):
+            return apply_step(state, sample, spec)
+    finally:
+        optimizers._FLOAT_MAX = saved
+
+
+def assert_sides_agree(kind, x, x_prev, g, c, beta, loss, grad_sq):
+    state = OptimizerState(x, x_prev, np.zeros(x.size), np.zeros(x.size), 0)
+    sample = StepSample(loss, g, grad_sq)
+    spec = OptimizerSpec(kind=kind, c=c, beta1=beta)
+    on_floats, float_report = step_on("float", state, sample, spec)
+    on_arrays, array_report = step_on("array", state, sample, spec)
+    assert same_bits(float_report.gamma_scalar, array_report.gamma_scalar)
+    assert on_floats.x.dtype == on_arrays.x.dtype and on_floats.x.shape == on_arrays.x.shape
+    for i, (got, want) in enumerate(zip(on_floats.x.tolist(), on_arrays.x.tolist())):
+        assert same_bits(got, want), (x[i], x_prev[i], g[i], got, want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(FLOAT_SIDE_KINDS), c=step_size, beta=momentum,
+       loss=non_negative, grad_sq=non_negative)
+def test_float_side_has_the_array_sides_bits(data, kind, c, beta, loss, grad_sq):
+    # gamma is ngn_gamma(c, loss, grad_sq), anywhere in [0, c]; c itself
+    # when grad_sq = 0. SGDM steps with c.
+    d = data.draw(st.integers(1, optimizers._FLOAT_MAX + 3), label="d")
+    x, x_prev, g = (np.array(data.draw(st.lists(coordinates, min_size=d, max_size=d), label=name))
+                    for name in ("x", "x_prev", "g"))
+    assert_sides_agree(kind, x, x_prev, g, c, beta, loss, grad_sq)
+
+
+@pytest.mark.parametrize("kind", FLOAT_SIDE_KINDS)
+def test_float_side_has_the_array_sides_bits_on_every_edge_triple(kind):
+    # random draws rarely meet the signed-zero cases, which need exact
+    # zeros of chosen signs in all three inputs at once
+    edges = (0.0, -0.0, 5e-324, -1.0, 1e300, math.inf, -math.inf, math.nan)
+    x, x_prev, g = (np.array(v) for v in zip(*itertools.product(edges, repeat=3)))
+    # gamma = c (grad_sq = 0), 0 (loss = 0) and in between
+    for c, beta, loss, grad_sq in itertools.product((0.5, 1e300), (0.0, 0.9), (0.0, 2.0), (0.0, 3.0)):
+        assert_sides_agree(kind, x, x_prev, g, c, beta, loss, grad_sq)
+
+
+@pytest.mark.parametrize("kind", FLOAT_SIDE_KINDS)
+@pytest.mark.parametrize("x, x_prev, g", [
+    (np.array(1.5), np.array(0.5), np.array(2.0)),  # a 0-d iterate
+    (np.ones((2, 2)), np.zeros((2, 2)), np.full((2, 2), 3.0)),
+    (np.ones(3), np.zeros(3), np.array([2.0])),  # a broadcast gradient
+    (np.ones(2), np.zeros(2), np.ones(3)),  # mismatched, as on arrays
+], ids=["0-d", "2-d", "broadcast", "mismatched"])
+def test_small_iterates_of_other_shapes_step_on_arrays(kind, x, x_prev, g):
+    state = OptimizerState(x, x_prev, np.zeros_like(x), np.zeros_like(x), 0)
+    sample = StepSample(1.0, g, float((g * g).sum()))
+    spec = OptimizerSpec(kind=kind, c=0.5, beta1=0.9)
+    want = outcome(step_on, "array", state, sample, spec)
+    got = outcome(apply_step, state, sample, spec)
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        assert got[1][0].x.shape == want[1][0].x.shape
+        assert got[1][0].x.tobytes() == want[1][0].x.tobytes()
+    else:
+        assert got[1] == want[1]

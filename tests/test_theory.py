@@ -93,6 +93,19 @@ def test_ngn_m_bound_decaying_small_c_drops_positive_part():
     assert got == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("fn", [ngn_m_bound, ngn_m_bound_decaying])
+@pytest.mark.parametrize("args", [
+    (1e200, 1.0, 10, 1.0),  # (1 + 2cL)^2 overflows, and float ** raises on it
+    (1e150, 1e150, 10, 1.0),  # cL overflows
+    (1e-320, 1.0, 10, 1.0),  # dividing by cK overflows
+    (1.0, 1.0, 10, 1e308),
+    (1.0, 1.0, 10, 1.0, 1e308, 1e308),
+], ids=["c-huge", "cL-inf", "c-subnormal", "dist0_sq-huge", "sigmas-huge"])
+def test_ngn_m_bounds_reject_a_bound_that_overflows(fn, args):
+    with pytest.raises(ValueError, match=rf"^{fn.__name__}\(.*\) overflows a double$"):
+        fn(*args)
+
+
 def test_ngn_m_bound_decaying_validation():
     with pytest.raises(ValueError):
         ngn_m_bound_decaying(0.0, 1.0, 10, 1.0)
@@ -286,6 +299,9 @@ def test_theory_inputs_validation():
     # a negative distance once gave a negative "bound"
     with pytest.raises(ValueError, match="dist0_sq"):
         ngn_m_bound_decaying(1, 1, 10, -5.0)
+    # an integer beyond the double range once raised OverflowError
+    with pytest.raises(ValueError, match="^K must be finite and positive"):
+        ngn_m_bound(1.0, 1.0, 10 ** 400, 1.0)
 
 
 NAN, INF = float("nan"), float("inf")
