@@ -178,10 +178,10 @@ class SweepSpec:
     budget: RunBudget
     out_path: Optional[str] = None
     x0_grid: Optional[list] = None
-    beta2: float = 0.999
-    eps: float = 1e-8
-    wd_lambda: float = 0.0
-    schedule: str = opt.SCHEDULE_CONSTANT
+    beta2: float = OptimizerSpec.beta2
+    eps: float = OptimizerSpec.eps
+    wd_lambda: float = OptimizerSpec.wd_lambda
+    schedule: str = OptimizerSpec.schedule
 
     def __post_init__(self):
         for name in ("kinds", "c_grid", "beta_grid", "seeds"):
@@ -587,35 +587,8 @@ _OPTIMIZER_ALIASES = {
     "adam": opt.ADAM,
 }
 
-_SCHEDULE_ALIASES = {
-    "constant": opt.SCHEDULE_CONSTANT,
-    "inv_sqrt_k": opt.SCHEDULE_INV_SQRT_K,
-    "inv_sqrt_step": opt.SCHEDULE_INV_SQRT_STEP,
-}
-
 _WD_KINDS = {"decoupled": opt.DEC_NGN_MDV1, "coupled": opt.NGN_MDV1W}
 _DEFAULT_WD_MODE = "decoupled"
-
-
-def _wd_kinds(kinds: list, wd: float, wd_mode: str) -> list:
-    """With wd > 0, each ngn_md_v1 column becomes the weight-decay kind
-    that wd_mode names, keeping its @schedule suffix."""
-    if wd <= 0.0:
-        return kinds
-    return [_WD_KINDS[wd_mode] + k[len(opt.NGN_MD_V1):] if split_kind(k)[0] == opt.NGN_MD_V1
-            else k for k in kinds]
-
-
-_CONFIG_KEYS = {
-    "problem": {"kind", "dim", "n_samples", "seed", "r", "coeffs", "scale",
-                "data", "interpolating", "x0"},
-    "optimizers": {"kinds", "beta2", "eps", "wd", "wd_mode", "schedule"},
-    "grid": {"c", "beta", "seeds", "x0", "x0_range"},
-    "budget": {"max_steps", "success_loss", "diverge_loss", "batch_size"},
-    "output": {"path"},
-}
-_REQUIRED = {"problem": {"kind"}, "optimizers": {"kinds"},
-             "grid": {"c", "beta", "seeds"}, "budget": {"max_steps"}}
 
 
 def _cfg_float(section: str, key: str, raw: str) -> float:
@@ -641,11 +614,133 @@ def _cfg_bool(section: str, key: str, raw: str) -> bool:
     raise ConfigError(f"{section}.{key}: expected a boolean, got {raw!r}")
 
 
-def _cfg_list(section: str, key: str, raw: str, conv) -> list:
-    items = [c.strip() for c in raw.split(",") if c.strip()]
-    if not items:
-        raise ConfigError(f"{section}.{key}: must be a non-empty list")
-    return [conv(section, key, c) for c in items]
+def _cfg_text(section: str, key: str, raw: str) -> str:
+    return raw
+
+
+def _cfg_name(section: str, key: str, raw: str) -> str:
+    return raw.lower()
+
+
+def _cfg_choice(choices):
+    """A parser of one of choices, in any case."""
+    def parse(section: str, key: str, raw: str) -> str:
+        if raw.lower() not in choices:
+            raise ConfigError(f"{section}.{key}: expected one of {', '.join(choices)}, got {raw!r}")
+        return raw.lower()
+    return parse
+
+
+def _cfg_list(item, into=list):
+    """A parser of a non-empty comma-separated list of item's values."""
+    def parse(section: str, key: str, raw: str):
+        items = [c.strip() for c in raw.split(",") if c.strip()]
+        if not items:
+            raise ConfigError(f"{section}.{key}: must be a non-empty list")
+        return into(item(section, key, c) for c in items)
+    return parse
+
+
+def _cfg_x0_range(section: str, key: str, raw: str) -> list:
+    """linspace(lo, hi, count) of 'lo, hi, count', count a whole number."""
+    parts = _cfg_list(_cfg_float)(section, key, raw)
+    if len(parts) != 3 or not (parts[2].is_integer() and parts[2] >= 2):
+        raise ConfigError(f"{section}.{key}: expected 'lo, hi, count' with a whole count >= 2, "
+                          f"got {raw!r}")
+    return [float(v) for v in np.linspace(parts[0], parts[1], int(parts[2]))]
+
+
+def _cfg_batch_size(section: str, key: str, raw: str) -> Optional[int]:
+    return None if raw.lower() == "full" else _cfg_int(section, key, raw)
+
+
+class _Key:
+    """A config key: the field it sets (on ProblemSpec, SweepSpec or
+    RunBudget, by section; wd_mode is read by _build_sweep), its parser of
+    the key's raw text, and the `ngnopt run` flag that gives it, with that
+    flag's argparse settings (None: `run` does not take the key)."""
+
+    def __init__(self, field: str, parse, flag: Optional[str] = None, **flag_kw):
+        self.field, self.parse, self.flag, self.flag_kw = field, parse, flag, flag_kw
+
+
+_CONFIG_KEYS = {
+    "problem": {
+        "kind": _Key("kind", _cfg_choice(_PROBLEM_ALIASES), "--problem", required=True,
+                     choices=sorted(_PROBLEM_ALIASES)),
+        "dim": _Key("dim", _cfg_int, "--dim", type=int),
+        "n_samples": _Key("n_samples", _cfg_int, "--n-samples", type=int),
+        "seed": _Key("seed", _cfg_int, "--problem-seed", type=int),
+        "r": _Key("r", _cfg_float, "--r", type=float),
+        "coeffs": _Key("coeffs", _cfg_list(_cfg_float, tuple), "--coeffs",
+                       help="ascending p(x) coefficients"),
+        "scale": _Key("scale", _cfg_float, "--scale", type=float),
+        "data": _Key("data_path", _cfg_text, "--data", help="regression CSV path"),
+        "interpolating": _Key("interpolating", _cfg_bool, "--interpolating", action="store_true"),
+        "x0": _Key("x0", _cfg_list(_cfg_float, tuple)),  # `run --x0` starts the run instead
+    },
+    "optimizers": {
+        "kinds": _Key("kinds", _cfg_list(_cfg_name), "--optimizer", required=True,
+                      choices=sorted(_OPTIMIZER_ALIASES)),
+        "beta2": _Key("beta2", _cfg_float, "--beta2", type=float),
+        "eps": _Key("eps", _cfg_float, "--eps", type=float),
+        "wd": _Key("wd_lambda", _cfg_float, "--wd", type=float),
+        "wd_mode": _Key("wd_mode", _cfg_choice(tuple(_WD_KINDS)), "--wd-mode",
+                        choices=tuple(_WD_KINDS)),
+        "schedule": _Key("schedule", _cfg_choice(opt.SCHEDULES), "--schedule",
+                         choices=sorted(opt.SCHEDULES)),
+    },
+    "grid": {
+        "c": _Key("c_grid", _cfg_list(_cfg_float), "--c", type=float, required=True),
+        "beta": _Key("beta_grid", _cfg_list(_cfg_float), "--beta", type=float,
+                     default=OptimizerSpec.beta1),
+        # no dataclass defaults a seed or a step cap, so `run` does, here and for --steps
+        "seeds": _Key("seeds", _cfg_list(_cfg_int), "--seed", type=int, default=0),
+        "x0": _Key("x0_grid", _cfg_list(_cfg_float)),
+        "x0_range": _Key("x0_grid", _cfg_x0_range),
+    },
+    "budget": {
+        "max_steps": _Key("max_steps", _cfg_int, "--steps", type=int, default=1000),
+        "success_loss": _Key("success_loss", _cfg_float, "--success-loss", type=float),
+        "diverge_loss": _Key("diverge_loss", _cfg_float, "--diverge-loss", type=float),
+        "batch_size": _Key("batch_size", _cfg_batch_size, "--batch-size"),
+    },
+    "output": {"path": _Key("out_path", _cfg_text)},
+}
+_REQUIRED = {"problem": {"kind"}, "optimizers": {"kinds"},
+             "grid": {"c", "beta", "seeds"}, "budget": {"max_steps"}}
+
+
+def _build_sweep(settings) -> SweepSpec:
+    """The SweepSpec of the settings that a config or `ngnopt run` gave,
+    as (section, key, raw text) triples, each parsed as its _CONFIG_KEYS
+    row says. A field not given takes its dataclass's default. Resolves the
+    problem and optimizer aliases and applies wd_mode; a ValueError
+    becomes a ConfigError."""
+    given = {section: {} for section in _CONFIG_KEYS}
+    for section, key, raw in settings:
+        row = _CONFIG_KEYS[section][key]
+        given[section][row.field] = row.parse(section, key, raw)
+    problem, opts = given["problem"], given["optimizers"]
+    wd_mode = opts.pop("wd_mode", _DEFAULT_WD_MODE)
+    kinds = []
+    for name in opts.pop("kinds"):
+        base, sched = split_kind(name)
+        if base not in _OPTIMIZER_ALIASES:
+            raise ConfigError(f"optimizers.kinds: unknown optimizer {base!r}")
+        if sched is not None and sched not in opt.SCHEDULES:
+            raise ConfigError(f"optimizers.kinds: unknown schedule suffix {sched!r} in {name!r}")
+        kinds.append(_OPTIMIZER_ALIASES[base] + name[len(base):])
+    try:
+        sweep = SweepSpec(ProblemSpec(**problem | {"kind": _PROBLEM_ALIASES[problem["kind"]]}),
+                          kinds, budget=RunBudget(**given["budget"]), **opts, **given["grid"],
+                          **given["output"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if sweep.wd_lambda > 0.0:  # each ngn_md_v1 column becomes wd_mode's kind, keeping its suffix
+        sweep.kinds = [_WD_KINDS[wd_mode] + k[len(opt.NGN_MD_V1):]
+                       if split_kind(k)[0] == opt.NGN_MD_V1 else k for k in sweep.kinds]
+    return sweep
 
 
 def parse_config(path: str) -> SweepSpec:
@@ -668,91 +763,10 @@ def parse_config(path: str) -> SweepSpec:
         for key in required:
             if key not in cp[section]:
                 raise ConfigError(f"missing required key {section}.{key}")
-
-    prob = cp["problem"]
-    kind_raw = prob["kind"].strip().lower()
-    if kind_raw not in _PROBLEM_ALIASES:
-        raise ConfigError(f"problem.kind: unknown kind {kind_raw!r}")
-    pkw = {"kind": _PROBLEM_ALIASES[kind_raw]}
-    if "dim" in prob:
-        pkw["dim"] = _cfg_int("problem", "dim", prob["dim"])
-    if "n_samples" in prob:
-        pkw["n_samples"] = _cfg_int("problem", "n_samples", prob["n_samples"])
-    if "seed" in prob:
-        pkw["seed"] = _cfg_int("problem", "seed", prob["seed"])
-    if "r" in prob:
-        pkw["r"] = _cfg_float("problem", "r", prob["r"])
-    if "coeffs" in prob:
-        pkw["coeffs"] = tuple(_cfg_list("problem", "coeffs", prob["coeffs"], _cfg_float))
-    if "scale" in prob:
-        pkw["scale"] = _cfg_float("problem", "scale", prob["scale"])
-    if "data" in prob:
-        pkw["data_path"] = prob["data"].strip()
-    if "interpolating" in prob:
-        pkw["interpolating"] = _cfg_bool("problem", "interpolating", prob["interpolating"])
-    if "x0" in prob:
-        pkw["x0"] = tuple(_cfg_list("problem", "x0", prob["x0"], _cfg_float))
-    try:
-        problem_spec = ProblemSpec(**pkw)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    osec = cp["optimizers"]
-    kinds = []
-    for name in _cfg_list("optimizers", "kinds", osec["kinds"], lambda s, k, v: v.lower()):
-        base, sched = split_kind(name)
-        if base not in _OPTIMIZER_ALIASES:
-            raise ConfigError(f"optimizers.kinds: unknown optimizer {base!r}")
-        if sched is not None and sched not in _SCHEDULE_ALIASES:
-            raise ConfigError(f"optimizers.kinds: unknown schedule suffix {sched!r} in {name!r}")
-        suffix = "" if sched is None else "@" + _SCHEDULE_ALIASES[sched]
-        kinds.append(_OPTIMIZER_ALIASES[base] + suffix)
-    beta2 = _cfg_float("optimizers", "beta2", osec["beta2"]) if "beta2" in osec else 0.999
-    eps = _cfg_float("optimizers", "eps", osec["eps"]) if "eps" in osec else 1e-8
-    wd = _cfg_float("optimizers", "wd", osec["wd"]) if "wd" in osec else 0.0
-    wd_mode = osec.get("wd_mode", _DEFAULT_WD_MODE).strip().lower()
-    if wd_mode not in _WD_KINDS:
-        raise ConfigError(f"optimizers.wd_mode: expected decoupled or coupled, got {wd_mode!r}")
-    kinds = _wd_kinds(kinds, wd, wd_mode)
-    sched_raw = osec.get("schedule", "constant").strip().lower()
-    if sched_raw not in _SCHEDULE_ALIASES:
-        raise ConfigError(f"optimizers.schedule: unknown schedule {sched_raw!r}")
-    schedule = _SCHEDULE_ALIASES[sched_raw]
-
-    grid = cp["grid"]
-    c_grid = _cfg_list("grid", "c", grid["c"], _cfg_float)
-    beta_grid = _cfg_list("grid", "beta", grid["beta"], _cfg_float)
-    seeds = _cfg_list("grid", "seeds", grid["seeds"], _cfg_int)
-    x0_grid = None
-    if "x0" in grid and "x0_range" in grid:
+    if cp.has_option("grid", "x0") and cp.has_option("grid", "x0_range"):
         raise ConfigError("grid.x0 and grid.x0_range are mutually exclusive")
-    if "x0" in grid:
-        x0_grid = _cfg_list("grid", "x0", grid["x0"], _cfg_float)
-    if "x0_range" in grid:
-        parts = _cfg_list("grid", "x0_range", grid["x0_range"], _cfg_float)
-        if len(parts) != 3 or int(parts[2]) < 2:
-            raise ConfigError("grid.x0_range: expected 'lo, hi, count' with count >= 2")
-        x0_grid = [float(v) for v in np.linspace(parts[0], parts[1], int(parts[2]))]
-
-    bsec = cp["budget"]
-    max_steps = _cfg_int("budget", "max_steps", bsec["max_steps"])
-    success = _cfg_float("budget", "success_loss", bsec["success_loss"]) if "success_loss" in bsec else 1e-15
-    diverge = _cfg_float("budget", "diverge_loss", bsec["diverge_loss"]) if "diverge_loss" in bsec else 1e10
-    batch_size = None
-    if "batch_size" in bsec and bsec["batch_size"].strip().lower() != "full":
-        batch_size = _cfg_int("budget", "batch_size", bsec["batch_size"])
-    try:
-        budget = RunBudget(max_steps, success, diverge, batch_size)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    out_path = cp["output"]["path"].strip() if "output" in cp and "path" in cp["output"] else None
-    try:
-        return SweepSpec(problem_spec, kinds, c_grid, beta_grid, seeds, budget,
-                         out_path=out_path, x0_grid=x0_grid, beta2=beta2, eps=eps,
-                         wd_lambda=wd, schedule=schedule)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build_sweep((section, key, raw) for section in cp.sections()
+                        for key, raw in cp[section].items())
 
 
 # --- CLI --------------------------------------------------------------------
@@ -762,31 +776,14 @@ def _build_parser() -> argparse.ArgumentParser:
                                      description="NGN step-size family: runs, sweeps, audits, bounds")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    runp = sub.add_parser("run", help="execute one optimizer run")
-    runp.add_argument("--problem", required=True, choices=sorted(_PROBLEM_ALIASES))
-    runp.add_argument("--optimizer", required=True, choices=sorted(_OPTIMIZER_ALIASES))
-    runp.add_argument("--c", type=float, required=True)
-    runp.add_argument("--beta", type=float, default=0.0)
-    runp.add_argument("--beta2", type=float, default=0.999)
-    runp.add_argument("--eps", type=float, default=1e-8)
-    runp.add_argument("--wd", type=float, default=0.0)
-    runp.add_argument("--wd-mode", choices=tuple(_WD_KINDS), default=_DEFAULT_WD_MODE)
-    runp.add_argument("--schedule", choices=sorted(_SCHEDULE_ALIASES), default="constant")
-    runp.add_argument("--steps", type=int, default=1000)
-    runp.add_argument("--batch-size", default="full")
-    runp.add_argument("--seed", type=int, default=0)
+    # a flag not given is left out of the namespace, and its setting takes its dataclass's default
+    runp = sub.add_parser("run", help="execute one optimizer run", argument_default=argparse.SUPPRESS)
+    for keys in _CONFIG_KEYS.values():
+        for row in keys.values():
+            if row.flag:
+                runp.add_argument(row.flag, **row.flag_kw)
     runp.add_argument("--out", default=None, help="trajectory CSV path")
     runp.add_argument("--x0", default=None, help="comma-separated start point")
-    runp.add_argument("--dim", type=int, default=1)
-    runp.add_argument("--n-samples", type=int, default=None)
-    runp.add_argument("--problem-seed", type=int, default=0)
-    runp.add_argument("--r", type=float, default=0.0)
-    runp.add_argument("--coeffs", default="0,1", help="ascending p(x) coefficients")
-    runp.add_argument("--scale", type=float, default=1.0)
-    runp.add_argument("--data", default=None, help="regression CSV path")
-    runp.add_argument("--interpolating", action="store_true")
-    runp.add_argument("--success-loss", type=float, default=1e-15)
-    runp.add_argument("--diverge-loss", type=float, default=1e10)
 
     sweepp = sub.add_parser("sweep", help="execute a config-driven sweep")
     sweepp.add_argument("--config", required=True)
@@ -809,20 +806,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    problem = ProblemSpec(kind=_PROBLEM_ALIASES[args.problem], dim=args.dim,
-                          n_samples=args.n_samples, seed=args.problem_seed, r=args.r,
-                          coeffs=tuple(float(v) for v in args.coeffs.split(",")),
-                          scale=args.scale, data_path=args.data,
-                          interpolating=args.interpolating)
-    batch_size = None if str(args.batch_size).lower() == "full" else int(args.batch_size)
-    kinds = _wd_kinds([_OPTIMIZER_ALIASES[args.optimizer]], args.wd, args.wd_mode)
-    sweep = SweepSpec(problem, kinds, [args.c], [args.beta], [args.seed],
-                      RunBudget(args.steps, args.success_loss, args.diverge_loss, batch_size),
-                      beta2=args.beta2, eps=args.eps, wd_lambda=args.wd,
-                      schedule=_SCHEDULE_ALIASES[args.schedule])
-    spec = make_optimizer_spec(sweep, kinds[0], args.c, args.beta)
+    """One run, as the one-cell sweep of the flags given: each flag's
+    value is read as the text of its config key, a typed value (checked
+    by argparse) as its repr, which is a number's exact text."""
+    settings = []
+    for section, keys in _CONFIG_KEYS.items():
+        for key, row in keys.items():
+            value = getattr(args, row.flag[2:].replace("-", "_"), None) if row.flag else None
+            if value is not None:
+                settings.append((section, key, value if isinstance(value, str) else repr(value)))
+    sweep = _build_sweep(settings)
+    spec = make_optimizer_spec(sweep, sweep.kinds[0], sweep.c_grid[0], sweep.beta_grid[0])
     x0 = None if args.x0 is None else np.array([float(v) for v in args.x0.split(",")])
-    rec = run_once(build_problem(sweep.problem), spec, sweep.budget, args.seed, x0=x0)
+    rec = run_once(build_problem(sweep.problem), spec, sweep.budget, sweep.seeds[0], x0=x0)
     steps = rec.steps_to_success
     print(f"status={rec.status} steps={len(rec.losses)} final_loss={rec.final_loss} "
           f"best_loss={rec.best_loss} steps_to_success={'' if steps is None else steps}")

@@ -145,8 +145,7 @@ class StochasticObjective:
 
     `_loss_grad(X, indices)` returns the mean losses (C,) and gradients
     (C, d) over the indexed samples at the C rows of X; `indices=None`
-    means all samples in order (see `Batch.full`). `_loss(X, indices)`,
-    when available, returns the same losses without the gradients.
+    means all samples in order (see `Batch.full`).
     `_batch_min(indices)`, when available, returns the exact minimum of
     that batch loss (least-squares subproblems). `_point(x, indices)` maps
     one point x (d,) to its batch loss, gradient (d,) and ||g||^2, the
@@ -165,7 +164,6 @@ class StochasticObjective:
     _loss_grad: Callable[[np.ndarray, np.ndarray], tuple]
     _point: Callable[[np.ndarray, np.ndarray], tuple]
     _batch_min: Optional[Callable[[np.ndarray], float]] = None
-    _loss: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         x0 = self.x0_default
@@ -223,11 +221,10 @@ def evaluate_cells(problem: StochasticObjective, X: np.ndarray, batch: Batch) ->
 
 
 def evaluate_loss(problem: StochasticObjective, X: np.ndarray, batch: Batch) -> np.ndarray:
-    """The batch losses (C,) at the rows of X (C, d), with no gradient and
-    no input checks; the same bits as the losses of `evaluate_cells`."""
-    if problem._loss is None:
-        return problem._loss_grad(X, _oracle_indices(batch))[0]
-    return problem._loss(X, _oracle_indices(batch))
+    """The batch losses (C,) at the rows of X (C, d), with no input
+    checks: the losses of `_loss_grad`, whose gradients it drops, and so
+    the same bits as the losses of `evaluate_cells`."""
+    return problem._loss_grad(X, _oracle_indices(batch))[0]
 
 
 @functools.cache
@@ -354,21 +351,14 @@ def _least_squares_objective(kind: str, A: np.ndarray, b: np.ndarray,
         mu = float(pos[0]) if pos.size else None
         return ObjectiveMetadata(L=L, L_coord=L_coord, f_star=f_star, x_star=x_star, mu=mu)
 
-    def residuals(X, idx):
-        """The rows of A and the residuals (C, m) over the samples idx, or
+    def loss_grad(X, idx):
+        """The losses (C,) and gradients (C, d) over the samples idx, or
         over all samples in order when idx is None. The full batch reads A
         and b in place; a gather of 0..n-1 would copy them unchanged, so
         both give the same bits. Any other index array, permuted or
         repeated, gathers once for all C points."""
         A_b, b_b = (rows, b) if idx is None else (rows[idx], b[idx])
-        return A_b, (A_b @ X[:, :, None])[:, :, 0] - b_b
-
-    def loss(X, idx):
-        _, R = residuals(X, idx)
-        return np.add.reduce(R * R, axis=1) / (2.0 * R.shape[1])
-
-    def loss_grad(X, idx):
-        A_b, R = residuals(X, idx)
+        R = (A_b @ X[:, :, None])[:, :, 0] - b_b
         m = R.shape[1]
         return np.add.reduce(R * R, axis=1) / (2.0 * m), (A_b.T @ R[:, :, None])[:, :, 0] / m
 
@@ -389,7 +379,7 @@ def _least_squares_objective(kind: str, A: np.ndarray, b: np.ndarray,
     if x0 is None:
         x0 = np.zeros(d)
     return StochasticObjective(kind, d, n, metadata, np.asarray(x0, dtype=float), loss_grad,
-                               point, batch_min, loss)
+                               point, batch_min)
 
 
 def least_squares_problem(A: np.ndarray, b: np.ndarray,

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import filecmp
 import math
 import multiprocessing
@@ -516,8 +517,7 @@ def test_parse_config_missing_required(tmp_path):
         parse_config(write_config(tmp_path, bad))
 
 
-def test_parse_config_x0_range(tmp_path):
-    text = """
+X0_RANGE_CONFIG = """
 [problem]
 kind = multimodal_1d
 
@@ -533,9 +533,23 @@ x0_range = -2, 2, 5
 [budget]
 max_steps = 10
 """
-    sweep = parse_config(write_config(tmp_path, text))
-    assert len(sweep.x0_grid) == 5
-    assert np.allclose(sweep.x0_grid, np.linspace(-2, 2, 5))
+
+
+def test_parse_config_x0_range(tmp_path):
+    for count in ("5", "5.0"):
+        text = X0_RANGE_CONFIG.replace("-2, 2, 5", f"-2, 2, {count}")
+        sweep = parse_config(write_config(tmp_path, text))
+        assert len(sweep.x0_grid) == 5
+        assert np.allclose(sweep.x0_grid, np.linspace(-2, 2, 5))
+
+
+@pytest.mark.parametrize("count", ["inf", "nan", "2.9"])
+def test_cli_sweep_x0_range_count_must_be_a_whole_number(tmp_path, capsys, count):
+    text = X0_RANGE_CONFIG.replace("-2, 2, 5", f"-2, 2, {count}")
+    assert cli(["sweep", "--config", write_config(tmp_path, text),
+                "--out", str(tmp_path / "r.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid.x0_range: ") and err.count("\n") == 1
 
 
 def test_parse_config_x0_conflict(tmp_path):
@@ -635,24 +649,150 @@ def test_cli_run_diverged_still_exits_zero(capsys):
     assert "status=diverged" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("run_args, optimizers", [
-    (["--optimizer", "ngn_md_v1", "--beta", "0.9", "--wd", "0.1", "--wd-mode", "coupled"],
-     "kinds = ngn_md_v1\nwd = 0.1\nwd_mode = coupled"),
-    (["--optimizer", "ngn", "--schedule", "inv_sqrt_k"],
-     "kinds = ngn\nschedule = inv_sqrt_k"),
-], ids=["ngn_md_v1-wd-coupled", "ngn-inv_sqrt_k"])
-def test_cli_run_matches_one_cell_sweep(tmp_path, capsys, run_args, optimizers):
-    code = cli(["run", "--problem", "least_squares", "--dim", "3", "--n-samples", "6",
-                "--c", "0.5", "--steps", "60", "--batch-size", "2", "--seed", "4"] + run_args)
-    assert code == 0
+REGRESSION_CSV = "x1,x2,y\n1,0,1.5\n0,2,-1\n3,1,2\n-1,4,0.5\n2,-2,3\n0.5,1,-0.5\n"
+
+# `ngnopt run` flags and the config of the same one-cell sweep, every optional flag given a
+# value other than its default in some case; {data} is the path of REGRESSION_CSV
+RUN_CASES = {
+    "ngn_md_v1-wd-coupled": (
+        "--problem least_squares --dim 3 --n-samples 6 --batch-size 2 --optimizer ngn_md_v1 "
+        "--c 0.5 --beta 0.9 --wd 0.1 --wd-mode coupled",
+        "[problem]\nkind = least_squares\ndim = 3\nn_samples = 6\n[budget]\nbatch_size = 2\n"
+        "[optimizers]\nkinds = ngn_md_v1\nwd = 0.1\nwd_mode = coupled\n[grid]\nc = 0.5\nbeta = 0.9\n"),
+    "ngn-inv_sqrt_k": (
+        "--problem least_squares --dim 3 --n-samples 6 --batch-size 2 --optimizer ngn --c 0.5 "
+        "--schedule inv_sqrt_k",
+        "[problem]\nkind = least_squares\ndim = 3\nn_samples = 6\n[budget]\nbatch_size = 2\n"
+        "[optimizers]\nkinds = ngn\nschedule = inv_sqrt_k\n[grid]\nc = 0.5\nbeta = 0.0\n"),
+    "least_squares-adam-every-flag": (
+        "--problem least_squares --dim 3 --n-samples 6 --problem-seed 3 --interpolating "
+        "--batch-size 2 --optimizer adam --c 0.5 --beta 0.9 --beta2 0.99 --eps 1e-6 "
+        "--schedule inv_sqrt_step --success-loss 1e-4 --diverge-loss 1e3",
+        "[problem]\nkind = least_squares\ndim = 3\nn_samples = 6\nseed = 3\ninterpolating = true\n"
+        "[budget]\nbatch_size = 2\nsuccess_loss = 1e-4\ndiverge_loss = 1e3\n"
+        "[optimizers]\nkinds = adam\nbeta2 = 0.99\neps = 1e-6\nschedule = inv_sqrt_step\n"
+        "[grid]\nc = 0.5\nbeta = 0.9\n"),
+    "least_squares-sgdm-diverge-loss": (
+        "--problem least_squares --dim 3 --n-samples 6 --optimizer sgdm --c 3 --beta 0.9 "
+        "--diverge-loss 20",
+        "[problem]\nkind = least_squares\ndim = 3\nn_samples = 6\n[budget]\ndiverge_loss = 20\n"
+        "[optimizers]\nkinds = sgdm\n[grid]\nc = 3\nbeta = 0.9\n"),
+    "ridge-r": (
+        "--problem ridge --dim 4 --r 0.5 --optimizer ngn_m --c 0.5 --beta 0.9",
+        "[problem]\nkind = ridge\ndim = 4\nr = 0.5\n[budget]\n"
+        "[optimizers]\nkinds = ngn_m\n[grid]\nc = 0.5\nbeta = 0.9\n"),
+    "polynomial-coeffs-scale": (
+        "--problem polynomial --coeffs 0,0.5,1 --scale 2 --optimizer ngn --c 0.1",
+        "[problem]\nkind = polynomial\ncoeffs = 0, 0.5, 1\nscale = 2\n[budget]\n"
+        "[optimizers]\nkinds = ngn\n[grid]\nc = 0.1\nbeta = 0.0\n"),
+    "regression-data": (
+        "--problem regression --data {data} --optimizer sgdm --c 0.05 --beta 0.5",
+        "[problem]\nkind = regression\ndata = {data}\n[budget]\n"
+        "[optimizers]\nkinds = sgdm\n[grid]\nc = 0.05\nbeta = 0.5\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_CASES))
+def test_cli_run_matches_one_cell_sweep(tmp_path, capsys, case):
+    data = tmp_path / "data.csv"
+    data.write_text(REGRESSION_CSV, encoding="utf-8")
+    run_args, config = (text.format(data=data) for text in RUN_CASES[case])
+    assert cli(["run", "--steps", "60", "--seed", "4"] + run_args.split()) == 0
     printed = dict(field.split("=", 1) for field in capsys.readouterr().out.split())
-    beta = "0.9" if "--beta" in run_args else "0.0"
-    text = (f"[problem]\nkind = least_squares\ndim = 3\nn_samples = 6\n"
-            f"[optimizers]\n{optimizers}\n[grid]\nc = 0.5\nbeta = {beta}\nseeds = 4\n"
-            f"[budget]\nmax_steps = 60\nbatch_size = 2\n")
-    (row,) = run_sweep(parse_config(write_config(tmp_path, text))).rows
+    config = config.replace("[budget]\n", "[budget]\nmax_steps = 60\n") + "seeds = 4\n"
+    (row,) = run_sweep(parse_config(write_config(tmp_path, config))).rows
     assert printed["status"] == row["status"]
     assert float(printed["final_loss"]).hex() == row["final_loss"].hex()
+    assert float(printed["best_loss"]).hex() == row["best_loss"].hex()
+    steps = row["steps_to_success"]
+    assert printed["steps_to_success"] == ("" if steps is None else str(steps))
+
+
+def test_run_cases_give_every_optional_flag():
+    given = {arg for args, _ in RUN_CASES.values() for arg in args.split() if arg.startswith("--")}
+    # every case gives --steps and --seed; --out and --x0 set no config key
+    assert given | {"--steps", "--seed"} == set(RUN_FLAGS) - {"--out", "--x0"}
+
+
+# every config key and `ngnopt run` flag (type, choices, required, nargs), pinned, so that
+# reworking how they are declared can drop none of them
+CONFIG_KEYS = {
+    "problem": {"kind", "dim", "n_samples", "seed", "r", "coeffs", "scale", "data",
+                "interpolating", "x0"},
+    "optimizers": {"kinds", "beta2", "eps", "wd", "wd_mode", "schedule"},
+    "grid": {"c", "beta", "seeds", "x0", "x0_range"},
+    "budget": {"max_steps", "success_loss", "diverge_loss", "batch_size"},
+    "output": {"path"},
+}
+PROBLEM_CHOICES = ["least_squares", "linear_regression_data", "multimodal", "multimodal_1d",
+                   "polynomial", "polynomial_1d", "regression", "ridge", "ridge_quadratic",
+                   "rosenbrock"]
+OPTIMIZER_CHOICES = ["adam", "dec_ngn_mdv1", "gdm", "ngn", "ngn_d", "ngn_m", "ngn_m_v1",
+                     "ngn_m_v2", "ngn_md_v1", "ngn_md_v2", "ngn_mdv1w", "sgdm"]
+RUN_FLAGS = {
+    "--problem": (None, PROBLEM_CHOICES, True, None),
+    "--optimizer": (None, OPTIMIZER_CHOICES, True, None),
+    "--c": (float, None, True, None),
+    "--beta": (float, None, False, None),
+    "--beta2": (float, None, False, None),
+    "--eps": (float, None, False, None),
+    "--wd": (float, None, False, None),
+    "--wd-mode": (None, ["decoupled", "coupled"], False, None),
+    "--schedule": (None, ["constant", "inv_sqrt_k", "inv_sqrt_step"], False, None),
+    "--steps": (int, None, False, None),
+    "--batch-size": (None, None, False, None),
+    "--seed": (int, None, False, None),
+    "--out": (None, None, False, None),
+    "--x0": (None, None, False, None),
+    "--dim": (int, None, False, None),
+    "--n-samples": (int, None, False, None),
+    "--problem-seed": (int, None, False, None),
+    "--r": (float, None, False, None),
+    "--coeffs": (None, None, False, None),
+    "--scale": (float, None, False, None),
+    "--data": (None, None, False, None),
+    "--interpolating": (None, None, False, 0),
+    "--success-loss": (float, None, False, None),
+    "--diverge-loss": (float, None, False, None),
+}
+
+
+def test_config_keys_and_run_flags_are_pinned():
+    assert {section: set(keys) for section, keys in harness._CONFIG_KEYS.items()} == CONFIG_KEYS
+    (sub,) = [a for a in harness._build_parser()._actions if a.choices and "run" in a.choices]
+    flags = {a.option_strings[-1]: (a.type, None if a.choices is None else list(a.choices),
+                                    a.required, a.nargs)
+             for a in sub.choices["run"]._actions if a.dest != "help"}
+    assert flags == RUN_FLAGS
+
+
+def assert_dataclass_defaults(obj) -> None:
+    for field in dataclasses.fields(obj):
+        if field.default is not dataclasses.MISSING:
+            assert getattr(obj, field.name) == field.default, field.name
+
+
+def test_omitted_keys_and_flags_take_the_dataclass_defaults(tmp_path, monkeypatch):
+    text = ("[problem]\nkind = least_squares\n[optimizers]\nkinds = ngn\n"
+            "[grid]\nc = 0.5\nbeta = 0.0\nseeds = 0\n[budget]\nmax_steps = 10\n")
+    sweep = parse_config(write_config(tmp_path, text))
+    seen = {}
+    build, run = harness.build_problem, harness.run_once
+
+    def spy_run(problem, spec, budget, seed, x0=None):
+        seen.update(spec=spec, budget=budget, seed=seed)
+        return run(problem, spec, budget, seed, x0=x0)
+
+    monkeypatch.setattr(harness, "build_problem", lambda spec: build(seen.setdefault("problem", spec)))
+    monkeypatch.setattr(harness, "run_once", spy_run)
+    assert cli(["run", "--problem", "least_squares", "--optimizer", "ngn", "--c", "0.5"]) == 0
+    built = [(sweep.problem, sweep.budget, make_optimizer_spec(sweep, "ngn", 0.5, 0.0)),
+             (seen["problem"], seen["budget"], seen["spec"])]
+    for problem, budget, spec in built:
+        for obj in (problem, budget, spec):
+            assert_dataclass_defaults(obj)
+        assert sweep.schedule == spec.schedule and sweep.beta2 == spec.beta2
+    assert (seen["budget"].max_steps, seen["seed"]) == (1000, 0)  # no dataclass defaults these
 
 
 def test_cli_sweep(tmp_path, capsys):

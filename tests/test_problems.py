@@ -750,6 +750,7 @@ def test_least_squares_one_point_oracle_has_the_bits_of_a_stacked_row(name, batc
     X = data.draw(arrays(np.float64, (count, p.dim), elements=COORDS))
     with np.errstate(all="ignore"):
         losses, grads, grad_sqs = problems.evaluate_cells(p, X, batch)
+        assert bits(problems.evaluate_loss(p, X, batch)) == bits(losses)
         for i in range(count):
             loss, grad, grad_sq = problems.evaluate_cells(p, X[i:i + 1], batch)
             assert type(loss[0]) is float and type(grad_sq[0]) is float
@@ -757,6 +758,7 @@ def test_least_squares_one_point_oracle_has_the_bits_of_a_stacked_row(name, batc
             assert bits(loss[0]) == bits(losses[i])
             assert bits(grad[0]) == bits(grads[i])
             assert bits(grad_sq[0]) == bits(grad_sqs[i])
+            assert bits(problems.evaluate_loss(p, X[i:i + 1], batch)) == bits(loss)
             sample = evaluate(p, X[i], batch)
             assert bits([sample.loss, sample.grad_sq]) == bits([losses[i], grad_sqs[i]])
             assert bits(sample.grad) == bits(grads[i])
@@ -799,8 +801,7 @@ def test_multimodal_oracle_has_the_bits_of_the_eight_call_form(ts):
 
 def oracle_rows(problem):
     """The data matrix the least-squares oracle reads, from its closure."""
-    residuals = inspect.getclosurevars(problem._loss_grad).nonlocals["residuals"]
-    return inspect.getclosurevars(residuals).nonlocals["rows"]
+    return inspect.getclosurevars(problem._loss_grad).nonlocals["rows"]
 
 
 def test_least_squares_data_is_cache_aligned_and_kept_once(tmp_path):
