@@ -168,7 +168,8 @@ class SweepSpec:
     protocol); shared optimizer settings (beta2, eps, weight decay,
     schedule) apply to every cell. A kind may carry an '@schedule'
     suffix overriding the shared schedule, so one sweep can compare
-    schedules side by side."""
+    schedules side by side. Each kind's OptimizerSpec, built once here,
+    checks the shared settings; a bad c or beta fails its cells alone."""
 
     problem: ProblemSpec
     kinds: list
@@ -187,16 +188,10 @@ class SweepSpec:
         for name in ("kinds", "c_grid", "beta_grid", "seeds"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be a non-empty list")
-        for kind in self.kinds:
-            base, sched = split_kind(kind)
-            if base not in opt.OPTIMIZER_KINDS:
-                raise ValueError(f"unknown optimizer kind {base!r}")
-            if sched is not None and sched not in opt.SCHEDULES:
-                raise ValueError(f"unknown schedule suffix {sched!r} in {kind!r}")
         if self.x0_grid is not None and not self.x0_grid:
             raise ValueError("x0_grid, when given, must be non-empty")
-        if not (math.isfinite(self.wd_lambda) and self.wd_lambda >= 0.0):
-            raise ValueError("wd_lambda must be finite and >= 0")
+        for kind in self.kinds:
+            make_optimizer_spec(self, kind, 1.0, 0.0)
 
     def cells(self) -> list:
         """Deterministic cell order: kind-major, then c, beta, seed, x0."""
@@ -324,9 +319,8 @@ def make_optimizer_spec(sweep: SweepSpec, kind: str, c: float, beta: float) -> O
     base, sched = split_kind(kind)
     schedule = sched if sched is not None else sweep.schedule
     total = sweep.budget.max_steps if schedule == opt.SCHEDULE_INV_SQRT_K else None
-    wd = sweep.wd_lambda if base in (opt.DEC_NGN_MDV1, opt.NGN_MDV1W) else 0.0
     return OptimizerSpec(kind=base, c=c, beta1=beta, beta2=sweep.beta2, eps=sweep.eps,
-                         wd_lambda=wd, schedule=schedule, total_steps=total)
+                         wd_lambda=sweep.wd_lambda, schedule=schedule, total_steps=total)
 
 
 def _sweep_row(sweep: SweepSpec, cell, run) -> dict:
@@ -352,9 +346,10 @@ def _sweep_row(sweep: SweepSpec, cell, run) -> dict:
 
 
 def _sweep_rows(sweep: SweepSpec, cells: list, problem: StochasticObjective) -> list:
-    """Run sweep cells in lockstep, one group per batch sequence: all of
-    them on a full batch, the cells of each seed on mini-batches. Rows
-    come back in the order of cells."""
+    """Run sweep cells in lockstep, one group per seed: the cells of a seed
+    share a batch sequence, and run_sweep hands in only the first seed of
+    a full-batch sweep, whose seed picks no batch. Rows come back in the
+    order of cells."""
     runs = []
     for kind, c, beta, _, x0 in cells:
         try:
@@ -363,12 +358,10 @@ def _sweep_rows(sweep: SweepSpec, cells: list, problem: StochasticObjective) -> 
             runs.append(RunRecord(problem, spec, x0_arr))
         except Exception as exc:  # a bad spec or start fails its cell alone
             runs.append(exc)
-    bs = sweep.budget.batch_size
-    shared = bs is None or bs >= problem.n_samples  # the seed picks no batch
     groups: dict = {}
     for cell, run in zip(cells, runs):
         if isinstance(run, RunRecord):
-            groups.setdefault(0 if shared else cell[3], []).append(run)
+            groups.setdefault(cell[3], []).append(run)
     for seed, group in groups.items():
         run_lockstep(problem, group, sweep.budget, seed, history=False)
     return [_sweep_row(sweep, cell, run) for cell, run in zip(cells, runs)]
@@ -725,11 +718,9 @@ def _build_sweep(settings) -> SweepSpec:
     wd_mode = opts.pop("wd_mode", _DEFAULT_WD_MODE)
     kinds = []
     for name in opts.pop("kinds"):
-        base, sched = split_kind(name)
+        base = split_kind(name)[0]
         if base not in _OPTIMIZER_ALIASES:
             raise ConfigError(f"optimizers.kinds: unknown optimizer {base!r}")
-        if sched is not None and sched not in opt.SCHEDULES:
-            raise ConfigError(f"optimizers.kinds: unknown schedule suffix {sched!r} in {name!r}")
         kinds.append(_OPTIMIZER_ALIASES[base] + name[len(base):])
     try:
         sweep = SweepSpec(ProblemSpec(**problem | {"kind": _PROBLEM_ALIASES[problem["kind"]]}),
@@ -817,7 +808,10 @@ def _cmd_run(args) -> int:
                 settings.append((section, key, value if isinstance(value, str) else repr(value)))
     sweep = _build_sweep(settings)
     spec = make_optimizer_spec(sweep, sweep.kinds[0], sweep.c_grid[0], sweep.beta_grid[0])
-    x0 = None if args.x0 is None else np.array([float(v) for v in args.x0.split(",")])
+    try:
+        x0 = None if args.x0 is None else np.array([float(v) for v in args.x0.split(",")])
+    except ValueError as exc:
+        raise ConfigError(f"--x0: expected comma-separated numbers, got {args.x0!r}") from exc
     rec = run_once(build_problem(sweep.problem), spec, sweep.budget, sweep.seeds[0], x0=x0)
     steps = rec.steps_to_success
     print(f"status={rec.status} steps={len(rec.losses)} final_loss={rec.final_loss} "

@@ -12,11 +12,15 @@ average twin is exercised by the verification layer. Diagonal variants
 rescale either the squared gradient norm (V1) or the per-coordinate c
 (V2) by an RMSprop-style preconditioner D = eps + sqrt(vhat).
 
-Step functions are pure: given (state, sample, spec) they return a new
-state and a report. OptimizerState, StepReport and StepSample are
-slotted plain data, not frozen (a frozen dataclass pays for every field
-it sets); rules never assign to them or write into their arrays, so a
-run history can keep iterates and gradients by reference.
+apply_step(state, sample, spec) computes the schedule's c_k once, calls
+the kind's rule as rule(state, sample, spec, c_k) -> (x_new, v, m,
+report) and builds the next OptimizerState(x_new, state.x, v, m, k + 1),
+so a rule sees the schedule only through c_k. The NGN-MD kinds share the
+preconditioner and one rule, the only one that reads spec.kind; every
+other kind has its own. Rules are pure. OptimizerState, StepReport and
+StepSample are slotted plain data, not frozen (a frozen dataclass pays
+for every field it sets); rules never assign to them or write into their
+arrays, so a run history can keep iterates and gradients by reference.
 
 Reductions use ndarray methods such as `(g*g).sum()`. They run the same
 ufunc reductions as `np.sum` (`add.reduce`), so they give the same bits
@@ -45,6 +49,7 @@ ratio of float-side to array-side time, over 60 adjacent pairs of
 2000-call timeit runs (Python 3.11, NumPy 2.4, 2-vCPU VM): ngn_m_v1 0.60
 at d=1, 0.86 at d=7, 0.98 at d=10 and 1.03 at d=11; sgdm, one ufunc call
 cheaper on arrays, 0.65 at d=1, 0.97 at d=7 and 1.01-1.03 at d=8.
+_float_or_array picks the side for both rules.
 """
 
 from __future__ import annotations
@@ -257,49 +262,45 @@ def _sgdm_update(c, beta, x, x_prev, g):
     return x - c * g + beta * (x - x_prev)
 
 
-def step_ngn(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
+def _float_or_array(update, step, beta, x, x_prev, g):
+    """update(step, beta, x, x_prev, g) over Python floats for vectors of
+    one length of at most _FLOAT_MAX coordinates, else on the arrays."""
+    if x.size <= _FLOAT_MAX and x.ndim == 1 and x.shape == x_prev.shape == g.shape:
+        update = partial(update, step, beta)
+        return np.fromiter(map(update, x.tolist(), x_prev.tolist(), g.tolist()), float, x.size)
+    return update(step, beta, x, x_prev, g)
+
+
+def step_ngn(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, c_k: float):
     """x' = x - gamma g with the scalar NGN step size."""
-    c_k = schedule_c(spec.schedule, spec.c, state.k, spec.total_steps)
-    g = sample.grad
     gamma = ngn_gamma(c_k, sample.loss, sample.grad_sq)
-    x_new = state.x - gamma * g
-    return OptimizerState(x_new, state.x, state.v, state.m, state.k + 1), StepReport(gamma)
+    return state.x - gamma * sample.grad, state.v, state.m, StepReport(gamma)
 
 
-def step_ngn_m(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
-    """Momentum variants of NGN.
+def step_ngn_m_v1(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, c_k: float):
+    """NGN-M V1 (heavy ball): gamma from the raw gradient,
+    x' = x - (1-beta) gamma g + beta (x - x_prev)."""
+    gamma = ngn_gamma(c_k, sample.loss, sample.grad_sq)
+    x_new = _float_or_array(_ngn_m_v1_update, gamma, spec.beta1, state.x, state.x_prev, sample.grad)
+    return x_new, state.v, state.m, StepReport(gamma)
 
-    V1 (heavy ball): gamma from the raw gradient,
-        x' = x - (1-beta) gamma g + beta (x - x_prev).
-    V2 (averaged direction): m' = beta m + (1-beta) g, gamma from m',
-        x' = x - gamma m'. The buffer is used without bias correction.
-    """
-    c_k = schedule_c(spec.schedule, spec.c, state.k, spec.total_steps)
-    g = sample.grad
+
+def step_ngn_m_v2(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, c_k: float):
+    """NGN-M V2 (averaged direction): m' = beta m + (1-beta) g, gamma from
+    m', x' = x - gamma m'. The buffer is used without bias correction."""
     beta = spec.beta1
-    if spec.kind == NGN_M_V1:
-        gamma = ngn_gamma(c_k, sample.loss, sample.grad_sq)
-        x, x_prev = state.x, state.x_prev
-        if x.size <= _FLOAT_MAX and x.ndim == 1 and x.shape == x_prev.shape == g.shape:
-            update = partial(_ngn_m_v1_update, gamma, beta)
-            x_new = np.fromiter(map(update, x.tolist(), x_prev.tolist(), g.tolist()), float, x.size)
-        else:
-            x_new = _ngn_m_v1_update(gamma, beta, x, x_prev, g)
-        return OptimizerState(x_new, x, state.v, state.m, state.k + 1), StepReport(gamma)
-    m_new = beta * state.m + (1.0 - beta) * g
+    m_new = beta * state.m + (1.0 - beta) * sample.grad
     gamma = ngn_gamma(c_k, sample.loss, float((m_new * m_new).sum()))
-    x_new = state.x - gamma * m_new
-    return OptimizerState(x_new, state.x, state.v, m_new, state.k + 1), StepReport(gamma)
+    return state.x - gamma * m_new, state.v, m_new, StepReport(gamma)
 
 
-def step_ngn_d(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
+def step_ngn_d(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, c_k: float):
     """Per-coordinate NGN: gamma_j = ngn_gamma(c_j, f_S, g_j^2), x'_j = x_j - gamma_j g_j.
 
     c_j comes from spec.c_coord (rescaled by the schedule factor c_k/c) or
     from broadcasting the scalar c. The preconditioner-assisted mode
     c_j = c / D_j is NGN-MD V2 with beta1 = 0.
     """
-    c_k = schedule_c(spec.schedule, spec.c, state.k, spec.total_steps)
     g = sample.grad
     if spec.c_coord is not None:
         if spec.c_coord.shape != g.shape:
@@ -308,111 +309,95 @@ def step_ngn_d(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
     else:
         c_vec = np.full_like(g, c_k)
     gamma = ngn_gamma(c_vec, sample.loss, g * g)
-    x_new = state.x - gamma * g
     report = StepReport(float("nan"), gamma, np.asarray(c_vec, dtype=float), g)
-    return OptimizerState(x_new, state.x, state.v, state.m, state.k + 1), report
+    return state.x - gamma * g, state.v, state.m, report
 
 
-def step_ngn_md(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
+def step_ngn_md(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, c_k: float):
     """Diagonally preconditioned NGN with heavy-ball momentum, and the
     weight-decay variants of its V1 rule (lambda = wd_lambda).
 
     After D = eps + sqrt(vhat) (or D = I when precond_identity):
     V1: gamma = ngn_gamma(c, f_S, ||g||^2_{D^-1}), Sigma^-1 g = gamma D^-1 g.
     V2: gamma_j = ngn_gamma(c / D_j, f_S, g_j^2),  Sigma^-1 g = gamma_j g_j.
-    Then x' = x - (1-beta1) Sigma^-1 g + beta1 (x - x_prev).
+    Then x' = base - (1-beta1) Sigma^-1 g + beta1 (x - x_prev), with base = x.
 
-    Decoupled: x' = x - lambda c x - (1-beta1) gamma D^-1 g + beta1 (x - x_prev)
-    with gamma exactly as in V1.
+    Decoupled: base = x - lambda c x, with gamma exactly as in V1.
 
     Coupled: gamma = (c/(1+lambda c)) [2 f_S - c lambda g.x]_+ /
                      (2 f_S + (c/(1+lambda c)) ||g||^2_{D^-1}),
-             x' = x/(1+lambda c) - (1-beta1) gamma D^-1 g + beta1 (x - x_prev),
+             base = x/(1+lambda c),
     the division-safe form of the damped step size; when the whole
     denominator vanishes (f_S = 0 and g = 0) it returns c/(1+lambda c).
     Both weight-decay variants reduce bit-exactly to V1 at lambda = 0.
     """
-    c_k = schedule_c(spec.schedule, spec.c, state.k, spec.total_steps)
-    g = sample.grad
-    beta1 = spec.beta1
-    lam = spec.wd_lambda
+    g, x, loss = sample.grad, state.x, sample.loss
     v_new, d = precond_update(state.v, g, spec.beta2, state.k, spec.eps)
     if spec.precond_identity:
         d = np.ones_like(g)
+    base = x
     if spec.kind == NGN_MD_V2:
         c_vec = c_k / d
-        gamma = ngn_gamma(c_vec, sample.loss, g * g)
+        gamma = ngn_gamma(c_vec, loss, g * g)
         sigma_inv_g = gamma * g
-        x_new = state.x - (1.0 - beta1) * sigma_inv_g + beta1 * (state.x - state.x_prev)
         report = StepReport(float("nan"), gamma, c_vec, g)
-        return OptimizerState(x_new, state.x, v_new, state.m, state.k + 1), report
-    if spec.kind == NGN_MDV1W:
-        one_plus = 1.0 + lam * c_k
-        c_eff = c_k / one_plus
-        gdsq = _weighted_sq_norm(g, d)
-        gx = float((g * state.x).sum())
-        denom = 2.0 * sample.loss + c_eff * gdsq
-        if lam == 0.0:
-            # route through the V1 step size so the collapse is bit-exact,
-            # including its cap clamp
-            gamma = ngn_gamma(c_k, sample.loss, gdsq)
-        elif denom == 0.0:
-            gamma = c_eff
-        else:
-            gamma = c_eff * max(0.0, 2.0 * sample.loss - (c_k * lam) * gx) / denom
-        sigma_inv_g = gamma * (g / d)
-        x_new = state.x / one_plus - (1.0 - beta1) * sigma_inv_g + beta1 * (state.x - state.x_prev)
-        return (OptimizerState(x_new, state.x, v_new, state.m, state.k + 1),
-                StepReport(gamma, gamma / d))
-    gamma = ngn_gamma(c_k, sample.loss, _weighted_sq_norm(g, d))
-    sigma_inv_g = gamma * (g / d)
-    if spec.kind == DEC_NGN_MDV1:
-        x_new = (state.x - (lam * c_k) * state.x
-                 - (1.0 - beta1) * sigma_inv_g + beta1 * (state.x - state.x_prev))
     else:
-        x_new = state.x - (1.0 - beta1) * sigma_inv_g + beta1 * (state.x - state.x_prev)
-    return OptimizerState(x_new, state.x, v_new, state.m, state.k + 1), StepReport(gamma, gamma / d)
+        lam = spec.wd_lambda
+        gdsq = _weighted_sq_norm(g, d)
+        if spec.kind == NGN_MDV1W and lam != 0.0:
+            one_plus = 1.0 + lam * c_k
+            c_eff = c_k / one_plus
+            denom = 2.0 * loss + c_eff * gdsq
+            if denom == 0.0:
+                gamma = c_eff
+            else:
+                gamma = c_eff * max(0.0, 2.0 * loss - (c_k * lam) * float((g * x).sum())) / denom
+            base = x / one_plus
+        else:  # V1's step size, so that lambda = 0 collapses bit-exactly, cap clamp included
+            gamma = ngn_gamma(c_k, loss, gdsq)
+        if spec.kind == DEC_NGN_MDV1:
+            base = x - (lam * c_k) * x
+        sigma_inv_g = gamma * (g / d)
+        report = StepReport(gamma, gamma / d)
+    x_new = base - (1.0 - spec.beta1) * sigma_inv_g + spec.beta1 * (x - state.x_prev)
+    return x_new, v_new, state.m, report
 
 
-def step_baseline(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
+def step_sgdm(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, c_k: float):
     """SGDM as undampened heavy ball, x' = x - c g + beta (x - x_prev)
-    (the buffer form m' = beta m + g, x' = x - c m'), and bias-corrected
-    Adam."""
-    c_k = schedule_c(spec.schedule, spec.c, state.k, spec.total_steps)
+    (the buffer form m' = beta m + g, x' = x - c m')."""
+    x_new = _float_or_array(_sgdm_update, c_k, spec.beta1, state.x, state.x_prev, sample.grad)
+    return x_new, state.v, state.m, StepReport(c_k)
+
+
+def step_adam(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, c_k: float):
+    """Bias-corrected Adam."""
     g = sample.grad
-    if spec.kind == SGDM:
-        beta = spec.beta1
-        x, x_prev = state.x, state.x_prev
-        if x.size <= _FLOAT_MAX and x.ndim == 1 and x.shape == x_prev.shape == g.shape:
-            update = partial(_sgdm_update, c_k, beta)
-            x_new = np.fromiter(map(update, x.tolist(), x_prev.tolist(), g.tolist()), float, x.size)
-        else:
-            x_new = _sgdm_update(c_k, beta, x, x_prev, g)
-        return OptimizerState(x_new, x, state.v, state.m, state.k + 1), StepReport(c_k)
     m_new = spec.beta1 * state.m + (1.0 - spec.beta1) * g
     v_new = spec.beta2 * state.v + (1.0 - spec.beta2) * g * g
     mhat = m_new / (1.0 - spec.beta1 ** (state.k + 1))
     vhat = v_new / (1.0 - spec.beta2 ** (state.k + 1))
     denom = np.sqrt(vhat) + spec.eps
-    x_new = state.x - c_k * mhat / denom
-    coord = c_k / denom
-    return OptimizerState(x_new, state.x, v_new, m_new, state.k + 1), StepReport(c_k, coord)
+    return state.x - c_k * mhat / denom, v_new, m_new, StepReport(c_k, c_k / denom)
 
 
 _STEP_FNS = {
     NGN: step_ngn,
-    NGN_M_V1: step_ngn_m,
-    NGN_M_V2: step_ngn_m,
+    NGN_M_V1: step_ngn_m_v1,
+    NGN_M_V2: step_ngn_m_v2,
     NGN_D: step_ngn_d,
     NGN_MD_V1: step_ngn_md,
     NGN_MD_V2: step_ngn_md,
     DEC_NGN_MDV1: step_ngn_md,
     NGN_MDV1W: step_ngn_md,
-    SGDM: step_baseline,
-    ADAM: step_baseline,
+    SGDM: step_sgdm,
+    ADAM: step_adam,
 }
 
 
 def apply_step(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
-    """Dispatch one update; returns (new_state, StepReport)."""
-    return _STEP_FNS[spec.kind](state, sample, spec)
+    """One update: c_k of the schedule at step k, the kind's rule, and the
+    next state; returns (new_state, StepReport)."""
+    c_k = schedule_c(spec.schedule, spec.c, state.k, spec.total_steps)
+    x_new, v, m, report = _STEP_FNS[spec.kind](state, sample, spec, c_k)
+    return OptimizerState(x_new, state.x, v, m, state.k + 1), report

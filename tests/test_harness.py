@@ -73,6 +73,33 @@ def test_sweep_spec_validation():
         small_sweep(seeds=[])
 
 
+@pytest.mark.parametrize("setting, match", [
+    ({"schedule": "bogus"}, "unknown schedule 'bogus'"),
+    ({"beta2": 1.5}, r"beta2 must lie in \[0, 1\)"),
+    ({"eps": 0.0}, "eps must be positive and finite"),
+], ids=["schedule", "beta2", "eps"])
+def test_sweep_spec_rejects_bad_shared_settings_when_built(setting, match):
+    # every cell shares them, so a bad one fails the spec, not each cell as an error row
+    with pytest.raises(ValueError, match=match):
+        small_sweep(**setting)
+
+
+def test_cli_sweep_rejects_a_bad_shared_setting_and_writes_no_csv(tmp_path, capsys):
+    cfg = write_config(tmp_path, GOOD_CONFIG.replace("beta2 = 0.99", "beta2 = 1.5"))
+    out = tmp_path / "results.csv"
+    assert cli(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: beta2 must lie in [0, 1)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("x0", ["1,a,2", "1,,2", ""])
+def test_cli_run_names_x0_in_its_error(x0, capsys):
+    argv = ["run", "--problem", "least_squares", "--dim", "3", "--optimizer", "ngn",
+            "--c", "0.5", "--steps", "5", "--x0", x0]
+    assert cli(argv) == 1
+    assert capsys.readouterr().err == f"error: --x0: expected comma-separated numbers, got {x0!r}\n"
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_sweep_spec_rejects_non_finite_wd(value):
     with pytest.raises(ValueError, match="wd_lambda"):

@@ -30,7 +30,7 @@ from ngnopt import (
 )
 from ngnopt import optimizers
 from ngnopt.harness import TRAJECTORY_COLUMNS, _fmt, _step_stats
-from ngnopt.optimizers import OPTIMIZER_KINDS
+from ngnopt.optimizers import OPTIMIZER_KINDS, SCHEDULES
 
 WD_KINDS = ("dec_ngn_mdv1", "ngn_mdv1w")
 FLOAT_SIDE_KINDS = ("ngn_m_v1", "sgdm")  # the rules with a float side
@@ -550,6 +550,44 @@ def test_inv_sqrt_step_schedule_threads_through_steps():
         expected = ngn_gamma(c_k, s.loss, float(np.sum(s.grad * s.grad)))
         state, rep = apply_step(state, s, spec)
         assert rep.gamma_scalar == pytest.approx(expected, rel=1e-15)
+
+
+def assert_same_step(got, want) -> None:
+    """Two (state, report) results of apply_step hold the same bits."""
+    for obj, ref in zip(got, want):
+        for f in dataclasses.fields(obj):
+            a, b = getattr(obj, f.name), getattr(ref, f.name)
+            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+            elif isinstance(a, float):
+                assert same_bits(a, b), f.name
+            else:
+                assert a == b, f.name
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+@pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+def test_a_schedule_reaches_each_rule_only_through_c_k(kind, schedule):
+    # apply_step at step k has the bits of the same rule under the constant
+    # schedule with c = c_k; NGN-D's per-coordinate c_j scale by c_k / c
+    c, horizon = 0.7, 40
+    for dim in (1, 5, optimizers._FLOAT_MAX + 1):
+        p = build_problem(ProblemSpec(kind="least_squares", dim=dim, n_samples=4 * dim, seed=dim))
+        base = OptimizerSpec(kind=kind, c=c, beta1=0.6, wd_lambda=0.05 if kind in WD_KINDS else 0.0,
+                             schedule=schedule, total_steps=horizon)
+        specs = [base]
+        if kind == "ngn_d":
+            specs.append(dataclasses.replace(base, c_coord=np.linspace(0.2, 0.9, dim)))
+        for spec in specs:
+            state = init_state(p.x0_default + 1.0)
+            for k in range(12):
+                sample = evaluate(p, state.x, sample_batch(p, 1, k, dim))
+                c_k = schedule_c(schedule, c, k, horizon)
+                c_coord = None if spec.c_coord is None else spec.c_coord * (c_k / c)
+                constant = dataclasses.replace(spec, c=c_k, schedule="constant", c_coord=c_coord)
+                got = apply_step(state, sample, spec)
+                assert_same_step(got, apply_step(state, sample, constant))
+                state = got[0]
 
 
 # --- gamma stays within [c/(1+cL), c] on smooth runs -----------------------------
