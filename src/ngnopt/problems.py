@@ -458,19 +458,30 @@ def _build_rosenbrock(spec: ProblemSpec) -> StochasticObjective:
     return StochasticObjective(KIND_ROSENBROCK, 2, 1, metadata, x0, **_pointwise(_rosenbrock))
 
 
+def _float_sin(t: float) -> float:
+    return float(np.sin(t))
+
+
+def _float_cos(t: float) -> float:
+    return float(np.cos(t))
+
+
 def _multimodal(t):
     """The multimodal loss and derivative with four sin/cos calls, not
     eight: fl(-pi + t) is exactly -fl(pi - t), and np.cos is even and
     np.sin odd bit for bit, so 1 + cos(-pi + t) and 1 + cos(pi - t) are
-    one u, and cos(u) * (-sin(-pi + t)) is cos(u) * sin(pi - t)."""
+    one u, and cos(u) * (-sin(-pi + t)) is cos(u) * sin(pi - t). On one
+    point's Python float (`_point`) the four results become floats, so
+    the rest is float arithmetic, not np.float64 scalar operations."""
+    sin, cos = (_float_sin, _float_cos) if type(t) is float else (np.sin, np.cos)
     y = np.pi - t
-    u = 1.0 + np.cos(y)
-    sin_u = np.sin(u)
+    u = 1.0 + cos(y)
+    sin_u = sin(u)
     t1 = sin_u - 0.2 * t
     t2 = sin_u + 0.2 * t
     t2_cubed = t2 * t2 * t2
     loss = t1 * t1 + t2_cubed * t2
-    w = np.cos(u) * np.sin(y)
+    w = cos(u) * sin(y)
     return loss, (2.0 * t1 * (w - 0.2) + 4.0 * t2_cubed * (w + 0.2),)
 
 
@@ -501,7 +512,10 @@ def _build_polynomial(spec: ProblemSpec) -> StochasticObjective:
     L = float(spec.scale)
     if not (math.isfinite(L) and L > 0.0):
         raise ValueError("polynomial scale must be positive and finite")
-    p = np.polynomial.Polynomial(np.asarray(spec.coeffs, dtype=float))
+    coeffs = np.asarray(spec.coeffs, dtype=float)
+    if not np.isfinite(coeffs).all():
+        raise ValueError(f"polynomial coeffs must be finite, got {coeffs.tolist()}")
+    p = np.polynomial.Polynomial(coeffs)
     coef, dcoef = p.coef.tolist(), p.deriv().coef.tolist()
 
     def polynomial(t):
@@ -537,12 +551,11 @@ def _load_regression_csv(path: str) -> tuple:
         if not all(map(math.isfinite, row)):
             raise ValueError(f"non-finite value in {path!r}: {ln!r}")
         rows.append(row)
+    if len({len(r) for r in rows}) > 1:
+        raise ValueError(f"regression CSV {path!r} rows have inconsistent column counts")
     data = np.asarray(rows, dtype=float)
     if data.ndim != 2 or data.shape[1] < 2:
         raise ValueError("regression CSV needs at least one feature column plus a target column")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValueError("regression CSV rows have inconsistent column counts")
     return data[:, :-1], data[:, -1]
 
 

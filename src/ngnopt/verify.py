@@ -303,7 +303,25 @@ def audit_theorem_bound(problem: StochasticObjective, K: int, c: Optional[float]
     return _report(name or "theorem_bound_decaying", worst, 0.0, location)
 
 
-_SCAN_CHUNK = 4096  # grid points per oracle call; bounds the oracle's temporaries
+_SCAN_CHUNK = 4096  # grid points per oracle call; bounds the scan's memory
+
+
+def _grid_points(lo: float, hi: float, n_grid: int, i: int, j: int) -> np.ndarray:
+    """Points i..j-1 of np.linspace(lo, hi, n_grid), with its bits: the
+    same arange, step, multiply and add, and hi as the last point."""
+    xs = np.arange(i, j, dtype=float)
+    delta, div = hi - lo, n_grid - 1
+    step = delta / div if div else 0.0
+    if step == 0.0:  # one point, or a step that underflows: linspace scales by delta
+        if div:
+            xs /= div
+        xs *= delta
+    else:
+        xs *= step
+    xs += lo
+    if j == n_grid and n_grid > 1:
+        xs[-1] = hi
+    return xs
 
 
 def multimodal_global_basin(problem: StochasticObjective, lo: float = -25.0,
@@ -314,19 +332,55 @@ def multimodal_global_basin(problem: StochasticObjective, lo: float = -25.0,
     walks outward in both directions while the objective is
     non-decreasing; the returned (left, right) interval is the monotone
     basin around the global minimum at grid resolution.
+
+    The grid is never held whole: a first pass keeps the running argmin
+    of each _SCAN_CHUNK points (the first occurrence, and the first NaN
+    if any, as np.argmin), and the walk evaluates one chunk at a time, so
+    the scan's memory is one chunk's at any n_grid. The points and
+    edges have the bits of np.linspace(lo, hi, n_grid) and its argmin.
     """
-    xs = np.linspace(lo, hi, n_grid)
+    if n_grid < 1:
+        raise ValueError(f"n_grid must be >= 1, got {n_grid}")
+    lo, hi = float(lo), float(hi)
     batch = problem.full_batch()
-    fs = np.concatenate([evaluate_loss(problem, xs[i:i + _SCAN_CHUNK, None], batch)
-                         for i in range(0, n_grid, _SCAN_CHUNK)])
-    i_star = int(np.argmin(fs))
-    right = i_star
-    while right + 1 < n_grid and fs[right + 1] >= fs[right]:
-        right += 1
-    left = i_star
-    while left - 1 >= 0 and fs[left - 1] >= fs[left]:
-        left -= 1
-    return float(xs[left]), float(xs[right])
+
+    def losses(k: int) -> np.ndarray:
+        i = k * _SCAN_CHUNK
+        xs = _grid_points(lo, hi, n_grid, i, min(i + _SCAN_CHUNK, n_grid))
+        return evaluate_loss(problem, xs[:, None], batch)
+
+    n_chunks = -(-n_grid // _SCAN_CHUNK)
+    i_min, f_min = 0, math.nan
+    for k in range(n_chunks):
+        fs = losses(k)
+        j = int(np.argmin(fs))
+        f = float(fs[j])
+        if k == 0 or (not math.isnan(f_min) and (math.isnan(f) or f < f_min)):
+            i_min, f_min = k * _SCAN_CHUNK + j, f
+
+    def outward(step: int):
+        """The losses from point i_min outward (step +1 or -1), as floats."""
+        k0, pos = divmod(i_min, _SCAN_CHUNK)
+        for k in range(k0, n_chunks if step > 0 else -1, step):
+            fs = losses(k).tolist()
+            if k == k0:
+                fs = fs[pos:] if step > 0 else fs[pos::-1]
+            elif step < 0:
+                fs.reverse()
+            yield from fs
+
+    def edge(step: int) -> int:
+        """The last point from i_min in direction step up to which the
+        losses do not decrease."""
+        values = outward(step)
+        i, f = i_min, next(values)
+        for g in values:
+            if not g >= f:
+                break
+            i, f = i + step, g
+        return i
+
+    return tuple(float(_grid_points(lo, hi, n_grid, i, i + 1)[0]) for i in (edge(-1), edge(1)))
 
 
 def run_default_audits(seed: int = 0, quick: bool = False) -> list:

@@ -649,6 +649,38 @@ def test_sweep_spec_rejects_negative_weight_decay(tmp_path):
                 "--wd", "-0.1", "--steps", "5"]) == 1
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("r = 0.5", "r = abc", "problem.r: expected a number, got 'abc'"),
+    ("dim = 8", "dim = 8.5", "problem.dim: expected an integer, got '8.5'"),
+    ("r = 0.5", "r = 0.5\ninterpolating = maybe",
+     "problem.interpolating: expected a boolean, got 'maybe'"),
+    ("kind = ridge ", "kind = bogus ", "problem.kind: expected one of "),
+    ("beta2 = 0.99", "beta2 = 0.99\nschedule = hourly", "optimizers.schedule: expected one of "),
+    ("c = 0.1, 1.0", "c = ,", "grid.c: must be a non-empty list"),
+    ("kinds = ngn, ngn_m,", "kinds = ngn, adamw,", "optimizers.kinds: unknown optimizer 'adamw'"),
+    ("[problem]", "[problem", "cannot parse "),
+    ("[output]\npath = out.csv\n", "",
+     "no output path: set output.path in the config or pass --out"),
+])
+def test_cli_sweep_names_what_is_wrong_with_its_config(tmp_path, monkeypatch, capsys,
+                                                      old, new, message):
+    assert old in GOOD_CONFIG
+    monkeypatch.setenv("NGNOPT_OUT_DIR", str(tmp_path))
+    assert cli(["sweep", "--config", write_config(tmp_path, GOOD_CONFIG.replace(old, new))]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("raw, value", [
+    ("true", True), ("Yes", True), ("1", True), ("on", True),
+    ("false", False), ("NO", False), ("0", False), ("off", False),
+])
+def test_parse_config_reads_booleans(tmp_path, raw, value):
+    text = GOOD_CONFIG.replace("r = 0.5", f"r = 0.5\ninterpolating = {raw}")
+    assert parse_config(write_config(tmp_path, text)).problem.interpolating is value
+
+
 def test_parse_config_missing_file():
     with pytest.raises(OSError):
         parse_config("/nonexistent/sweep.cfg")
@@ -911,6 +943,15 @@ def test_cli_sweep_cell_errors_name_the_start(tmp_path, capsys):
     assert len(lines) == 2
     for line, start in zip(lines, ("0.5", "2")):
         assert line.startswith(f"error: cell optimizer=ngn c=1.0 beta=0.0 seed=0 x0={start}: x has shape")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0), (["run", "--help"], 0), (["sweep", "--help"], 0), ([], 1),
+])
+def test_cli_help_exits_zero_and_bad_usage_one(capsys, argv, code):
+    assert cli(argv) == code
+    out, err = capsys.readouterr()
+    assert (out if code == 0 else err).startswith("usage: ngnopt")
 
 
 def test_cli_sweep_missing_config_is_io_error(tmp_path):

@@ -594,3 +594,31 @@ def test_non_finite_iterate_in_a_stack_whose_sum_overflows(monkeypatch, float_ch
             assert (cell.stop_reason, cell.stop_step) == ("non_finite_loss", 0)
         else:
             diverged_on_the_iterate(cell, 1 if name == "overflow" else 0)
+
+
+# --- stack rows start where a fresh iterate does ------------------------------------
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_every_stacked_row_starts_on_a_16_byte_boundary(monkeypatch, dim):
+    # a one-row batch dot rounds by its operand's alignment under OpenBLAS's
+    # generic kernel, so a stacked row must be aligned as a fresh iterate is,
+    # also after a NaN start leaves the stack at step 0
+    p = build_problem(ProblemSpec(kind="least_squares", dim=dim, n_samples=3 * dim, seed=2,
+                                  interpolating=True))
+    offsets = []
+    original = harness.evaluate_cells
+
+    def recorded(problem, X, batch):
+        offsets.extend((X.ctypes.data + i * X.strides[0]) % 16 for i in range(X.shape[0]))
+        return original(problem, X, batch)
+
+    monkeypatch.setattr(harness, "evaluate_cells", recorded)
+    budget = RunBudget(max_steps=20, batch_size=1)
+    starts = [np.full(dim, np.nan)] + [None] * 4
+    specs = [OptimizerSpec(kind="ngn", c=c) for c in (0.1, 0.001, 0.1, 0.01, 1.0)]
+    cells = [RunRecord(p, spec, x0) for spec, x0 in zip(specs, starts)]
+    run_lockstep(p, cells, budget, seed=0)
+    assert len(offsets) == 4 * 20 and set(offsets) == {0}
+    monkeypatch.setattr(harness, "evaluate_cells", original)
+    for spec, x0, cell in zip(specs, starts, cells):
+        same_run(cell, run_once(p, spec, budget, seed=0, x0=x0))

@@ -317,6 +317,27 @@ def test_least_squares_problem_rejects_non_finite_data(where):
         least_squares_problem(A, b)
 
 
+@pytest.mark.parametrize("shapes", [((6, 3), (5,)), ((6,), (6,)), ((6, 3), (6, 1))])
+def test_least_squares_problem_rejects_mismatched_data(shapes):
+    A, b = (np.ones(shape) for shape in shapes)
+    with pytest.raises(ValueError, match="dimension mismatch between A"):
+        least_squares_problem(A, b)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("", "empty regression CSV"),
+    ("\n  \n", "empty regression CSV"),
+    ("1,2\n3,4,5\n", "rows have inconsistent column counts"),
+    ("x,y\n1,2,3\n4,5\n6,7,8\n", "rows have inconsistent column counts"),
+])
+def test_regression_csv_rejects_bad_shapes(tmp_path, text, match):
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=match) as info:
+        build_problem(ProblemSpec(kind="linear_regression_data", data_path=str(path)))
+    assert str(path) in str(info.value)
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_regression_csv_rejects_non_finite_cells(tmp_path, cell):
     path = tmp_path / "data.csv"
@@ -487,6 +508,12 @@ def test_polynomial_scale_and_constant_coeffs():
 def test_polynomial_rejects_non_finite_scale(scale):
     with pytest.raises(ValueError, match="scale"):
         build_problem(ProblemSpec(kind="polynomial_1d", scale=scale))
+
+
+@pytest.mark.parametrize("coeffs", [(0.0, float("inf")), (float("nan"),), (1.0, -float("inf"), 2.0)])
+def test_polynomial_rejects_non_finite_coeffs(coeffs):
+    with pytest.raises(ValueError, match="polynomial coeffs must be finite"):
+        build_problem(ProblemSpec(kind="polynomial_1d", coeffs=coeffs))
 
 
 def test_ridge_metadata_scales_with_r():

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from ngnopt import (
+    ObjectiveMetadata,
     OptimizerSpec,
     ProblemSpec,
     RunBudget,
@@ -281,6 +283,12 @@ def test_estimate_sigmas_validation():
         estimate_sigmas(p, batch_size=0)
     with pytest.raises(ValueError):
         estimate_sigmas(p, batch_size=5)
+    no_f_star = dataclasses.replace(p, _metadata=lambda: ObjectiveMetadata(L=1.0))
+    with pytest.raises(ValueError, match="requires f_star"):
+        estimate_sigmas(no_f_star, batch_size=2)
+    no_batch_min = dataclasses.replace(p, _batch_min=None)
+    with pytest.raises(ValueError, match="per-batch minima unavailable"):
+        estimate_sigmas(no_batch_min, batch_size=2)
 
 
 # --- argument checks ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,38 @@ def test_stepsize_bounds_coordinate_passes():
     assert rep.passed
 
 
+def coordinate_bounds_run(p):
+    c_coord = np.array([0.5, 1.0, 2.0])
+    spec = OptimizerSpec(kind="ngn_d", c=1.0, c_coord=c_coord)
+    return c_coord, run_once(p, spec, RunBudget(max_steps=60, success_loss=0.0, batch_size=3),
+                             seed=2)
+
+
+def test_stepsize_bounds_coordinate_fails_when_smoothness_understated():
+    # negative control: a tiny L_coord pushes each certified lower bound to
+    # ~c_j, which a genuine run with nonzero gradients must violate
+    p = quadratic(dim=3, n=12)
+    c_coord, run = coordinate_bounds_run(p)
+    rep = audit_stepsize_bounds(run, c=c_coord, L=p.metadata.L_coord * 1e-9)
+    assert not rep.passed
+    assert rep.max_violation > 1e6 * rep.tolerance
+    assert rep.location.startswith("step ") and " coord " in rep.location
+
+
+def test_stepsize_bounds_coordinate_fails_on_tampered_report():
+    # negative control: one coordinate's step size over its cap c_j
+    p = quadratic(dim=3, n=12)
+    c_coord, run = coordinate_bounds_run(p)
+    rep7 = run.step_reports[7]
+    gamma = rep7.gamma_coord.copy()
+    gamma[1] = 1.5 * c_coord[1]
+    run.step_reports[7] = dataclasses.replace(rep7, gamma_coord=gamma)
+    rep = audit_stepsize_bounds(run, c=c_coord, L=p.metadata.L_coord)
+    assert not rep.passed
+    assert rep.max_violation == pytest.approx(0.5)
+    assert rep.location == "step 7 coord 1"
+
+
 def test_stepsize_bounds_coordinate_needs_coordinate_rule():
     # a scalar-rule run records no per-coordinate step sizes, so asking for
     # the coordinate audit is an error rather than a silent pass
@@ -153,6 +186,18 @@ def test_fundamental_equality_fails_on_tampered_gamma():
     run.step_reports[5] = dataclasses.replace(rep5, gamma_coord=1.01 * rep5.gamma_coord)
     rep = audit_fundamental_equality(run)
     assert not rep.passed
+
+
+def test_fundamental_equality_fails_on_a_zero_loss_with_a_residual():
+    # negative control: a recorded loss of 0.0 needs an exactly zero
+    # residual, and the run's nonzero step sizes and gradients leave one
+    p = quadratic(dim=3, n=12)
+    run = coordinate_run(p)
+    run.losses[4] = 0.0
+    rep = audit_fundamental_equality(run)
+    assert not rep.passed
+    assert rep.max_violation == math.inf
+    assert rep.location.startswith("step 4 coord ")
 
 
 def test_ngn_md_v2_run_passes_coordinate_audits():
@@ -275,6 +320,107 @@ def test_multimodal_global_basin_brackets_origin():
     assert left < 0.0 < right
     assert -6.0 < left < -3.0
     assert 0.05 < right < 1.0
+
+
+def full_grid_basin(problem, lo=-25.0, hi=25.0, n_grid=200001):
+    """The basin scan on the whole grid at once: the reference that the
+    chunked multimodal_global_basin must match bit for bit."""
+    xs = np.linspace(lo, hi, n_grid)
+    batch = problem.full_batch()
+    fs = np.concatenate([verify.evaluate_loss(problem, xs[i:i + verify._SCAN_CHUNK, None], batch)
+                         for i in range(0, n_grid, verify._SCAN_CHUNK)])
+    i_star = int(np.argmin(fs))
+    right = i_star
+    while right + 1 < n_grid and fs[right + 1] >= fs[right]:
+        right += 1
+    left = i_star
+    while left - 1 >= 0 and fs[left - 1] >= fs[left]:
+        left -= 1
+    return float(xs[left]), float(xs[right])
+
+
+_CHUNK = verify._SCAN_CHUNK
+_H = 2.0 ** -10  # a grid step for which lo + i*_H is exact
+
+
+@pytest.mark.parametrize("kind, grid", [
+    ("multimodal_1d", {}),
+    *[("multimodal_1d", {"n_grid": n})
+      for n in (1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 20001, 2000001)],
+    ("multimodal_1d", {"lo": 3.0, "hi": 3.0, "n_grid": 5}),
+    ("multimodal_1d", {"lo": 3.0, "hi": 3.0, "n_grid": 1}),
+    ("multimodal_1d", {"lo": 1.0, "hi": -1.0, "n_grid": 1001}),  # a descending grid
+    ("multimodal_1d", {"lo": 0.0, "hi": 1e-320, "n_grid": 11}),  # a subnormal step
+    # the global minimum x = 0 at index _CHUNK (a chunk's first point) and
+    # at index _CHUNK - 1 (a chunk's last point)
+    ("multimodal_1d", {"lo": -_CHUNK * _H, "hi": _CHUNK * _H, "n_grid": 2 * _CHUNK + 1}),
+    ("multimodal_1d", {"lo": -(_CHUNK - 1) * _H, "hi": _CHUNK * _H, "n_grid": 2 * _CHUNK}),
+    ("polynomial_1d", {}),
+    ("polynomial_1d", {"lo": -3.0, "hi": 2.0, "n_grid": 3 * _CHUNK + 7}),
+])
+def test_chunked_basin_has_the_bits_of_the_full_grid_scan(kind, grid):
+    p = build_problem(ProblemSpec(kind=kind, coeffs=(0.0, 0.5, 1.0)))
+    assert multimodal_global_basin(p, **grid) == full_grid_basin(p, **grid)
+
+
+def test_chunked_basin_places_the_argmin_on_a_chunk_boundary():
+    p = build_problem(ProblemSpec(kind="multimodal_1d"))
+    for lo, n_grid, i_star in ((-_CHUNK * _H, 2 * _CHUNK + 1, _CHUNK),
+                               (-(_CHUNK - 1) * _H, 2 * _CHUNK, _CHUNK - 1)):
+        xs = np.linspace(lo, _CHUNK * _H, n_grid)
+        assert xs[i_star] == 0.0
+        assert int(np.argmin(verify.evaluate_loss(p, xs[:, None], p.full_batch()))) == i_star
+
+
+def problem_with_losses(values):
+    """A 1-d problem whose losses at the points x are values(x), to pin
+    the argmin's tie and NaN rules across chunks."""
+    base = build_problem(ProblemSpec(kind="multimodal_1d"))
+
+    def loss_grad(X, idx):
+        return values(X[:, 0]), np.zeros_like(X)
+
+    return dataclasses.replace(base, _loss_grad=loss_grad)
+
+
+_U = 5e-324  # the smallest subnormal
+
+
+@pytest.mark.parametrize("values, grid", [
+    (lambda x: np.zeros_like(x), {}),  # all tied: the first point
+    (lambda x: np.where(np.abs(x) < 10.0, 1.0, 0.0), {}),  # tied minima in two chunks
+    (lambda x: np.where(x > 5.0, np.nan, np.abs(x - 2.0)), {}),  # a NaN in a later chunk wins
+    (lambda x: np.where(x < -20.0, np.nan, np.abs(x)), {}),  # a NaN in the first chunk wins
+    (lambda x: np.where(np.abs(x) < 1e-3, -0.0, np.abs(x)), {}),  # -0.0 ties 0.0
+    # a step (hi - lo)/(n_grid - 1) that underflows to 0: linspace divides
+    # i by n_grid - 1 first, so the points run through -5u .. 5u
+    (lambda x: np.mod(x / _U, 2.0), {"lo": -5 * _U, "hi": 5 * _U, "n_grid": 101}),
+])
+def test_chunked_basin_keeps_the_argmin_rules_of_np_argmin(values, grid):
+    p = problem_with_losses(values)
+    grid = {"n_grid": 10 * _CHUNK + 3, **grid}
+    assert multimodal_global_basin(p, **grid) == full_grid_basin(p, **grid)
+
+
+@pytest.mark.parametrize("n_grid", [0, -1])
+def test_basin_scan_needs_a_grid_point(n_grid):
+    p = build_problem(ProblemSpec(kind="multimodal_1d"))
+    with pytest.raises(ValueError, match="n_grid"):
+        multimodal_global_basin(p, n_grid=n_grid)
+
+
+@pytest.mark.parametrize("n_grid", [200001, 2000001])
+def test_basin_scan_memory_is_one_chunk(n_grid):
+    """No full-grid array: the scan's traced peak stays under 1 MB at 200,001
+    points (a full grid of float64 is 1.6 MB) and at ten times that."""
+    p = build_problem(ProblemSpec(kind="multimodal_1d"))
+    tracemalloc.start()
+    try:
+        multimodal_global_basin(p, n_grid=n_grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # --- report plumbing -----------------------------------------------------------------
