@@ -757,8 +757,13 @@ def parse_config(path: str) -> SweepSpec:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             cp.read_file(fh, source=path)
-        except configparser.Error as exc:
-            raise ConfigError(f"cannot parse {path!r}: {exc}") from exc
+        except configparser.Error as exc:  # whose message can span three lines
+            lineno = getattr(exc, "lineno", None) or exc.errors[0][0]
+            if isinstance(exc, configparser.ParsingError):  # a missing header too
+                reason = "expected a [section] header or 'key = value'"
+            else:  # a repeated section or key: "While reading from <path> [line n]: <reason>"
+                reason = str(exc).split("]: ", 1)[-1]
+            raise ConfigError(f"cannot parse {path!r}, line {lineno}: {reason}") from exc
     for section in cp.sections():
         if section not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config section [{section}]")

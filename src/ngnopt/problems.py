@@ -551,6 +551,8 @@ def _load_regression_csv(path: str) -> tuple:
         if not all(map(math.isfinite, row)):
             raise ValueError(f"non-finite value in {path!r}: {ln!r}")
         rows.append(row)
+    if not rows:
+        raise ValueError(f"regression CSV {path!r} has no data rows")
     if len({len(r) for r in rows}) > 1:
         raise ValueError(f"regression CSV {path!r} rows have inconsistent column counts")
     data = np.asarray(rows, dtype=float)

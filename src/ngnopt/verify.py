@@ -47,9 +47,18 @@ class AuditReport:
     tolerance: float
 
 
-def _report(name: str, max_violation: float, tolerance: float, location: str) -> AuditReport:
-    return AuditReport(name, bool(max_violation <= tolerance), float(max_violation),
-                       location, float(tolerance))
+def _report(name: str, tolerance: float, violations, location: str = "none") -> AuditReport:
+    """The verdict of one audit from its (violation, location) pairs: the
+    first largest violation and where it occurred, or the first NaN, which
+    fails any tolerance. With no violation above zero, the report reads 0
+    at `location`."""
+    worst = 0.0
+    for value, where in violations:
+        if not value <= worst:  # larger, or NaN
+            worst, location = value, where
+            if math.isnan(worst):
+                break
+    return AuditReport(name, bool(worst <= tolerance), float(worst), location, float(tolerance))
 
 
 def _trajectories(problem: StochasticObjective, specs: list, steps: int, seed: int = 0,
@@ -91,24 +100,22 @@ def audit_ima_equivalence(problem: StochasticObjective, spec: OptimizerSpec,
     alg_iterates = _trajectories(problem, [spec], steps, seed, batch_size)[0].iterates
 
     bs = problem.n_samples if batch_size is None else batch_size
-    worst = 0.0
-    location = "none"
-    x = z = problem.x0_default  # rebound below, never modified in place
-    for k in range(steps):
-        sample = evaluate(problem, x, sample_batch(problem, seed, k, bs))
-        c_k = schedule_c(spec.schedule, spec.c, k, spec.total_steps)
-        gamma = ngn_gamma(c_k, sample.loss, float(np.sum(sample.grad * sample.grad)))
-        z = z - gamma * sample.grad
-        x_new = (lam * x + z) / (1.0 + lam)
-        dev = math.sqrt(float(np.sum((x_new - alg_iterates[k + 1]) ** 2)))
-        link = z - (x_new + lam * (x_new - x))
-        rel = math.sqrt(float(np.sum(link * link)))
-        for value, label in ((dev, "trajectory"), (rel, "link relation")):
-            if value > worst:
-                worst = value
-                location = f"step {k + 1} ({label})"
-        x = x_new
-    return _report(name, worst, 1e-10, location)
+
+    def deviations():
+        x = z = problem.x0_default  # rebound below, never modified in place
+        for k in range(steps):
+            sample = evaluate(problem, x, sample_batch(problem, seed, k, bs))
+            c_k = schedule_c(spec.schedule, spec.c, k, spec.total_steps)
+            gamma = ngn_gamma(c_k, sample.loss, float(np.sum(sample.grad * sample.grad)))
+            z = z - gamma * sample.grad
+            x_new = (lam * x + z) / (1.0 + lam)
+            dev = math.sqrt(float(np.sum((x_new - alg_iterates[k + 1]) ** 2)))
+            yield dev, f"step {k + 1} (trajectory)"
+            link = z - (x_new + lam * (x_new - x))
+            yield math.sqrt(float(np.sum(link * link))), f"step {k + 1} (link relation)"
+            x = x_new
+
+    return _report(name, 1e-10, deviations())
 
 
 def audit_stepsize_bounds(run: RunRecord, c, L, name: str = "stepsize_bounds") -> AuditReport:
@@ -121,41 +128,35 @@ def audit_stepsize_bounds(run: RunRecord, c, L, name: str = "stepsize_bounds") -
     Violations are normalized by c (resp. c_j), so the bound holds up to
     1e-12 c as required; tolerance 1e-12.
     """
-    coordinate = c is None or np.ndim(c) > 0 or np.ndim(L) > 0
-    worst = 0.0
-    location = "none"
-    if not coordinate:
-        c = float(c)
-        L = float(L)
+    schedule, total = run.spec.schedule, run.spec.total_steps
+
+    def scalar_violations():  # Python floats: NumPy scalars make this loop ~20x slower
+        c_0, L_0 = float(c), float(L)
         for k, rep in enumerate(run.step_reports):
-            c_k = schedule_c(run.spec.schedule, c, k, run.spec.total_steps)
-            lo = c_k / (1.0 + c_k * L)
-            gamma = rep.gamma_scalar
-            viol = max(lo - gamma, gamma - c_k, 0.0) / c_k
-            if viol > worst:
-                worst = viol
-                location = f"step {k}"
-        return _report(name, worst, 1e-12, location)
-    L_vec = np.asarray(L, dtype=float)
-    c_base = None if c is None else np.asarray(c, dtype=float)
-    for k, rep in enumerate(run.step_reports):
-        if rep.gamma_coord is None:
-            raise ValueError("run lacks per-coordinate step sizes")
-        if c_base is None:
-            if rep.c_coord_used is None:
-                raise ValueError("run lacks recorded per-coordinate c values")
-            c_vec = rep.c_coord_used
-        else:
-            scale = schedule_c(run.spec.schedule, 1.0, k, run.spec.total_steps)
-            c_vec = c_base * scale
-        lo = c_vec / (1.0 + c_vec * L_vec)
-        gamma = rep.gamma_coord
-        viol = np.maximum(np.maximum(lo - gamma, gamma - c_vec), 0.0) / c_vec
-        j = int(np.argmax(viol))
-        if viol[j] > worst:
-            worst = float(viol[j])
-            location = f"step {k} coord {j}"
-    return _report(name, worst, 1e-12, location)
+            c_k = schedule_c(schedule, c_0, k, total)
+            gamma = rep.gamma_scalar  # NaN: the first term is NaN, and max keeps it
+            yield max(c_k / (1.0 + c_k * L_0) - gamma, gamma - c_k, 0.0) / c_k, f"step {k}"
+
+    def coordinate_violations():
+        L_vec = np.asarray(L, dtype=float)
+        c_base = None if c is None else np.asarray(c, dtype=float)
+        for k, rep in enumerate(run.step_reports):
+            if rep.gamma_coord is None:
+                raise ValueError("run lacks per-coordinate step sizes")
+            if c_base is None:
+                if rep.c_coord_used is None:
+                    raise ValueError("run lacks recorded per-coordinate c values")
+                c_vec = rep.c_coord_used
+            else:
+                c_vec = c_base * schedule_c(schedule, 1.0, k, total)
+            gamma = rep.gamma_coord
+            viol = np.maximum(np.maximum(c_vec / (1.0 + c_vec * L_vec) - gamma,
+                                         gamma - c_vec), 0.0) / c_vec
+            j = int(np.argmax(viol))  # the first NaN, if any
+            yield float(viol[j]), f"step {k} coord {j}"
+
+    coordinate = c is None or np.ndim(c) > 0 or np.ndim(L) > 0
+    return _report(name, 1e-12, coordinate_violations() if coordinate else scalar_violations())
 
 
 def audit_fundamental_equality(run: RunRecord, name: str = "fundamental_equality") -> AuditReport:
@@ -167,24 +168,20 @@ def audit_fundamental_equality(run: RunRecord, name: str = "fundamental_equality
     their batch gradient). Residuals are measured relative to f_S
     (a zero loss requires an exactly zero residual); tolerance 1e-12.
     """
-    worst = 0.0
-    location = "none"
-    for k, rep in enumerate(run.step_reports):
-        if rep.grad is None:
-            raise ValueError("run lacks per-coordinate step-size data")
-        loss, grad, gamma, c_vec = run.losses[k], rep.grad, rep.gamma_coord, rep.c_coord_used
-        lhs = gamma * grad * grad
-        rhs = 2.0 * ((c_vec - gamma) / c_vec) * loss
-        resid = np.abs(lhs - rhs)
-        if loss > 0.0:
-            rel = resid / loss
-        else:
-            rel = np.where(resid == 0.0, 0.0, np.inf)
-        j = int(np.argmax(rel))
-        if rel[j] > worst:
-            worst = float(rel[j])
-            location = f"step {k} coord {j}"
-    return _report(name, worst, 1e-12, location)
+    def residuals():
+        for k, rep in enumerate(run.step_reports):
+            if rep.grad is None:
+                raise ValueError("run lacks per-coordinate step-size data")
+            loss, grad, gamma, c_vec = run.losses[k], rep.grad, rep.gamma_coord, rep.c_coord_used
+            resid = np.abs(gamma * grad * grad - 2.0 * ((c_vec - gamma) / c_vec) * loss)
+            if loss > 0.0:
+                rel = resid / loss
+            else:
+                rel = np.where(resid == 0.0, 0.0, np.inf)
+            j = int(np.argmax(rel))  # the first NaN, if any
+            yield float(rel[j]), f"step {k} coord {j}"
+
+    return _report(name, 1e-12, residuals())
 
 
 _REDUCTION_C = 0.5
@@ -225,27 +222,18 @@ def audit_reductions(problem: StochasticObjective, seed: int = 0, steps: int = 1
     pairs = _reduction_pairs()
     specs = [spec for _, spec_a, spec_b in pairs for spec in (spec_a, spec_b)]
     runs = _trajectories(problem, specs, steps, seed, batch_size)
-    worst = 0.0
-    location = "none"
-    for (pair_name, _, _), run_a, run_b in zip(pairs, runs[::2], runs[1::2]):
-        for k, (x_a, x_b) in enumerate(zip(run_a.iterates[1:], run_b.iterates[1:])):
-            if not np.array_equal(x_a, x_b):
-                diff = np.abs(x_a - x_b)
-                gap = float(np.max(diff)) if np.all(np.isfinite(diff)) else float("inf")
-                gap = max(gap, np.finfo(float).tiny)
-                if gap > worst:
-                    worst = gap
-                    location = f"{pair_name} at step {k + 1}"
-                break
-    return _report(name, worst, 0.0, location)
 
+    def first_gaps():
+        """The gap at the first step where each pair differs."""
+        for (pair_name, _, _), run_a, run_b in zip(pairs, runs[::2], runs[1::2]):
+            for k, (x_a, x_b) in enumerate(zip(run_a.iterates[1:], run_b.iterates[1:])):
+                if not np.array_equal(x_a, x_b):
+                    diff = np.abs(x_a - x_b)
+                    gap = float(np.max(diff)) if np.all(np.isfinite(diff)) else float("inf")
+                    yield max(gap, np.finfo(float).tiny), f"{pair_name} at step {k + 1}"
+                    break
 
-def _require_interpolating_quadratic(problem: StochasticObjective) -> None:
-    meta = problem.metadata
-    if meta.L is None or meta.x_star is None or meta.f_star is None:
-        raise ValueError("problem lacks smoothness or minimizer metadata")
-    if abs(meta.f_star) > 1e-18:
-        raise ValueError("convergence-bound audits need an interpolating problem (f* = 0)")
+    return _report(name, 0.0, first_gaps())
 
 
 def audit_theorem_bound(problem: StochasticObjective, K: int, c: Optional[float] = None,
@@ -266,8 +254,11 @@ def audit_theorem_bound(problem: StochasticObjective, K: int, c: Optional[float]
     """
     if K < 10:
         raise ValueError("audit requires K >= 10")
-    _require_interpolating_quadratic(problem)
     meta = problem.metadata
+    if meta.L is None or meta.x_star is None or meta.f_star is None:
+        raise ValueError("problem lacks smoothness or minimizer metadata")
+    if abs(meta.f_star) > 1e-18:
+        raise ValueError("convergence-bound audits need an interpolating problem (f* = 0)")
     L = float(meta.L)
     x0 = problem.x0_default
     dist0_sq = float(np.sum((x0 - meta.x_star) ** 2))
@@ -279,9 +270,9 @@ def audit_theorem_bound(problem: StochasticObjective, K: int, c: Optional[float]
         run = _trajectories(problem, [spec], K)[0]
         mean_subopt = float(np.mean(run.losses)) - meta.f_star
         bound = theory.ngn_m_bound(c_val, L, K, dist0_sq)
-        worst = max(0.0, mean_subopt - bound)
-        location = f"mean_subopt {mean_subopt:.6e} vs bound {bound:.6e}"
-        return _report(name or "theorem_bound_constant", worst, 0.0, location)
+        measured = f"mean_subopt {mean_subopt:.6e} vs bound {bound:.6e}"
+        return _report(name or "theorem_bound_constant", 0.0,
+                       [(mean_subopt - bound, measured)], measured)
 
     c0 = 1.0 if c is None else float(c)
     lam = min(c0 * L / math.sqrt(K), 0.5 / ((1.0 + c0 * L) * (1.0 + 2.0 * c0 * L)))
@@ -297,10 +288,10 @@ def audit_theorem_bound(problem: StochasticObjective, K: int, c: Optional[float]
         weighted_subopt += w * (loss - meta.f_star)
     avg_subopt = evaluate(problem, xhat, problem.full_batch()).loss - meta.f_star
     bound = theory.ngn_m_bound_decaying(c0, L, K, dist0_sq)
-    worst = max(0.0, weighted_subopt - bound, avg_subopt - bound)
-    location = (f"weighted_subopt {weighted_subopt:.6e} avg_point_subopt "
+    measured = (f"weighted_subopt {weighted_subopt:.6e} avg_point_subopt "
                 f"{avg_subopt:.6e} vs bound {bound:.6e}")
-    return _report(name or "theorem_bound_decaying", worst, 0.0, location)
+    return _report(name or "theorem_bound_decaying", 0.0,
+                   [(weighted_subopt - bound, measured), (avg_subopt - bound, measured)], measured)
 
 
 _SCAN_CHUNK = 4096  # grid points per oracle call; bounds the scan's memory

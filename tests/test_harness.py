@@ -71,6 +71,8 @@ def test_sweep_spec_validation():
         small_sweep(c_grid=[])
     with pytest.raises(ValueError):
         small_sweep(seeds=[])
+    with pytest.raises(ValueError, match="x0_grid, when given, must be non-empty"):
+        small_sweep(x0_grid=[])
 
 
 @pytest.mark.parametrize("setting, match", [
@@ -659,6 +661,7 @@ def test_sweep_spec_rejects_negative_weight_decay(tmp_path):
     ("c = 0.1, 1.0", "c = ,", "grid.c: must be a non-empty list"),
     ("kinds = ngn, ngn_m,", "kinds = ngn, adamw,", "optimizers.kinds: unknown optimizer 'adamw'"),
     ("[problem]", "[problem", "cannot parse "),
+    ("[grid]", "[problem]\n[grid]", "cannot parse "),
     ("[output]\npath = out.csv\n", "",
      "no output path: set output.path in the config or pass --out"),
 ])
@@ -669,6 +672,7 @@ def test_cli_sweep_names_what_is_wrong_with_its_config(tmp_path, monkeypatch, ca
     assert cli(["sweep", "--config", write_config(tmp_path, GOOD_CONFIG.replace(old, new))]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: {message}")
+    assert err.count("\n") == 1 and err.endswith("\n")  # one line, the parse errors too
     assert not list(tmp_path.glob("*.csv"))
 
 

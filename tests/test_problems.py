@@ -329,6 +329,7 @@ def test_least_squares_problem_rejects_mismatched_data(shapes):
     ("\n  \n", "empty regression CSV"),
     ("1,2\n3,4,5\n", "rows have inconsistent column counts"),
     ("x,y\n1,2,3\n4,5\n6,7,8\n", "rows have inconsistent column counts"),
+    ("x,y\n", "has no data rows"),
 ])
 def test_regression_csv_rejects_bad_shapes(tmp_path, text, match):
     path = tmp_path / "data.csv"
@@ -681,10 +682,14 @@ def test_gradients_match_on_stochastic_batches():
         assert rel_err(fd, s.grad) <= 1e-5
 
 
-def test_finite_diff_rejects_bad_h():
+@pytest.mark.parametrize("x, h, match", [
+    ([0.0, 0.0], 0.0, "h must be positive"),
+    ([1e200, 0.0], 1e-6, "non-finite intermediate values"),  # the squared residual overflows
+], ids=["h=0", "overflowing loss"])
+def test_finite_diff_rejects_bad_input(x, h, match):
     p = build_problem(ProblemSpec(kind="least_squares", dim=2, n_samples=4, seed=0))
-    with pytest.raises(ValueError):
-        finite_diff_grad(p, np.zeros(2), p.full_batch(), 0.0)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=match):
+        finite_diff_grad(p, np.array(x), p.full_batch(), h)
 
 
 # --- the shared squared gradient norm --------------------------------------------

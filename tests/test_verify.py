@@ -89,6 +89,7 @@ def test_stepsize_bounds_scalar_passes():
     run = run_scalar(p)
     rep = audit_stepsize_bounds(run, c=1.0, L=p.metadata.L)
     assert rep.passed
+    assert (rep.max_violation, rep.location) == (0.0, "none")  # a zero violation is no worst
 
 
 def test_stepsize_bounds_fails_when_smoothness_understated():
@@ -102,13 +103,15 @@ def test_stepsize_bounds_fails_when_smoothness_understated():
 
 
 def test_stepsize_bounds_fails_on_tampered_report():
+    # two equal violations: the report names the first
     p = quadratic()
     run = run_scalar(p)
-    bad = dataclasses.replace(run.step_reports[10], gamma_scalar=1.5)
-    run.step_reports[10] = bad
+    for k in (10, 20):
+        run.step_reports[k] = dataclasses.replace(run.step_reports[k], gamma_scalar=1.5)
     rep = audit_stepsize_bounds(run, c=1.0, L=p.metadata.L)
     assert not rep.passed
-    assert "step 10" in rep.location
+    assert rep.max_violation == 0.5
+    assert rep.location == "step 10"
 
 
 def test_stepsize_bounds_coordinate_passes():
@@ -153,15 +156,54 @@ def test_stepsize_bounds_coordinate_fails_on_tampered_report():
     assert rep.location == "step 7 coord 1"
 
 
-def test_stepsize_bounds_coordinate_needs_coordinate_rule():
-    # a scalar-rule run records no per-coordinate step sizes, so asking for
-    # the coordinate audit is an error rather than a silent pass
+@pytest.mark.parametrize("kind, c, match", [
+    ("ngn", np.full(3, 1.0), "run lacks per-coordinate step sizes"),
+    ("ngn_md_v1", None, "run lacks recorded per-coordinate c values"),
+], ids=["scalar rule", "no recorded caps"])
+def test_stepsize_bounds_coordinate_needs_coordinate_rule(kind, c, match):
+    # a scalar-rule run records no per-coordinate step sizes, and only the
+    # per-coordinate NGN rules record the caps that c=None reads, so asking
+    # for what a run lacks is an error rather than a silent pass
     p = quadratic(dim=3, n=12)
-    spec = OptimizerSpec(kind="ngn", c=1.0)
+    spec = OptimizerSpec(kind=kind, c=1.0, beta1=0.6)
     budget = RunBudget(max_steps=10, success_loss=0.0)
     run = run_once(p, spec, budget, seed=0)
-    with pytest.raises(ValueError):
-        audit_stepsize_bounds(run, c=np.full(3, 1.0), L=p.metadata.L_coord)
+    with pytest.raises(ValueError, match=match):
+        audit_stepsize_bounds(run, c=c, L=p.metadata.L_coord)
+
+
+def nan_gamma_at_step_3(run, coordinate, over_cap_first):
+    """A run whose reports carry a NaN step size at steps 3 and 5, and, if
+    over_cap_first, a step size over its cap at step 1."""
+    over_cap = ((1, 2.0),) if over_cap_first else ()
+    for k, value in over_cap + ((3, math.nan), (5, math.nan)):
+        rep = run.step_reports[k]
+        if coordinate:
+            gamma = rep.gamma_coord.copy()
+            gamma[1:] = value
+            run.step_reports[k] = dataclasses.replace(rep, gamma_coord=gamma)
+        else:
+            run.step_reports[k] = dataclasses.replace(rep, gamma_scalar=value)
+    return run
+
+
+@pytest.mark.parametrize("over_cap_first", [False, True], ids=["nan only", "nan after over cap"])
+@pytest.mark.parametrize("audit, location", [
+    (lambda p, first: audit_stepsize_bounds(nan_gamma_at_step_3(run_scalar(p), False, first),
+                                            c=1.0, L=p.metadata.L), "step 3"),
+    (lambda p, first: audit_stepsize_bounds(
+        nan_gamma_at_step_3(coordinate_bounds_run(p)[1], True, first),
+        c=np.array([0.5, 1.0, 2.0]), L=p.metadata.L_coord), "step 3 coord 1"),
+    (lambda p, first: audit_fundamental_equality(nan_gamma_at_step_3(coordinate_run(p), True, first)),
+     "step 3 coord 1"),
+], ids=["scalar bounds", "coordinate bounds", "fundamental equality"])
+def test_a_nan_step_size_fails_where_it_first_occurs(audit, location, over_cap_first):
+    # negative control: NaN compares false with everything, so a NaN step
+    # size must fail any tolerance and win over any finite violation
+    rep = audit(quadratic(dim=3, n=12), over_cap_first)
+    assert not rep.passed
+    assert math.isnan(rep.max_violation)
+    assert rep.location == location
 
 
 # --- fundamental step-size equality -----------------------------------------------
@@ -306,10 +348,30 @@ def test_theorem_bound_requires_horizon():
         audit_theorem_bound(p, K=5)
 
 
-def test_theorem_bound_requires_interpolation():
-    p = quadratic(interpolating=False)
-    with pytest.raises(ValueError):
-        audit_theorem_bound(p, K=100)
+@pytest.mark.parametrize("decaying, bound", [
+    (False, "ngn_m_bound"), (True, "ngn_m_bound_decaying"),
+], ids=["constant", "decaying"])
+def test_theorem_bound_fails_below_the_measured_suboptimality(monkeypatch, decaying, bound):
+    # negative control: a bound of zero lies below the measured (positive)
+    # suboptimality, and the failing row still shows what was measured
+    p = quadratic(dim=4, n=8, seed=0, interpolating=True)
+    measured = audit_theorem_bound(p, K=200, decaying=decaying).location.split(" vs bound ")[0]
+    monkeypatch.setattr(verify.theory, bound, lambda *args: 0.0)
+    rep = audit_theorem_bound(p, K=200, decaying=decaying)
+    assert not rep.passed
+    assert rep.max_violation > 0.0
+    assert rep.location == f"{measured} vs bound 0.000000e+00"
+    values = [float(v) for v in measured.split()[1::2]]  # "<label> <value>" pairs
+    assert f"{rep.max_violation:.6e}" == f"{max(values):.6e}"
+
+
+@pytest.mark.parametrize("spec, match", [
+    (ProblemSpec(kind="least_squares", dim=4, n_samples=8), "need an interpolating problem"),
+    (ProblemSpec(kind="rosenbrock"), "lacks smoothness or minimizer metadata"),
+], ids=["least_squares", "rosenbrock"])
+def test_theorem_bound_requires_interpolation(spec, match):
+    with pytest.raises(ValueError, match=match):
+        audit_theorem_bound(build_problem(spec), K=100)
 
 
 # --- basin finder --------------------------------------------------------------------
