@@ -55,6 +55,7 @@ _float_or_array picks the side for both rules.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -99,7 +100,7 @@ class OptimizerSpec:
     decoupled/coupled variants. c_coord supplies per-coordinate c_j for
     NGN-D; precond_identity forces D = I in the diagonal variants (used
     by the reduction audits). total_steps is the horizon K required by
-    the inv_sqrt_k schedule.
+    the inv_sqrt_k schedule, an integer >= 1 when set.
     """
 
     kind: str
@@ -130,6 +131,9 @@ class OptimizerSpec:
             raise ValueError(f"unknown schedule {self.schedule!r}; expected one of {SCHEDULES}")
         if self.schedule == SCHEDULE_INV_SQRT_K and self.total_steps is None:
             raise ValueError("inv_sqrt_k schedule requires total_steps")
+        if self.total_steps is not None and not (
+                isinstance(self.total_steps, numbers.Integral) and self.total_steps >= 1):
+            raise ValueError(f"total_steps must be a whole number >= 1, got {self.total_steps!r}")
         if self.c_coord is not None:
             cc = np.asarray(self.c_coord, dtype=float)
             if cc.ndim != 1 or not np.all(np.isfinite(cc)) or not np.all(cc > 0.0):

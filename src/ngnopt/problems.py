@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -81,10 +81,6 @@ class Batch:
 
     indices: np.ndarray
     full: bool = False
-
-    @property
-    def size(self) -> int:
-        return int(self.indices.size)
 
 
 @dataclass(eq=False, slots=True)
@@ -324,8 +320,7 @@ def _cache_aligned(A: np.ndarray) -> np.ndarray:
     return out
 
 
-def _least_squares_objective(kind: str, A: np.ndarray, b: np.ndarray,
-                             x0: Optional[np.ndarray] = None) -> StochasticObjective:
+def _least_squares_objective(kind: str, A: np.ndarray, b: np.ndarray) -> StochasticObjective:
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
@@ -376,16 +371,12 @@ def _least_squares_objective(kind: str, A: np.ndarray, b: np.ndarray,
         r = rows[idx] @ sol - b[idx]
         return float(np.sum(r * r)) / (2.0 * idx.size)
 
-    if x0 is None:
-        x0 = np.zeros(d)
-    return StochasticObjective(kind, d, n, metadata, np.asarray(x0, dtype=float), loss_grad,
-                               point, batch_min)
+    return StochasticObjective(kind, d, n, metadata, np.zeros(d), loss_grad, point, batch_min)
 
 
-def least_squares_problem(A: np.ndarray, b: np.ndarray,
-                          x0: Optional[np.ndarray] = None) -> StochasticObjective:
+def least_squares_problem(A: np.ndarray, b: np.ndarray) -> StochasticObjective:
     """Least squares from explicit data: f_i(x) = (1/2)(a_i^T x - b_i)^2."""
-    return _least_squares_objective(KIND_LEAST_SQUARES, A, b, x0)
+    return _least_squares_objective(KIND_LEAST_SQUARES, A, b)
 
 
 def _build_least_squares(spec: ProblemSpec) -> StochasticObjective:
@@ -398,8 +389,7 @@ def _build_least_squares(spec: ProblemSpec) -> StochasticObjective:
         b = A @ x_true
     else:
         b = rng.standard_normal(n)
-    x0 = None if spec.x0 is None else np.asarray(spec.x0, dtype=float)
-    return _least_squares_objective(KIND_LEAST_SQUARES, A, b, x0)
+    return _least_squares_objective(KIND_LEAST_SQUARES, A, b)
 
 
 def _build_ridge(spec: ProblemSpec) -> StochasticObjective:
@@ -409,8 +399,7 @@ def _build_ridge(spec: ProblemSpec) -> StochasticObjective:
     M = rng.standard_normal(out=_aligned_empty((d, d)))
     y = rng.standard_normal(d)
     M.ravel()[::d + 1] += spec.r  # A + rI: r added to the diagonal in place
-    x0 = None if spec.x0 is None else np.asarray(spec.x0, dtype=float)
-    return _least_squares_objective(KIND_RIDGE, M, y, x0)
+    return _least_squares_objective(KIND_RIDGE, M, y)
 
 
 def _pointwise(formula: Callable) -> dict:
@@ -454,8 +443,8 @@ def _build_rosenbrock(spec: ProblemSpec) -> StochasticObjective:
     def metadata():
         return ObjectiveMetadata(f_star=0.0, x_star=np.array([1.0, 1.0]))
 
-    x0 = np.array([-1.2, 1.0]) if spec.x0 is None else np.asarray(spec.x0, dtype=float)
-    return StochasticObjective(KIND_ROSENBROCK, 2, 1, metadata, x0, **_pointwise(_rosenbrock))
+    return StochasticObjective(KIND_ROSENBROCK, 2, 1, metadata, np.array([-1.2, 1.0]),
+                               **_pointwise(_rosenbrock))
 
 
 def _float_sin(t: float) -> float:
@@ -493,8 +482,8 @@ def _build_multimodal(spec: ProblemSpec) -> StochasticObjective:
     def metadata():
         return ObjectiveMetadata(f_star=0.0, x_star=np.array([0.0]))
 
-    x0 = np.array([10.0]) if spec.x0 is None else np.asarray(spec.x0, dtype=float)
-    return StochasticObjective(KIND_MULTIMODAL, 1, 1, metadata, x0, **_pointwise(_multimodal))
+    return StochasticObjective(KIND_MULTIMODAL, 1, 1, metadata, np.array([10.0]),
+                               **_pointwise(_multimodal))
 
 
 def _horner(coef: list, t):
@@ -527,8 +516,8 @@ def _build_polynomial(spec: ProblemSpec) -> StochasticObjective:
     def metadata():
         return ObjectiveMetadata(f_star=0.0, x_star=np.array([0.0]))
 
-    x0 = np.array([3.0]) if spec.x0 is None else np.asarray(spec.x0, dtype=float)
-    return StochasticObjective(KIND_POLYNOMIAL, 1, 1, metadata, x0, **_pointwise(polynomial))
+    return StochasticObjective(KIND_POLYNOMIAL, 1, 1, metadata, np.array([3.0]),
+                               **_pointwise(polynomial))
 
 
 def _load_regression_csv(path: str) -> tuple:
@@ -582,8 +571,7 @@ def _build_regression(spec: ProblemSpec) -> StochasticObjective:
                          f"cannot be standardized (its mean or std overflows)")
     std[std == 0.0] = 1.0
     A = (X - mean) / std
-    x0 = None if spec.x0 is None else np.asarray(spec.x0, dtype=float)
-    return _least_squares_objective(KIND_REGRESSION, A, y, x0)
+    return _least_squares_objective(KIND_REGRESSION, A, y)
 
 
 _BUILDERS = {
@@ -597,5 +585,10 @@ _BUILDERS = {
 
 
 def build_problem(spec: ProblemSpec) -> StochasticObjective:
-    """Construct the objective described by spec (deterministic given seed)."""
-    return _BUILDERS[spec.kind](spec)
+    """Construct the objective described by spec (deterministic given
+    seed), started at spec.x0 when it is set and at the kind's default
+    start otherwise."""
+    problem = _BUILDERS[spec.kind](spec)
+    if spec.x0 is None:
+        return problem
+    return replace(problem, x0_default=np.asarray(spec.x0, dtype=float))

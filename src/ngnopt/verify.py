@@ -3,13 +3,12 @@ step-size equality, reduction identities, and convergence-bound checks.
 
 Each audit runs real optimizer code, measures the worst-case residual
 against a stated tolerance, and returns an AuditReport. Every optimizer
-run is a harness.RunRecord stepped by harness.run_lockstep, directly
-(the audit trajectories; the reduction pairs step as one group on one
-batch sequence) or through its one-cell case run_once; the one step
-loop here is the moving-average twin that the equivalence audit checks
-the harness against. Audits are deterministic given their seed,
-independent of each other, and report the exact violation magnitude and
-where it occurred.
+run is a harness.RunRecord stepped by harness.run_lockstep through
+_trajectories (the reduction pairs step as one group on one batch
+sequence); the one step loop here is the moving-average twin that the
+equivalence audit checks the harness against. Audits are deterministic
+given their seed, independent of each other, and report the exact
+violation magnitude and where it occurred.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import theory
 from .harness import (
-    STATUS_DIVERGED, RunBudget, RunRecord, ensure_parent_dir, run_lockstep, run_once,
+    STATUS_DIVERGED, RunBudget, RunRecord, ensure_parent_dir, run_lockstep,
 )
 from .optimizers import (
     NGN, NGN_D, NGN_M_V1, NGN_MD_V1, NGN_MD_V2, NGN_MDV1W,
@@ -159,14 +158,15 @@ def audit_stepsize_bounds(run: RunRecord, c, L, name: str = "stepsize_bounds") -
     return _report(name, 1e-12, coordinate_violations() if coordinate else scalar_violations())
 
 
-def audit_fundamental_equality(run: RunRecord, name: str = "fundamental_equality") -> AuditReport:
+def audit_fundamental_equality(run: RunRecord) -> AuditReport:
     """The per-coordinate identity gamma_j g_j^2 = 2 ((c_j - gamma_j)/c_j) f_S.
 
     The identity is algebraic in the step-size formula, so it must hold
     to rounding error on every step and coordinate of a recorded
     per-coordinate NGN run (NGN-D or NGN-MD V2, whose step reports keep
     their batch gradient). Residuals are measured relative to f_S
-    (a zero loss requires an exactly zero residual); tolerance 1e-12.
+    (a zero loss requires an exactly zero residual, and a NaN loss reads
+    NaN at the first coordinate); tolerance 1e-12.
     """
     def residuals():
         for k, rep in enumerate(run.step_reports):
@@ -174,14 +174,14 @@ def audit_fundamental_equality(run: RunRecord, name: str = "fundamental_equality
                 raise ValueError("run lacks per-coordinate step-size data")
             loss, grad, gamma, c_vec = run.losses[k], rep.grad, rep.gamma_coord, rep.c_coord_used
             resid = np.abs(gamma * grad * grad - 2.0 * ((c_vec - gamma) / c_vec) * loss)
-            if loss > 0.0:
-                rel = resid / loss
-            else:
+            if loss == 0.0:
                 rel = np.where(resid == 0.0, 0.0, np.inf)
+            else:  # a positive loss, or a NaN one, whose quotient is NaN
+                rel = resid / loss
             j = int(np.argmax(rel))  # the first NaN, if any
             yield float(rel[j]), f"step {k} coord {j}"
 
-    return _report(name, 1e-12, residuals())
+    return _report("fundamental_equality", 1e-12, residuals())
 
 
 _REDUCTION_C = 0.5
@@ -207,8 +207,7 @@ def _reduction_pairs() -> list:
 
 
 def audit_reductions(problem: StochasticObjective, seed: int = 0, steps: int = 100,
-                     batch_size: Optional[int] = None,
-                     name: str = "reduction_identities") -> AuditReport:
+                     batch_size: Optional[int] = None) -> AuditReport:
     """Four parameter collapses that must reproduce another rule exactly.
 
     beta=0 heavy-ball equals plain NGN; the per-coordinate diagonal rule
@@ -233,24 +232,25 @@ def audit_reductions(problem: StochasticObjective, seed: int = 0, steps: int = 1
                     yield max(gap, np.finfo(float).tiny), f"{pair_name} at step {k + 1}"
                     break
 
-    return _report(name, 0.0, first_gaps())
+    return _report("reduction_identities", 0.0, first_gaps())
 
 
-def audit_theorem_bound(problem: StochasticObjective, K: int, c: Optional[float] = None,
-                        decaying: bool = False, name: Optional[str] = None) -> AuditReport:
+def audit_theorem_bound(problem: StochasticObjective, K: int,
+                        decaying: bool = False) -> AuditReport:
     """Average suboptimality of heavy-ball NGN-M against its guarantee.
 
-    Constant schedule (default): c = 1/sqrt(K) unless given, momentum set
-    to the largest admissible beta for (c, L), K full-batch steps on an
+    Constant schedule (default): c = 1/sqrt(K), momentum set to the
+    largest admissible beta for (c, L), K full-batch steps on an
     interpolating least-squares problem; the trajectory average of
     f(x^k) - f* (which equals the expectation over a uniformly chosen
     iterate) must not exceed the constant-schedule bound.
 
-    Decaying schedule: c_k = c0/sqrt(k+1) with a constant momentum valid
-    for every step, weighted iterate average with the schedule's
-    normalized rho_k weights; both the weighted mean suboptimality and
-    the suboptimality at the averaged point must not exceed the decaying
-    bound. Horizons below 10 are degenerate and rejected.
+    Decaying schedule: c_k = c0/sqrt(k+1) with c0 = 1 and a constant
+    momentum valid for every step, weighted iterate average with the
+    schedule's normalized rho_k weights; both the weighted mean
+    suboptimality and the suboptimality at the averaged point must not
+    exceed the decaying bound. Horizons below 10 are degenerate and
+    rejected.
     """
     if K < 10:
         raise ValueError("audit requires K >= 10")
@@ -264,17 +264,17 @@ def audit_theorem_bound(problem: StochasticObjective, K: int, c: Optional[float]
     dist0_sq = float(np.sum((x0 - meta.x_star) ** 2))
 
     if not decaying:
-        c_val = 1.0 / math.sqrt(K) if c is None else float(c)
-        _, _, beta_max = theory.ngn_m_params(c_val, L)
-        spec = OptimizerSpec(kind=NGN_M_V1, c=c_val, beta1=beta_max)
+        c = 1.0 / math.sqrt(K)
+        _, _, beta_max = theory.ngn_m_params(c, L)
+        spec = OptimizerSpec(kind=NGN_M_V1, c=c, beta1=beta_max)
         run = _trajectories(problem, [spec], K)[0]
         mean_subopt = float(np.mean(run.losses)) - meta.f_star
-        bound = theory.ngn_m_bound(c_val, L, K, dist0_sq)
+        bound = theory.ngn_m_bound(c, L, K, dist0_sq)
         measured = f"mean_subopt {mean_subopt:.6e} vs bound {bound:.6e}"
-        return _report(name or "theorem_bound_constant", 0.0,
+        return _report("theorem_bound_constant", 0.0,
                        [(mean_subopt - bound, measured)], measured)
 
-    c0 = 1.0 if c is None else float(c)
+    c0 = 1.0
     lam = min(c0 * L / math.sqrt(K), 0.5 / ((1.0 + c0 * L) * (1.0 + 2.0 * c0 * L)))
     beta = lam / (1.0 + lam)
     spec = OptimizerSpec(kind=NGN_M_V1, c=c0, beta1=beta,
@@ -290,7 +290,7 @@ def audit_theorem_bound(problem: StochasticObjective, K: int, c: Optional[float]
     bound = theory.ngn_m_bound_decaying(c0, L, K, dist0_sq)
     measured = (f"weighted_subopt {weighted_subopt:.6e} avg_point_subopt "
                 f"{avg_subopt:.6e} vs bound {bound:.6e}")
-    return _report(name or "theorem_bound_decaying", 0.0,
+    return _report("theorem_bound_decaying", 0.0,
                    [(weighted_subopt - bound, measured), (avg_subopt - bound, measured)], measured)
 
 
@@ -398,15 +398,12 @@ def run_default_audits(seed: int = 0, quick: bool = False) -> list:
         reports.append(audit_ima_equivalence(problem, spec, steps=100, seed=seed,
                                              name=f"ima_equivalence_beta_{beta:g}"))
 
-    scalar_spec = OptimizerSpec(kind=NGN, c=1.0)
-    budget = RunBudget(max_steps=steps, success_loss=1e-30)
-    run = run_once(problem, scalar_spec, budget, seed=seed)
+    run = _trajectories(problem, [OptimizerSpec(kind=NGN, c=1.0)], steps, seed)[0]
     reports.append(audit_stepsize_bounds(run, 1.0, meta.L, name="stepsize_bounds_scalar"))
 
     coord_spec = OptimizerSpec(kind=NGN_D, c=1.0, c_coord=np.full(problem.dim, 0.7))
-    coord_budget = RunBudget(max_steps=steps, success_loss=1e-30,
-                             batch_size=max(1, problem.n_samples // 4))
-    coord_run = run_once(problem, coord_spec, coord_budget, seed=seed)
+    coord_run = _trajectories(problem, [coord_spec], steps, seed,
+                              batch_size=max(1, problem.n_samples // 4))[0]
     reports.append(audit_stepsize_bounds(coord_run, np.full(problem.dim, 0.7),
                                          meta.L_coord, name="stepsize_bounds_coordinate"))
     reports.append(audit_fundamental_equality(coord_run))

@@ -201,6 +201,17 @@ def test_run_once_budget_exhausted():
     assert rec.steps_to_success is None
 
 
+def test_run_once_converges_at_a_loss_equal_to_success_loss():
+    # success is loss <= success_loss: the polynomial's start x0 = 1 has a
+    # loss of exactly 1 * 1 * (1 + 1) = 2.0, so the run stops before a step
+    p = build_problem(ProblemSpec(kind="polynomial_1d", x0=(1.0,)))
+    rec = run_once(p, OptimizerSpec(kind="ngn", c=1.0),
+                   RunBudget(max_steps=10, success_loss=2.0), seed=0)
+    assert rec.losses == [2.0]
+    assert (rec.status, rec.stop_reason, rec.steps_to_success) == ("converged", "success", 0)
+    assert rec.step_reports == []
+
+
 def test_run_once_single_step():
     p = build_problem(QUAD)
     rec = run_once(p, OptimizerSpec(kind="ngn", c=1.0),

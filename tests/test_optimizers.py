@@ -332,6 +332,10 @@ def test_optimizer_spec_validation():
         OptimizerSpec(kind="ngn", c=1.0, beta1=1.0)
     with pytest.raises(ValueError):
         OptimizerSpec(kind="ngn", c=1.0, schedule="inv_sqrt_k")
+    for total in (0, -3, 2.5):
+        with pytest.raises(ValueError, match="total_steps must be a whole number >= 1"):
+            OptimizerSpec(kind="ngn", c=1.0, schedule="inv_sqrt_k", total_steps=total)
+    assert OptimizerSpec(kind="ngn", c=1.0, schedule="inv_sqrt_k", total_steps=np.int64(1)).total_steps == 1
     with pytest.raises(ValueError):
         OptimizerSpec(kind="ngn_d", c=1.0, c_coord=np.array([1.0, -1.0]))
 

@@ -18,6 +18,7 @@ from ngnopt import (
     audits_to_csv,
     build_problem,
     harness,
+    least_squares_problem,
     multimodal_global_basin,
     run_default_audits,
     run_once,
@@ -187,6 +188,17 @@ def nan_gamma_at_step_3(run, coordinate, over_cap_first):
     return run
 
 
+def nan_loss_at_step_4(run, over_cap_first):
+    """A run whose recorded losses are NaN at steps 4 and 6, and, if
+    over_cap_first, whose step size is over its cap at step 1."""
+    if over_cap_first:
+        rep = run.step_reports[1]
+        run.step_reports[1] = dataclasses.replace(rep, gamma_coord=2.0 * rep.c_coord_used)
+    for k in (4, 6):
+        run.losses[k] = math.nan
+    return run
+
+
 @pytest.mark.parametrize("over_cap_first", [False, True], ids=["nan only", "nan after over cap"])
 @pytest.mark.parametrize("audit, location", [
     (lambda p, first: audit_stepsize_bounds(nan_gamma_at_step_3(run_scalar(p), False, first),
@@ -196,10 +208,13 @@ def nan_gamma_at_step_3(run, coordinate, over_cap_first):
         c=np.array([0.5, 1.0, 2.0]), L=p.metadata.L_coord), "step 3 coord 1"),
     (lambda p, first: audit_fundamental_equality(nan_gamma_at_step_3(coordinate_run(p), True, first)),
      "step 3 coord 1"),
-], ids=["scalar bounds", "coordinate bounds", "fundamental equality"])
+    (lambda p, first: audit_fundamental_equality(nan_loss_at_step_4(coordinate_run(p), first)),
+     "step 4 coord 0"),
+], ids=["scalar bounds", "coordinate bounds", "fundamental equality", "fundamental equality, nan loss"])
 def test_a_nan_step_size_fails_where_it_first_occurs(audit, location, over_cap_first):
     # negative control: NaN compares false with everything, so a NaN step
-    # size must fail any tolerance and win over any finite violation
+    # size, or a NaN recorded loss, which makes every coordinate's residual
+    # NaN, must fail any tolerance and win over any finite violation
     rep = audit(quadratic(dim=3, n=12), over_cap_first)
     assert not rep.passed
     assert math.isnan(rep.max_violation)
@@ -340,6 +355,30 @@ def test_theorem_bound_decaying_passes():
     p = quadratic(dim=4, n=8, seed=0, interpolating=True)
     rep = audit_theorem_bound(p, K=200, decaying=True)
     assert rep.passed
+
+
+@pytest.mark.parametrize("decaying, c, beta, schedule", [
+    # c = 1/sqrt(K); lambda = min(cL, 0.5/((1+cL)(1+2cL))) = min(0.1, 0.379)
+    (False, 0.1, 1.0 / 11.0, "constant"),
+    # c0 = 1; lambda = min(c0 L/sqrt(K), 0.5/((1+c0 L)(1+2c0 L))) = min(0.1, 1/12)
+    (True, 1.0, 1.0 / 13.0, "inv_sqrt_step"),
+], ids=["constant", "decaying"])
+def test_theorem_bound_runs_the_hand_computed_momentum(monkeypatch, decaying, c, beta, schedule):
+    # least squares on the identity has L = 1 and f* = 0; at K = 100 the
+    # decaying audit's momentum is 1/13, and doubling its 0.5 gives 1/11
+    p = least_squares_problem(np.eye(2), np.array([1.0, 2.0]))
+    specs = []
+    trajectories = verify._trajectories
+
+    def capture(problem, specs_in, *args, **kwargs):
+        specs.extend(specs_in)
+        return trajectories(problem, specs_in, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "_trajectories", capture)
+    assert audit_theorem_bound(p, K=100, decaying=decaying).passed
+    [spec] = specs
+    assert (spec.kind, spec.c, spec.schedule) == ("ngn_m_v1", c, schedule)
+    assert spec.beta1 == pytest.approx(beta, rel=1e-14)
 
 
 def test_theorem_bound_requires_horizon():
