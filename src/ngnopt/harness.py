@@ -26,6 +26,7 @@ import argparse
 import configparser
 import itertools
 import math
+import numbers
 import os
 import pickle
 import sys
@@ -81,12 +82,13 @@ class RunBudget:
     batch_size: Optional[int] = None
 
     def __post_init__(self):
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        if not (isinstance(self.max_steps, numbers.Integral) and self.max_steps >= 1):
+            raise ValueError(f"max_steps must be a whole number >= 1, got {self.max_steps!r}")
         if not self.success_loss < self.diverge_loss:
             raise ValueError("success_loss must be < diverge_loss")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        if self.batch_size is not None and not (
+                isinstance(self.batch_size, numbers.Integral) and self.batch_size >= 1):
+            raise ValueError(f"batch_size must be a whole number >= 1, got {self.batch_size!r}")
 
 
 class RunRecord:
@@ -188,6 +190,8 @@ class SweepSpec:
         for name in ("kinds", "c_grid", "beta_grid", "seeds"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be a non-empty list")
+        if not all(isinstance(seed, numbers.Integral) and seed >= 0 for seed in self.seeds):
+            raise ValueError(f"seeds must be whole numbers >= 0, got {self.seeds!r}")
         if self.x0_grid is not None and not self.x0_grid:
             raise ValueError("x0_grid, when given, must be non-empty")
         for kind in self.kinds:
@@ -435,22 +439,25 @@ def run_sweep(sweep: SweepSpec, workers: int = 1) -> SweepResult:
 
 
 def _fmt(value) -> str:
-    """Canonical CSV cell: 17 significant digits for floats, plain ints,
-    empty for missing."""
+    """Canonical CSV cell: empty for None, a str as is, a bool in lower
+    case, an int plainly, a float with 17 significant digits (so parsing
+    it back is bit-exact), and a vector as its floats joined by ';'."""
+    if isinstance(value, float):
+        return "%.17g" % value
     if value is None:
         return ""
     if isinstance(value, str):
         return value
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return "%.17g" % float(value)
+    return ";".join(map(_fmt, np.atleast_1d(np.asarray(value, dtype=float)).tolist()))
 
 
-def _fmt_vector(value) -> str:
-    if value is None:
-        return ""
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
-    return ";".join("%.17g" % v for v in arr)
+def _floats(cell: str) -> list:
+    """The floats of a vector cell, as _fmt writes it."""
+    return [float(v) for v in cell.split(";")]
 
 
 def resolve_out_path(path: str) -> str:
@@ -461,21 +468,41 @@ def resolve_out_path(path: str) -> str:
     return path
 
 
-def ensure_parent_dir(path: str) -> None:
-    """Create the directory an output file will land in, if needed."""
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+def _write_csv(path: str, header, rows) -> None:
+    """Write header and rows (sequences of cells, each through _fmt) as a
+    UTF-8 CSV with LF line endings, creating its directory if needed.
+    Every file ngnopt writes goes through here."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _read_csv(path: str, types: dict):
+    """Read a CSV that _write_csv wrote: yield its header, then each row as
+    a list of cells. A column named in types reads an empty cell as None
+    and any other through its parser; the other columns stay text."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().removesuffix("\n").split("\n")
+    header = lines[0].split(",")
+    yield header
+    parsers = [types.get(col) for col in header]
+    for ln in lines[1:]:
+        cells = ln.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"{path!r}: {len(cells)} cells in a row of {len(header)} columns")
+        yield [cell if parse is None else None if cell == "" else parse(cell)
+               for parse, cell in zip(parsers, cells)]
 
 
 def emit_csv(obj, path: str) -> None:
-    """Write a trajectory CSV for a RunRecord or a summary CSV for a
-    SweepResult; floats carry 17 significant digits so parsing is exact."""
-    ensure_parent_dir(path)
+    """Write a trajectory CSV for a RunRecord, a summary CSV for a SweepResult."""
     if isinstance(obj, RunRecord):
-        _emit_trajectory(obj, path)
+        _write_csv(path, TRAJECTORY_COLUMNS, _trajectory_rows(obj))
     elif isinstance(obj, SweepResult):
-        _emit_summary(obj, path)
+        cols = SUMMARY_COLUMNS + (("x0", "x_final") if obj.sweep.x0_grid is not None else ())
+        _write_csv(path, cols, ([row.get(col) for col in cols] for row in obj.rows))
     else:
         raise TypeError(f"emit_csv expects RunRecord or SweepResult, got {type(obj).__name__}")
 
@@ -490,81 +517,37 @@ def _step_stats(rep, x, x_new) -> tuple:
     return (rep.gamma_scalar, *coord, math.sqrt(float((upd * upd).sum())))
 
 
-def _emit_trajectory(rec: RunRecord, path: str) -> None:
+def _trajectory_rows(rec: RunRecord):
+    """rec's trajectory rows; the row of a stopping evaluation has no step columns."""
     full = dict(rec.full_losses)
     its = rec.iterates
-    lines = [",".join(TRAJECTORY_COLUMNS)]
     for k, loss in enumerate(rec.losses):
-        cells = [str(k), _fmt(loss), _fmt(full.get(k)), _fmt(rec.grad_norms[k])]
-        if k < len(rec.step_reports):
-            cells += [_fmt(v) for v in _step_stats(rec.step_reports[k], its[k], its[k + 1])]
-        else:
-            cells += [""] * (len(TRAJECTORY_COLUMNS) - len(cells))
-        lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _summary_columns(sweep: SweepSpec) -> tuple:
-    if sweep.x0_grid is not None:
-        return SUMMARY_COLUMNS + ("x0", "x_final")
-    return SUMMARY_COLUMNS
-
-
-def _emit_summary(result: SweepResult, path: str) -> None:
-    cols = _summary_columns(result.sweep)
-    lines = [",".join(cols)]
-    for row in result.rows:
-        cells = []
-        for col in cols:
-            val = row.get(col)
-            cells.append(_fmt_vector(val) if col in ("x0", "x_final") else _fmt(val))
-        lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _parse_cell(cell: str):
-    return None if cell == "" else float(cell)
+        stats = (_step_stats(rec.step_reports[k], its[k], its[k + 1])
+                 if k < len(rec.step_reports) else (None,) * 5)
+        yield (k, loss, full.get(k), rec.grad_norms[k], *stats)
 
 
 def parse_trajectory_csv(path: str) -> dict:
     """Read a trajectory CSV back into {column: list}; empty cells -> None,
     the step column -> int, everything else -> float (bit-exact)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().split("\n") if ln]
-    header = lines[0].split(",")
+    rows = _read_csv(path, dict.fromkeys(TRAJECTORY_COLUMNS, float) | {"step": int})
+    header = next(rows)
     if header != list(TRAJECTORY_COLUMNS):
         raise ValueError(f"unexpected trajectory header {header}")
     out = {col: [] for col in header}
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        out["step"].append(int(cells[0]))
-        for col, cell in zip(header[1:], cells[1:]):
-            out[col].append(_parse_cell(cell))
+    for row in rows:
+        for col, value in zip(header, row):
+            out[col].append(value)
     return out
 
 
 def parse_summary_csv(path: str) -> list:
     """Read a summary CSV back into a list of typed row dicts."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().split("\n") if ln]
-    header = lines[0].split(",")
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        row = dict(zip(header, cells))
-        row["c"] = float(row["c"])
-        row["beta"] = float(row["beta"])
-        row["seed"] = int(row["seed"])
-        for col in ("final_loss", "best_loss"):
-            row[col] = float(row[col]) if row[col] != "" else None
-        row["steps_to_success"] = int(row["steps_to_success"]) if row["steps_to_success"] != "" else None
-        for col in ("x0", "x_final"):
-            if col in row:
-                row[col] = None if row[col] == "" else [float(v) for v in row[col].split(";")]
-        rows.append(row)
-    return rows
+    rows = _read_csv(path, {"c": float, "beta": float, "seed": int, "final_loss": float,
+                            "best_loss": float, "steps_to_success": int,
+                            "x0": _floats, "x_final": _floats})
+    header = next(rows)
+    return [dict(zip(header, row)) for row in rows]
 
 
 # --- config ingestion -------------------------------------------------------
@@ -860,7 +843,7 @@ def _cmd_sweep(args) -> int:
         for row in failed[:_ERRORS_SHOWN]:
             where = " ".join(f"{key}={row[key]}" for key in ("optimizer", "c", "beta", "seed"))
             if "x0" in row:
-                where += f" x0={_fmt_vector(row['x0'])}"
+                where += f" x0={_fmt(row['x0'])}"
             print(f"error: cell {where}: {row['error']}", file=sys.stderr)
         return 1
     return 0

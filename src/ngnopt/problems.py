@@ -254,8 +254,8 @@ def sample_batch(problem: StochasticObjective, seed: int, step: int, batch_size:
     each process has its own generator.
     """
     n = problem.n_samples
-    if not 1 <= batch_size <= n:
-        raise ValueError(f"batch_size {batch_size} out of range [1, {n}]")
+    if not (isinstance(batch_size, (int, np.integer)) and 1 <= batch_size <= n):
+        raise ValueError(f"batch_size must be a whole number in [1, {n}], got {batch_size!r}")
     if seed < 0 or step < 0:
         raise ValueError("seed and step must be >= 0")
     if batch_size == n:
@@ -402,10 +402,10 @@ def _build_ridge(spec: ProblemSpec) -> StochasticObjective:
     return _least_squares_objective(KIND_RIDGE, M, y)
 
 
-def _pointwise(formula: Callable) -> dict:
-    """The oracles of a closed-form objective of dimension d <= 2: the
-    cell-axis `_loss_grad` and the one-point `_point`; both ignore the
-    batch, as a closed form has one sample.
+def _closed_form(kind: str, x0: list, x_star: list, formula: Callable) -> StochasticObjective:
+    """A one-sample objective of dimension d = len(x0) <= 2, started at x0,
+    with f* = 0 at x_star. Its oracles are the cell-axis `_loss_grad` and
+    the one-point `_point`; both ignore the batch.
 
     formula takes the d coordinates and returns the loss and a tuple of
     the d partial derivatives. `_loss_grad` passes the columns (C,) of a
@@ -430,7 +430,10 @@ def _pointwise(formula: Callable) -> dict:
         loss, grad = formula(*X.T)
         return loss, np.stack(grad, axis=1)
 
-    return {"_loss_grad": loss_grad, "_point": point}
+    def metadata():
+        return ObjectiveMetadata(f_star=0.0, x_star=np.array(x_star))
+
+    return StochasticObjective(kind, len(x0), 1, metadata, np.array(x0), loss_grad, point)
 
 
 def _rosenbrock(a, b):
@@ -440,11 +443,7 @@ def _rosenbrock(a, b):
 
 
 def _build_rosenbrock(spec: ProblemSpec) -> StochasticObjective:
-    def metadata():
-        return ObjectiveMetadata(f_star=0.0, x_star=np.array([1.0, 1.0]))
-
-    return StochasticObjective(KIND_ROSENBROCK, 2, 1, metadata, np.array([-1.2, 1.0]),
-                               **_pointwise(_rosenbrock))
+    return _closed_form(KIND_ROSENBROCK, [-1.2, 1.0], [1.0, 1.0], _rosenbrock)
 
 
 def _float_sin(t: float) -> float:
@@ -479,11 +478,7 @@ def _build_multimodal(spec: ProblemSpec) -> StochasticObjective:
 
     Many sharp suboptimal local minima, one flat global minimum f(0) = 0.
     """
-    def metadata():
-        return ObjectiveMetadata(f_star=0.0, x_star=np.array([0.0]))
-
-    return StochasticObjective(KIND_MULTIMODAL, 1, 1, metadata, np.array([10.0]),
-                               **_pointwise(_multimodal))
+    return _closed_form(KIND_MULTIMODAL, [10.0], [0.0], _multimodal)
 
 
 def _horner(coef: list, t):
@@ -513,11 +508,7 @@ def _build_polynomial(spec: ProblemSpec) -> StochasticObjective:
         loss = L * t * t * grow
         return loss, (2.0 * L * t * (grow + t * pv * _horner(dcoef, t)),)
 
-    def metadata():
-        return ObjectiveMetadata(f_star=0.0, x_star=np.array([0.0]))
-
-    return StochasticObjective(KIND_POLYNOMIAL, 1, 1, metadata, np.array([3.0]),
-                               **_pointwise(polynomial))
+    return _closed_form(KIND_POLYNOMIAL, [3.0], [0.0], polynomial)
 
 
 def _load_regression_csv(path: str) -> tuple:

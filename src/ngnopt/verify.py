@@ -21,7 +21,7 @@ import numpy as np
 
 from . import theory
 from .harness import (
-    STATUS_DIVERGED, RunBudget, RunRecord, ensure_parent_dir, run_lockstep,
+    STATUS_DIVERGED, RunBudget, RunRecord, _write_csv, run_lockstep,
 )
 from .optimizers import (
     NGN, NGN_D, NGN_M_V1, NGN_MD_V1, NGN_MD_V2, NGN_MDV1W,
@@ -275,7 +275,7 @@ def audit_theorem_bound(problem: StochasticObjective, K: int,
                        [(mean_subopt - bound, measured)], measured)
 
     c0 = 1.0
-    lam = min(c0 * L / math.sqrt(K), 0.5 / ((1.0 + c0 * L) * (1.0 + 2.0 * c0 * L)))
+    lam = min(c0 * L / math.sqrt(K), theory.ngn_m_params(c0, L)[1])
     beta = lam / (1.0 + lam)
     spec = OptimizerSpec(kind=NGN_M_V1, c=c0, beta1=beta,
                          schedule="inv_sqrt_step")
@@ -417,11 +417,6 @@ def run_default_audits(seed: int = 0, quick: bool = False) -> list:
 
 
 def audits_to_csv(reports, path: str) -> None:
-    """One CSV row per audit: name, passed, max_violation, location."""
-    lines = [",".join(AUDIT_CSV_COLUMNS)]
-    for r in reports:
-        location = r.location.replace(",", ";")
-        lines.append(f"{r.name},{str(r.passed).lower()},{r.max_violation:.17g},{location}")
-    ensure_parent_dir(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """One CSV row per audit: name, passed, max_violation, location (',' as ';')."""
+    _write_csv(path, AUDIT_CSV_COLUMNS, [(r.name, r.passed, r.max_violation,
+                                          r.location.replace(",", ";")) for r in reports])

@@ -58,6 +58,10 @@ def test_run_budget_validation():
         RunBudget(max_steps=10, success_loss=2.0, diverge_loss=1.0)
     with pytest.raises(ValueError):
         RunBudget(max_steps=10, batch_size=0)
+    with pytest.raises(ValueError, match=r"max_steps must be a whole number >= 1, got 2\.5"):
+        RunBudget(max_steps=2.5)
+    with pytest.raises(ValueError, match=r"batch_size must be a whole number >= 1, got 2\.5"):
+        RunBudget(max_steps=10, batch_size=2.5)
 
 
 def test_sweep_spec_validation():
@@ -71,6 +75,10 @@ def test_sweep_spec_validation():
         small_sweep(c_grid=[])
     with pytest.raises(ValueError):
         small_sweep(seeds=[])
+    with pytest.raises(ValueError, match=r"seeds must be whole numbers >= 0, got \[0, -1\]"):
+        small_sweep(seeds=[0, -1])
+    with pytest.raises(ValueError, match=r"seeds must be whole numbers >= 0, got \[1\.5\]"):
+        small_sweep(seeds=[1.5])
     with pytest.raises(ValueError, match="x0_grid, when given, must be non-empty"):
         small_sweep(x0_grid=[])
 
@@ -481,6 +489,46 @@ def test_parse_trajectory_rejects_wrong_header(tmp_path):
         parse_trajectory_csv(str(path))
 
 
+_BOOL = {"true": True, "false": False}.__getitem__
+
+
+@pytest.mark.parametrize("value, cell, parse", [
+    (None, "", float),
+    ("", "", None),
+    (True, "true", _BOOL),
+    (False, "false", _BOOL),
+    (7, "7", int),
+    (-0.0, "-0", float),
+    (5e-324, "4.9406564584124654e-324", float),
+    (math.inf, "inf", float),
+    (-math.inf, "-inf", float),
+    (math.nan, "nan", float),
+    (np.array([1.5, -0.0, 5e-324]), "1.5;-0;4.9406564584124654e-324", harness._floats),
+], ids=["none", "empty_string", "true", "false", "int", "negative_zero", "subnormal",
+        "inf", "-inf", "nan", "vector"])
+def test_csv_cell_round_trip(tmp_path, value, cell, parse):
+    # one writer and one reader for every CSV: each cell's text, and its value read back
+    path = str(tmp_path / "new_dir" / "cells.csv")
+    harness._write_csv(path, ["value"], [[value]])
+    with open(path, "rb") as fh:
+        assert fh.read() == f"value\n{cell}\n".encode()
+    rows = harness._read_csv(path, {} if parse is None else {"value": parse})
+    assert next(rows) == ["value"]
+    [[got]] = rows
+    want = value.tolist() if isinstance(value, np.ndarray) else value
+    assert repr(got) == repr(want)
+
+
+def test_read_csv_rejects_a_row_of_the_wrong_width(tmp_path):
+    p = build_problem(QUAD)
+    rec = run_once(p, OptimizerSpec(kind="ngn", c=1.0), RunBudget(max_steps=3), seed=0)
+    path = tmp_path / "traj.csv"
+    emit_csv(rec, str(path))
+    path.write_text(path.read_text() + "3,0.5\n")
+    with pytest.raises(ValueError, match="2 cells in a row of 9 columns"):
+        parse_trajectory_csv(str(path))
+
+
 # --- output path resolution ------------------------------------------------------------
 
 def test_resolve_out_path_env(monkeypatch, tmp_path):
@@ -670,6 +718,7 @@ def test_sweep_spec_rejects_negative_weight_decay(tmp_path):
     ("kind = ridge ", "kind = bogus ", "problem.kind: expected one of "),
     ("beta2 = 0.99", "beta2 = 0.99\nschedule = hourly", "optimizers.schedule: expected one of "),
     ("c = 0.1, 1.0", "c = ,", "grid.c: must be a non-empty list"),
+    ("seeds = 0, 1, 2", "seeds = 0, -1", "seeds must be whole numbers >= 0, got [0, -1]"),
     ("kinds = ngn, ngn_m,", "kinds = ngn, adamw,", "optimizers.kinds: unknown optimizer 'adamw'"),
     ("[problem]", "[problem", "cannot parse "),
     ("[grid]", "[problem]\n[grid]", "cannot parse "),

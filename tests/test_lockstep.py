@@ -67,6 +67,7 @@ def same_run(cell, rec) -> None:
     assert bits([rec.final_loss, rec.best_loss]) == bits([rec.losses[-1], min(rec.losses)])
     assert rec.stop_step == (None if rec.status == STATUS_BUDGET else len(rec.losses) - 1)
     assert rec.x_final is rec.iterates[-1]
+    assert rec.x0 is rec.iterates[0]
 
 
 def same_summary(cell, rec) -> None:
@@ -77,6 +78,7 @@ def same_summary(cell, rec) -> None:
     assert cell.stop_step == rec.stop_step
     assert bits(cell.state.x) == bits(rec.x_final)
     assert cell.losses == [] and len(cell.iterates) == 1
+    assert cell.x0 is cell.iterates[0] and bits(cell.x0) == bits(rec.x0)
 
 
 def make_spec(kind, c, beta, schedule, steps):

@@ -636,6 +636,8 @@ def test_sample_batch_validates_arguments():
         sample_batch(p, seed=0, step=0, batch_size=13)
     with pytest.raises(ValueError):
         sample_batch(p, seed=-1, step=0, batch_size=3)
+    with pytest.raises(ValueError, match=r"batch_size must be a whole number in \[1, 12\], got 2\.5"):
+        sample_batch(p, seed=0, step=0, batch_size=2.5)
 
 
 @settings(max_examples=30, deadline=None)

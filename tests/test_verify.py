@@ -357,15 +357,19 @@ def test_theorem_bound_decaying_passes():
     assert rep.passed
 
 
-@pytest.mark.parametrize("decaying, c, beta, schedule", [
+@pytest.mark.parametrize("K, decaying, c, beta, schedule", [
     # c = 1/sqrt(K); lambda = min(cL, 0.5/((1+cL)(1+2cL))) = min(0.1, 0.379)
-    (False, 0.1, 1.0 / 11.0, "constant"),
+    (100, False, 0.1, 1.0 / 11.0, "constant"),
     # c0 = 1; lambda = min(c0 L/sqrt(K), 0.5/((1+c0 L)(1+2c0 L))) = min(0.1, 1/12)
-    (True, 1.0, 1.0 / 13.0, "inv_sqrt_step"),
-], ids=["constant", "decaying"])
-def test_theorem_bound_runs_the_hand_computed_momentum(monkeypatch, decaying, c, beta, schedule):
-    # least squares on the identity has L = 1 and f* = 0; at K = 100 the
-    # decaying audit's momentum is 1/13, and doubling its 0.5 gives 1/11
+    (100, True, 1.0, 1.0 / 13.0, "inv_sqrt_step"),
+    # the horizon term binds: lambda = min(1/100, 1/12)
+    (10**4, True, 1.0, 1.0 / 101.0, "inv_sqrt_step"),
+], ids=["constant", "decaying", "decaying_horizon"])
+def test_theorem_bound_runs_the_hand_computed_momentum(monkeypatch, K, decaying, c, beta,
+                                                       schedule):
+    # least squares on the identity has L = 1 and f* = 0. At K = 100 the
+    # decaying audit's momentum is 1/13, and doubling the cap's 0.5 gives
+    # 1/11; at K = 10^4 it is 1/101, and doubling the horizon term gives 1/51
     p = least_squares_problem(np.eye(2), np.array([1.0, 2.0]))
     specs = []
     trajectories = verify._trajectories
@@ -375,7 +379,7 @@ def test_theorem_bound_runs_the_hand_computed_momentum(monkeypatch, decaying, c,
         return trajectories(problem, specs_in, *args, **kwargs)
 
     monkeypatch.setattr(verify, "_trajectories", capture)
-    assert audit_theorem_bound(p, K=100, decaying=decaying).passed
+    assert audit_theorem_bound(p, K=K, decaying=decaying).passed
     [spec] = specs
     assert (spec.kind, spec.c, spec.schedule) == ("ngn_m_v1", c, schedule)
     assert spec.beta1 == pytest.approx(beta, rel=1e-14)
@@ -535,17 +539,19 @@ def test_report_invariant_and_csv_format(tmp_path):
     ]
     for r in reps:
         assert r.passed == (r.max_violation <= r.tolerance)
+    reps.append(verify.AuditReport("negative_control", False, 0.25, "step 3, coord 1", 0.0))
     out = tmp_path / "audits.csv"
     audits_to_csv(reps, str(out))
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "name,passed,max_violation,location"
-    assert len(lines) == 3
+    assert len(lines) == 4
     for line in lines[1:]:
         cells = line.split(",")
         assert len(cells) == 4  # commas in locations are replaced
         assert cells[1] in ("true", "false")
         float(cells[2])  # parses as a number
     assert lines[1].startswith("ima_equivalence,true,")
+    assert lines[3] == "negative_control,false,0.25,step 3; coord 1"
 
 
 def test_run_default_audits_quick_all_pass():
