@@ -4,37 +4,35 @@ The quartic's curvature grows with x^2, so any constant rate that is
 stable near the start, x = 3, is far from optimal near the minimum, and
 any rate aggressive enough to finish fast diverges immediately. The NGN
 cap c is not a rate: the realized step adapts, so even absurdly large
-caps converge, and the best cap beats the best baseline rate.
+caps converge, and the best cap beats the best baseline rate. This
+script runs configs/polynomial_sweep.cfg and prints its grid.
 
 Run: python3 demos/polynomial_grid.py
 """
 
-from ngnopt import OptimizerSpec, ProblemSpec, RunBudget, build_problem, run_once
+import pathlib
+
+from ngnopt import parse_config, run_sweep
+
+CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "polynomial_sweep.cfg"
 
 
 def main():
-    problem = build_problem(ProblemSpec(kind="polynomial_1d"))
-    budget = RunBudget(max_steps=100_000, success_loss=1e-15)
-    caps = [10.0 ** e for e in range(-4, 5)]
-    print("x^2 (1 + x^2) from x = 3, success at loss <= 1e-15, beta = 0.9")
-    print(f"  {'c':>8}  {'ngn_m_v1':>20}  {'sgdm':>20}")
-    best = {"ngn_m_v1": None, "sgdm": None}
-    for c in caps:
-        cells = []
-        for kind in ("ngn_m_v1", "sgdm"):
-            rec = run_once(problem, OptimizerSpec(kind=kind, c=c, beta1=0.9),
-                           budget, seed=0)
-            if rec.status == "converged":
-                steps = rec.steps_to_success
-                cells.append(f"{steps} steps")
-                if best[kind] is None or steps < best[kind]:
-                    best[kind] = steps
-            else:
-                cells.append(rec.status)
-        print(f"  {c:>8g}  {cells[0]:>20}  {cells[1]:>20}")
+    sweep = parse_config(str(CONFIG))
+    sweep.out_path = None  # print the grid; `ngnopt sweep` writes it as a CSV
+    rows = run_sweep(sweep).rows
+    cell = {(r["optimizer"], r["c"]): f"{r['steps_to_success']} steps"
+            if r["status"] == "converged" else r["status"] for r in rows}
+    print(f"x^2 (1 + x^2) from x = 3, success at loss <= {sweep.budget.success_loss:g}, "
+          f"beta = {sweep.beta_grid[0]:g}")
+    print(f"  {'c':>8}" + "".join(f"  {kind:>20}" for kind in sweep.kinds))
+    for c in sweep.c_grid:
+        print(f"  {c:>8g}" + "".join(f"  {cell[kind, c]:>20}" for kind in sweep.kinds))
     print()
-    print(f"best ngn_m_v1: {best['ngn_m_v1']} steps; "
-          f"best sgdm: {best['sgdm']} steps")
+    best = {kind: min((r["steps_to_success"] for r in rows
+                       if r["optimizer"] == kind and r["status"] == "converged"), default=None)
+            for kind in sweep.kinds}
+    print("; ".join(f"best {kind}: {steps} steps" for kind, steps in best.items()))
 
 
 if __name__ == "__main__":

@@ -3,34 +3,32 @@
 Plain heavy-ball momentum needs its learning rate tuned to the local
 curvature: one decade too large and the iterates explode. The NGN step
 normalizes the raw rate by the loss-to-gradient ratio, so one cap works
-across many decades. This script runs both rules over six caps and
-prints the resulting status grid.
+across many decades. This script runs configs/rosenbrock_sweep.cfg,
+both rules over six caps, and prints the resulting status grid.
 
 Run: python3 demos/rosenbrock_stability.py
 """
 
-from ngnopt import OptimizerSpec, ProblemSpec, RunBudget, build_problem, run_once
+import pathlib
+
+from ngnopt import parse_config, run_sweep
+
+CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "rosenbrock_sweep.cfg"
 
 
 def main():
-    problem = build_problem(ProblemSpec(kind="rosenbrock"))
-    budget = RunBudget(max_steps=100_000, success_loss=1e-4)
-    caps = [1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0]
-    print("Rosenbrock from (-1.2, 1), success at loss <= 1e-4, beta = 0.9")
-    print(f"  {'c':>8}  {'ngn_m_v1':>22}  {'sgdm':>22}")
-    for c in caps:
-        cells = []
-        for kind in ("ngn_m_v1", "sgdm"):
-            spec = OptimizerSpec(kind=kind, c=c, beta1=0.9)
-            rec = run_once(problem, spec, budget, seed=0)
-            if rec.status == "converged":
-                cells.append(f"converged in {rec.steps_to_success}")
-            else:
-                cells.append(rec.status)
-        print(f"  {c:>8g}  {cells[0]:>22}  {cells[1]:>22}")
+    sweep = parse_config(str(CONFIG))
+    sweep.out_path = None  # print the grid; `ngnopt sweep` writes it as a CSV
+    rows = run_sweep(sweep).rows
+    cell = {(r["optimizer"], r["c"]): f"converged in {r['steps_to_success']}"
+            if r["status"] == "converged" else r["status"] for r in rows}
+    print(f"Rosenbrock from (-1.2, 1), success at loss <= {sweep.budget.success_loss:g}, "
+          f"beta = {sweep.beta_grid[0]:g}")
+    print(f"  {'c':>8}" + "".join(f"  {kind:>22}" for kind in sweep.kinds))
+    for c in sweep.c_grid:
+        print(f"  {c:>8g}" + "".join(f"  {cell[kind, c]:>22}" for kind in sweep.kinds))
     print()
-    print("the same grid ships as configs/rosenbrock_sweep.cfg for the")
-    print("`ngnopt sweep` command.")
+    print("`ngnopt sweep --config configs/rosenbrock_sweep.cfg` writes this grid as a CSV.")
 
 
 if __name__ == "__main__":

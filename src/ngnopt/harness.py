@@ -439,15 +439,16 @@ def run_sweep(sweep: SweepSpec, workers: int = 1) -> SweepResult:
 
 
 def _fmt(value) -> str:
-    """Canonical CSV cell: empty for None, a str as is, a bool in lower
-    case, an int plainly, a float with 17 significant digits (so parsing
-    it back is bit-exact), and a vector as its floats joined by ';'."""
+    """Canonical CSV cell: empty for None, a str with each ',' as ';', a
+    bool in lower case, an int plainly, a float with 17 significant digits
+    (so parsing it back is bit-exact), and a vector as its floats joined
+    by ';'."""
     if isinstance(value, float):
         return "%.17g" % value
     if value is None:
         return ""
     if isinstance(value, str):
-        return value
+        return value.replace(",", ";")
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -127,12 +128,12 @@ class ProblemSpec:
             raise ValueError(f"unknown problem kind {self.kind!r}; expected one of {PROBLEM_KINDS}")
         if not math.isfinite(self.r):
             raise ValueError(f"r must be finite, got {self.r!r}")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if self.n_samples is not None and self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        for name, low in (("dim", 1), ("n_samples", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if name == "n_samples" and value is None:  # the kind's default
+                continue
+            if not (isinstance(value, numbers.Integral) and value >= low):
+                raise ValueError(f"{name} must be a whole number >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 
 import numpy as np
 
@@ -172,8 +173,8 @@ def estimate_sigmas(problem: StochasticObjective, batch_size: int,
     if f_star is None:
         raise ValueError("estimate_sigmas requires f_star metadata")
     n = problem.n_samples
-    if not 1 <= batch_size <= n:
-        raise ValueError(f"batch_size {batch_size} out of range [1, {n}]")
+    if not (isinstance(batch_size, numbers.Integral) and 1 <= batch_size <= n):
+        raise ValueError(f"batch_size must be a whole number in [1, {n}], got {batch_size!r}")
 
     def batch_min(idx):
         if batch_size == n:

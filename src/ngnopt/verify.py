@@ -14,6 +14,7 @@ violation magnitude and where it occurred.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -330,8 +331,8 @@ def multimodal_global_basin(problem: StochasticObjective, lo: float = -25.0,
     the scan's memory is one chunk's at any n_grid. The points and
     edges have the bits of np.linspace(lo, hi, n_grid) and its argmin.
     """
-    if n_grid < 1:
-        raise ValueError(f"n_grid must be >= 1, got {n_grid}")
+    if not (isinstance(n_grid, numbers.Integral) and n_grid >= 1):
+        raise ValueError(f"n_grid must be a whole number >= 1, got {n_grid!r}")
     lo, hi = float(lo), float(hi)
     batch = problem.full_batch()
 
@@ -417,6 +418,6 @@ def run_default_audits(seed: int = 0, quick: bool = False) -> list:
 
 
 def audits_to_csv(reports, path: str) -> None:
-    """One CSV row per audit: name, passed, max_violation, location (',' as ';')."""
-    _write_csv(path, AUDIT_CSV_COLUMNS, [(r.name, r.passed, r.max_violation,
-                                          r.location.replace(",", ";")) for r in reports])
+    """One CSV row per audit: name, passed, max_violation, location."""
+    _write_csv(path, AUDIT_CSV_COLUMNS,
+               [(r.name, r.passed, r.max_violation, r.location) for r in reports])

@@ -2,7 +2,7 @@ import pathlib
 
 import pytest
 
-from ngnopt import parse_config, parse_summary_csv, run_sweep
+from ngnopt import parse_config
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 CONFIGS = sorted(CONFIG_DIR.glob("*.cfg"))
@@ -24,31 +24,3 @@ def test_config_parses(path):
     assert sweep.kinds
     assert sweep.c_grid
     assert sweep.out_path.endswith(".csv")
-
-
-def test_rosenbrock_config_runs(tmp_path):
-    sweep = parse_config(str(CONFIG_DIR / "rosenbrock_sweep.cfg"))
-    sweep.out_path = str(tmp_path / "rosenbrock.csv")
-    run_sweep(sweep)
-    rows = parse_summary_csv(sweep.out_path)
-    assert len(rows) == 12
-    by_cell = {(r["optimizer"], r["c"]): r["status"] for r in rows}
-    assert all(by_cell["ngn_m_v1", c] == "converged" for c in sweep.c_grid)
-    assert by_cell["sgdm", 1e-3] == "converged"
-    assert all(by_cell["sgdm", c] == "diverged" for c in sweep.c_grid if c >= 1e-2)
-
-
-def test_polynomial_config_runs(tmp_path):
-    sweep = parse_config(str(CONFIG_DIR / "polynomial_sweep.cfg"))
-    sweep.out_path = str(tmp_path / "polynomial.csv")
-    run_sweep(sweep)
-    rows = parse_summary_csv(sweep.out_path)
-    assert len(rows) == 18
-    ngn = [r for r in rows if r["optimizer"] == "ngn_m_v1"]
-    assert all(r["status"] == "converged" for r in ngn)
-    gdm = [r for r in rows if r["optimizer"] == "sgdm"]
-    converged = [r for r in gdm if r["status"] == "converged"]
-    assert converged and all(r["c"] <= 1e-2 for r in converged)
-    best_ngn = min(r["steps_to_success"] for r in ngn)
-    best_gdm = min(r["steps_to_success"] for r in converged)
-    assert best_ngn < best_gdm

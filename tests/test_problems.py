@@ -65,6 +65,13 @@ def test_problem_spec_rejects_bad_dim_and_seed():
         ProblemSpec(kind="least_squares", seed=-1)
     with pytest.raises(ValueError):
         ProblemSpec(kind="least_squares", n_samples=0)
+    # a fraction fails here, naming its field, not later inside NumPy
+    with pytest.raises(ValueError, match="dim must be a whole number >= 1, got 2.5"):
+        ProblemSpec(kind="least_squares", dim=2.5)
+    with pytest.raises(ValueError, match="n_samples must be a whole number"):
+        ProblemSpec(kind="least_squares", n_samples=6.5)
+    with pytest.raises(ValueError, match="seed must be a whole number"):
+        ProblemSpec(kind="least_squares", seed=1.5)
 
 
 @pytest.mark.parametrize("r", [float("nan"), float("inf"), float("-inf")])

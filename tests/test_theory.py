@@ -283,6 +283,8 @@ def test_estimate_sigmas_validation():
         estimate_sigmas(p, batch_size=0)
     with pytest.raises(ValueError):
         estimate_sigmas(p, batch_size=5)
+    with pytest.raises(ValueError, match="batch_size"):
+        estimate_sigmas(p, batch_size=2.5)
     no_f_star = dataclasses.replace(p, _metadata=lambda: ObjectiveMetadata(L=1.0))
     with pytest.raises(ValueError, match="requires f_star"):
         estimate_sigmas(no_f_star, batch_size=2)

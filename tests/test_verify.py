@@ -507,7 +507,7 @@ def test_chunked_basin_keeps_the_argmin_rules_of_np_argmin(values, grid):
     assert multimodal_global_basin(p, **grid) == full_grid_basin(p, **grid)
 
 
-@pytest.mark.parametrize("n_grid", [0, -1])
+@pytest.mark.parametrize("n_grid", [0, -1, 2.5])
 def test_basin_scan_needs_a_grid_point(n_grid):
     p = build_problem(ProblemSpec(kind="multimodal_1d"))
     with pytest.raises(ValueError, match="n_grid"):
