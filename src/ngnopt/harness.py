@@ -37,12 +37,11 @@ import numpy as np
 
 from . import optimizers as opt
 from . import theory
-from .optimizers import OptimizerSpec, apply_step, init_state
+from .optimizers import OptimizerSpec, StepReport, apply_step, init_state
 from .problems import (
     KIND_LEAST_SQUARES, KIND_MULTIMODAL, KIND_POLYNOMIAL, KIND_REGRESSION,
-    KIND_RIDGE, KIND_ROSENBROCK, PROBLEM_KINDS, ProblemSpec, StepSample,
-    StochasticObjective, build_problem, check_point, evaluate_cells,
-    evaluate_loss, sample_batch,
+    KIND_RIDGE, KIND_ROSENBROCK, PROBLEM_KINDS, ProblemSpec, StochasticObjective,
+    build_problem, check_point, evaluate_cells, evaluate_loss, sample_batch,
 )
 
 STATUS_CONVERGED = "converged"
@@ -258,7 +257,7 @@ def run_lockstep(problem: StochasticObjective, cells: list, budget: RunBudget, s
     loop floats (see evaluate_cells). An exception in a step rule ends
     that cell alone (RunRecord.error); any other exception ends every
     cell still running. history=False keeps only the running summary and
-    the state, which is what a sweep row reads.
+    the state, which is what a sweep row reads, and builds no StepReport.
     """
     step_fn = apply_step  # read here, so a patched harness.apply_step is the one called
     active = [cell for cell in cells if cell.error is None]
@@ -305,14 +304,13 @@ def run_lockstep(problem: StochasticObjective, cells: list, budget: RunBudget, s
                         cell.stop(k, STATUS_CONVERGED, STOP_SUCCESS)
                     else:
                         try:
-                            cell.state, report = step_fn(
-                                cell.state, StepSample(loss, grad, grad_sq), cell.spec)
+                            sizes = step_fn(cell.state, (loss, grad, grad_sq), cell.spec)
                         except Exception as exc:  # this cell's rule failed
                             cell.error = exc
                             continue
                         if history:
                             cell.iterates.append(cell.state.x)
-                            cell.step_reports.append(report)
+                            cell.step_reports.append(StepReport(*sizes))
                         running.append(cell)
                 active = running
                 if not active:
@@ -412,6 +410,7 @@ def run_sweep(sweep: SweepSpec, workers: int = 1) -> SweepResult:
     Rows are merged by cell index and every run has the bits of its
     one-cell run, so both paths write the same output. A problem that
     cannot be built raises from here; a cell that fails is an `error` row."""
+    sweep.__post_init__()  # the construction checks, for fields assigned since
     cells = sweep.cells()
     bs = sweep.budget.batch_size  # a pool builds the problem in its workers; here for n_samples
     problem = build_problem(sweep.problem) if workers <= 1 or bs is not None else None

@@ -14,21 +14,23 @@ rescale either the squared gradient norm (V1) or the per-coordinate c
 
 apply_step(state, sample, spec) computes the schedule's c_k once, calls
 the kind's rule as rule(state, sample, spec, c_k) -> (x_new, v, m,
-report) and builds the next OptimizerState(x_new, state.x, v, m, k + 1),
-so a rule sees the schedule only through c_k. The NGN-MD kinds share the
-preconditioner and one rule, the only one that reads spec.kind; every
-other kind has its own. Rules are pure. OptimizerState, StepReport and
-StepSample are slotted plain data, not frozen (a frozen dataclass pays
-for every field it sets); rules never assign to them or write into their
-arrays, so a run history can keep iterates and gradients by reference.
+sizes), advances state in place to (x_new, state.x, v, m, k + 1) and
+returns sizes, the fields of a StepReport (the run loop builds one only
+for a run that keeps history), so a rule sees the schedule only through
+c_k. The NGN-MD kinds share the preconditioner and one rule, the only
+one that reads spec.kind; every other kind has its own. A rule unpacks
+its sample, a StepSample or any (loss, grad, grad_sq) tuple. Rules are
+pure, and apply_step only rebinds the fields of the slotted
+OptimizerState: nothing writes into an array, so a run history can keep
+iterates and gradients by reference.
 
 Reductions use ndarray methods such as `(g*g).sum()`. They run the same
 ufunc reductions as `np.sum` (`add.reduce`), so they give the same bits
 without the wrappers' dispatch. They never use BLAS dot, so that the
 documented reduction identities (beta=0, D=I, lambda=0 collapses) hold
 bit for bit.
-The squared gradient norm of a sample is computed once, as
-`StepSample.grad_sq`, and the rules that need ||g||^2 read it.
+The squared gradient norm of a sample is computed once, as its grad_sq,
+and the rules that need ||g||^2 read it.
 
 NGN-M V1 and SGDM write their update once, as a module function of the
 step size, beta, x, x_prev and g. When x, x_prev and g are vectors of
@@ -144,7 +146,7 @@ class OptimizerSpec:
 @dataclass(eq=False, slots=True)
 class OptimizerState:
     """Iterate, previous iterate, second-moment buffer, momentum buffer,
-    and the 0-based step counter k."""
+    and the 0-based step counter k: the apply_step calls it has taken."""
 
     x: np.ndarray
     x_prev: np.ndarray
@@ -155,7 +157,7 @@ class OptimizerState:
 
 @dataclass(eq=False, slots=True)
 class StepReport:
-    """Per-step diagnostics of one update.
+    """Per-step diagnostics of one update: the sizes apply_step returns.
 
     gamma_scalar is the scalar step size (NaN for purely per-coordinate
     rules); gamma_coord, the per-coordinate effective step sizes, and
@@ -174,11 +176,6 @@ class StepReport:
 def init_state(x0: np.ndarray) -> OptimizerState:
     x0 = np.asarray(x0, dtype=float)
     return OptimizerState(x0.copy(), x0.copy(), np.zeros_like(x0), np.zeros_like(x0), 0)
-
-
-def _weighted_sq_norm(g: np.ndarray, d: np.ndarray) -> float:
-    """||g||^2_{D^-1} = sum_j g_j^2 / d_j."""
-    return float((g * g / d).sum())
 
 
 def ngn_gamma(c, loss, grad_sq):
@@ -277,25 +274,28 @@ def _float_or_array(update, step, beta, x, x_prev, g):
 
 def step_ngn(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, c_k: float):
     """x' = x - gamma g with the scalar NGN step size."""
-    gamma = ngn_gamma(c_k, sample.loss, sample.grad_sq)
-    return state.x - gamma * sample.grad, state.v, state.m, StepReport(gamma)
+    loss, g, grad_sq = sample
+    gamma = ngn_gamma(c_k, loss, grad_sq)
+    return state.x - gamma * g, state.v, state.m, (gamma, None, None, None)
 
 
 def step_ngn_m_v1(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, c_k: float):
     """NGN-M V1 (heavy ball): gamma from the raw gradient,
     x' = x - (1-beta) gamma g + beta (x - x_prev)."""
-    gamma = ngn_gamma(c_k, sample.loss, sample.grad_sq)
-    x_new = _float_or_array(_ngn_m_v1_update, gamma, spec.beta1, state.x, state.x_prev, sample.grad)
-    return x_new, state.v, state.m, StepReport(gamma)
+    loss, g, grad_sq = sample
+    gamma = ngn_gamma(c_k, loss, grad_sq)
+    x_new = _float_or_array(_ngn_m_v1_update, gamma, spec.beta1, state.x, state.x_prev, g)
+    return x_new, state.v, state.m, (gamma, None, None, None)
 
 
 def step_ngn_m_v2(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, c_k: float):
     """NGN-M V2 (averaged direction): m' = beta m + (1-beta) g, gamma from
     m', x' = x - gamma m'. The buffer is used without bias correction."""
+    loss, g, _ = sample
     beta = spec.beta1
-    m_new = beta * state.m + (1.0 - beta) * sample.grad
-    gamma = ngn_gamma(c_k, sample.loss, float((m_new * m_new).sum()))
-    return state.x - gamma * m_new, state.v, m_new, StepReport(gamma)
+    m_new = beta * state.m + (1.0 - beta) * g
+    gamma = ngn_gamma(c_k, loss, float((m_new * m_new).sum()))
+    return state.x - gamma * m_new, state.v, m_new, (gamma, None, None, None)
 
 
 def step_ngn_d(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, c_k: float):
@@ -305,16 +305,16 @@ def step_ngn_d(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, c
     from broadcasting the scalar c. The preconditioner-assisted mode
     c_j = c / D_j is NGN-MD V2 with beta1 = 0.
     """
-    g = sample.grad
+    loss, g, _ = sample
     if spec.c_coord is not None:
         if spec.c_coord.shape != g.shape:
             raise ValueError(f"c_coord has shape {spec.c_coord.shape}, gradient has {g.shape}")
         c_vec = spec.c_coord * (c_k / spec.c)
     else:
         c_vec = np.full_like(g, c_k)
-    gamma = ngn_gamma(c_vec, sample.loss, g * g)
-    report = StepReport(float("nan"), gamma, np.asarray(c_vec, dtype=float), g)
-    return state.x - gamma * g, state.v, state.m, report
+    gamma = ngn_gamma(c_vec, loss, g * g)
+    sizes = (float("nan"), gamma, np.asarray(c_vec, dtype=float), g)
+    return state.x - gamma * g, state.v, state.m, sizes
 
 
 def step_ngn_md(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, c_k: float):
@@ -335,7 +335,7 @@ def step_ngn_md(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, 
     denominator vanishes (f_S = 0 and g = 0) it returns c/(1+lambda c).
     Both weight-decay variants reduce bit-exactly to V1 at lambda = 0.
     """
-    g, x, loss = sample.grad, state.x, sample.loss
+    (loss, g, _), x = sample, state.x
     v_new, d = precond_update(state.v, g, spec.beta2, state.k, spec.eps)
     if spec.precond_identity:
         d = np.ones_like(g)
@@ -344,10 +344,10 @@ def step_ngn_md(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, 
         c_vec = c_k / d
         gamma = ngn_gamma(c_vec, loss, g * g)
         sigma_inv_g = gamma * g
-        report = StepReport(float("nan"), gamma, c_vec, g)
+        sizes = (float("nan"), gamma, c_vec, g)
     else:
         lam = spec.wd_lambda
-        gdsq = _weighted_sq_norm(g, d)
+        gdsq = float((g * g / d).sum())  # ||g||^2_{D^-1}
         if spec.kind == NGN_MDV1W and lam != 0.0:
             one_plus = 1.0 + lam * c_k
             c_eff = c_k / one_plus
@@ -362,27 +362,27 @@ def step_ngn_md(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, 
         if spec.kind == DEC_NGN_MDV1:
             base = x - (lam * c_k) * x
         sigma_inv_g = gamma * (g / d)
-        report = StepReport(gamma, gamma / d)
+        sizes = (gamma, gamma / d, None, None)
     x_new = base - (1.0 - spec.beta1) * sigma_inv_g + spec.beta1 * (x - state.x_prev)
-    return x_new, v_new, state.m, report
+    return x_new, v_new, state.m, sizes
 
 
 def step_sgdm(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, c_k: float):
     """SGDM as undampened heavy ball, x' = x - c g + beta (x - x_prev)
     (the buffer form m' = beta m + g, x' = x - c m')."""
-    x_new = _float_or_array(_sgdm_update, c_k, spec.beta1, state.x, state.x_prev, sample.grad)
-    return x_new, state.v, state.m, StepReport(c_k)
+    x_new = _float_or_array(_sgdm_update, c_k, spec.beta1, state.x, state.x_prev, sample[1])
+    return x_new, state.v, state.m, (c_k, None, None, None)
 
 
 def step_adam(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, c_k: float):
     """Bias-corrected Adam."""
-    g = sample.grad
+    g = sample[1]
     m_new = spec.beta1 * state.m + (1.0 - spec.beta1) * g
     v_new = spec.beta2 * state.v + (1.0 - spec.beta2) * g * g
     mhat = m_new / (1.0 - spec.beta1 ** (state.k + 1))
     vhat = v_new / (1.0 - spec.beta2 ** (state.k + 1))
     denom = np.sqrt(vhat) + spec.eps
-    return state.x - c_k * mhat / denom, v_new, m_new, StepReport(c_k, c_k / denom)
+    return state.x - c_k * mhat / denom, v_new, m_new, (c_k, c_k / denom, None, None)
 
 
 _STEP_FNS = {
@@ -399,9 +399,11 @@ _STEP_FNS = {
 }
 
 
-def apply_step(state: OptimizerState, sample: StepSample, spec: OptimizerSpec):
-    """One update: c_k of the schedule at step k, the kind's rule, and the
-    next state; returns (new_state, StepReport)."""
+def apply_step(state: OptimizerState, sample: StepSample, spec: OptimizerSpec) -> tuple:
+    """One update, in place: c_k of the schedule at step k, the kind's
+    rule, and state's next fields; returns the rule's step sizes, the
+    fields of a StepReport in order."""
     c_k = schedule_c(spec.schedule, spec.c, state.k, spec.total_steps)
-    x_new, v, m, report = _STEP_FNS[spec.kind](state, sample, spec, c_k)
-    return OptimizerState(x_new, state.x, v, m, state.k + 1), report
+    x_new, state.v, state.m, sizes = _STEP_FNS[spec.kind](state, sample, spec, c_k)
+    state.x, state.x_prev, state.k = x_new, state.x, state.k + 1
+    return sizes

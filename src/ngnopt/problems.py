@@ -31,7 +31,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -84,15 +84,14 @@ class Batch:
     full: bool = False
 
 
-@dataclass(eq=False, slots=True)
-class StepSample:
+class StepSample(NamedTuple):
     """One oracle evaluation: the loss, the gradient and grad_sq =
     ||grad||^2, which the NGN rules read for the step size and the run
     loop for the gradient norm. The oracles compute grad_sq as a row sum
     or a float sum, with the bits of float((grad*grad).sum()) and of
     float(np.sum(grad*grad)); a hand-built sample passes those bits.
-    Plain slotted data: the step rules never assign to a sample or write
-    into its gradient.
+    A tuple, so it unpacks as the run loop's plain (loss, grad, grad_sq)
+    does: the step rules take either, and never write into the gradient.
     """
 
     loss: float
@@ -429,7 +428,7 @@ def _closed_form(kind: str, x0: list, x_star: list, formula: Callable) -> Stocha
 
     def loss_grad(X, idx):
         loss, grad = formula(*X.T)
-        return loss, np.stack(grad, axis=1)
+        return loss, np.array(grad).T  # np.stack: 2.2-3.1 against 0.5-1.2 us (timeit)
 
     def metadata():
         return ObjectiveMetadata(f_star=0.0, x_star=np.array(x_star))

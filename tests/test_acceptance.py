@@ -297,8 +297,9 @@ def test_criterion_11_weight_decay_sanity(verdict):
     x0 = np.array([5.0])
     spec = OptimizerSpec(kind="ngn_mdv1w", c=2.0, beta1=0.4, wd_lambda=1.0)
     sample = evaluate(p, x0, p.full_batch())
-    new, rep = apply_step(init_state(x0), sample, spec)
-    bracket_ok = rep.gamma_scalar == 0.0 and new.x[0] == 5.0 / 3.0
+    state = init_state(x0)
+    gamma = apply_step(state, sample, spec)[0]
+    bracket_ok = gamma == 0.0 and state.x[0] == 5.0 / 3.0
 
     p2 = quad(6, 12, 3)
     batch = p2.full_batch()
@@ -309,8 +310,8 @@ def test_criterion_11_weight_decay_sanity(verdict):
         sa = init_state(p2.x0_default + 1.0)
         sb = init_state(p2.x0_default + 1.0)
         for _ in range(100):
-            sa, _ = apply_step(sa, evaluate(p2, sa.x, batch), spec_wd)
-            sb, _ = apply_step(sb, evaluate(p2, sb.x, batch), spec_md)
+            apply_step(sa, evaluate(p2, sa.x, batch), spec_wd)
+            apply_step(sb, evaluate(p2, sb.x, batch), spec_md)
             if not np.array_equal(sa.x, sb.x):
                 collapse_ok = False
                 break

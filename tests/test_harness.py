@@ -32,6 +32,7 @@ from ngnopt.optimizers import OPTIMIZER_KINDS
 from ngnopt.problems import evaluate, sample_batch
 
 QUAD = ProblemSpec(kind="least_squares", dim=3, n_samples=6, seed=0)
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 
 def small_sweep(tmp_path=None, **kw):
@@ -92,6 +93,22 @@ def test_sweep_spec_rejects_bad_shared_settings_when_built(setting, match):
     # every cell shares them, so a bad one fails the spec, not each cell as an error row
     with pytest.raises(ValueError, match=match):
         small_sweep(**setting)
+
+
+@pytest.mark.parametrize("field, value", [("c_grid", []), ("kinds", ["ngn_m"])],
+                         ids=["empty_c_grid", "alias_kind"])
+def test_run_sweep_rechecks_fields_assigned_after_construction(tmp_path, field, value):
+    # demos and benchmarks adjust a parsed sweep by assignment; run_sweep
+    # raises the construction-time error, not 0 rows or an error row
+    sweep = parse_config(os.path.join(CONFIG_DIR, "rosenbrock_sweep.cfg"))
+    with pytest.raises(ValueError) as built:
+        dataclasses.replace(sweep, **{field: value})
+    setattr(sweep, field, value)
+    sweep.out_path = str(tmp_path / "summary.csv")
+    with pytest.raises(ValueError) as ran:
+        run_sweep(sweep)
+    assert str(ran.value) == str(built.value)
+    assert not os.path.exists(sweep.out_path)
 
 
 def test_cli_sweep_rejects_a_bad_shared_setting_and_writes_no_csv(tmp_path, capsys):

@@ -19,7 +19,7 @@ from ngnopt import (
     run_once,
     run_sweep,
 )
-from ngnopt import harness
+from ngnopt import harness, verify
 from ngnopt.harness import STATUS_BUDGET, RunRecord, run_lockstep
 from ngnopt.optimizers import (
     DEC_NGN_MDV1, NGN_D, NGN_MDV1W, OPTIMIZER_KINDS, SCHEDULE_INV_SQRT_K, SCHEDULES,
@@ -185,7 +185,7 @@ def reference_run_once(problem, oracle, spec, budget, seed, x0=None):
             if loss <= budget.success_loss:
                 status = "converged"
                 break
-            state, _ = apply_step(state, sample, spec)
+            apply_step(state, sample, spec)
             iterates.append(state.x)
     return losses, iterates, full_losses, status
 
@@ -354,9 +354,45 @@ def test_group_samples_carry_the_squared_norm_of_their_gradient(monkeypatch, nam
     batch_size = None if problem.n_samples == 1 else 3
     run_lockstep(problem, cells, RunBudget(max_steps=20, batch_size=batch_size), seed=1)
     assert len(samples) > 20
-    for sample in samples:
-        assert type(sample.grad_sq) is float
-        assert bits(sample.grad_sq) == bits(float((sample.grad * sample.grad).sum()))
+    for _, grad, grad_sq in samples:
+        assert type(grad_sq) is float
+        assert bits(grad_sq) == bits(float((grad * grad).sum()))
+
+
+def test_one_apply_step_call_per_cell_step(monkeypatch):
+    # the benchmark's steps_per_s and its traced apply_step count one call
+    # per cell step, made positionally as (state, sample, spec) and read by
+    # spec.kind; the runs' step counters k must add up to the calls
+    calls = []
+
+    def traced(state, sample, spec, /):
+        calls.append(spec.kind)
+        return apply_step(state, sample, spec)
+
+    monkeypatch.setattr(harness, "apply_step", traced)
+
+    def census():
+        multimodal = problem_named("multimodal")
+        cells = [RunRecord(multimodal, OptimizerSpec(kind=kind, c=c, beta1=0.9), np.array([x0]))
+                 for kind in ("ngn_m_v1", "sgdm") for c in (100.0, 1000.0)
+                 for x0 in np.linspace(-20.0, 20.0, 13)]
+        run_lockstep(multimodal, cells, RunBudget(max_steps=1000), seed=0, history=False)
+        assert {cell.status for cell in cells} >= {"diverged", STATUS_BUDGET}
+        return cells
+
+    def one_cell():
+        spec = OptimizerSpec(kind="ngn_m_v1", c=1e-3, beta1=0.9)
+        return [run_once(problem_named("rosenbrock"), spec, RunBudget(max_steps=300), seed=0)]
+
+    def audit():
+        specs = [OptimizerSpec(kind=kind, c=0.05, beta1=0.5) for kind in OPTIMIZER_KINDS]
+        return verify._trajectories(problem_named("least_squares"), specs, 50, seed=1, batch_size=3)
+
+    for group in (census, one_cell, audit):
+        calls.clear()
+        runs = group()
+        assert len(calls) == sum(run.state.k for run in runs) > 0, group.__name__
+    assert sorted(calls) == sorted(OPTIMIZER_KINDS * 50)
 
 
 def test_stopped_cells_leave_the_group():

@@ -43,6 +43,13 @@ def make_sample(loss, grad):
     return StepSample(float(loss), grad, float((grad * grad).sum()))
 
 
+def step(state, sample, spec):
+    """apply_step on a copy of state: the advanced copy and a StepReport of
+    the step sizes it returned; state itself is left as it was."""
+    new = dataclasses.replace(state)
+    return new, StepReport(*apply_step(new, sample, spec))
+
+
 def reference_scalar_report(gamma, x_new, x):
     """The eager scalar report statistics, as once built on every step;
     returns the REPORT_STATS values."""
@@ -350,15 +357,18 @@ def test_optimizer_spec_rejects_non_finite(field, value):
 # --- one-step oracles, hand computed --------------------------------------------
 
 def test_ngn_step_oracle():
+    # apply_step advances the state in place and returns the step sizes,
+    # the fields of a StepReport
     spec = OptimizerSpec(kind="ngn", c=1.0)
     state = init_state(np.array([1.0, 0.0]))
+    x = state.x
     sample = make_sample(2.0, [2.0, 0.0])
-    new, rep = apply_step(state, sample, spec)
+    sizes = apply_step(state, sample, spec)
     # gamma = 2*1*2/(4+4) = 0.5; x' = (1,0) - 0.5*(2,0) = (0,0)
-    assert rep.gamma_scalar == pytest.approx(0.5)
-    assert np.allclose(new.x, [0.0, 0.0])
-    assert np.array_equal(new.x_prev, state.x)
-    assert new.k == 1
+    assert sizes == (0.5, None, None, None)
+    assert np.allclose(state.x, [0.0, 0.0])
+    assert state.x_prev is x and x.tolist() == [1.0, 0.0]
+    assert state.k == 1
 
 
 def test_ngn_m_v1_step_oracle():
@@ -368,7 +378,7 @@ def test_ngn_m_v1_step_oracle():
     state = ngnopt.OptimizerState(np.array([1.0]), np.array([2.0]),
                                   np.zeros(1), np.zeros(1), 1)
     sample = make_sample(2.0, [2.0])
-    new, rep = apply_step(state, sample, spec)
+    new, rep = step(state, sample, spec)
     # gamma = 0.5; x' = 1 - 0.5*0.5*2 + 0.5*(1-2) = 1 - 0.5 - 0.5 = 0
     assert new.x[0] == pytest.approx(0.0)
     assert rep.gamma_scalar == pytest.approx(0.5)
@@ -379,7 +389,7 @@ def test_ngn_m_v2_step_oracle():
     spec = OptimizerSpec(kind="ngn_m_v2", c=1.0, beta1=beta)
     state = init_state(np.array([1.0]))
     sample = make_sample(2.0, [2.0])
-    new, _ = apply_step(state, sample, spec)
+    new, _ = step(state, sample, spec)
     # m' = 0.5*0 + 0.5*2 = 1; gamma = 2*2/(4+1) = 0.8; x' = 1 - 0.8*1 = 0.2
     assert new.x[0] == pytest.approx(0.2)
     assert np.allclose(new.m, [1.0])
@@ -389,7 +399,7 @@ def test_ngn_d_step_oracle():
     spec = OptimizerSpec(kind="ngn_d", c=1.0)
     state = init_state(np.array([0.0, 0.0]))
     sample = make_sample(2.0, [2.0, 0.0])
-    new, rep = apply_step(state, sample, spec)
+    new, rep = step(state, sample, spec)
     # gamma_0 = 2*2/(4+4) = 0.5; gamma_1 = c = 1 (zero gradient coordinate)
     assert np.allclose(rep.gamma_coord, [0.5, 1.0])
     assert np.allclose(new.x, [-1.0, 0.0])
@@ -401,7 +411,7 @@ def test_ngn_d_c_coord_oracle():
     spec = OptimizerSpec(kind="ngn_d", c=1.0, c_coord=np.array([1.0, 2.0]))
     state = init_state(np.zeros(2))
     sample = make_sample(2.0, [2.0, 2.0])
-    _, rep = apply_step(state, sample, spec)
+    _, rep = step(state, sample, spec)
     # gamma_j = 2 c_j f / (2f + c_j g_j^2): [4/8, 8/12]
     assert np.allclose(rep.gamma_coord, [0.5, 2.0 / 3.0])
     assert np.allclose(rep.c_coord_used, [1.0, 2.0])
@@ -419,7 +429,7 @@ def test_ngn_md_v1_step_oracle():
     spec = OptimizerSpec(kind="ngn_md_v1", c=1.0, beta1=0.0, precond_identity=True)
     state = init_state(np.array([1.0, 0.0]))
     sample = make_sample(2.0, [2.0, 0.0])
-    new, rep = apply_step(state, sample, spec)
+    new, rep = step(state, sample, spec)
     assert rep.gamma_scalar == pytest.approx(0.5)
     assert np.allclose(new.x, [0.0, 0.0])
 
@@ -429,7 +439,7 @@ def test_ngn_md_v1_with_real_preconditioner():
     state = init_state(np.array([0.0]))
     g = 2.0
     sample = make_sample(2.0, [g])
-    new, rep = apply_step(state, sample, spec)
+    new, rep = step(state, sample, spec)
     d = 1e-8 + abs(g)  # bias-corrected at k=0
     wsq = g * g / d
     gamma = 2.0 * 1.0 * 2.0 / (2.0 * 2.0 + 1.0 * wsq)
@@ -441,7 +451,7 @@ def test_ngn_md_v2_step_oracle():
     spec = OptimizerSpec(kind="ngn_md_v2", c=1.0, beta1=0.0, precond_identity=True)
     state = init_state(np.zeros(2))
     sample = make_sample(2.0, [2.0, 0.0])
-    new, rep = apply_step(state, sample, spec)
+    new, rep = step(state, sample, spec)
     assert np.allclose(rep.gamma_coord, [0.5, 1.0])
     assert np.allclose(new.x, [-1.0, 0.0])
 
@@ -452,7 +462,7 @@ def test_dec_ngn_mdv1_shrinks_weights():
                          precond_identity=True)
     state = init_state(np.array([2.0]))
     sample = make_sample(0.0, [0.0])  # zero gradient: pure decay step
-    new, _ = apply_step(state, sample, spec)
+    new, _ = step(state, sample, spec)
     # x' = x - lam*c*x - 0 = 0.9 * 2
     assert new.x[0] == pytest.approx(1.8)
 
@@ -462,8 +472,8 @@ def test_ngn_mdv1w_zero_lambda_equals_plain():
     spec_p = OptimizerSpec(kind="ngn_md_v1", c=1.0, beta1=0.3)
     state = init_state(np.array([1.0, -2.0]))
     sample = make_sample(2.0, [2.0, 1.0])
-    new_w, _ = apply_step(state, sample, spec_w)
-    new_p, _ = apply_step(state, sample, spec_p)
+    new_w, _ = step(state, sample, spec_w)
+    new_p, _ = step(state, sample, spec_p)
     assert np.array_equal(new_w.x, new_p.x)
 
 
@@ -475,7 +485,7 @@ def test_ngn_mdv1w_negative_bracket_zeroes_gradient_term():
     x = np.array([5.0])
     state = init_state(x)
     sample = make_sample(12.5, [5.0])
-    new, rep = apply_step(state, sample, spec)
+    new, rep = step(state, sample, spec)
     # gamma = 0: the update is the pure shrink x/(1 + lam c)
     assert rep.gamma_scalar == 0.0
     assert new.x[0] == pytest.approx(5.0 / 3.0, rel=1e-15)
@@ -486,7 +496,7 @@ def test_ngn_mdv1w_division_safe_at_origin():
                          precond_identity=True)
     state = init_state(np.array([0.0]))
     sample = make_sample(0.0, [0.0])
-    new, rep = apply_step(state, sample, spec)
+    new, rep = step(state, sample, spec)
     assert rep.gamma_scalar == pytest.approx(2.0 / (1.0 + 0.5 * 2.0))
     assert new.x[0] == 0.0
 
@@ -496,7 +506,7 @@ def test_sgdm_is_undampened_heavy_ball():
     state = ngnopt.OptimizerState(np.array([1.0]), np.array([0.5]),
                                   np.zeros(1), np.zeros(1), 3)
     sample = make_sample(1.0, [2.0])
-    new, rep = apply_step(state, sample, spec)
+    new, rep = step(state, sample, spec)
     # x' = 1 - 0.1*2 + 0.9*(1 - 0.5) = 1.25
     assert new.x[0] == pytest.approx(1.25)
     assert rep.gamma_scalar == pytest.approx(0.1)
@@ -513,7 +523,7 @@ def test_sgdm_equals_buffer_form():
     batch = p.full_batch()
     for _ in range(25):
         s = evaluate(p, state.x, batch)
-        state, _ = apply_step(state, s, spec)
+        apply_step(state, s, spec)
         s2 = evaluate(p, x, batch)
         m = beta * m + s2.grad
         x = x - c * m
@@ -531,7 +541,7 @@ def test_adam_matches_reference_implementation():
     batch = p.full_batch()
     for k in range(30):
         s = evaluate(p, state.x, batch)
-        state, _ = apply_step(state, s, spec)
+        apply_step(state, s, spec)
         s2 = evaluate(p, x, batch)
         m = b1 * m + (1 - b1) * s2.grad
         v = b2 * v + (1 - b2) * s2.grad ** 2
@@ -552,12 +562,12 @@ def test_inv_sqrt_step_schedule_threads_through_steps():
         s = evaluate(p, state.x, batch)
         c_k = 1.0 / math.sqrt(k + 1)
         expected = ngn_gamma(c_k, s.loss, float(np.sum(s.grad * s.grad)))
-        state, rep = apply_step(state, s, spec)
-        assert rep.gamma_scalar == pytest.approx(expected, rel=1e-15)
+        gamma = apply_step(state, s, spec)[0]
+        assert gamma == pytest.approx(expected, rel=1e-15)
 
 
 def assert_same_step(got, want) -> None:
-    """Two (state, report) results of apply_step hold the same bits."""
+    """Two (state, report) results of step hold the same bits."""
     for obj, ref in zip(got, want):
         for f in dataclasses.fields(obj):
             a, b = getattr(obj, f.name), getattr(ref, f.name)
@@ -589,8 +599,8 @@ def test_a_schedule_reaches_each_rule_only_through_c_k(kind, schedule):
                 c_k = schedule_c(schedule, c, k, horizon)
                 c_coord = None if spec.c_coord is None else spec.c_coord * (c_k / c)
                 constant = dataclasses.replace(spec, c=c_k, schedule="constant", c_coord=c_coord)
-                got = apply_step(state, sample, spec)
-                assert_same_step(got, apply_step(state, sample, constant))
+                got = step(state, sample, spec)
+                assert_same_step(got, step(state, sample, constant))
                 state = got[0]
 
 
@@ -607,8 +617,8 @@ def test_scalar_gamma_bounds_on_quadratic(kind):
     lo = c / (1.0 + c * L)
     for _ in range(200):
         s = evaluate(p, state.x, batch)
-        state, rep = apply_step(state, s, spec)
-        assert lo - 1e-12 * c <= rep.gamma_scalar <= c + 1e-12 * c
+        gamma = apply_step(state, s, spec)[0]
+        assert lo - 1e-12 * c <= gamma <= c + 1e-12 * c
 
 
 # --- report statistics against the eager formulas -------------------------------
@@ -632,7 +642,7 @@ def test_lazy_report_matches_eager_reference(kind, dim):
     state = init_state(p.x0_default + 1.0)
     for k in range(25):
         sample = evaluate(p, state.x, sample_batch(p, 3, k, 2 * dim))
-        new, rep = apply_step(state, sample, spec)
+        new, rep = step(state, sample, spec)
         assert rep.grad is (sample.grad if kind in ("ngn_d", "ngn_md_v2") else None)
         want = reference_stats(rep, new.x, state.x)
         for name, got, value in zip(REPORT_STATS, _step_stats(rep, state.x, new.x), want):
@@ -666,12 +676,11 @@ def test_cli_trajectory_matches_eager_reference(kind, tmp_path):
         assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n", dim
 
 
-# --- step objects are slotted plain data, and rules never touch their inputs ----
+# --- step objects are plain data, and rules never touch their inputs ----------
 
 @pytest.mark.parametrize("cls, args, scalar", [
     (OptimizerState, (np.ones(2), np.zeros(2), np.zeros(2), np.zeros(2), 3), "k"),
     (StepReport, (0.5, np.ones(2), np.ones(2), np.ones(2)), "gamma_scalar"),
-    (StepSample, (2.0, np.array([3.0, 4.0]), 25.0), "loss"),
 ])
 def test_step_objects_are_slotted_plain_data(cls, args, scalar):
     obj = cls(*args)
@@ -684,6 +693,22 @@ def test_step_objects_are_slotted_plain_data(cls, args, scalar):
     restored = pickle.loads(pickle.dumps(obj))
     for f in dataclasses.fields(cls):
         assert np.array_equal(getattr(restored, f.name), getattr(obj, f.name))
+
+
+def test_step_sample_is_a_named_triple():
+    # a rule unpacks its sample, so a StepSample and the run loop's plain
+    # (loss, grad, grad_sq) tuple step alike
+    args = (2.0, np.array([3.0, 4.0]), 25.0)
+    sample = StepSample(*args)
+    assert isinstance(sample, tuple) and not hasattr(sample, "__dict__")
+    assert all(a is b for a, b in zip(sample, args))
+    assert (sample.loss, sample.grad, sample.grad_sq) == tuple(sample)
+    restored = pickle.loads(pickle.dumps(sample))
+    assert type(restored) is StepSample and restored.grad.tobytes() == sample.grad.tobytes()
+    spec = OptimizerSpec(kind="ngn", c=1.0)
+    named, plain = init_state(np.ones(2)), init_state(np.ones(2))
+    assert apply_step(named, sample, spec) == apply_step(plain, args, spec)
+    assert named.x.tobytes() == plain.x.tobytes()
 
 
 def rule_specs(kind, dim):
@@ -700,12 +725,13 @@ def rule_specs(kind, dim):
 
 
 def held(obj) -> dict:
-    """Each field of a dataclass: the object it holds and, for an array,
-    its bytes."""
+    """Each field of a dataclass or named tuple: the object it holds and,
+    for an array, its bytes."""
+    names = obj._fields if isinstance(obj, tuple) else [f.name for f in dataclasses.fields(obj)]
     out = {}
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        out[f.name] = (value, value.tobytes() if isinstance(value, np.ndarray) else None)
+    for name in names:
+        value = getattr(obj, name)
+        out[name] = (value, value.tobytes() if isinstance(value, np.ndarray) else None)
     return out
 
 
@@ -721,7 +747,8 @@ def assert_untouched(obj, before: dict) -> None:
 @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
 def test_step_rules_never_mutate_their_inputs(kind, dim, minibatch):
     # a run record keeps every iterate by reference, so a rule that wrote
-    # into an input array would rewrite the history behind it
+    # into an input array would rewrite the history behind it; apply_step
+    # advances the state by rebinding its fields, never by writing into one
     p = build_problem(ProblemSpec(kind="least_squares", dim=dim, n_samples=4 * dim + 2, seed=dim))
     for spec in rule_specs(kind, dim):
         spec_before = held(spec)
@@ -731,17 +758,19 @@ def test_step_rules_never_mutate_their_inputs(kind, dim, minibatch):
             batch = sample_batch(p, 3, k, 2 * dim) if minibatch else p.full_batch()
             sample = evaluate(p, state.x, batch)
             state_before, sample_before = held(state), held(sample)
+            before = [value for value, data in state_before.values() if data is not None]
             batch_indices = batch.indices.tobytes()
-            new, _ = apply_step(state, sample, spec)
-            assert_untouched(state, state_before)
+            apply_step(state, sample, spec)
+            for value, data in state_before.values():
+                assert data is None or value.tobytes() == data
             assert_untouched(sample, sample_before)
+            assert state.x_prev is state_before["x"][0] and state.k == k + 1
             # a fresh iterate, on either side of the float-side threshold
-            assert new.x.dtype == np.float64 and new.x.shape == (dim,)
-            assert new.x.flags.c_contiguous and new.x.flags.owndata
-            inputs = (state.x, state.x_prev, state.v, state.m, sample.grad, batch.indices)
-            assert not any(np.shares_memory(new.x, a) for a in inputs)
+            assert state.x.dtype == np.float64 and state.x.shape == (dim,)
+            assert state.x.flags.c_contiguous and state.x.flags.owndata
+            inputs = (*before, sample.grad, batch.indices)
+            assert not any(np.shares_memory(state.x, a) for a in inputs)
             assert batch.indices.tobytes() == batch_indices
-            state = new
             seen.append((state.x, state.x.tobytes()))
         assert_untouched(spec, spec_before)
         assert all(x.tobytes() == data for x, data in seen), spec
@@ -762,13 +791,13 @@ momentum = st.one_of(st.sampled_from((0.0, 0.5, 0.9, 1.0 - 2.0 ** -53)),
 
 
 def step_on(side, state, sample, spec):
-    """apply_step with the size threshold moved so that the update runs on
+    """step with the size threshold moved so that the update runs on
     `side`: "float" or "array"."""
     saved = optimizers._FLOAT_MAX
     optimizers._FLOAT_MAX = 2 ** 62 if side == "float" else -1
     try:
         with np.errstate(all="ignore"):
-            return apply_step(state, sample, spec)
+            return step(state, sample, spec)
     finally:
         optimizers._FLOAT_MAX = saved
 
@@ -820,7 +849,7 @@ def test_small_iterates_of_other_shapes_step_on_arrays(kind, x, x_prev, g):
     sample = StepSample(1.0, g, float((g * g).sum()))
     spec = OptimizerSpec(kind=kind, c=0.5, beta1=0.9)
     want = outcome(step_on, "array", state, sample, spec)
-    got = outcome(apply_step, state, sample, spec)
+    got = outcome(step, state, sample, spec)
     assert got[0] == want[0]
     if got[0] == "ok":
         assert got[1][0].x.shape == want[1][0].x.shape

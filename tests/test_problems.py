@@ -755,6 +755,23 @@ def test_one_point_oracle_has_the_bits_of_a_stacked_row(name, data):
             assert bits(grad_sq[0]) == bits(grad_sqs[i])
 
 
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(CLOSED_FORM)), data=st.data())
+def test_stacked_gradient_has_np_stacks_values_shape_and_dtype(name, data):
+    # the cell-axis oracle transposes the (d, C) partials instead of
+    # calling np.stack, which costs a few microseconds a call
+    p = build_problem(CLOSED_FORM[name])
+    count = data.draw(st.integers(2, 6))
+    X = data.draw(arrays(np.float64, (count, p.dim), elements=COORDS))
+    formula = inspect.getclosurevars(p._loss_grad).nonlocals["formula"]
+    with np.errstate(all="ignore"):
+        want = np.stack(formula(*X.T)[1], axis=1)
+        got = p._loss_grad(X, None)[1]
+        sq_want, sq_got = (np.add.reduce(G * G, axis=1) for G in (want, got))
+    assert (got.dtype, got.shape) == (want.dtype, want.shape) == (np.float64, (count, p.dim))
+    assert got.tobytes() == want.tobytes() and sq_got.tobytes() == sq_want.tobytes()
+
+
 LEAST_SQUARES = {
     "least_squares": ProblemSpec(kind="least_squares", dim=4, n_samples=12, seed=1),
     "least_squares_50": ProblemSpec(kind="least_squares", dim=50, n_samples=120, seed=2),
