@@ -6,7 +6,8 @@ a full-batch run, or every cell with the same seed on mini-batches) with
 one batch draw and one stacked oracle call per step; each cell then
 applies the stop rules and its own step rule. A cell stops on divergence
 (non-finite iterate, loss or gradient norm, or loss above threshold) or
-success, before taking the next step, and records why. run_once is the
+success, before taking the next step, and records why; its iterate is
+tested only when the oracle's loss is not finite. run_once is the
 loop's one-cell case and returns the record it stepped; sweeps, the CLI
 and the audits use these two. Sweeps execute a
 deterministic grid of (kind, c, beta, seed[, x0]) cells, serially (one
@@ -208,15 +209,6 @@ class SweepResult:
     rows: list
 
 
-# Stacks of at most this many entries are checked for non-finite values on
-# Python floats, larger ones by np.isfinite: 0.55 against 2.5 us at one
-# entry, 1.2 against 2.3 us at 16, 2.7 against 1.8 us at 64 (timeit,
-# 2-vCPU x86 VM, NumPy 2.4). A larger stack is summed: a finite sum means
-# finite entries, and only an infinite or NaN sum, which finite entries
-# can give by overflow, runs the per-row np.isfinite.
-_FLOAT_CHECK_MAX = 32
-
-
 def _stack_iterates(cells: list) -> np.ndarray:
     """The iterates of cells as the rows of a (C, d) array, for one oracle
     call. One cell's is a view: the oracle reads X and never writes it.
@@ -249,15 +241,18 @@ def run_lockstep(problem: StochasticObjective, cells: list, budget: RunBudget, s
     run_once's stop rules in Python floats, before any further update:
     a non-finite iterate, loss or gradient norm, or a loss above
     diverge_loss is divergence, a loss at or below success_loss success.
-    A cell that does not stop takes one step of its own rule through
-    apply_step. Cells leave the group as they stop, so every cell ends
-    where its one-cell run ends, with the same bits. A few-cell step is
-    mostly fixed cost (about 1 us per NumPy call on a 1-element array),
-    so small stacks are checked on Python floats and the oracle hands the
-    loop floats (see evaluate_cells). An exception in a step rule ends
-    that cell alone (RunRecord.error); any other exception ends every
-    cell still running. history=False keeps only the running summary and
-    the state, which is what a sweep row reads, and builds no StepReport.
+    A non-finite point gets a non-finite loss (see StochasticObjective),
+    so an iterate is tested only then; a non-finite one records an
+    infinite loss and gradient norm and no checkpoint. A cell that does
+    not stop takes one step of its own rule through apply_step. Cells
+    leave the group as they stop, so every cell ends where its one-cell
+    run ends, with the same bits. A few-cell step is mostly fixed cost
+    (about 1 us per NumPy call on a 1-element array), so the oracle hands
+    the loop floats (see evaluate_cells). An exception in a step rule
+    ends that cell alone (RunRecord.error); any other exception ends
+    every cell still running. history=False keeps only the running
+    summary and the state, which is what a sweep row reads, and builds
+    no StepReport.
     """
     step_fn = apply_step  # read here, so a patched harness.apply_step is the one called
     active = [cell for cell in cells if cell.error is None]
@@ -274,24 +269,19 @@ def run_lockstep(problem: StochasticObjective, cells: list, budget: RunBudget, s
             diverge_loss, success_loss = budget.diverge_loss, budget.success_loss
             for k in range(budget.max_steps if active else 0):
                 X = _stack_iterates(active)
-                if not (all(map(math.isfinite, X.ravel().tolist())) if X.size <= _FLOAT_CHECK_MAX
-                        else math.isfinite(np.add.reduce(X, axis=None))):
-                    finite = np.isfinite(X).all(axis=1)
-                    for cell, ok in zip(active, finite.tolist()):
-                        if not ok:
-                            cell.record(k, math.inf, math.inf, history)
-                            cell.stop(k, STATUS_DIVERGED, STOP_NON_FINITE_ITERATE)
-                    active = [cell for cell in active if cell.status == STATUS_BUDGET]
-                    if not active:
-                        break
-                    X = _stack_iterates(active)
                 batch = full_batch if not stochastic else sample_batch(problem, seed, k, bs)
                 losses, grads, grad_sqs = evaluate_cells(problem, X, batch)
-                if history and stochastic and full_eval_every and k % full_eval_every == 0:
-                    for cell, full in zip(active, evaluate_loss(problem, X, full_batch).tolist()):
-                        cell.full_losses.append((k, full))
+                fulls = (evaluate_loss(problem, X, full_batch).tolist()
+                         if history and stochastic and full_eval_every and k % full_eval_every == 0
+                         else itertools.repeat(None))
                 running = []
-                for cell, loss, grad, grad_sq in zip(active, losses, grads, grad_sqs):
+                for cell, loss, grad, grad_sq, full in zip(active, losses, grads, grad_sqs, fulls):
+                    if not (math.isfinite(loss) or np.isfinite(cell.state.x).all()):
+                        cell.record(k, math.inf, math.inf, history)
+                        cell.stop(k, STATUS_DIVERGED, STOP_NON_FINITE_ITERATE)
+                        continue
+                    if full is not None:
+                        cell.full_losses.append((k, full))
                     grad_norm = math.sqrt(grad_sq)
                     cell.record(k, loss, grad_norm, history)
                     if not math.isfinite(loss):

@@ -149,6 +149,11 @@ class StochasticObjective:
     and its row sum. `_metadata()` computes the ObjectiveMetadata;
     `metadata` calls it on first read.
 
+    A point with an inf or NaN coordinate gets a non-finite loss from
+    `_point` and `_loss_grad`, neither raises, and the other rows of a
+    stack keep their bits: the run loop tests an iterate only when its
+    loss is not finite.
+
     x0_default must be a finite point of dimension `dim`.
     """
 
@@ -207,8 +212,8 @@ def evaluate_cells(problem: StochasticObjective, X: np.ndarray, batch: Batch) ->
     the C gradients (d,) at the rows of X (C, d), from one oracle call
     (the one-point oracle for one point). Row i has the bits of
     `evaluate` at X[i]: a row sum reduces a row as the whole-vector sum
-    reduces the vector. No input checks; the run loop checks its
-    iterates before it evaluates them."""
+    reduces the vector. No input checks: a non-finite row gets a
+    non-finite loss (see StochasticObjective)."""
     if X.shape[0] == 1:
         loss, grad, grad_sq = problem._point(X[0], _oracle_indices(batch))
         return [loss], [grad], [grad_sq]

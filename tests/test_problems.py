@@ -822,6 +822,30 @@ def test_least_squares_one_point_oracle_has_the_bits_of_a_stacked_row(name, batc
             assert bits(sample.grad) == bits(grads[i])
 
 
+# --- the oracle contract at non-finite points ----------------------------------------
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("kind", PROBLEM_KINDS)
+def test_a_non_finite_point_gets_a_non_finite_loss_and_leaves_its_stack_alone(kind, value):
+    # the run loop reads a non-finite iterate off its loss, with no scan
+    # before the oracle: neither oracle may raise on it, and the finite
+    # rows beside it keep the bits of their one-point evaluation
+    p = build_problem(ProblemSpec(kind=kind, dim=4))
+    finite = p.x0_default + 0.5
+    batches = [None] + ([np.array([0, 2, 3])] if p.n_samples > 3 else [])
+    with np.errstate(all="ignore"):
+        for idx in batches:
+            loss, grad, _ = p._point(finite, idx)
+            for j in range(p.dim):
+                bad = finite.copy()
+                bad[j] = value
+                assert not math.isfinite(p._point(bad, idx)[0])
+                losses, grads = p._loss_grad(np.array([finite, bad, finite]), idx)
+                assert not math.isfinite(losses[1])
+                for i in (0, 2):
+                    assert bits(losses[i]) == bits(loss) and bits(grads[i]) == bits(grad)
+
+
 def multimodal_eight_calls(t):
     """The multimodal oracle as first written, with eight sin/cos calls:
     the reference for the bits of the four-call form."""
