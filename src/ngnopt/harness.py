@@ -3,7 +3,8 @@
 run_lockstep is the one loop that steps an optimizer. It steps a group
 of cells, one RunRecord each, that share a batch sequence (every cell of
 a full-batch run, or every cell with the same seed on mini-batches) with
-one batch draw and one stacked oracle call per step; each cell then
+one batch per step, drawn in blocks of steps, and one stacked oracle
+call per step; each cell then
 applies the stop rules and its own step rule. A cell stops on divergence
 (non-finite iterate, loss or gradient norm, or loss above threshold) or
 success, before taking the next step, and records why; its iterate is
@@ -41,8 +42,8 @@ from . import theory
 from .optimizers import OptimizerSpec, StepReport, apply_step, init_state
 from .problems import (
     KIND_LEAST_SQUARES, KIND_MULTIMODAL, KIND_POLYNOMIAL, KIND_REGRESSION,
-    KIND_RIDGE, KIND_ROSENBROCK, PROBLEM_KINDS, ProblemSpec, StochasticObjective,
-    build_problem, check_point, evaluate_cells, evaluate_loss, sample_batch,
+    KEY_BOUND, KIND_RIDGE, KIND_ROSENBROCK, PROBLEM_KINDS, ProblemSpec, StochasticObjective,
+    build_problem, check_point, evaluate_cells, evaluate_loss, sample_batches,
 )
 
 STATUS_CONVERGED = "converged"
@@ -192,6 +193,8 @@ class SweepSpec:
                 raise ValueError(f"{name} must be a non-empty list")
         if not all(isinstance(seed, numbers.Integral) and seed >= 0 for seed in self.seeds):
             raise ValueError(f"seeds must be whole numbers >= 0, got {self.seeds!r}")
+        if max(self.seeds) >= KEY_BOUND:  # a seed keys the batch draws
+            raise ValueError(f"seeds must be below 2**64, got {self.seeds!r}")
         if self.x0_grid is not None and not self.x0_grid:
             raise ValueError("x0_grid, when given, must be non-empty")
         for kind in self.kinds:
@@ -229,16 +232,36 @@ def _stack_iterates(cells: list) -> np.ndarray:
     return X
 
 
+# The blocks of batches a group draws: the first is _FIRST_BLOCK steps,
+# each next one twice the last up to _LAST_BLOCK, and none runs past the
+# budget. A group that stops at step s has drawn at most max(8, 3(s + 1))
+# batches, and a long run pays the cost of a block of 64 per batch.
+_FIRST_BLOCK, _LAST_BLOCK = 8, 64
+
+
+def _minibatches(problem: StochasticObjective, seed: int, steps: int, batch_size: int):
+    """Yield the batches of steps 0 .. steps - 1, drawn by sample_batches
+    one block at a time, each block when its first step is reached."""
+    k, size = 0, _FIRST_BLOCK
+    while k < steps:
+        count = min(size, steps - k)
+        yield from sample_batches(problem, seed, k, count, batch_size)
+        k, size = k + count, min(2 * size, _LAST_BLOCK)
+
+
 def run_lockstep(problem: StochasticObjective, cells: list, budget: RunBudget, seed: int,
                  full_eval_every: Optional[int] = None, history: bool = True) -> None:
     """Step runs (RunRecords, the cells of a group) that share one batch
     sequence until each one stops.
 
-    Each step draws one batch (for the group's seed), stacks the active
+    Each step takes one batch (for the group's seed), stacks the active
     iterates and makes one oracle call; stochastic runs also log the
     full-batch loss of every active cell every full_eval_every steps
-    (default: about 100 checkpoints per run). Each cell then applies
-    run_once's stop rules in Python floats, before any further update:
+    (default: about 100 checkpoints per run). Mini-batches come from
+    sample_batches in blocks of 8, 16, 32 and then 64 steps, each drawn
+    when the loop reaches its first step (see _minibatches). Each cell
+    then applies run_once's stop rules in Python floats, before any
+    further update:
     a non-finite iterate, loss or gradient norm, or a loss above
     diverge_loss is divergence, a loss at or below success_loss success.
     A non-finite point gets a non-finite loss (see StochasticObjective),
@@ -266,10 +289,11 @@ def run_lockstep(problem: StochasticObjective, cells: list, budget: RunBudget, s
             if full_eval_every is None:
                 full_eval_every = max(1, budget.max_steps // 100) if stochastic else 0
             full_batch = problem.full_batch()
+            batches = (_minibatches(problem, seed, budget.max_steps, bs) if stochastic
+                       else itertools.repeat(full_batch))
             diverge_loss, success_loss = budget.diverge_loss, budget.success_loss
-            for k in range(budget.max_steps if active else 0):
+            for k, batch in zip(range(budget.max_steps if active else 0), batches):
                 X = _stack_iterates(active)
-                batch = full_batch if not stochastic else sample_batch(problem, seed, k, bs)
                 losses, grads, grad_sqs = evaluate_cells(problem, X, batch)
                 fulls = (evaluate_loss(problem, X, full_batch).tolist()
                          if history and stochastic and full_eval_every and k % full_eval_every == 0

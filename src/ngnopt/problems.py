@@ -228,46 +228,43 @@ def evaluate_loss(problem: StochasticObjective, X: np.ndarray, batch: Batch) -> 
     return problem._loss_grad(X, _oracle_indices(batch))[0]
 
 
-@functools.cache
-def _shared_philox() -> tuple:
-    """(bit generator, its state when new, Generator): one per process,
-    built on the first draw, so importing the package does not load
-    numpy.random. Constructing Philox(key=...) first seeds a SeedSequence
-    from OS entropy, which the key then replaces; re-keying this one skips
-    that. The integer seed only avoids reading entropy: every draw replaces
-    the key, and the counter, buffer and flags are those of any new Philox."""
-    bitgen = np.random.Philox(0)
-    return bitgen, bitgen.state, np.random.Generator(bitgen)
+KEY_BOUND = 2 ** 64  # a seed and a step key Philox as two 64-bit words
+_WORD = 2 ** 32  # NumPy draws a bound below 2**32 from 32-bit words
 
 
-def sample_batch(problem: StochasticObjective, seed: int, step: int, batch_size: int) -> Batch:
-    """Draw a without-replacement batch as a pure function of (seed, step).
+def _check_key(name: str, value) -> None:
+    if not (isinstance(value, numbers.Integral) and 0 <= value < KEY_BOUND):
+        raise ValueError(f"{name} must be a whole number in [0, 2**64), got {value!r}")
 
-    Uses a Philox stream keyed by (seed, step) and a partial Fisher-Yates
-    shuffle of 0..n-1, so the batch sequence is identical across platforms
-    and processes. All batch_size offsets are drawn in one call; the swaps
-    are applied to a dict of displaced entries instead of a length-n
-    array, and give the same batch as swapping array elements one draw at
-    a time. Returns sorted intp indices. A full-batch request returns all
-    indices in ascending order, marked `full`, without consuming
-    randomness.
 
-    Every draw resets the process's one Philox generator to the state a new
-    Philox(key=(seed, step)) has, so no state carries from one call to the
-    next. That generator is shared: do not call sample_batch from two
-    threads at once. The package parallelises across processes only, and
-    each process has its own generator.
-    """
-    n = problem.n_samples
+def _check_batch_size(batch_size, n: int) -> None:
     if not (isinstance(batch_size, (int, np.integer)) and 1 <= batch_size <= n):
         raise ValueError(f"batch_size must be a whole number in [1, {n}], got {batch_size!r}")
-    if seed < 0 or step < 0:
-        raise ValueError("seed and step must be >= 0")
-    if batch_size == n:
-        return Batch(np.arange(n), full=True)
-    bitgen, fresh, rng = _shared_philox()
-    bitgen.state = {**fresh, "state": {**fresh["state"], "key": (seed, step)}}
-    offsets = rng.integers(n - np.arange(batch_size)).tolist()
+
+
+@functools.cache
+def _shared_philox() -> tuple:
+    """(bit generator, the state of a new Philox, Generator): one per
+    process, built on the first draw, so importing the package does not
+    load numpy.random. Constructing Philox(key=...) first seeds a
+    SeedSequence from OS entropy, which the key then replaces; re-keying
+    this one skips that. The integer seed only avoids reading entropy: a
+    draw writes its key into the state and sets all of it, so the counter,
+    buffer and flags are those of any new Philox. The state holds Python
+    ints, not arrays, which the state setter reads in a third of the time
+    (0.8 against 2.4 us, timeit, 2-vCPU x86 VM)."""
+    bitgen = np.random.Philox(0)
+    fresh = bitgen.state
+    state = {**fresh, "state": {"counter": fresh["state"]["counter"].tolist(), "key": None},
+             "buffer": fresh["buffer"].tolist()}
+    return bitgen, state, np.random.Generator(bitgen)
+
+
+def _swap_pick(offsets: list) -> np.ndarray:
+    """The sorted intp batch that a partial Fisher-Yates shuffle of 0..n-1
+    picks when draw i swaps positions i and i + offsets[i]. The swaps go to
+    a dict of displaced entries instead of a length-n array, and give the
+    same batch as swapping array elements one draw at a time."""
     displaced: dict = {}  # position -> value, for positions swapped away from identity
     picked = []
     for i, offset in enumerate(offsets):
@@ -276,7 +273,101 @@ def sample_batch(problem: StochasticObjective, seed: int, step: int, batch_size:
         displaced[j] = displaced.get(i, i)
     idx = np.array(picked, dtype=np.intp)
     idx.sort()
-    return Batch(idx)
+    return idx
+
+
+def sample_batch(problem: StochasticObjective, seed: int, step: int, batch_size: int) -> Batch:
+    """Draw a without-replacement batch as a pure function of (seed, step).
+
+    Uses a Philox stream keyed by (seed, step), each a whole number in
+    [0, 2**64), and a partial Fisher-Yates shuffle of 0..n-1 (_swap_pick),
+    so the batch sequence is identical across platforms and processes. All
+    batch_size offsets come from one `Generator.integers(n - arange(bs))`
+    call. Returns sorted intp indices. A full-batch request returns all
+    indices in ascending order, marked `full`, without consuming
+    randomness. sample_batches draws a block of steps at a time with the
+    same batches; this is the single draw and its reference.
+
+    Every draw resets the process's one Philox generator to the state a new
+    Philox(key=(seed, step)) has, so no state carries from one call to the
+    next. That generator is shared: do not call sample_batch from two
+    threads at once. The package parallelises across processes only, and
+    each process has its own generator.
+    """
+    n = problem.n_samples
+    _check_batch_size(batch_size, n)
+    _check_key("seed", seed)
+    _check_key("step", step)
+    if batch_size == n:
+        return Batch(np.arange(n), full=True)
+    bitgen, state, rng = _shared_philox()
+    state["state"]["key"] = (seed, step)
+    bitgen.state = state
+    return Batch(_swap_pick(rng.integers(n - np.arange(batch_size)).tolist()))
+
+
+def sample_batches(problem: StochasticObjective, seed: int, step: int, count: int,
+                   batch_size: int) -> list:
+    """The batches of steps step .. step + count - 1: each has the indices,
+    dtype and `full` flag that sample_batch gives for its step. In a
+    block of 64 at n = 1000, batch 32, a batch costs 6.4-7.4 us against
+    18-22 us for sample_batch (timeit, 2-vCPU x86 VM).
+
+    For n < 2**32, NumPy draws offset i below n - i from one 32-bit word
+    u_i by Lemire's multiply-and-shift: m = u_i (n - i), offset m >> 32,
+    unless the low word m mod 2**32 is below its rejection threshold
+    2**32 mod (n - i), when it draws another word. The 32-bit words are
+    the halves of Philox's 64-bit outputs, low half first, so each step is
+    re-keyed and its raw outputs read, and the draws of the whole block
+    are computed at once. With targets j_i = i + offset_i, each step takes
+    one of three routes:
+
+    - distinct targets: an earlier draw k writes positions k and j_k,
+      neither of which is j_i (k < i <= j_i, and j_k != j_i), so draw i
+      picks j_i itself: the batch is the sorted targets;
+    - a repeated target: the shuffle's swaps (_swap_pick) run on the
+      offsets, which are NumPy's, as no word was rejected;
+    - a low word below n - i, which is above the rejection threshold, so
+      every step with a rejected word takes this route: sample_batch
+      draws the step. So does every step when n >= 2**32, where NumPy
+      draws from 64-bit words.
+
+    Shares sample_batch's generator, and its threading caveat.
+    """
+    n = problem.n_samples
+    _check_batch_size(batch_size, n)
+    _check_key("seed", seed)
+    _check_key("step", step)
+    if not (isinstance(count, numbers.Integral) and count >= 1):
+        raise ValueError(f"count must be a whole number >= 1, got {count!r}")
+    step, count = int(step), int(count)  # Python ints: a NumPy step + count could wrap
+    if step + count - 1 >= KEY_BOUND:
+        raise ValueError(f"the last step, step + count - 1 = {step + count - 1}, must be below 2**64")
+    steps = range(step, step + count)
+    if batch_size == n:
+        return [Batch(np.arange(n), full=True) for _ in steps]
+    if n >= _WORD:
+        return [sample_batch(problem, seed, s, batch_size) for s in steps]
+    bitgen, state, _ = _shared_philox()
+    key = state["state"]
+    words = np.empty((count, (batch_size + 1) // 2), dtype=np.uint64)
+    for row, s in enumerate(steps):
+        key["key"] = (seed, s)
+        bitgen.state = state
+        words[row] = bitgen.random_raw(words.shape[1])
+    i = np.arange(batch_size, dtype=np.uint64)
+    bound = n - i
+    halves = words.astype("<u8", copy=False).view("<u4")  # little-endian: low half first
+    m = halves[:, :batch_size] * bound
+    offsets = m >> 32
+    targets = offsets + i
+    targets.sort(axis=1)
+    redraw = ((m & (_WORD - 1)) < bound).any(axis=1).tolist()
+    repeat = (targets[:, 1:] == targets[:, :-1]).any(axis=1).tolist()
+    picked = targets.astype(np.intp)
+    return [sample_batch(problem, seed, s, batch_size) if redraw[row]
+            else Batch(_swap_pick(offsets[row].tolist())) if repeat[row]
+            else Batch(picked[row]) for row, s in enumerate(steps)]
 
 
 def finite_diff_grad(problem: StochasticObjective, x: np.ndarray, batch: Batch, h: float) -> np.ndarray:

@@ -19,7 +19,7 @@ import numbers
 
 import numpy as np
 
-from .problems import StochasticObjective, sample_batch
+from .problems import StochasticObjective, sample_batches
 
 
 def _check(low: str, **values) -> None:
@@ -165,7 +165,8 @@ def estimate_sigmas(problem: StochasticObjective, batch_size: int,
     """Estimate (sigma_int_sq, sigma_pos_sq) for a uniform random batch.
 
     Enumerates all C(n, batch_size) batches when there are at most 10^4 of
-    them, otherwise Monte-Carlo averages over n_mc seeded batches. Requires
+    them, otherwise Monte-Carlo averages over the batches of steps
+    0 .. n_mc - 1 for seed, drawn in one block. Requires
     f* metadata and a per-batch minimizer (least-squares problems); batch
     minima use minimum-norm solutions so rank-deficient batches are exact.
     """
@@ -187,8 +188,8 @@ def estimate_sigmas(problem: StochasticObjective, batch_size: int,
         mins = [batch_min(np.asarray(comb, dtype=np.intp))
                 for comb in itertools.combinations(range(n), batch_size)]
     else:
-        mins = [batch_min(sample_batch(problem, seed, t, batch_size).indices)
-                for t in range(n_mc)]
+        mins = [batch_min(batch.indices)
+                for batch in sample_batches(problem, seed, 0, n_mc, batch_size)]
     mins = np.asarray(mins)
     sigma_int_sq = float(np.mean(f_star - mins))
     sigma_pos_sq = float(np.mean(mins))

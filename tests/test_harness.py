@@ -1097,6 +1097,28 @@ def test_cli_verify_quick(tmp_path, capsys):
     assert len(lines) == 10
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--seed", str(2**64), "--quick"],
+     "seed must be a whole number in [0, 2**64), got 18446744073709551616"),
+    (["run", "--problem", "least_squares", "--dim", "3", "--n-samples", "10", "--batch-size", "4",
+      "--optimizer", "ngn", "--c", "0.1", "--seed", str(2**64)],
+     "seeds must be below 2**64, got [18446744073709551616]"),
+], ids=["verify", "run"])
+def test_cli_names_a_seed_that_cannot_key_a_batch(capsys, argv, message):
+    assert cli(argv) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+
+
+def test_sweep_seeds_must_key_a_batch(tmp_path):
+    assert small_sweep(seeds=[0, 2**64 - 1]).seeds == [0, 2**64 - 1]
+    with pytest.raises(ValueError, match=r"seeds must be below 2\*\*64, got \[0, 18446744073709551616\]"):
+        small_sweep(seeds=[0, 2**64])
+    with pytest.raises(ConfigError, match=r"seeds must be below 2\*\*64"):
+        parse_config(write_config(tmp_path, GOOD_CONFIG.replace("seeds = 0, 1, 2",
+                                                                "seeds = 0, 18446744073709551616")))
+
+
 def test_run_once_grad_norms_are_sqrt_of_batch_grad_sq():
     p = build_problem(ProblemSpec(kind="least_squares", dim=8, n_samples=40, seed=1))
     spec = OptimizerSpec(kind="ngn_md_v1", c=0.5, beta1=0.5)

@@ -25,7 +25,7 @@ from ngnopt.optimizers import (
     DEC_NGN_MDV1, NGN_D, NGN_MDV1W, OPTIMIZER_KINDS, SCHEDULE_INV_SQRT_K, SCHEDULES,
     StepSample, apply_step, init_state,
 )
-from ngnopt.problems import evaluate, sample_batch
+from ngnopt.problems import evaluate, sample_batch, sample_batches
 
 PROBLEMS = {
     "least_squares": ProblemSpec(kind="least_squares", dim=4, n_samples=12, seed=1),
@@ -243,11 +243,11 @@ FOREVER = dict(success_loss=-1.0, diverge_loss=math.inf)
 def counting_sampler(monkeypatch):
     calls = []
 
-    def counted(problem, seed, step, batch_size):
-        calls.append((seed, step))
-        return sample_batch(problem, seed, step, batch_size)
+    def counted(problem, seed, step, count, batch_size):
+        calls.extend((seed, k) for k in range(step, step + count))
+        return sample_batches(problem, seed, step, count, batch_size)
 
-    monkeypatch.setattr(harness, "sample_batch", counted)
+    monkeypatch.setattr(harness, "sample_batches", counted)
     return calls
 
 
@@ -258,6 +258,33 @@ def test_a_group_draws_one_batch_per_step(monkeypatch):
     run_lockstep(p, cells, RunBudget(max_steps=25, batch_size=4, **FOREVER), seed=5)
     assert calls == [(5, k) for k in range(25)]
     assert all(len(cell.losses) == 25 for cell in cells)
+
+
+@pytest.mark.parametrize("stop", [0, 7, 8, 23, 24, 55, 56, 119, 120, 183, 184, 247, 248, 700])
+def test_a_group_that_stops_early_draws_few_batches_past_its_stop(monkeypatch, stop):
+    calls = counting_sampler(monkeypatch)
+
+    def stopping(state, sample, spec):
+        if state.k == stop:
+            raise RuntimeError(f"stop at step {stop}")
+        return apply_step(state, sample, spec)
+
+    monkeypatch.setattr(harness, "apply_step", stopping)
+    p = build_problem(LSQ)
+    cell = RunRecord(p, OptimizerSpec(kind="ngn", c=0.1))
+    run_lockstep(p, [cell], RunBudget(max_steps=1000, batch_size=4, **FOREVER), seed=2)
+    assert len(cell.losses) == stop + 1 and str(cell.error) == f"stop at step {stop}"
+    assert calls == [(2, k) for k in range(len(calls))]
+    assert stop < len(calls) <= max(8, 3 * (stop + 1))
+
+
+@pytest.mark.parametrize("steps", [1, 7, 8, 9, 25, 64, 130])
+def test_a_group_draws_no_batch_past_its_budget(monkeypatch, steps):
+    calls = counting_sampler(monkeypatch)
+    p = build_problem(LSQ)
+    cell = RunRecord(p, OptimizerSpec(kind="ngn", c=0.1))
+    run_lockstep(p, [cell], RunBudget(max_steps=steps, batch_size=4, **FOREVER), seed=3)
+    assert calls == [(3, k) for k in range(steps)] and len(cell.losses) == steps
 
 
 def test_a_serial_sweep_draws_once_per_seed_and_step(monkeypatch):
@@ -439,17 +466,17 @@ def test_a_failing_batch_ends_only_the_cells_still_running(monkeypatch):
     p = build_problem(LSQ)
     budget = RunBudget(max_steps=50, success_loss=1.0001 * p.metadata.f_star, batch_size=19)
 
-    def failing(problem, seed, step, batch_size):
-        if step == 3:
-            raise RuntimeError("no batch at step 3")
-        return sample_batch(problem, seed, step, batch_size)
+    def failing(problem, seed, step, count, batch_size):
+        if step == 8:
+            raise RuntimeError("no batch at step 8")
+        return sample_batches(problem, seed, step, count, batch_size)
 
-    monkeypatch.setattr(harness, "sample_batch", failing)
+    monkeypatch.setattr(harness, "sample_batches", failing)
     done = RunRecord(p, OptimizerSpec(kind="ngn", c=0.1), p.metadata.x_star)
     running = RunRecord(p, OptimizerSpec(kind="ngn", c=1e-6), np.full(4, 10.0))
     run_lockstep(p, [done, running], budget, seed=0)
     assert (done.status, done.stop_step, done.error) == ("converged", 0, None)
-    assert str(running.error) == "no batch at step 3" and len(running.losses) == 3
+    assert str(running.error) == "no batch at step 8" and len(running.losses) == 8
 
 
 # --- serial output equals pool output ------------------------------------------------

@@ -28,6 +28,7 @@ from ngnopt import (
     run_once,
     run_sweep,
     sample_batch,
+    sample_batches,
 )
 from ngnopt import problems
 from ngnopt.problems import PROBLEM_KINDS, StepSample
@@ -645,6 +646,80 @@ def test_sample_batch_validates_arguments():
         sample_batch(p, seed=-1, step=0, batch_size=3)
     with pytest.raises(ValueError, match=r"batch_size must be a whole number in \[1, 12\], got 2\.5"):
         sample_batch(p, seed=0, step=0, batch_size=2.5)
+    # a seed or step that cannot key Philox: no truncation, no OverflowError
+    for sample in (lambda seed, step: sample_batch(p, seed, step, 3),
+                   lambda seed, step: sample_batches(p, seed, step, 2, 3)):
+        for seed, step, bad in ((1.5, 0, "seed"), (0, 2.5, "step"), (2**64, 0, "seed"),
+                                (0, 2**64, "step"), (-1, 0, "seed"), (0, -1, "step")):
+            with pytest.raises(ValueError, match=rf"{bad} must be a whole number in \[0, 2\*\*64\)"):
+                sample(seed, step)
+    for count in (0, 1.5, -1):
+        with pytest.raises(ValueError, match=rf"count must be a whole number >= 1, got {count}"):
+            sample_batches(p, 0, 0, count, 3)
+    with pytest.raises(ValueError, match=r"step \+ count - 1 = 18446744073709551616"):
+        sample_batches(p, 0, 2**64 - 2, 3, 3)
+    with pytest.raises(ValueError, match="batch_size"):
+        sample_batches(p, 0, 0, 2, 13)
+    assert len(sample_batches(p, 2**64 - 1, 2**64 - 2, 2, 3)) == 2
+
+
+def same_batch(got, want):
+    return (np.array_equal(got.indices, want.indices) and got.indices.dtype == want.indices.dtype
+            and got.full == want.full)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       n_bs=st.integers(2, 2000).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+       count_step=st.integers(1, 130).flatmap(
+           lambda count: st.tuples(st.just(count), st.integers(0, 2**64 - count))))
+def test_sample_batches_equal_sample_batch_at_each_step(seed, n_bs, count_step):
+    n, bs = n_bs
+    count, step = count_step
+    p = dataclasses.replace(build_problem(ProblemSpec(kind="rosenbrock")), n_samples=n)
+    got = sample_batches(p, seed, step, count, bs)
+    assert len(got) == count
+    for row, batch in enumerate(got):
+        assert same_batch(batch, sample_batch(p, seed, step + row, bs)), row
+
+
+def dict_swap_reference(seed, step, n, batch_size):
+    """The batch of reference_sample_indices, drawn one offset per
+    `integers` call, with its swaps kept in a dict: no length-n array."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, step], dtype=np.uint64)))
+    displaced = {}
+    picked = []
+    for i in range(batch_size):
+        j = i + int(rng.integers(n - i))
+        picked.append(displaced.get(j, j))
+        displaced[j] = displaced.get(i, i)
+    return np.sort(np.array(picked, dtype=np.intp))
+
+
+@pytest.mark.parametrize("n, bs, fallback", [
+    (3 * 2**30, 1, "some"),  # Lemire rejects a quarter of all 32-bit words
+    (3 * 2**30, 3, "some"),
+    (2**32 + 5, 1, "all"),  # NumPy draws 64-bit words
+    (2**32 + 5, 9, "all"),  # and 32-bit ones from i = 5, the first at a bound of 2**32
+])
+def test_sample_batches_on_huge_sample_counts(monkeypatch, n, bs, fallback):
+    p = dataclasses.replace(build_problem(ProblemSpec(kind="rosenbrock")), n_samples=n)
+    single = []
+
+    def counted(problem, seed, step, batch_size):
+        single.append(step)
+        return sample_batch(problem, seed, step, batch_size)
+
+    monkeypatch.setattr(problems, "sample_batch", counted)
+    got = sample_batches(p, 7, 100, 64, bs)
+    for row, batch in enumerate(got):
+        want = dict_swap_reference(7, 100 + row, n, bs)
+        assert np.array_equal(batch.indices, want) and batch.indices.dtype == np.intp, row
+        assert not batch.full
+    if fallback == "all":
+        assert single == list(range(100, 164))
+    else:  # rows drawn by sample_batch and rows computed in the block
+        assert 0 < len(single) < 64
 
 
 @settings(max_examples=30, deadline=None)

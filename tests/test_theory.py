@@ -19,6 +19,7 @@ from ngnopt import (
     ngn_m_bound_decaying,
     ngn_m_params,
     run_once,
+    sample_batch,
 )
 
 
@@ -275,6 +276,13 @@ def test_estimate_sigmas_monte_carlo_path():
     assert s_int >= 0.0
     assert s_pos >= 0.0
     assert math.isfinite(s_int) and math.isfinite(s_pos)
+
+
+def test_estimate_sigmas_monte_carlo_has_the_bits_of_one_draw_per_batch():
+    p = build_problem(ProblemSpec(kind="least_squares", dim=3, n_samples=30, seed=1))
+    mins = np.asarray([p._batch_min(sample_batch(p, 4, t, 15).indices) for t in range(200)])
+    want = (float(np.mean(p.metadata.f_star - mins)), float(np.mean(mins)))
+    assert estimate_sigmas(p, batch_size=15, n_mc=200, seed=4) == want
 
 
 def test_estimate_sigmas_validation():

@@ -304,13 +304,13 @@ def test_reductions_fail_on_perturbed_cap(monkeypatch):
 def test_reductions_draw_one_batch_per_step(monkeypatch):
     # every run of every pair steps in one lockstep group
     calls = []
-    original = harness.sample_batch
+    original = harness.sample_batches
 
     def counted(*args):
-        calls.append(args[2])
+        calls.extend(range(args[2], args[2] + args[3]))
         return original(*args)
 
-    monkeypatch.setattr(harness, "sample_batch", counted)
+    monkeypatch.setattr(harness, "sample_batches", counted)
     rep = audit_reductions(quadratic(dim=4, n=8, seed=5), seed=1, steps=50, batch_size=4)
     assert rep.passed
     assert calls == list(range(50))
