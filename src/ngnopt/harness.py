@@ -41,9 +41,9 @@ from . import optimizers as opt
 from . import theory
 from .optimizers import OptimizerSpec, StepReport, apply_step, init_state
 from .problems import (
-    KIND_LEAST_SQUARES, KIND_MULTIMODAL, KIND_POLYNOMIAL, KIND_REGRESSION,
-    KEY_BOUND, KIND_RIDGE, KIND_ROSENBROCK, PROBLEM_KINDS, ProblemSpec, StochasticObjective,
-    build_problem, check_point, evaluate_cells, evaluate_loss, sample_batches,
+    KIND_LEAST_SQUARES, KIND_MULTIMODAL, KIND_POLYNOMIAL, KEY_BOUND, KIND_RIDGE,
+    KIND_ROSENBROCK, ProblemSpec, StochasticObjective, _check_key, build_problem,
+    check_point, evaluate_cells, evaluate_loss, sample_batches,
 )
 
 STATUS_CONVERGED = "converged"
@@ -281,6 +281,7 @@ def run_lockstep(problem: StochasticObjective, cells: list, budget: RunBudget, s
     active = [cell for cell in cells if cell.error is None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         try:
+            _check_key("seed", seed)  # checked here too: a full batch draws no batch with it
             n = problem.n_samples
             bs = n if budget.batch_size is None else budget.batch_size
             if bs > n:
@@ -575,8 +576,6 @@ _PROBLEM_ALIASES = {
     "multimodal_1d": KIND_MULTIMODAL,
     "polynomial": KIND_POLYNOMIAL,
     "polynomial_1d": KIND_POLYNOMIAL,
-    "regression": KIND_REGRESSION,
-    "linear_regression_data": KIND_REGRESSION,
 }
 
 _OPTIMIZER_ALIASES = {
@@ -682,7 +681,6 @@ _CONFIG_KEYS = {
         "coeffs": _Key("coeffs", _cfg_list(_cfg_float, tuple), "--coeffs",
                        help="ascending p(x) coefficients"),
         "scale": _Key("scale", _cfg_float, "--scale", type=float),
-        "data": _Key("data_path", _cfg_text, "--data", help="regression CSV path"),
         "interpolating": _Key("interpolating", _cfg_bool, "--interpolating", action="store_true"),
         "x0": _Key("x0", _cfg_list(_cfg_float, tuple)),  # `run --x0` starts the run instead
     },

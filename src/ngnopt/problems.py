@@ -40,7 +40,6 @@ KIND_RIDGE = "ridge_quadratic"
 KIND_ROSENBROCK = "rosenbrock"
 KIND_MULTIMODAL = "multimodal_1d"
 KIND_POLYNOMIAL = "polynomial_1d"
-KIND_REGRESSION = "linear_regression_data"
 
 PROBLEM_KINDS = (
     KIND_LEAST_SQUARES,
@@ -48,7 +47,6 @@ PROBLEM_KINDS = (
     KIND_ROSENBROCK,
     KIND_MULTIMODAL,
     KIND_POLYNOMIAL,
-    KIND_REGRESSION,
 )
 
 
@@ -106,9 +104,8 @@ class ProblemSpec:
     Fields not meaningful for a kind are ignored by it. `coeffs` are the
     ascending coefficients of p(x) for the polynomial objective, `scale`
     its leading constant L in f(x) = L x^2 (1 + p(x)^2), `r` the ridge
-    shift, `interpolating` requests b in range(A) for generated least
-    squares, and `data_path` points at a CSV whose last column is the
-    regression target.
+    shift, and `interpolating` requests b in range(A) for generated least
+    squares.
     """
 
     kind: str
@@ -118,7 +115,6 @@ class ProblemSpec:
     r: float = 0.0
     coeffs: tuple = (0.0, 1.0)
     scale: float = 1.0
-    data_path: Optional[str] = None
     interpolating: bool = False
     x0: Optional[tuple] = None
 
@@ -607,67 +603,12 @@ def _build_polynomial(spec: ProblemSpec) -> StochasticObjective:
     return _closed_form(KIND_POLYNOMIAL, [3.0], [0.0], polynomial)
 
 
-def _load_regression_csv(path: str) -> tuple:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError(f"empty regression CSV {path!r}")
-    start = 0
-    try:
-        [float(c) for c in lines[0].split(",")]
-    except ValueError:
-        start = 1  # header row
-    for ln in lines[start:]:
-        cells = ln.split(",")
-        try:
-            row = [float(c) for c in cells]
-        except ValueError as exc:
-            raise ValueError(f"malformed row in {path!r}: {ln!r}") from exc
-        if not all(map(math.isfinite, row)):
-            raise ValueError(f"non-finite value in {path!r}: {ln!r}")
-        rows.append(row)
-    if not rows:
-        raise ValueError(f"regression CSV {path!r} has no data rows")
-    if len({len(r) for r in rows}) > 1:
-        raise ValueError(f"regression CSV {path!r} rows have inconsistent column counts")
-    data = np.asarray(rows, dtype=float)
-    if data.ndim != 2 or data.shape[1] < 2:
-        raise ValueError("regression CSV needs at least one feature column plus a target column")
-    return data[:, :-1], data[:, -1]
-
-
-def _build_regression(spec: ProblemSpec) -> StochasticObjective:
-    """Linear regression data: CSV when given, else a seeded synthetic
-    442 x 10 Gaussian regression. Features standardized to zero mean and
-    unit variance; a feature column whose mean or std overflows is an
-    error, named by its 0-based index. The last CSV column is the target."""
-    if spec.data_path is not None:
-        X, y = _load_regression_csv(spec.data_path)
-    else:
-        rng = np.random.default_rng(spec.seed)
-        X = rng.standard_normal((442, 10))
-        w = rng.standard_normal(10)
-        y = X @ w + 0.5 * rng.standard_normal(442)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = X.mean(axis=0)
-        std = X.std(axis=0)
-    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
-    if bad.size:
-        raise ValueError(f"regression CSV {spec.data_path!r}: feature column {int(bad[0])} "
-                         f"cannot be standardized (its mean or std overflows)")
-    std[std == 0.0] = 1.0
-    A = (X - mean) / std
-    return _least_squares_objective(KIND_REGRESSION, A, y)
-
-
 _BUILDERS = {
     KIND_LEAST_SQUARES: _build_least_squares,
     KIND_RIDGE: _build_ridge,
     KIND_ROSENBROCK: _build_rosenbrock,
     KIND_MULTIMODAL: _build_multimodal,
     KIND_POLYNOMIAL: _build_polynomial,
-    KIND_REGRESSION: _build_regression,
 }
 
 

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import errno
 import filecmp
 import math
 import multiprocessing
@@ -139,6 +140,17 @@ def test_cli_run_rejects_non_finite_optimizer_settings(flag, capsys):
             "--c", "0.5", "--steps", "5", flag, "nan"]
     assert cli(argv) == 1
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--problem", "regression"], "argument --problem: invalid choice: 'regression'"),
+    (["--problem", "least_squares", "--data", "data.csv"], "unrecognized arguments: --data"),
+], ids=["problem-regression", "data-flag"])
+def test_cli_run_rejects_the_removed_regression_flags(extra, message, capsys):
+    argv = ["run", "--optimizer", "ngn", "--c", "0.5", "--steps", "5"] + extra
+    assert cli(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -294,13 +306,13 @@ def test_run_sweep_bad_cell_error_rows_match_in_pool():
     assert sum(r["status"] == "error" for r in pooled) == 4
 
 
-MISSING_DATA = ProblemSpec(kind="linear_regression_data", data_path="/nonexistent/data.csv")
+UNBUILDABLE = ProblemSpec(kind="polynomial_1d", scale=-1.0)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_sweep_unbuildable_problem_raises(tmp_path, workers):
-    sweep = small_sweep(tmp_path, problem=MISSING_DATA)
-    with pytest.raises(FileNotFoundError):
+    sweep = small_sweep(tmp_path, problem=UNBUILDABLE)
+    with pytest.raises(ValueError, match="polynomial scale must be positive and finite"):
         run_sweep(sweep, workers=workers)
     assert not (tmp_path / "summary.csv").exists()
 
@@ -735,6 +747,9 @@ def test_sweep_spec_rejects_negative_weight_decay(tmp_path):
     ("r = 0.5", "r = 0.5\ninterpolating = maybe",
      "problem.interpolating: expected a boolean, got 'maybe'"),
     ("kind = ridge ", "kind = bogus ", "problem.kind: expected one of "),
+    ("kind = ridge ", "kind = regression ", "problem.kind: expected one of "),
+    ("kind = ridge ", "kind = linear_regression_data ", "problem.kind: expected one of "),
+    ("r = 0.5", "r = 0.5\ndata = data.csv", "unknown key problem.data"),
     ("beta2 = 0.99", "beta2 = 0.99\nschedule = hourly", "optimizers.schedule: expected one of "),
     ("c = 0.1, 1.0", "c = ,", "grid.c: must be a non-empty list"),
     ("seeds = 0, 1, 2", "seeds = 0, -1", "seeds must be whole numbers >= 0, got [0, -1]"),
@@ -791,10 +806,8 @@ def test_cli_run_diverged_still_exits_zero(capsys):
     assert "status=diverged" in capsys.readouterr().out
 
 
-REGRESSION_CSV = "x1,x2,y\n1,0,1.5\n0,2,-1\n3,1,2\n-1,4,0.5\n2,-2,3\n0.5,1,-0.5\n"
-
 # `ngnopt run` flags and the config of the same one-cell sweep, every optional flag given a
-# value other than its default in some case; {data} is the path of REGRESSION_CSV
+# value other than its default in some case
 RUN_CASES = {
     "ngn_md_v1-wd-coupled": (
         "--problem least_squares --dim 3 --n-samples 6 --batch-size 2 --optimizer ngn_md_v1 "
@@ -827,18 +840,16 @@ RUN_CASES = {
         "--problem polynomial --coeffs 0,0.5,1 --scale 2 --optimizer ngn --c 0.1",
         "[problem]\nkind = polynomial\ncoeffs = 0, 0.5, 1\nscale = 2\n[budget]\n"
         "[optimizers]\nkinds = ngn\n[grid]\nc = 0.1\nbeta = 0.0\n"),
-    "regression-data": (
-        "--problem regression --data {data} --optimizer sgdm --c 0.05 --beta 0.5",
-        "[problem]\nkind = regression\ndata = {data}\n[budget]\n"
+    "sgdm-least-squares-442": (
+        "--problem least_squares --dim 10 --n-samples 442 --optimizer sgdm --c 0.05 --beta 0.5",
+        "[problem]\nkind = least_squares\ndim = 10\nn_samples = 442\n[budget]\n"
         "[optimizers]\nkinds = sgdm\n[grid]\nc = 0.05\nbeta = 0.5\n"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(RUN_CASES))
 def test_cli_run_matches_one_cell_sweep(tmp_path, capsys, case):
-    data = tmp_path / "data.csv"
-    data.write_text(REGRESSION_CSV, encoding="utf-8")
-    run_args, config = (text.format(data=data) for text in RUN_CASES[case])
+    run_args, config = RUN_CASES[case]
     assert cli(["run", "--steps", "60", "--seed", "4"] + run_args.split()) == 0
     printed = dict(field.split("=", 1) for field in capsys.readouterr().out.split())
     config = config.replace("[budget]\n", "[budget]\nmax_steps = 60\n") + "seeds = 4\n"
@@ -859,16 +870,15 @@ def test_run_cases_give_every_optional_flag():
 # every config key and `ngnopt run` flag (type, choices, required, nargs), pinned, so that
 # reworking how they are declared can drop none of them
 CONFIG_KEYS = {
-    "problem": {"kind", "dim", "n_samples", "seed", "r", "coeffs", "scale", "data",
-                "interpolating", "x0"},
+    "problem": {"kind", "dim", "n_samples", "seed", "r", "coeffs", "scale", "interpolating",
+                "x0"},
     "optimizers": {"kinds", "beta2", "eps", "wd", "wd_mode", "schedule"},
     "grid": {"c", "beta", "seeds", "x0", "x0_range"},
     "budget": {"max_steps", "success_loss", "diverge_loss", "batch_size"},
     "output": {"path"},
 }
-PROBLEM_CHOICES = ["least_squares", "linear_regression_data", "multimodal", "multimodal_1d",
-                   "polynomial", "polynomial_1d", "regression", "ridge", "ridge_quadratic",
-                   "rosenbrock"]
+PROBLEM_CHOICES = ["least_squares", "multimodal", "multimodal_1d", "polynomial", "polynomial_1d",
+                   "ridge", "ridge_quadratic", "rosenbrock"]
 OPTIMIZER_CHOICES = ["adam", "dec_ngn_mdv1", "gdm", "ngn", "ngn_d", "ngn_m", "ngn_m_v1",
                      "ngn_m_v2", "ngn_md_v1", "ngn_md_v2", "ngn_mdv1w", "sgdm"]
 RUN_FLAGS = {
@@ -892,7 +902,6 @@ RUN_FLAGS = {
     "--r": (float, None, False, None),
     "--coeffs": (None, None, False, None),
     "--scale": (float, None, False, None),
-    "--data": (None, None, False, None),
     "--interpolating": (None, None, False, 0),
     "--success-loss": (float, None, False, None),
     "--diverge-loss": (float, None, False, None),
@@ -946,10 +955,10 @@ def test_cli_sweep(tmp_path, capsys):
     assert len(rows) == 3 * 2 * 2 * 3
 
 
-MISSING_DATA_CONFIG = """
+POLYNOMIAL_CONFIG = """
 [problem]
-kind = regression
-data = /nonexistent/data.csv
+kind = polynomial_1d
+scale = {scale}
 [optimizers]
 kinds = ngn
 [grid]
@@ -962,27 +971,30 @@ max_steps = 10
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_cli_sweep_unbuildable_problem_is_io_error(tmp_path, capsys, workers):
+def test_cli_sweep_unbuildable_problem_is_validation_error(tmp_path, capsys, workers):
+    # a full-batch sweep with two workers builds the problem in the pool, not here
     out = tmp_path / "results.csv"
-    code = cli(["sweep", "--config", write_config(tmp_path, MISSING_DATA_CONFIG),
-                "--out", str(out), "--workers", workers])
-    assert code == 2
-    assert not out.exists()
-    assert "No such file" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_cli_sweep_non_finite_regression_data_is_validation_error(tmp_path, capsys, workers):
-    data = tmp_path / "data.csv"
-    data.write_text("1,2,3\n4,nan,6\n7,8,10\n", encoding="utf-8")
-    out = tmp_path / "results.csv"
-    text = MISSING_DATA_CONFIG.replace("/nonexistent/data.csv", str(data))
-    code = cli(["sweep", "--config", write_config(tmp_path, text),
+    code = cli(["sweep", "--config", write_config(tmp_path, POLYNOMIAL_CONFIG.format(scale=-1)),
                 "--out", str(out), "--workers", workers])
     assert code == 1
     assert not out.exists()
-    err = capsys.readouterr().err
-    assert err.startswith("error: non-finite value in") and str(data) in err
+    assert capsys.readouterr().err == "error: polynomial scale must be positive and finite\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--config", "{config}", "--workers", "1"],
+    ["sweep", "--config", "{config}", "--workers", "2"],
+    ["run", "--problem", "polynomial", "--optimizer", "ngn", "--c", "1.0", "--steps", "10"],
+], ids=["sweep-1", "sweep-2", "run"])
+def test_cli_out_path_under_a_regular_file_is_io_error(tmp_path, capsys, argv):
+    config = write_config(tmp_path, POLYNOMIAL_CONFIG.format(scale=1))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    code = cli([arg.format(config=config) for arg in argv] + ["--out", str(blocker / "out.csv")])
+    assert code == 2
+    err = f"[Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: {str(blocker)!r}"
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert blocker.read_text(encoding="utf-8") == ""
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -32,7 +32,7 @@ PROBLEMS = {
     "least_squares_interp": ProblemSpec(kind="least_squares", dim=3, n_samples=9, seed=2,
                                         interpolating=True),
     "ridge": ProblemSpec(kind="ridge_quadratic", dim=5, seed=3, r=0.5),
-    "regression": ProblemSpec(kind="linear_regression_data", seed=0),
+    "least_squares_442": ProblemSpec(kind="least_squares", dim=10, n_samples=442, seed=0),
     "rosenbrock": ProblemSpec(kind="rosenbrock"),
     "multimodal": ProblemSpec(kind="multimodal_1d"),
     "polynomial": ProblemSpec(kind="polynomial_1d", coeffs=(0.5, -2.0, 0.0, 1.0)),
@@ -191,8 +191,9 @@ def reference_run_once(problem, oracle, spec, budget, seed, x0=None):
 
 
 def reference_cases():
-    """(name, problem, per-point oracle) for each least-squares kind and
-    the polynomial; A and b are rebuilt from each kind's definition."""
+    """(name, problem, per-point oracle) for each least-squares kind, a
+    442 x 10 least squares on standardized features, and the polynomial;
+    A and b are rebuilt from each kind's definition."""
     rng = np.random.default_rng(7)
     A, b = rng.standard_normal((30, 6)), rng.standard_normal(30)
     g = np.random.default_rng(4)
@@ -208,8 +209,7 @@ def reference_cases():
         ("least_squares", least_squares_problem(A, b), reference_lsq_oracle(A, b)),
         ("ridge", build_problem(ProblemSpec(kind="ridge_quadratic", dim=8, seed=4, r=0.3)),
          reference_lsq_oracle(M, y)),
-        ("regression", build_problem(ProblemSpec(kind="linear_regression_data", seed=2)),
-         reference_lsq_oracle(Z, t)),
+        ("least_squares_442", least_squares_problem(Z, t), reference_lsq_oracle(Z, t)),
         ("polynomial", build_problem(ProblemSpec(kind="polynomial_1d", coeffs=coeffs)),
          reference_polynomial_oracle(coeffs, 1.0)),
     ]
@@ -477,6 +477,35 @@ def test_a_failing_batch_ends_only_the_cells_still_running(monkeypatch):
     run_lockstep(p, [done, running], budget, seed=0)
     assert (done.status, done.stop_step, done.error) == ("converged", 0, None)
     assert str(running.error) == "no batch at step 8" and len(running.losses) == 8
+
+
+@pytest.mark.parametrize("seed", [1.5, -3, 2**64, "3"])
+def test_a_seed_that_cannot_key_a_batch_fails_the_run_on_any_batch(seed):
+    # a full batch draws nothing with the seed, and still rejects it as a mini-batch does
+    p = build_problem(LSQ)
+    for batch_size in (None, 4):
+        budget = RunBudget(max_steps=5, batch_size=batch_size)
+        with pytest.raises(ValueError) as info:
+            run_once(p, OptimizerSpec(kind="ngn", c=0.1), budget, seed=seed)
+        assert str(info.value) == f"seed must be a whole number in [0, 2**64), got {seed!r}"
+        cells = [RunRecord(p, OptimizerSpec(kind="ngn", c=c)) for c in (0.1, 1.0)]
+        run_lockstep(p, cells, budget, seed)
+        assert [str(cell.error) for cell in cells] == [str(info.value)] * 2
+        assert [len(cell.losses) for cell in cells] == [0, 0]
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1)],
+                         ids=["0", "2**64-1", "uint64(2**64-1)"])
+def test_a_seed_at_an_end_of_the_key_range_runs_on_any_batch(seed):
+    # the check stops at the range's ends, not inside it: a NumPy whole
+    # number draws the batches of the Python int of the same value
+    p = build_problem(LSQ)
+    for batch_size in (None, 4):
+        budget = RunBudget(max_steps=5, batch_size=batch_size)
+        rec = run_once(p, OptimizerSpec(kind="ngn", c=0.1), budget, seed=seed)
+        assert rec.status == STATUS_BUDGET and rec.error is None and len(rec.losses) == 5
+        same = run_once(p, OptimizerSpec(kind="ngn", c=0.1), budget, seed=int(seed))
+        assert rec.losses == same.losses
 
 
 # --- serial output equals pool output ------------------------------------------------

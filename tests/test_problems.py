@@ -5,7 +5,6 @@ import pathlib
 import random
 import struct
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +56,14 @@ def rel_err(a, b):
 def test_problem_spec_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown problem kind"):
         ProblemSpec(kind="nope")
+
+
+@pytest.mark.parametrize("kind", ["linear_regression_data", "regression"])
+def test_problem_spec_rejects_the_removed_regression_kind(kind):
+    # the CSV-backed regression kind and its alias are gone; a spec that
+    # names either fails at construction instead of building something else
+    with pytest.raises(ValueError, match=f"unknown problem kind {kind!r}"):
+        ProblemSpec(kind=kind)
 
 
 def test_problem_spec_rejects_bad_dim_and_seed():
@@ -172,19 +179,6 @@ def ridge_data(dim, seed, r):
     return A + r * np.eye(dim), rng.standard_normal(dim)
 
 
-def standardized(X, y):
-    std = X.std(axis=0)
-    std[std == 0.0] = 1.0
-    return (X - X.mean(axis=0)) / std, y
-
-
-def synthetic_regression_data(seed):
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((442, 10))
-    w = rng.standard_normal(10)
-    return standardized(X, X @ w + 0.5 * rng.standard_normal(442))
-
-
 def assert_same_metadata(got, want):
     for f in dataclasses.fields(ObjectiveMetadata):
         g, w = getattr(got, f.name), getattr(want, f.name)
@@ -198,7 +192,7 @@ def assert_same_metadata(got, want):
 
 @pytest.mark.parametrize("dim, n, seed, interpolating", [
     (3, 6, 0, False), (5, 12, 3, False), (6, 12, 2, True), (20, 40, 0, True),
-    (50, 100, 5, False), (8, 4, 1, False),  # n < d: rank-deficient
+    (50, 100, 5, False), (10, 442, 0, False), (8, 4, 1, False),  # n < d: rank-deficient
 ])
 def test_least_squares_metadata_keeps_the_eager_bits(dim, n, seed, interpolating):
     p = build_problem(ProblemSpec(kind="least_squares", dim=dim, n_samples=n, seed=seed,
@@ -213,19 +207,6 @@ def test_least_squares_metadata_keeps_the_eager_bits(dim, n, seed, interpolating
 def test_ridge_metadata_keeps_the_eager_bits(dim, seed, r):
     p = build_problem(ProblemSpec(kind="ridge_quadratic", dim=dim, seed=seed, r=r))
     assert_same_metadata(p.metadata, eager_least_squares_metadata(*ridge_data(dim, seed, r)))
-
-
-def test_regression_metadata_keeps_the_eager_bits(tmp_path):
-    for seed in (0, 1):
-        p = build_problem(ProblemSpec(kind="linear_regression_data", seed=seed))
-        assert_same_metadata(p.metadata, eager_least_squares_metadata(
-            *synthetic_regression_data(seed)))
-    data = np.random.default_rng(4).standard_normal((30, 4))
-    path = tmp_path / "data.csv"
-    path.write_text("\n".join(",".join(repr(v) for v in row.tolist()) for row in data) + "\n")
-    p = build_problem(ProblemSpec(kind="linear_regression_data", data_path=str(path)))
-    assert_same_metadata(p.metadata, eager_least_squares_metadata(
-        *standardized(data[:, :-1], data[:, -1])))
 
 
 @pytest.mark.parametrize("A, b", [
@@ -258,7 +239,7 @@ def _raise_if_called(*args, **kwargs):
 LAZY_CASES = [
     (ProblemSpec(kind="least_squares", dim=4, n_samples=9, seed=1), 3),
     (ProblemSpec(kind="ridge_quadratic", dim=6, seed=2, r=0.5), None),
-    (ProblemSpec(kind="linear_regression_data", seed=0), 32),
+    (ProblemSpec(kind="least_squares", dim=10, n_samples=442, seed=0), 32),
     (ProblemSpec(kind="polynomial_1d", coeffs=(0.5, -2.0, 0.0, 1.0)), None),
 ]
 
@@ -332,46 +313,6 @@ def test_least_squares_problem_rejects_mismatched_data(shapes):
         least_squares_problem(A, b)
 
 
-@pytest.mark.parametrize("text, match", [
-    ("", "empty regression CSV"),
-    ("\n  \n", "empty regression CSV"),
-    ("1,2\n3,4,5\n", "rows have inconsistent column counts"),
-    ("x,y\n1,2,3\n4,5\n6,7,8\n", "rows have inconsistent column counts"),
-    ("x,y\n", "has no data rows"),
-])
-def test_regression_csv_rejects_bad_shapes(tmp_path, text, match):
-    path = tmp_path / "data.csv"
-    path.write_text(text, encoding="utf-8")
-    with pytest.raises(ValueError, match=match) as info:
-        build_problem(ProblemSpec(kind="linear_regression_data", data_path=str(path)))
-    assert str(path) in str(info.value)
-
-
-@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
-def test_regression_csv_rejects_non_finite_cells(tmp_path, cell):
-    path = tmp_path / "data.csv"
-    path.write_text(f"f1,f2,target\n1,2,3\n4,{cell},6\n7,8,10\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="non-finite value") as info:
-        build_problem(ProblemSpec(kind="linear_regression_data", data_path=str(path)))
-    assert str(path) in str(info.value)
-
-
-@pytest.mark.parametrize("rows, column", [
-    # the mean is finite and the std overflows: once an all-zero feature
-    (("1e308,5,1", "-1e308,6,2", "1e308,7,3"), 0),
-    # the sum overflows, so the mean is inf and the std NaN
-    (("5,1e308,1", "6,1e308,2", "7,-1e308,3"), 1),
-])
-def test_regression_csv_rejects_overflowing_column(tmp_path, rows, column):
-    path = tmp_path / "huge.csv"
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # any RuntimeWarning fails the test
-        with pytest.raises(ValueError, match=f"feature column {column} cannot be standardized") as info:
-            build_problem(ProblemSpec(kind="linear_regression_data", data_path=str(path)))
-    assert str(path) in str(info.value)
-
-
 @pytest.mark.parametrize("kind, x0, match", [
     ("least_squares", (1.0, 2.0), r"x0 has shape \(2,\), problem dimension is 3"),
     ("ridge_quadratic", (1.0, 2.0, 3.0, 4.0), r"x0 has shape \(4,\), problem dimension is 3"),
@@ -394,7 +335,7 @@ def _gather_form(A, b, x, idx):
     return float(np.sum(r * r)) / (2.0 * idx.size), A[idx].T @ r / idx.size
 
 
-def _lsq_cases(tmp_path):
+def _lsq_cases():
     """(problem, A, b) for every least-squares kind at a few (n, d); A and
     b are rebuilt here from each kind's definition."""
     rng = np.random.default_rng(11)
@@ -411,23 +352,15 @@ def _lsq_cases(tmp_path):
         M = g.standard_normal((d, d)) + r * np.eye(d)
         y = g.standard_normal(d)
         cases.append((build_problem(ProblemSpec(kind="ridge_quadratic", dim=d, seed=seed, r=r)), M, y))
-    for n, d in ((5, 1), (60, 4)):
-        data = rng.standard_normal((n, d + 1))
-        path = tmp_path / f"reg_{n}_{d}.csv"
-        path.write_text("\n".join(",".join("%.17g" % v for v in row) for row in data), encoding="utf-8")
-        X, y = data[:, :-1], data[:, -1]
-        std = X.std(axis=0)
-        std[std == 0.0] = 1.0
-        A = (X - X.mean(axis=0)) / std
-        spec = ProblemSpec(kind="linear_regression_data", data_path=str(path))
-        cases.append((build_problem(spec), A, y))
+    spec = ProblemSpec(kind="least_squares", dim=10, n_samples=442, seed=0)
+    cases.append((build_problem(spec), *least_squares_data(10, 442, 0, False)))
     return cases
 
 
-def test_full_batch_oracle_is_bit_identical_to_gathers(tmp_path):
+def test_full_batch_oracle_is_bit_identical_to_gathers():
     rng = np.random.default_rng(5)
     kinds = set()
-    for p, A, b in _lsq_cases(tmp_path):
+    for p, A, b in _lsq_cases():
         kinds.add(p.kind)
         n = p.n_samples
         everything = np.arange(n)
@@ -439,12 +372,12 @@ def test_full_batch_oracle_is_bit_identical_to_gathers(tmp_path):
             assert np.array_equal(full.grad, grad)
             gathered = evaluate(p, x, Batch(everything))
             assert gathered.loss == full.loss and np.array_equal(gathered.grad, full.grad)
-    assert kinds == {"least_squares", "ridge_quadratic", "linear_regression_data"}
+    assert kinds == {"least_squares", "ridge_quadratic"}
 
 
-def test_size_n_batch_that_is_not_in_order_gathers(tmp_path):
+def test_size_n_batch_that_is_not_in_order_gathers():
     rng = np.random.default_rng(6)
-    for p, A, b in _lsq_cases(tmp_path):
+    for p, A, b in _lsq_cases():
         n = p.n_samples
         if n < 2:
             continue
@@ -530,33 +463,6 @@ def test_ridge_metadata_scales_with_r():
     large = build_problem(ProblemSpec(kind="ridge_quadratic", dim=20, seed=0, r=100.0))
     assert large.metadata.L > small.metadata.L
     assert large.metadata.mu is not None and large.metadata.mu > 100.0
-
-
-def test_regression_synthetic_shape_and_standardization():
-    p = build_problem(ProblemSpec(kind="linear_regression_data", seed=0))
-    assert p.dim == 10
-    assert p.n_samples == 442
-    assert p.metadata.L > 0
-    assert p.metadata.L_coord.shape == (10,)
-
-
-def test_regression_csv_roundtrip(tmp_path):
-    path = tmp_path / "data.csv"
-    path.write_text("f1,f2,target\n1,2,3\n4,5,6\n7,8,10\n", encoding="utf-8")
-    p = build_problem(ProblemSpec(kind="linear_regression_data", data_path=str(path)))
-    assert p.dim == 2
-    assert p.n_samples == 3
-
-
-def test_regression_csv_rejects_malformed(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("1,2\n3,oops\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="malformed"):
-        build_problem(ProblemSpec(kind="linear_regression_data", data_path=str(bad)))
-    narrow = tmp_path / "narrow.csv"
-    narrow.write_text("1\n2\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        build_problem(ProblemSpec(kind="linear_regression_data", data_path=str(narrow)))
 
 
 # --- evaluation guard rails --------------------------------------------------
@@ -742,10 +648,15 @@ def _fd_points(problem, rng, count):
     return rng.uniform(-3.0, 3.0, size=(count, problem.dim))
 
 
-@pytest.mark.parametrize("kind", PROBLEM_KINDS)
+# every kind at dim 4, and least squares at the 442 x 10 shape of the old regression data
+GRADIENT_PROBLEMS = {kind: ProblemSpec(kind=kind, dim=4, n_samples=9, seed=0)
+                     for kind in PROBLEM_KINDS} | {
+    "least_squares_442": ProblemSpec(kind="least_squares", dim=10, n_samples=442, seed=0)}
+
+
+@pytest.mark.parametrize("kind", sorted(GRADIENT_PROBLEMS))
 def test_gradients_match_finite_differences(kind):
-    spec = ProblemSpec(kind=kind, dim=4, n_samples=9, seed=0)
-    p = build_problem(spec)
+    p = build_problem(GRADIENT_PROBLEMS[kind])
     rng = np.random.default_rng(0)
     batch = p.full_batch()
     for x in _fd_points(p, rng, 10):
@@ -851,7 +762,7 @@ LEAST_SQUARES = {
     "least_squares": ProblemSpec(kind="least_squares", dim=4, n_samples=12, seed=1),
     "least_squares_50": ProblemSpec(kind="least_squares", dim=50, n_samples=120, seed=2),
     "ridge": ProblemSpec(kind="ridge_quadratic", dim=5, seed=3, r=0.5),
-    "regression": ProblemSpec(kind="linear_regression_data", seed=0),
+    "least_squares_442": ProblemSpec(kind="least_squares", dim=10, n_samples=442, seed=0),
 }
 _LEAST_SQUARES_BUILT: dict = {}
 
@@ -899,13 +810,17 @@ def test_least_squares_one_point_oracle_has_the_bits_of_a_stacked_row(name, batc
 
 # --- the oracle contract at non-finite points ----------------------------------------
 
+CONTRACT_PROBLEMS = {kind: ProblemSpec(kind=kind, dim=4) for kind in PROBLEM_KINDS} | {
+    "least_squares_442": ProblemSpec(kind="least_squares", dim=10, n_samples=442)}
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-@pytest.mark.parametrize("kind", PROBLEM_KINDS)
-def test_a_non_finite_point_gets_a_non_finite_loss_and_leaves_its_stack_alone(kind, value):
+@pytest.mark.parametrize("name", sorted(CONTRACT_PROBLEMS))
+def test_a_non_finite_point_gets_a_non_finite_loss_and_leaves_its_stack_alone(name, value):
     # the run loop reads a non-finite iterate off its loss, with no scan
     # before the oracle: neither oracle may raise on it, and the finite
     # rows beside it keep the bits of their one-point evaluation
-    p = build_problem(ProblemSpec(kind=kind, dim=4))
+    p = build_problem(CONTRACT_PROBLEMS[name])
     finite = p.x0_default + 0.5
     batches = [None] + ([np.array([0, 2, 3])] if p.n_samples > 3 else [])
     with np.errstate(all="ignore"):
@@ -961,9 +876,9 @@ def oracle_rows(problem):
     return inspect.getclosurevars(problem._loss_grad).nonlocals["rows"]
 
 
-def test_least_squares_data_is_cache_aligned_and_kept_once(tmp_path):
+def test_least_squares_data_is_cache_aligned_and_kept_once():
     kinds = set()
-    for p, A, _ in _lsq_cases(tmp_path):
+    for p, A, _ in _lsq_cases():
         kinds.add(p.kind)
         rows = oracle_rows(p)
         assert rows.ctypes.data % 64 == 0 and rows.flags.c_contiguous
@@ -972,7 +887,7 @@ def test_least_squares_data_is_cache_aligned_and_kept_once(tmp_path):
         for reader in (p._metadata, p._batch_min):
             held = inspect.getclosurevars(reader).nonlocals
             assert held["rows"] is rows and "A" not in held
-    assert kinds == {"least_squares", "ridge_quadratic", "linear_regression_data"}
+    assert kinds == {"least_squares", "ridge_quadratic"}
 
 
 @pytest.mark.parametrize("spec", [
@@ -1044,10 +959,10 @@ def misaligned_copy(A):
     return out
 
 
-def test_least_squares_oracle_bits_do_not_depend_on_alignment(tmp_path, monkeypatch):
-    aligned = _lsq_cases(tmp_path)
+def test_least_squares_oracle_bits_do_not_depend_on_alignment(monkeypatch):
+    aligned = _lsq_cases()
     monkeypatch.setattr(problems, "_cache_aligned", misaligned_copy)
-    moved = _lsq_cases(tmp_path)
+    moved = _lsq_cases()
     rng = np.random.default_rng(12)
     for (p, _, _), (q, _, _) in zip(aligned, moved):
         assert oracle_rows(q).ctypes.data % 64 == 16
