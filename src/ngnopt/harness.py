@@ -260,10 +260,12 @@ def run_lockstep(problem: StochasticObjective, cells: list, budget: RunBudget, s
     (default: about 100 checkpoints per run). Mini-batches come from
     sample_batches in blocks of 8, 16, 32 and then 64 steps, each drawn
     when the loop reaches its first step (see _minibatches). Each cell
-    then applies run_once's stop rules in Python floats, before any
-    further update:
-    a non-finite iterate, loss or gradient norm, or a loss above
-    diverge_loss is divergence, a loss at or below success_loss success.
+    then applies the stop tests in Python floats, before any further
+    update, and stops on the first that holds, in this order: a
+    non-finite iterate, a non-finite loss, a loss above diverge_loss and
+    a non-finite gradient norm are divergence, a loss at or below
+    success_loss success. One comparison first passes a cell that none
+    of them stops.
     A non-finite point gets a non-finite loss (see StochasticObjective),
     so an iterate is tested only then; a non-finite one records an
     infinite loss and gradient norm and no checkpoint. A cell that does
@@ -293,6 +295,7 @@ def run_lockstep(problem: StochasticObjective, cells: list, budget: RunBudget, s
             batches = (_minibatches(problem, seed, budget.max_steps, bs) if stochastic
                        else itertools.repeat(full_batch))
             diverge_loss, success_loss = budget.diverge_loss, budget.success_loss
+            loss_cap = min(diverge_loss, sys.float_info.max)  # no infinite loss at or below it
             for k, batch in zip(range(budget.max_steps if active else 0), batches):
                 X = _stack_iterates(active)
                 losses, grads, grad_sqs = evaluate_cells(problem, X, batch)
@@ -301,32 +304,35 @@ def run_lockstep(problem: StochasticObjective, cells: list, budget: RunBudget, s
                          else itertools.repeat(None))
                 running = []
                 for cell, loss, grad, grad_sq, full in zip(active, losses, grads, grad_sqs, fulls):
-                    if not (math.isfinite(loss) or np.isfinite(cell.state.x).all()):
+                    if success_loss < loss <= loss_cap and grad_sq < math.inf:
+                        stop = None  # no stop test fires: loss and ||g||^2 finite, loss in range
+                    elif not (math.isfinite(loss) or np.isfinite(cell.state.x).all()):
                         cell.record(k, math.inf, math.inf, history)
                         cell.stop(k, STATUS_DIVERGED, STOP_NON_FINITE_ITERATE)
                         continue
+                    elif not math.isfinite(loss):
+                        stop = STATUS_DIVERGED, STOP_NON_FINITE_LOSS
+                    elif loss > diverge_loss:
+                        stop = STATUS_DIVERGED, STOP_LOSS_ABOVE_THRESHOLD
+                    elif not math.isfinite(grad_sq):
+                        stop = STATUS_DIVERGED, STOP_NON_FINITE_GRAD
+                    else:  # loss <= success_loss
+                        stop = STATUS_CONVERGED, STOP_SUCCESS
                     if full is not None:
                         cell.full_losses.append((k, full))
-                    grad_norm = math.sqrt(grad_sq)
-                    cell.record(k, loss, grad_norm, history)
-                    if not math.isfinite(loss):
-                        cell.stop(k, STATUS_DIVERGED, STOP_NON_FINITE_LOSS)
-                    elif loss > diverge_loss:
-                        cell.stop(k, STATUS_DIVERGED, STOP_LOSS_ABOVE_THRESHOLD)
-                    elif not math.isfinite(grad_norm):
-                        cell.stop(k, STATUS_DIVERGED, STOP_NON_FINITE_GRAD)
-                    elif loss <= success_loss:
-                        cell.stop(k, STATUS_CONVERGED, STOP_SUCCESS)
-                    else:
-                        try:
-                            sizes = step_fn(cell.state, (loss, grad, grad_sq), cell.spec)
-                        except Exception as exc:  # this cell's rule failed
-                            cell.error = exc
-                            continue
-                        if history:
-                            cell.iterates.append(cell.state.x)
-                            cell.step_reports.append(StepReport(*sizes))
-                        running.append(cell)
+                    cell.record(k, loss, math.sqrt(grad_sq), history)
+                    if stop is not None:
+                        cell.stop(k, *stop)
+                        continue
+                    try:
+                        sizes = step_fn(cell.state, (loss, grad, grad_sq), cell.spec)
+                    except Exception as exc:  # this cell's rule failed
+                        cell.error = exc
+                        continue
+                    if history:
+                        cell.iterates.append(cell.state.x)
+                        cell.step_reports.append(StepReport(*sizes))
+                    running.append(cell)
                 active = running
                 if not active:
                     break
@@ -842,6 +848,8 @@ _ERRORS_SHOWN = 3  # failed cells whose error text `ngnopt sweep` prints
 
 
 def _cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be a whole number >= 1, got {args.workers}")
     sweep = parse_config(args.config)
     if args.out is not None:
         sweep.out_path = args.out

@@ -34,8 +34,8 @@ and the rules that need ||g||^2 read it.
 
 NGN-M V1 and SGDM write their update once, as a module function of the
 step size, beta, x, x_prev and g. When x, x_prev and g are vectors of
-one length of at most _FLOAT_MAX coordinates, it is mapped over Python
-floats, one coordinate at a time; otherwise it runs on the arrays, which
+one length of at most _FLOAT_MAX coordinates, it runs on Python floats
+(one call for one coordinate, else mapped); else on the arrays, which
 also serve other shapes and broadcasting. Both sides give the same bits:
 these updates only add, subtract and multiply, each +, - and * is one
 IEEE double operation on either side, in the same order, and neither
@@ -48,10 +48,10 @@ floats it was no faster at any d (the update alone: 1.3-2.1 against
 1.3-1.8 us at d=1-4). _FLOAT_MAX is a measured crossover: the largest d
 at which neither rule's float side of `apply_step` is slower. Median
 ratio of float-side to array-side time, over 60 adjacent pairs of
-2000-call timeit runs (Python 3.11, NumPy 2.4, 2-vCPU VM): ngn_m_v1 0.60
-at d=1, 0.86 at d=7, 0.98 at d=10 and 1.03 at d=11; sgdm, one ufunc call
-cheaper on arrays, 0.65 at d=1, 0.97 at d=7 and 1.01-1.03 at d=8.
-_float_or_array picks the side for both rules.
+2000-call timeit runs (Python 3.11, NumPy 2.4, 2-vCPU VM): ngn_m_v1 0.43
+at d=1 (0.57 mapped), 0.86 at d=7, 0.98 at d=10 and 1.03 at d=11; sgdm,
+one ufunc call cheaper on arrays, 0.43 at d=1 (0.63 mapped), 0.97 at d=7
+and 1.01-1.03 at d=8. _float_or_array picks the side for both rules.
 """
 
 from __future__ import annotations
@@ -267,6 +267,8 @@ def _float_or_array(update, step, beta, x, x_prev, g):
     """update(step, beta, x, x_prev, g) over Python floats for vectors of
     one length of at most _FLOAT_MAX coordinates, else on the arrays."""
     if x.size <= _FLOAT_MAX and x.ndim == 1 and x.shape == x_prev.shape == g.shape:
+        if x.size == 1:
+            return np.array([update(step, beta, x.item(), x_prev.item(), g.item())])
         update = partial(update, step, beta)
         return np.fromiter(map(update, x.tolist(), x_prev.tolist(), g.tolist()), float, x.size)
     return update(step, beta, x, x_prev, g)

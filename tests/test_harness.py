@@ -770,6 +770,16 @@ def test_cli_sweep_names_what_is_wrong_with_its_config(tmp_path, monkeypatch, ca
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_cli_sweep_rejects_workers_below_one(tmp_path, monkeypatch, capsys, workers):
+    monkeypatch.setenv("NGNOPT_OUT_DIR", str(tmp_path))
+    assert cli(["sweep", "--config", write_config(tmp_path, GOOD_CONFIG),
+                "--workers", workers]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --workers must be a whole number >= 1, got {workers}\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("raw, value", [
     ("true", True), ("Yes", True), ("1", True), ("on", True),
     ("false", False), ("NO", False), ("0", False), ("off", False),

@@ -567,6 +567,31 @@ def test_stop_reason_success():
     assert (rec.status, rec.stop_reason) == ("converged", "success")
 
 
+@pytest.mark.parametrize("budget, reason", [
+    (RunBudget(max_steps=5), "loss_above_threshold"),
+    (RunBudget(max_steps=5, success_loss=1e300, diverge_loss=math.inf), "non_finite_grad"),
+], ids=["loss_above_threshold", "non_finite_grad"])
+def test_stop_tests_fire_in_their_order(budget, reason):
+    # at (1e60, 0) the loss, about 1e242, is finite and ||g||^2 overflows:
+    # the loss threshold is tested before the gradient, and the gradient
+    # before success, in a one-cell run and in a group whose other cells
+    # stop otherwise (success at 1e300) or keep stepping
+    p = build_problem(ProblemSpec(kind="rosenbrock"))
+    spec = OptimizerSpec(kind="ngn_m_v1", c=1e-3, beta1=0.9)
+    far = np.array([1e60, 0.0])
+    rec = run_once(p, spec, budget, seed=0, x0=far)
+    assert (rec.status, rec.stop_reason, rec.stop_step) == ("diverged", reason, 0)
+    assert 1e241 < rec.losses[0] < 1e243 and rec.grad_norms == [math.inf]
+    starts = [None, far, None, far]
+    cells = [RunRecord(p, spec, x0) for x0 in starts]
+    run_lockstep(p, cells, budget, seed=0)
+    for cell, x0 in zip(cells, starts):
+        same_run(cell, run_once(p, spec, budget, seed=0, x0=x0))
+    assert [cell.stop_reason for cell in cells[1::2]] == [reason, reason]
+    assert {cell.stop_reason for cell in cells[::2]} == (
+        {"budget"} if reason == "loss_above_threshold" else {"success"})
+
+
 def test_stop_reason_budget():
     p = build_problem(LSQ)
     rec = run_once(p, OptimizerSpec(kind="ngn", c=1e-3), RunBudget(max_steps=7), seed=0)

@@ -835,6 +835,8 @@ def test_float_side_has_the_array_sides_bits_on_every_edge_triple(kind):
     # gamma = c (grad_sq = 0), 0 (loss = 0) and in between
     for c, beta, loss, grad_sq in itertools.product((0.5, 1e300), (0.0, 0.9), (0.0, 2.0), (0.0, 3.0)):
         assert_sides_agree(kind, x, x_prev, g, c, beta, loss, grad_sq)
+        for i in range(x.size):  # each triple alone, as a one-coordinate iterate
+            assert_sides_agree(kind, x[i:i + 1], x_prev[i:i + 1], g[i:i + 1], c, beta, loss, grad_sq)
 
 
 @pytest.mark.parametrize("kind", FLOAT_SIDE_KINDS)
