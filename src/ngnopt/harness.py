@@ -3,8 +3,8 @@
 run_lockstep is the one loop that steps an optimizer. It steps a group
 of cells, one RunRecord each, that share a batch sequence (every cell of
 a full-batch run, or every cell with the same seed on mini-batches) with
-one batch per step, drawn in blocks of steps, and one stacked oracle
-call per step; each cell then
+one batch per step, drawn in blocks of steps, and one oracle call per
+step (stacked, or one-point for a lone cell); each cell then
 applies the stop rules and its own step rule. A cell stops on divergence
 (non-finite iterate, loss or gradient norm, or loss above threshold) or
 success, before taking the next step, and records why; its iterate is
@@ -213,17 +213,17 @@ class SweepResult:
 
 
 def _stack_iterates(cells: list) -> np.ndarray:
-    """The iterates of cells as the rows of a (C, d) array, for one oracle
-    call. One cell's is a view: the oracle reads X and never writes it.
-    Rows of odd length d > 1 get an even row stride, so that each row
-    starts on a 16-byte boundary, as a fresh iterate does: OpenBLAS's
-    generic (Prescott) kernel rounds the dot of a one-row batch by the
-    alignment of its operand, and every cell of a group must have the
-    bits of its one-cell run. A dot of one entry is one rounding at any
-    alignment. The padding costs about 0.6 us a step (timeit, C = 4 and
-    24, 2-vCPU x86 VM)."""
+    """The iterates of cells as the rows of a (C, d) array for one oracle
+    call, or a lone cell's iterate (d,) itself for a one-point call: the
+    one place that chooses. The oracle never writes X. Rows of odd length
+    d > 1 get an even row stride, so that each row starts on a 16-byte
+    boundary, as a fresh iterate does: OpenBLAS's generic (Prescott)
+    kernel rounds the dot of a one-row batch by the alignment of its
+    operand, and every cell of a group must have the bits of its one-cell
+    run. A dot of one entry is one rounding at any alignment. The padding
+    costs about 0.6 us a step (timeit, C = 4 and 24, 2-vCPU x86 VM)."""
     if len(cells) == 1:
-        return cells[0].state.x[None, :]
+        return cells[0].state.x
     d = cells[0].state.x.shape[0]
     if d % 2 == 0 or d == 1:
         return np.array([cell.state.x for cell in cells])
@@ -255,8 +255,10 @@ def run_lockstep(problem: StochasticObjective, cells: list, budget: RunBudget, s
     sequence until each one stops.
 
     Each step takes one batch (for the group's seed), stacks the active
-    iterates and makes one oracle call; stochastic runs also log the
-    full-batch loss of every active cell every full_eval_every steps
+    iterates and makes one oracle call; a lone cell makes a one-point call
+    on its iterate, with no (1, d) stack, which keeps a stacked row's bits
+    and 16-byte alignment (see evaluate_cells). Stochastic runs also log
+    the full-batch loss of every active cell every full_eval_every steps
     (default: about 100 checkpoints per run). Mini-batches come from
     sample_batches in blocks of 8, 16, 32 and then 64 steps, each drawn
     when the loop reaches its first step (see _minibatches). Each cell
@@ -265,19 +267,18 @@ def run_lockstep(problem: StochasticObjective, cells: list, budget: RunBudget, s
     non-finite iterate, a non-finite loss, a loss above diverge_loss and
     a non-finite gradient norm are divergence, a loss at or below
     success_loss success. One comparison first passes a cell that none
-    of them stops.
-    A non-finite point gets a non-finite loss (see StochasticObjective),
-    so an iterate is tested only then; a non-finite one records an
-    infinite loss and gradient norm and no checkpoint. A cell that does
-    not stop takes one step of its own rule through apply_step. Cells
-    leave the group as they stop, so every cell ends where its one-cell
-    run ends, with the same bits. A few-cell step is mostly fixed cost
-    (about 1 us per NumPy call on a 1-element array), so the oracle hands
-    the loop floats (see evaluate_cells). An exception in a step rule
-    ends that cell alone (RunRecord.error); any other exception ends
-    every cell still running. history=False keeps only the running
-    summary and the state, which is what a sweep row reads, and builds
-    no StepReport.
+    of them stops. A non-finite point gets a non-finite loss (see
+    StochasticObjective), so an iterate is tested only then; a non-finite
+    one records an infinite loss and gradient norm and no checkpoint. A
+    cell that does not stop takes one step of its own rule through
+    apply_step. Cells leave the group as they stop, so every cell ends
+    where its one-cell run ends, with the same bits. A few-cell step is
+    mostly fixed cost (about 1 us per NumPy call on a 1-element array),
+    so the oracle hands the loop floats (see evaluate_cells). An
+    exception in a step rule ends that cell alone (RunRecord.error); any
+    other exception ends every cell still running. history=False keeps
+    only the running summary and the state, which is what a sweep row
+    reads, and builds no StepReport.
     """
     step_fn = apply_step  # read here, so a patched harness.apply_step is the one called
     active = [cell for cell in cells if cell.error is None]
@@ -294,14 +295,15 @@ def run_lockstep(problem: StochasticObjective, cells: list, budget: RunBudget, s
             full_batch = problem.full_batch()
             batches = (_minibatches(problem, seed, budget.max_steps, bs) if stochastic
                        else itertools.repeat(full_batch))
+            no_fulls = itertools.repeat(None)
             diverge_loss, success_loss = budget.diverge_loss, budget.success_loss
             loss_cap = min(diverge_loss, sys.float_info.max)  # no infinite loss at or below it
             for k, batch in zip(range(budget.max_steps if active else 0), batches):
                 X = _stack_iterates(active)
                 losses, grads, grad_sqs = evaluate_cells(problem, X, batch)
-                fulls = (evaluate_loss(problem, X, full_batch).tolist()
+                fulls = (evaluate_loss(problem, np.atleast_2d(X), full_batch).tolist()
                          if history and stochastic and full_eval_every and k % full_eval_every == 0
-                         else itertools.repeat(None))
+                         else no_fulls)
                 running = []
                 for cell, loss, grad, grad_sq, full in zip(active, losses, grads, grad_sqs, fulls):
                     if success_loss < loss <= loss_cap and grad_sq < math.inf:
@@ -431,6 +433,8 @@ def run_sweep(sweep: SweepSpec, workers: int = 1) -> SweepResult:
     Rows are merged by cell index and every run has the bits of its
     one-cell run, so both paths write the same output. A problem that
     cannot be built raises from here; a cell that fails is an `error` row."""
+    if not (isinstance(workers, numbers.Integral) and workers >= 1):
+        raise ValueError(f"workers must be a whole number >= 1, got {workers!r}")
     sweep.__post_init__()  # the construction checks, for fields assigned since
     cells = sweep.cells()
     bs = sweep.budget.batch_size  # a pool builds the problem in its workers; here for n_samples

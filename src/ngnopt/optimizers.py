@@ -336,6 +336,9 @@ def step_ngn_md(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, 
     the division-safe form of the damped step size; when the whole
     denominator vanishes (f_S = 0 and g = 0) it returns c/(1+lambda c).
     Both weight-decay variants reduce bit-exactly to V1 at lambda = 0.
+    With D = I they converge to x_lambda = argmin f + (lambda/2)||x||^2
+    at beta1 = 0, and near x_{lambda/(1-beta1)} with momentum: the shrink
+    is applied undamped, the gradient step damped by (1 - beta1).
     """
     (loss, g, _), x = sample, state.x
     v_new, d = precond_update(state.v, g, spec.beta2, state.k, spec.eps)
@@ -405,7 +408,8 @@ def apply_step(state: OptimizerState, sample: StepSample, spec: OptimizerSpec) -
     """One update, in place: c_k of the schedule at step k, the kind's
     rule, and state's next fields; returns the rule's step sizes, the
     fields of a StepReport in order."""
-    c_k = schedule_c(spec.schedule, spec.c, state.k, spec.total_steps)
+    c_k = (spec.c if spec.schedule == SCHEDULE_CONSTANT
+           else schedule_c(spec.schedule, spec.c, state.k, spec.total_steps))
     x_new, state.v, state.m, sizes = _STEP_FNS[spec.kind](state, sample, spec, c_k)
     state.x, state.x_prev, state.k = x_new, state.x, state.k + 1
     return sizes

@@ -205,13 +205,14 @@ def evaluate(problem: StochasticObjective, x: np.ndarray, batch: Batch) -> StepS
 
 def evaluate_cells(problem: StochasticObjective, X: np.ndarray, batch: Batch) -> tuple:
     """The losses and squared gradient norms, as lists of C floats, and
-    the C gradients (d,) at the rows of X (C, d), from one oracle call
-    (the one-point oracle for one point). Row i has the bits of
-    `evaluate` at X[i]: a row sum reduces a row as the whole-vector sum
-    reduces the vector. No input checks: a non-finite row gets a
-    non-finite loss (see StochasticObjective)."""
-    if X.shape[0] == 1:
-        loss, grad, grad_sq = problem._point(X[0], _oracle_indices(batch))
+    the C gradients (d,) at the rows of X (C, d), from one oracle call.
+    Row i has the bits of `evaluate` at X[i]: a row sum reduces a row as
+    the whole-vector sum reduces the vector. A point X (d,), a lone cell's
+    iterate, gets a one-point call, with a stacked row's bits: a fresh
+    iterate starts on a stacked row's 16-byte boundary, so its BLAS dots
+    round alike. No input checks: a non-finite row gets a non-finite loss."""
+    if X.ndim == 1:
+        loss, grad, grad_sq = problem._point(X, _oracle_indices(batch))
         return [loss], [grad], [grad_sq]
     loss, grad = problem._loss_grad(X, _oracle_indices(batch))
     return loss.tolist(), grad, np.add.reduce(grad * grad, axis=1).tolist()
@@ -425,6 +426,7 @@ def _least_squares_objective(kind: str, A: np.ndarray, b: np.ndarray) -> Stochas
     # A keeps both matvecs on the same BLAS path, so they round alike.
     # metadata and batch_min read rows too, so no second copy of A is kept.
     rows = _cache_aligned(A)
+    rows_t, n_float = rows.T, float(n)  # for `point`: a float m divides faster, same bits
 
     def metadata():
         AtA = rows.T @ rows
@@ -453,9 +455,9 @@ def _least_squares_objective(kind: str, A: np.ndarray, b: np.ndarray) -> Stochas
         """One point x (d,): a stacked row's gather, BLAS calls and sums, no
         stacking views. ndarray.dot is matmul's BLAS call at half its cost."""
         A_b, b_b = (rows, b) if idx is None else (rows[idx], b[idx])
+        A_t, m = (rows_t, n_float) if idx is None else (A_b.T, float(b_b.shape[0]))
         r = A_b.dot(x) - b_b
-        m = float(r.shape[0])  # a float m divides faster than the int, with its bits
-        g = A_b.T.dot(r) / m
+        g = A_t.dot(r) / m
         return float(np.add.reduce(r * r)) / (2.0 * m), g, float(np.add.reduce(g * g))
 
     def batch_min(idx):

@@ -5,10 +5,11 @@ Each audit runs real optimizer code, measures the worst-case residual
 against a stated tolerance, and returns an AuditReport. Every optimizer
 run is a harness.RunRecord stepped by harness.run_lockstep through
 _trajectories (the reduction pairs step as one group on one batch
-sequence); the one step loop here is the moving-average twin that the
-equivalence audit checks the harness against. Audits are deterministic
-given their seed, independent of each other, and report the exact
-violation magnitude and where it occurred.
+sequence); the one step loop here is the moving-average twin of the
+equivalence audit. The other checks take a run's whole history at once
+(stacks of its steps, argmax per row, in-order np.add.accumulate), with
+a step loop's bits. Audits are deterministic given their seed,
+independent, and report the exact violation and where it occurred.
 """
 
 from __future__ import annotations
@@ -61,6 +62,12 @@ def _report(name: str, tolerance: float, violations, location: str = "none") -> 
     return AuditReport(name, bool(worst <= tolerance), float(worst), location, float(tolerance))
 
 
+def _row_worst(values: np.ndarray):
+    """_report's pairs of values (K, d): row k's np.argmax j, "step k coord j"."""
+    return ((float(values[k, j]), f"step {k} coord {j}")
+            for k, j in enumerate(values.argmax(axis=1).tolist()))
+
+
 def _trajectories(problem: StochasticObjective, specs: list, steps: int, seed: int = 0,
                   batch_size: Optional[int] = None) -> list:
     """One RunRecord per spec, stepped as one lockstep group stopped only
@@ -106,13 +113,13 @@ def audit_ima_equivalence(problem: StochasticObjective, spec: OptimizerSpec,
         for k in range(steps):
             sample = evaluate(problem, x, sample_batch(problem, seed, k, bs))
             c_k = schedule_c(spec.schedule, spec.c, k, spec.total_steps)
-            gamma = ngn_gamma(c_k, sample.loss, float(np.sum(sample.grad * sample.grad)))
+            gamma = ngn_gamma(c_k, sample.loss, float((sample.grad * sample.grad).sum()))
             z = z - gamma * sample.grad
             x_new = (lam * x + z) / (1.0 + lam)
-            dev = math.sqrt(float(np.sum((x_new - alg_iterates[k + 1]) ** 2)))
+            dev = math.sqrt(float(((x_new - alg_iterates[k + 1]) ** 2).sum()))
             yield dev, f"step {k + 1} (trajectory)"
             link = z - (x_new + lam * (x_new - x))
-            yield math.sqrt(float(np.sum(link * link))), f"step {k + 1} (link relation)"
+            yield math.sqrt(float((link * link).sum())), f"step {k + 1} (link relation)"
             x = x_new
 
     return _report(name, 1e-10, deviations())
@@ -128,32 +135,32 @@ def audit_stepsize_bounds(run: RunRecord, c, L, name: str = "stepsize_bounds") -
     Violations are normalized by c (resp. c_j), so the bound holds up to
     1e-12 c as required; tolerance 1e-12.
     """
-    schedule, total = run.spec.schedule, run.spec.total_steps
+    schedule, total, reports = run.spec.schedule, run.spec.total_steps, run.step_reports
 
     def scalar_violations():  # Python floats: NumPy scalars make this loop ~20x slower
         c_0, L_0 = float(c), float(L)
-        for k, rep in enumerate(run.step_reports):
+        for k, rep in enumerate(reports):
             c_k = schedule_c(schedule, c_0, k, total)
             gamma = rep.gamma_scalar  # NaN: the first term is NaN, and max keeps it
             yield max(c_k / (1.0 + c_k * L_0) - gamma, gamma - c_k, 0.0) / c_k, f"step {k}"
 
-    def coordinate_violations():
-        L_vec = np.asarray(L, dtype=float)
-        c_base = None if c is None else np.asarray(c, dtype=float)
-        for k, rep in enumerate(run.step_reports):
+    def coordinate_violations():  # on (K, d) stacks, with each step's bits
+        for rep in reports:
             if rep.gamma_coord is None:
                 raise ValueError("run lacks per-coordinate step sizes")
-            if c_base is None:
-                if rep.c_coord_used is None:
-                    raise ValueError("run lacks recorded per-coordinate c values")
-                c_vec = rep.c_coord_used
-            else:
-                c_vec = c_base * schedule_c(schedule, 1.0, k, total)
-            gamma = rep.gamma_coord
-            viol = np.maximum(np.maximum(c_vec / (1.0 + c_vec * L_vec) - gamma,
-                                         gamma - c_vec), 0.0) / c_vec
-            j = int(np.argmax(viol))  # the first NaN, if any
-            yield float(viol[j]), f"step {k} coord {j}"
+            if c is None and rep.c_coord_used is None:
+                raise ValueError("run lacks recorded per-coordinate c values")
+        if not reports:
+            return ()
+        gamma = np.array([rep.gamma_coord for rep in reports])
+        if c is None:
+            c_vec = np.array([rep.c_coord_used for rep in reports])
+        else:
+            scale = [schedule_c(schedule, 1.0, k, total) for k in range(len(reports))]
+            c_vec = np.asarray(c, dtype=float) * np.array(scale)[:, None]
+        viol = np.maximum(np.maximum(c_vec / (1.0 + c_vec * np.asarray(L, dtype=float)) - gamma,
+                                     gamma - c_vec), 0.0) / c_vec
+        return _row_worst(viol)
 
     coordinate = c is None or np.ndim(c) > 0 or np.ndim(L) > 0
     return _report(name, 1e-12, coordinate_violations() if coordinate else scalar_violations())
@@ -169,20 +176,17 @@ def audit_fundamental_equality(run: RunRecord) -> AuditReport:
     (a zero loss requires an exactly zero residual, and a NaN loss reads
     NaN at the first coordinate); tolerance 1e-12.
     """
-    def residuals():
-        for k, rep in enumerate(run.step_reports):
-            if rep.grad is None:
-                raise ValueError("run lacks per-coordinate step-size data")
-            loss, grad, gamma, c_vec = run.losses[k], rep.grad, rep.gamma_coord, rep.c_coord_used
-            resid = np.abs(gamma * grad * grad - 2.0 * ((c_vec - gamma) / c_vec) * loss)
-            if loss == 0.0:
-                rel = np.where(resid == 0.0, 0.0, np.inf)
-            else:  # a positive loss, or a NaN one, whose quotient is NaN
-                rel = resid / loss
-            j = int(np.argmax(rel))  # the first NaN, if any
-            yield float(rel[j]), f"step {k} coord {j}"
-
-    return _report("fundamental_equality", 1e-12, residuals())
+    if any(rep.grad is None for rep in run.step_reports):
+        raise ValueError("run lacks per-coordinate step-size data")
+    if not run.step_reports:
+        return _report("fundamental_equality", 1e-12, ())
+    gamma, grad, c_vec = (np.array([getattr(rep, field) for rep in run.step_reports])
+                          for field in ("gamma_coord", "grad", "c_coord_used"))
+    loss = np.array(run.losses[:len(gamma)])[:, None]
+    resid = np.abs(gamma * grad * grad - 2.0 * ((c_vec - gamma) / c_vec) * loss)
+    zero = loss == 0.0  # a zero loss needs a zero residual; a NaN one's quotient is NaN
+    rel = np.where(zero, np.where(resid == 0.0, 0.0, np.inf), resid / np.where(zero, 1.0, loss))
+    return _report("fundamental_equality", 1e-12, _row_worst(rel))
 
 
 _REDUCTION_C = 0.5
@@ -226,12 +230,12 @@ def audit_reductions(problem: StochasticObjective, seed: int = 0, steps: int = 1
     def first_gaps():
         """The gap at the first step where each pair differs."""
         for (pair_name, _, _), run_a, run_b in zip(pairs, runs[::2], runs[1::2]):
-            for k, (x_a, x_b) in enumerate(zip(run_a.iterates[1:], run_b.iterates[1:])):
-                if not np.array_equal(x_a, x_b):
-                    diff = np.abs(x_a - x_b)
-                    gap = float(np.max(diff)) if np.all(np.isfinite(diff)) else float("inf")
-                    yield max(gap, np.finfo(float).tiny), f"{pair_name} at step {k + 1}"
-                    break
+            differs = (np.array(run_a.iterates[1:]) != np.array(run_b.iterates[1:])).any(axis=1)
+            if differs.any():
+                k = int(differs.argmax())
+                diff = np.abs(run_a.iterates[k + 1] - run_b.iterates[k + 1])
+                gap = float(np.max(diff)) if np.all(np.isfinite(diff)) else float("inf")
+                yield max(gap, np.finfo(float).tiny), f"{pair_name} at step {k + 1}"
 
     return _report("reduction_identities", 0.0, first_gaps())
 
@@ -261,8 +265,7 @@ def audit_theorem_bound(problem: StochasticObjective, K: int,
     if abs(meta.f_star) > 1e-18:
         raise ValueError("convergence-bound audits need an interpolating problem (f* = 0)")
     L = float(meta.L)
-    x0 = problem.x0_default
-    dist0_sq = float(np.sum((x0 - meta.x_star) ** 2))
+    dist0_sq = float(np.sum((problem.x0_default - meta.x_star) ** 2))
 
     if not decaying:
         c = 1.0 / math.sqrt(K)
@@ -282,11 +285,7 @@ def audit_theorem_bound(problem: StochasticObjective, K: int,
                          schedule="inv_sqrt_step")
     weights = theory.decaying_weights(c0, L, K)
     run = _trajectories(problem, [spec], K)[0]
-    xhat = np.zeros_like(x0)
-    weighted_subopt = 0.0
-    for w, x, loss in zip(weights, run.iterates, run.losses):
-        xhat = xhat + w * x
-        weighted_subopt += w * (loss - meta.f_star)
+    xhat, weighted_subopt = _weighted_sums(weights, run.iterates, run.losses, meta.f_star)
     avg_subopt = evaluate(problem, xhat, problem.full_batch()).loss - meta.f_star
     bound = theory.ngn_m_bound_decaying(c0, L, K, dist0_sq)
     measured = (f"weighted_subopt {weighted_subopt:.6e} avg_point_subopt "
@@ -295,6 +294,22 @@ def audit_theorem_bound(problem: StochasticObjective, K: int,
                    [(weighted_subopt - bound, measured), (avg_subopt - bound, measured)], measured)
 
 
+def _weighted_sums(weights: np.ndarray, iterates: list, losses: list, f_star: float) -> tuple:
+    """sum_k w_k x_k and sum_k w_k (f_k - f*) over zip(weights, iterates,
+    losses), with the bits of `xhat = xhat + w * x; s += w * (loss - f_star)`
+    from zero: losses on floats, iterates by in-order np.add.accumulate."""
+    count = min(len(weights), len(iterates), len(losses))
+    xhat, total = np.zeros(iterates[0].shape), 0.0  # +0.0, to which a -0.0 term adds +0.0
+    for w, loss in zip(weights[:count].tolist(), losses):
+        total += w * (loss - f_star)
+    for i in range(0, count, _SUM_ROWS):
+        block = np.stack([xhat, *iterates[i:min(i + _SUM_ROWS, count)]])
+        block[1:] *= weights[i:i + len(block) - 1, None]
+        xhat = np.add.accumulate(block, axis=0, out=block)[-1]
+    return xhat.copy(), total
+
+
+_SUM_ROWS = 256  # terms per accumulate; bounds the weighted average's memory
 _SCAN_CHUNK = 4096  # grid points per oracle call; bounds the scan's memory
 
 

@@ -780,6 +780,18 @@ def test_cli_sweep_rejects_workers_below_one(tmp_path, monkeypatch, capsys, work
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("workers", [0, -4])
+def test_run_sweep_rejects_workers_below_one(tmp_path, monkeypatch, workers):
+    # a direct caller is told too, before any cell runs or any CSV is written
+    stepped = []
+    monkeypatch.setattr(harness, "run_lockstep", lambda *args, **kw: stepped.append(args))
+    sweep = SweepSpec(ProblemSpec(kind="polynomial_1d"), ["sgdm"], [1e-3], [0.9], [0],
+                      RunBudget(max_steps=10), out_path=str(tmp_path / "out.csv"))
+    with pytest.raises(ValueError, match=f"^workers must be a whole number >= 1, got {workers}$"):
+        run_sweep(sweep, workers=workers)
+    assert not stepped and not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("raw, value", [
     ("true", True), ("Yes", True), ("1", True), ("on", True),
     ("false", False), ("NO", False), ("0", False), ("off", False),

@@ -733,12 +733,13 @@ def test_one_point_oracle_has_the_bits_of_a_stacked_row(name, data):
     with np.errstate(all="ignore"):
         losses, grads, grad_sqs = problems.evaluate_cells(p, X, p.full_batch())
         for i in range(count):
-            loss, grad, grad_sq = problems.evaluate_cells(p, X[i:i + 1], p.full_batch())
-            assert type(loss[0]) is float and type(grad_sq[0]) is float
-            assert grad[0].shape == (p.dim,) and grad[0].dtype == np.float64
-            assert bits(loss[0]) == bits(losses[i])
-            assert bits(grad[0]) == bits(grads[i])
-            assert bits(grad_sq[0]) == bits(grad_sqs[i])
+            for Y in (X[i], X[i:i + 1]):  # one point (a one-point call) and a one-row stack
+                loss, grad, grad_sq = problems.evaluate_cells(p, Y, p.full_batch())
+                assert type(loss[0]) is float and type(grad_sq[0]) is float
+                assert grad[0].shape == (p.dim,) and grad[0].dtype == np.float64
+                assert bits(loss[0]) == bits(losses[i])
+                assert bits(grad[0]) == bits(grads[i])
+                assert bits(grad_sq[0]) == bits(grad_sqs[i])
 
 
 @settings(max_examples=100, deadline=None)
@@ -796,12 +797,13 @@ def test_least_squares_one_point_oracle_has_the_bits_of_a_stacked_row(name, batc
         losses, grads, grad_sqs = problems.evaluate_cells(p, X, batch)
         assert bits(problems.evaluate_loss(p, X, batch)) == bits(losses)
         for i in range(count):
-            loss, grad, grad_sq = problems.evaluate_cells(p, X[i:i + 1], batch)
-            assert type(loss[0]) is float and type(grad_sq[0]) is float
-            assert grad[0].shape == (p.dim,) and grad[0].dtype == np.float64
-            assert bits(loss[0]) == bits(losses[i])
-            assert bits(grad[0]) == bits(grads[i])
-            assert bits(grad_sq[0]) == bits(grad_sqs[i])
+            for Y in (X[i], X[i:i + 1]):  # one point (a one-point call) and a one-row stack
+                loss, grad, grad_sq = problems.evaluate_cells(p, Y, batch)
+                assert type(loss[0]) is float and type(grad_sq[0]) is float
+                assert grad[0].shape == (p.dim,) and grad[0].dtype == np.float64
+                assert bits(loss[0]) == bits(losses[i])
+                assert bits(grad[0]) == bits(grads[i])
+                assert bits(grad_sq[0]) == bits(grad_sqs[i])
             assert bits(problems.evaluate_loss(p, X[i:i + 1], batch)) == bits(loss)
             sample = evaluate(p, X[i], batch)
             assert bits([sample.loss, sample.grad_sq]) == bits([losses[i], grad_sqs[i]])
@@ -971,10 +973,11 @@ def test_least_squares_oracle_bits_do_not_depend_on_alignment(monkeypatch):
         for C in (1, 6):
             X = rng.standard_normal((C, p.dim))
             for batch in batches:
-                want = problems.evaluate_cells(p, X, batch)
-                got = problems.evaluate_cells(q, X, batch)
-                assert bits(got[0]) == bits(want[0]) and bits(got[2]) == bits(want[2])
-                assert bits(got[1]) == bits(want[1])
+                for Y in (X, X[0]) if C == 1 else (X,):  # a one-row stack and one point
+                    want = problems.evaluate_cells(p, Y, batch)
+                    got = problems.evaluate_cells(q, Y, batch)
+                    assert bits(got[0]) == bits(want[0]) and bits(got[2]) == bits(want[2])
+                    assert bits(got[1]) == bits(want[1])
                 assert bits(problems.evaluate_loss(q, X, batch)) == bits(
                     problems.evaluate_loss(p, X, batch))
         assert_same_metadata(q.metadata, p.metadata)

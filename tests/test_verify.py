@@ -561,3 +561,181 @@ def test_run_default_audits_quick_all_pass():
     assert len(set(names)) == 9
     for r in reports:
         assert r.passed, f"{r.name}: {r.max_violation} at {r.location}"
+
+
+# --- array-wide checks against their per-step loops ----------------------------------
+# The audit CSV prints the decaying audit's sums to 7 digits and a passing
+# audit's violation as 0, so it cannot show a change in the last bit. Each
+# array-wide check is held here to the per-step loop it replaced.
+
+def loop_weighted_sums(weights, iterates, losses, f_star):
+    xhat = np.zeros_like(iterates[0])
+    weighted_subopt = 0.0
+    for w, x, loss in zip(weights, iterates, losses):
+        xhat = xhat + w * x
+        weighted_subopt += w * (loss - f_star)
+    return xhat, weighted_subopt
+
+
+def loop_coordinate_violations(run, c, L):
+    schedule, total = run.spec.schedule, run.spec.total_steps
+    L_vec = np.asarray(L, dtype=float)
+    c_base = None if c is None else np.asarray(c, dtype=float)
+    for k, rep in enumerate(run.step_reports):
+        if rep.gamma_coord is None:
+            raise ValueError("run lacks per-coordinate step sizes")
+        if c_base is None:
+            if rep.c_coord_used is None:
+                raise ValueError("run lacks recorded per-coordinate c values")
+            c_vec = rep.c_coord_used
+        else:
+            c_vec = c_base * verify.schedule_c(schedule, 1.0, k, total)
+        gamma = rep.gamma_coord
+        viol = np.maximum(np.maximum(c_vec / (1.0 + c_vec * L_vec) - gamma,
+                                     gamma - c_vec), 0.0) / c_vec
+        j = int(np.argmax(viol))
+        yield float(viol[j]), f"step {k} coord {j}"
+
+
+def loop_equality_residuals(run):
+    for k, rep in enumerate(run.step_reports):
+        if rep.grad is None:
+            raise ValueError("run lacks per-coordinate step-size data")
+        loss, grad, gamma, c_vec = run.losses[k], rep.grad, rep.gamma_coord, rep.c_coord_used
+        resid = np.abs(gamma * grad * grad - 2.0 * ((c_vec - gamma) / c_vec) * loss)
+        if loss == 0.0:
+            rel = np.where(resid == 0.0, 0.0, np.inf)
+        else:
+            rel = resid / loss
+        j = int(np.argmax(rel))
+        yield float(rel[j]), f"step {k} coord {j}"
+
+
+def loop_first_gaps(pairs, runs):
+    for (pair_name, _, _), run_a, run_b in zip(pairs, runs[::2], runs[1::2]):
+        for k, (x_a, x_b) in enumerate(zip(run_a.iterates[1:], run_b.iterates[1:])):
+            if not np.array_equal(x_a, x_b):
+                diff = np.abs(x_a - x_b)
+                gap = float(np.max(diff)) if np.all(np.isfinite(diff)) else float("inf")
+                yield max(gap, np.finfo(float).tiny), f"{pair_name} at step {k + 1}"
+                break
+
+
+def pair_bits(pairs):
+    return [(np.float64(value).tobytes(), where) for value, where in pairs]
+
+
+def same_sums(got, want):
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+
+
+WEIGHTED_SUM_PROBLEMS = {
+    "least_squares_interpolating": ProblemSpec(kind="least_squares", dim=4, n_samples=8,
+                                               interpolating=True),
+    "least_squares_d20": ProblemSpec(kind="least_squares", dim=20, n_samples=40, seed=1),
+    "rosenbrock": ProblemSpec(kind="rosenbrock"),
+}
+
+
+@pytest.mark.parametrize("schedule", ["constant", "inv_sqrt_step"])
+@pytest.mark.parametrize("name", sorted(WEIGHTED_SUM_PROBLEMS))
+def test_weighted_sums_have_the_bits_of_the_step_loop(name, schedule):
+    # 600 steps: the accumulate's blocks of _SUM_ROWS carry the sum across
+    p = build_problem(WEIGHTED_SUM_PROBLEMS[name])
+    spec = OptimizerSpec(kind="ngn_m_v1", c=0.05, beta1=0.5, schedule=schedule)
+    K = 600
+    assert K > 2 * verify._SUM_ROWS
+    run = verify._trajectories(p, [spec], K)[0]
+    weights = verify.theory.decaying_weights(1.0, 2.0, K)
+    for f_star in (0.0, 0.125):
+        args = (weights, run.iterates, run.losses, f_star)
+        same_sums(verify._weighted_sums(*args), loop_weighted_sums(*args))
+
+
+def test_weighted_sums_keep_the_zero_start_and_a_nan_loss():
+    # the loop adds the first term to +0.0, which turns a -0.0 coordinate
+    # into +0.0; a NaN loss makes the loss sum NaN and leaves the average
+    p = build_problem(WEIGHTED_SUM_PROBLEMS["least_squares_interpolating"])
+    p = dataclasses.replace(p, x0_default=np.array([-0.0, 1.0, -0.0, -2.0]))
+    run = verify._trajectories(p, [OptimizerSpec(kind="ngn_m_v1", c=0.1, beta1=0.5)], 50)[0]
+    losses = list(run.losses)
+    losses[7] = math.nan
+    weights = verify.theory.decaying_weights(1.0, 3.0, 50)
+    for count in (1, 2, 50):
+        args = (weights[:count], run.iterates[:count], losses[:count], 0.0)
+        got, want = verify._weighted_sums(*args), loop_weighted_sums(*args)
+        same_sums(got, want)
+    assert np.signbit(verify._weighted_sums(weights[:1], run.iterates, losses, 0.0)[0]).sum() == 1
+    assert math.isnan(got[1])
+
+
+def tampered_coordinate_runs():
+    """An NGN-D run (caps c_coord, decaying schedule) and an NGN-MD V2 run
+    (recorded caps), each with a zero-loss step and a NaN step: a NaN
+    recorded loss and a step size with a NaN coordinate."""
+    p = quadratic(dim=3, n=12)
+    budget = RunBudget(max_steps=60, success_loss=0.0, batch_size=3)
+    c_coord = np.array([0.5, 1.0, 2.0])
+    runs = [
+        (run_once(p, OptimizerSpec(kind="ngn_d", c=1.0, c_coord=c_coord,
+                                   schedule="inv_sqrt_step"), budget, seed=2), c_coord),
+        (run_once(p, OptimizerSpec(kind="ngn_md_v2", c=0.5, beta1=0.6), budget, seed=1), None),
+    ]
+    for run, _ in runs:
+        run.losses[4] = 0.0
+        run.losses[9] = math.nan
+        rep = run.step_reports[12]
+        gamma = rep.gamma_coord.copy()
+        gamma[2] = math.nan
+        run.step_reports[12] = dataclasses.replace(rep, gamma_coord=gamma)
+    return p, runs
+
+
+def report_pairs(monkeypatch):
+    """Make each audit return the (value, location) pairs it hands _report."""
+    monkeypatch.setattr(verify, "_report", lambda name, tolerance, pairs: list(pairs))
+
+
+def test_coordinate_checks_have_the_bits_of_the_step_loops(monkeypatch):
+    p, runs = tampered_coordinate_runs()
+    report_pairs(monkeypatch)
+    for run, c in runs:
+        for c_arg, L in ((c, p.metadata.L_coord), (c, p.metadata.L_coord * 1e-9),
+                         (1.0 if c is not None else None, p.metadata.L_coord)):
+            got = pair_bits(audit_stepsize_bounds(run, c_arg, L))
+            assert got == pair_bits(loop_coordinate_violations(run, c_arg, L))
+            assert len(got) == 60
+        got = pair_bits(audit_fundamental_equality(run))
+        assert got == pair_bits(loop_equality_residuals(run))
+        values = [np.frombuffer(value)[0] for value, _ in got]
+        assert values[4] == math.inf and math.isnan(values[9]) and math.isnan(values[12])
+        assert got[9][1] == "step 9 coord 0" and got[12][1] == "step 12 coord 2"
+
+
+def test_coordinate_checks_of_an_empty_history_pass_at_none():
+    p = quadratic(dim=3, n=12)
+    for spec in (OptimizerSpec(kind="ngn_d", c=1.0), OptimizerSpec(kind="ngn", c=1.0)):
+        run = harness.RunRecord(p, spec)
+        assert audit_stepsize_bounds(run, c=np.ones(3), L=p.metadata.L_coord) == verify.AuditReport(
+            "stepsize_bounds", True, 0.0, "none", 1e-12)
+        assert audit_stepsize_bounds(run, c=None, L=p.metadata.L_coord).location == "none"
+        assert audit_fundamental_equality(run) == verify.AuditReport(
+            "fundamental_equality", True, 0.0, "none", 1e-12)
+
+
+def test_reduction_gaps_have_the_bits_of_the_step_loop(monkeypatch):
+    # sgdm's first step does not read beta, so the last pair first differs
+    # at step 2; the first pair never differs
+    c = verify._REDUCTION_C
+    pairs = [("equal", OptimizerSpec(kind="ngn", c=c), OptimizerSpec(kind="ngn_m_v1", c=c)),
+             ("cap", OptimizerSpec(kind="ngn", c=c), OptimizerSpec(kind="ngn", c=c * (1 + 1e-9))),
+             ("beta", OptimizerSpec(kind="sgdm", c=0.01, beta1=0.5),
+              OptimizerSpec(kind="sgdm", c=0.01, beta1=0.6))]
+    monkeypatch.setattr(verify, "_reduction_pairs", lambda: pairs)
+    p = quadratic(dim=4, n=8, seed=5)
+    runs = verify._trajectories(p, [s for _, a, b in pairs for s in (a, b)], 50, 1, 4)
+    want = list(loop_first_gaps(pairs, runs))
+    assert [where for _, where in want] == ["cap at step 1", "beta at step 2"]
+    report_pairs(monkeypatch)
+    assert pair_bits(audit_reductions(p, seed=1, steps=50, batch_size=4)) == pair_bits(want)
