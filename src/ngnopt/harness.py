@@ -12,7 +12,7 @@ tested only when the oracle's loss is not finite. run_once is the
 loop's one-cell case and returns the record it stepped; sweeps, the CLI
 and the audits use these two. Sweeps execute a
 deterministic grid of (kind, c, beta, seed[, x0]) cells, serially (one
-group per batch sequence) or in a process pool (one run per task), and
+group per batch sequence) or in several processes (one run at a time), and
 aggregate per-cell summaries in cell order, so repeated invocations of
 the same config produce byte-identical CSV output.
 
@@ -85,6 +85,9 @@ class RunBudget:
     def __post_init__(self):
         if not (isinstance(self.max_steps, numbers.Integral) and self.max_steps >= 1):
             raise ValueError(f"max_steps must be a whole number >= 1, got {self.max_steps!r}")
+        for name in ("success_loss", "diverge_loss"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must not be NaN, got {getattr(self, name)!r}")
         if not self.success_loss < self.diverge_loss:
             raise ValueError("success_loss must be < diverge_loss")
         if self.batch_size is not None and not (
@@ -409,51 +412,77 @@ def _sweep_rows(sweep: SweepSpec, cells: list, problem: StochasticObjective) -> 
     return [_sweep_row(sweep, cell, run) for cell, run in zip(cells, runs)]
 
 
-_worker_problem: list = []  # [(ProblemSpec, StochasticObjective)] in a pool worker
-
-
 def _cell_worker(args) -> dict:
-    """Run one cell in a pool worker, as a one-cell group. The worker
-    builds the problem in its first cell and reuses it for the rest, so
-    per-cell timings include the one build. The build sits outside the
-    per-cell guard: a problem that cannot be built fails run_sweep as it
-    does on the serial path."""
-    sweep, cell = args
-    if not _worker_problem or _worker_problem[0][0] != sweep.problem:
-        _worker_problem[:] = [(sweep.problem, build_problem(sweep.problem))]
-    return _sweep_rows(sweep, [cell], _worker_problem[0][1])[0]
+    """Run one cell as a one-cell group: a child's entry, which perfbench's tracer wraps."""
+    sweep, cell, problem = args
+    return _sweep_rows(sweep, [cell], problem)[0]
+
+
+def _handouts(counter, n: int):
+    """Indices of distinct runs taken from the shared counter, under its lock, until none is left."""
+    while True:
+        with counter.get_lock():
+            i, counter.value = counter.value, counter.value + 1
+        if i >= n:
+            return
+        yield i
+
+
+def _pool_child(sweep: SweepSpec, runs: list, counter, conn) -> None:
+    """A pooled sweep's child: build the problem once, run the runs it takes, send their rows."""
+    problem = build_problem(sweep.problem)
+    conn.send([(i, _cell_worker((sweep, runs[i], problem))) for i in _handouts(counter, len(runs))])
 
 
 def run_sweep(sweep: SweepSpec, workers: int = 1) -> SweepResult:
     """Execute every cell and aggregate summaries in deterministic cell
     order. On a full batch, cells that differ only in seed are one run,
     stepped once for all their rows. Serially the distinct runs make one
-    lockstep group per batch sequence; workers > 1 runs one per task in a
-    pool of at most one worker per task, each building the problem once.
-    Rows are merged by cell index and every run has the bits of its
-    one-cell run, so both paths write the same output. A problem that
-    cannot be built raises from here; a cell that fails is an `error` row."""
+    lockstep group per batch sequence; workers > 1 counts this process,
+    and each of at most one process per run takes runs one at a time from
+    a shared counter. Rows are merged by run index and every run has the
+    bits of its one-cell run, so both paths write the same output. A
+    problem that cannot be built raises here; a cell that fails is an `error` row."""
     if not (isinstance(workers, numbers.Integral) and workers >= 1):
         raise ValueError(f"workers must be a whole number >= 1, got {workers!r}")
     sweep.__post_init__()  # the construction checks, for fields assigned since
     cells = sweep.cells()
-    bs = sweep.budget.batch_size  # a pool builds the problem in its workers; here for n_samples
-    problem = build_problem(sweep.problem) if workers <= 1 or bs is not None else None
-    shared = bs is None or bs >= problem.n_samples  # the seed picks no batch
+    problem = build_problem(sweep.problem)
+    shared = sweep.budget.batch_size is None or sweep.budget.batch_size >= problem.n_samples
     # the first cell of each distinct run, keyed on bits: 0.0 and -0.0 differ, as do close starts
     first: dict = {}
     reps = [first.setdefault(pickle.dumps((kind, c, beta, None if shared else seed, x0)), i)
             for i, (kind, c, beta, seed, x0) in enumerate(cells)]
     distinct = [cells[i] for i in first.values()]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only pooled sweeps pay its import
-
-        # a fork-started pool starts all its workers on the first submit
-        with ProcessPoolExecutor(max_workers=min(workers, len(distinct))) as pool:
-            runs = list(pool.map(_cell_worker, [(sweep, cell) for cell in distinct]))
+    if min(workers, len(distinct)) > 1:
+        import multiprocessing  # only pooled sweeps pay its import
+        ctx = multiprocessing.get_context()
+        counter, children = ctx.Value("q", 0), []
+        try:
+            for _ in range(min(workers, len(distinct)) - 1):
+                conn, child_end = ctx.Pipe(duplex=False)
+                child = ctx.Process(target=_pool_child, args=(sweep, distinct, counter, child_end),
+                                    daemon=True)
+                child.start()
+                child_end.close()  # so that a dead child's pipe reads EOF
+                children.append((child, conn))
+            done = {i: _sweep_rows(sweep, [distinct[i]], problem)[0]  # around _cell_worker,
+                    for i in _handouts(counter, len(distinct))}  # which is a child's entry
+            for child, conn in children:
+                try:  # read before the join: a large payload fills the pipe
+                    done.update(conn.recv())
+                except EOFError:
+                    child.join()
+                    raise RuntimeError(f"a sweep process exited with code {child.exitcode} "
+                                       "before it sent its rows") from None
+                child.join()
+        finally:  # no child outlives the call
+            for child, _ in children:
+                child.terminate()  # does nothing to a child already joined
+                child.join()
     else:
-        runs = _sweep_rows(sweep, distinct, problem)
-    row_of = dict(zip(first.values(), runs))
+        done = dict(enumerate(_sweep_rows(sweep, distinct, problem)))
+    row_of = {j: done[i] for i, j in enumerate(first.values())}
     rows = [row_of[i] if i == j else {f: row_of[j][f] for f in _ROW_FIELDS if f in row_of[j]}
             | {"seed": cell[3]} for i, (j, cell) in enumerate(zip(reps, cells))]
     result = SweepResult(sweep, rows)

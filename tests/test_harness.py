@@ -1,12 +1,14 @@
-import concurrent.futures
 import dataclasses
 import errno
 import filecmp
+import functools
 import math
 import multiprocessing
 import os
 import subprocess
 import sys
+import time
+import types
 
 import numpy as np
 import pytest
@@ -64,6 +66,25 @@ def test_run_budget_validation():
         RunBudget(max_steps=2.5)
     with pytest.raises(ValueError, match=r"batch_size must be a whole number >= 1, got 2\.5"):
         RunBudget(max_steps=10, batch_size=2.5)
+
+
+@pytest.mark.parametrize("field", ["success_loss", "diverge_loss"])
+def test_run_budget_names_a_nan_stop_threshold(field):
+    with pytest.raises(ValueError, match=f"^{field} must not be NaN, got nan$"):
+        RunBudget(max_steps=10, **{field: float("nan")})
+
+
+@pytest.mark.parametrize("field", ["success_loss", "diverge_loss"])
+def test_cli_names_a_nan_stop_threshold(tmp_path, capsys, field):
+    flag = "--" + field.replace("_", "-")
+    assert cli(["run", "--problem", "rosenbrock", "--optimizer", "ngn", "--c", "0.1",
+                flag, "nan"]) == 1
+    assert capsys.readouterr() == ("", f"error: {field} must not be NaN, got nan\n")
+    cfg = write_config(tmp_path, GOOD_CONFIG.replace("[budget]\n", f"[budget]\n{field} = nan\n")
+                       .replace("success_loss = 1e-10\n", ""))
+    assert cli(["sweep", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 1
+    assert capsys.readouterr() == ("", f"error: {field} must not be NaN, got nan\n")
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_sweep_spec_validation():
@@ -335,18 +356,18 @@ def test_pool_worker_builds_the_problem_once(monkeypatch):
         return build_problem(spec)
 
     monkeypatch.setattr(harness, "build_problem", counting_build)
-    monkeypatch.setattr(harness, "_worker_problem", [])
     sweep = small_sweep()
-    rows = [harness._cell_worker((sweep, cell)) for cell in sweep.cells()]
+    conn, child_end = multiprocessing.Pipe(duplex=False)
+    harness._pool_child(sweep, sweep.cells(), multiprocessing.Value("q", 0), child_end)
     assert len(built) == 1
-    assert rows == expected
-    other = small_sweep(problem=ProblemSpec(kind="least_squares", dim=3, n_samples=6, seed=1))
-    harness._cell_worker((other, other.cells()[0]))
-    assert len(built) == 2  # a different problem is rebuilt, not reused
+    assert conn.recv() == list(enumerate(expected))  # each cell taken alone, in order
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="counts builds through a patch the forked workers inherit")
+fork_only = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                               reason="patches that only forked children inherit")
+
+
+@fork_only
 def test_pool_builds_at_most_once_per_worker(tmp_path, monkeypatch):
     log = tmp_path / "builds.txt"
 
@@ -359,39 +380,135 @@ def test_pool_builds_at_most_once_per_worker(tmp_path, monkeypatch):
     sweep = small_sweep()
     run_sweep(sweep, workers=2)
     pids = log.read_text().split()
-    assert 1 <= len(pids) <= 2 < len(sweep.cells())
-    assert len(set(pids)) == len(pids)
+    # this process builds before it starts its one child, which builds once
+    assert len(set(pids)) == len(pids) == 2 < len(sweep.cells())
+    assert pids[0] == str(os.getpid())
+
+
+@fork_only
+def test_pool_child_that_dies_before_sending_fails_the_sweep(tmp_path, monkeypatch):
+    parent = os.getpid()
+    monkeypatch.setattr(harness, "build_problem",
+                        lambda spec: build_problem(spec) if os.getpid() == parent else os._exit(3))
+    with pytest.raises(RuntimeError, match="exited with code 3 before it sent its rows"):
+        run_sweep(small_sweep(tmp_path), workers=2)
+    assert not (tmp_path / "summary.csv").exists()
+    assert multiprocessing.active_children() == []
+
+
+@fork_only
+def test_pool_share_of_this_process_raising_leaves_no_child(tmp_path, monkeypatch):
+    parent, sweep_rows = os.getpid(), harness._sweep_rows
+
+    def rows(sweep, cells, problem):
+        if os.getpid() == parent:
+            raise KeyError("this process's share")
+        time.sleep(30)  # a child still running when this process raises
+        return sweep_rows(sweep, cells, problem)
+
+    monkeypatch.setattr(harness, "_sweep_rows", rows)
+    begin = time.monotonic()
+    with pytest.raises(KeyError, match="this process's share"):
+        run_sweep(small_sweep(tmp_path), workers=3)
+    assert time.monotonic() - begin < 15  # the children were stopped, not waited for
+    assert not (tmp_path / "summary.csv").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_pooled_sweep_under_spawn_writes_the_serial_bytes(tmp_path, monkeypatch):
+    run_sweep(small_sweep(tmp_path))
+    serial = (tmp_path / "summary.csv").read_bytes()
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(multiprocessing, "get_context", lambda: spawn)
+    handouts = harness._handouts
+
+    def one_then_wait(counter, n):  # this process's: the spawned child runs the rest
+        for i in handouts(counter, n):
+            yield i
+            deadline = time.monotonic() + 30
+            while counter.value < n and time.monotonic() < deadline:
+                time.sleep(0.01)
+
+    monkeypatch.setattr(harness, "_handouts", one_then_wait)
+    run_sweep(small_sweep(tmp_path), workers=2)
+    assert (tmp_path / "summary.csv").read_bytes() == serial
+    assert multiprocessing.active_children() == []
+
+
+def test_run_sweep_three_processes_write_the_serial_bytes(tmp_path):
+    run_sweep(small_sweep(tmp_path))
+    serial = (tmp_path / "summary.csv").read_bytes()
+    run_sweep(small_sweep(tmp_path), workers=3)
+    assert (tmp_path / "summary.csv").read_bytes() == serial
+    assert multiprocessing.active_children() == []
 
 
 def recording_pool(monkeypatch) -> list:
-    """Replace the process pool with one that records its size and maps
-    in this process; returns the recorded sizes."""
-    sizes = []
+    """Run the children of pooled sweeps in this process: each child
+    started runs its whole loop when this process starts its first run,
+    so this process keeps its first handout and the children take the
+    rest. Returns, per pooled sweep, the number of processes it ran, this
+    one included."""
+    counts, started = [], []
+    real = multiprocessing.get_context()
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    class InlineProcess:
+        exitcode = 0
 
-        def __enter__(self):
-            return self
+        def __init__(self, target, args, daemon):
+            self.run = functools.partial(target, *args)
 
-        def __exit__(self, *exc):
-            return False
+        def start(self):
+            counts[-1] += 1
+            started.append(self.run)
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def join(self):
+            pass
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(harness, "_worker_problem", [])
-    return sizes
+        terminate = join
+
+    class InlineEnd:  # a child sends, this process receives
+        def __init__(self):
+            self.sent = []
+
+        def send(self, obj):
+            self.sent.append(obj)
+
+        def recv(self):
+            return self.sent.pop(0)
+
+        def close(self):
+            pass
+
+    def pipe(duplex):
+        end = InlineEnd()
+        return end, end
+
+    def get_context():
+        counts.append(1)
+        return types.SimpleNamespace(Value=real.Value, Pipe=pipe, Process=InlineProcess)
+
+    sweep_rows = harness._sweep_rows
+
+    def first_run_starts_the_children(*args):
+        children = started[:]
+        started.clear()
+        for run in children:
+            run()
+        return sweep_rows(*args)
+
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    monkeypatch.setattr(harness, "_sweep_rows", first_run_starts_the_children)
+    return counts
 
 
 def test_run_sweep_starts_no_more_workers_than_cells(monkeypatch):
     expected = run_sweep(small_sweep()).rows
-    sizes = recording_pool(monkeypatch)
+    counts = recording_pool(monkeypatch)
     assert run_sweep(small_sweep(), workers=5000).rows == expected
     assert run_sweep(small_sweep(), workers=3).rows == expected
-    assert sizes == [4, 3]  # small_sweep has 8 cells, 4 distinct runs on its full batch
+    # processes, this one included: small_sweep has 8 cells, 4 distinct runs on its full batch
+    assert counts == [4, 3]
 
 
 @pytest.mark.parametrize("batch_size, tasks", [(None, 4), (6, 4), (3, 8)])
@@ -402,21 +519,21 @@ def test_pool_runs_each_distinct_run_once(tmp_path, monkeypatch, batch_size, tas
     serial = (tmp_path / "summary.csv").read_bytes()
     recording_pool(monkeypatch)
     ran = []
-    worker = harness._cell_worker
-    monkeypatch.setattr(harness, "_cell_worker", lambda args: ran.append(args[1]) or worker(args))
+    sweep_rows = harness._sweep_rows  # this process's share and every child's run call it
+    monkeypatch.setattr(harness, "_sweep_rows", lambda *a: ran.extend(a[1]) or sweep_rows(*a))
     rows = run_sweep(sweep, workers=2).rows
-    assert len(ran) == tasks and len(rows) == 8
+    assert len(ran) == len(set(ran)) == tasks and len(rows) == 8
     assert (tmp_path / "summary.csv").read_bytes() == serial
 
 
 @pytest.mark.parametrize("cpus, pools", [(3, [3]), (None, [])])
 def test_cli_sweep_caps_workers_at_the_cpu_count(tmp_path, monkeypatch, cpus, pools):
-    sizes = recording_pool(monkeypatch)
+    counts = recording_pool(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     cfg = write_config(tmp_path, GOOD_CONFIG)
     assert cli(["sweep", "--config", cfg, "--out", str(tmp_path / "r.csv"),
                 "--workers", "5000"]) == 0
-    assert sizes == pools  # no CPU count runs serially
+    assert counts == pools  # processes, this one included; no CPU count runs serially
 
 
 def test_run_sweep_parallel_matches_serial(tmp_path):
@@ -994,7 +1111,7 @@ max_steps = 10
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_cli_sweep_unbuildable_problem_is_validation_error(tmp_path, capsys, workers):
-    # a full-batch sweep with two workers builds the problem in the pool, not here
+    # this process builds the problem before it starts any child, at any worker count
     out = tmp_path / "results.csv"
     code = cli(["sweep", "--config", write_config(tmp_path, POLYNOMIAL_CONFIG.format(scale=-1)),
                 "--out", str(out), "--workers", workers])
@@ -1165,8 +1282,8 @@ def test_run_once_grad_norms_are_sqrt_of_batch_grad_sq():
 
 def test_import_loads_neither_the_process_pool_nor_numpy_random():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    code = ("import sys, ngnopt; "
-            "print(sorted(m for m in ('concurrent.futures', 'numpy.random') if m in sys.modules))")
+    code = ("import sys, ngnopt; print(sorted(m for m in ('concurrent.futures', 'multiprocessing', "
+            "'numpy.random') if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
