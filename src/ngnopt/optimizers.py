@@ -327,6 +327,9 @@ def step_ngn_md(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, 
     V1: gamma = ngn_gamma(c, f_S, ||g||^2_{D^-1}), Sigma^-1 g = gamma D^-1 g.
     V2: gamma_j = ngn_gamma(c / D_j, f_S, g_j^2),  Sigma^-1 g = gamma_j g_j.
     Then x' = base - (1-beta1) Sigma^-1 g + beta1 (x - x_prev), with base = x.
+    Where c / D_j rounds to inf (D_j < 1 and c near the largest double)
+    or to 0, V2 takes the step's finite limit in c_j (_ngn_md_v2_limits),
+    so that the run goes on, and ends as any run does.
 
     Decoupled: base = x - lambda c x, with gamma exactly as in V1.
 
@@ -347,8 +350,12 @@ def step_ngn_md(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, 
     base = x
     if spec.kind == NGN_MD_V2:
         c_vec = c_k / d
-        gamma = ngn_gamma(c_vec, loss, g * g)
-        sigma_inv_g = gamma * g
+        try:
+            gamma = ngn_gamma(c_vec, loss, g * g)
+        except ValueError:
+            gamma, sigma_inv_g = _ngn_md_v2_limits(c_vec, loss, g)
+        else:
+            sigma_inv_g = gamma * g
         sizes = (float("nan"), gamma, c_vec, g)
     else:
         lam = spec.wd_lambda
@@ -370,6 +377,24 @@ def step_ngn_md(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, 
         sizes = (gamma, gamma / d, None, None)
     x_new = base - (1.0 - spec.beta1) * sigma_inv_g + spec.beta1 * (x - state.x_prev)
     return x_new, v_new, state.m, sizes
+
+
+def _ngn_md_v2_limits(c_vec, loss, g):
+    """NGN-MD V2's (gamma, Sigma^-1 g) when some c_j rounded to inf or 0.
+
+    There gamma_j and gamma_j g_j take their limits in c_j: as c_j -> inf,
+    2 f_S / g_j^2 (c_j where g_j^2 = 0) and 2 f_S / g_j (0 where g_j = 0);
+    as c_j -> 0, 0 and 0. Every finite positive c_j keeps ngn_gamma's
+    bits. With no c_j rounded off, ngn_gamma's error is raised again.
+    """
+    gs = g * g
+    tiny = c_vec == 0.0
+    off = tiny | (c_vec == math.inf)
+    gamma = ngn_gamma(np.where(off, 1.0, c_vec), loss, gs)
+    with np.errstate(all="ignore"):
+        gamma_lim = np.where(tiny | (gs == 0.0), c_vec, 2.0 * loss / gs)
+        step_lim = np.where(tiny | (g == 0.0), 0.0, 2.0 * loss / g)
+    return np.where(off, gamma_lim, gamma), np.where(off, step_lim, gamma * g)
 
 
 def step_sgdm(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, c_k: float):

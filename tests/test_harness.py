@@ -225,6 +225,33 @@ def test_run_once_nonfinite_gradient_is_divergence_for_every_kind():
         assert rec.stop_step == 0, kind
 
 
+# (problem, batch size, beta2, c) at which c / D_j overflows on NGN-MD V2's
+# first step, where D_j ~ |g_j| < 1
+V2_OVERFLOW = [
+    (ProblemSpec(kind="least_squares", dim=3), None, 0.999, 1e308),
+    (ProblemSpec(kind="ridge_quadratic", dim=2), 2, 0.0, 1e307),
+]
+
+
+@pytest.mark.parametrize("problem, batch_size, beta2, c", V2_OVERFLOW)
+def test_ngn_md_v2_ends_a_run_where_c_over_d_overflows(problem, batch_size, beta2, c):
+    budget = RunBudget(max_steps=50, batch_size=batch_size)
+    spec = OptimizerSpec(kind="ngn_md_v2", c=c, beta2=beta2)
+    for seed in (0, 1, 2):
+        rec = run_once(build_problem(problem), spec, budget, seed=seed)
+        assert rec.status in ("converged", "diverged", "budget_exhausted")
+        assert rec.stop_reason is not None
+    rows = run_sweep(SweepSpec(problem, ["ngn_md_v2"], [c], [0.0, 0.9], [0, 1, 2], budget,
+                               beta2=beta2)).rows
+    assert [row["error"] for row in rows if row["status"] == "error"] == []
+
+
+def test_cli_run_of_ngn_md_v2_where_c_over_d_overflows(capsys):
+    assert cli(["run", "--problem", "least_squares", "--dim", "3", "--optimizer", "ngn_md_v2",
+                "--c", "1e308", "--steps", "50"]) == 0
+    assert capsys.readouterr().out.startswith("status=")
+
+
 LSQ_INTERP = ProblemSpec(kind="least_squares", dim=3, n_samples=6, seed=0, interpolating=True)
 
 

@@ -456,6 +456,36 @@ def test_ngn_md_v2_step_oracle():
     assert np.allclose(new.x, [-1.0, 0.0])
 
 
+def test_ngn_md_v2_takes_the_limit_in_c_where_c_over_d_overflows():
+    # beta2 = 0 makes D_j = eps + |g_j|: c / D_j overflows on the first two
+    # coordinates, and the third keeps ngn_gamma's bits
+    spec = OptimizerSpec(kind="ngn_md_v2", c=1e308, beta2=0.0)
+    with np.errstate(over="ignore"):
+        new, rep = step(init_state(np.zeros(3)), make_sample(0.5, [0.5, 0.0, 1.5]), spec)
+    c3 = 1e308 / (1e-8 + 1.5)
+    assert rep.c_coord_used.tolist() == [math.inf, math.inf, c3]
+    gamma3 = ngn_gamma(np.array([c3]), 0.5, np.array([2.25]))[0]
+    # gamma_j -> 2 f / g_j^2 and the step -> 2 f / g_j; c_j, and no step, where g_j = 0
+    assert rep.gamma_coord.tolist() == [4.0, math.inf, gamma3]
+    assert new.x.tolist() == [-2.0, 0.0, -(gamma3 * 1.5)]
+
+
+def test_ngn_md_v2_takes_the_limit_in_c_where_c_over_d_underflows():
+    spec = OptimizerSpec(kind="ngn_md_v2", c=1e-300, beta2=0.0)
+    new, rep = step(init_state(np.zeros(2)), make_sample(1.0, [1e30, 2.0]), spec)
+    c2 = 1e-300 / (1e-8 + 2.0)
+    assert rep.c_coord_used.tolist() == [0.0, c2]
+    gamma2 = ngn_gamma(np.array([c2]), 1.0, np.array([4.0]))[0]
+    assert rep.gamma_coord.tolist() == [0.0, gamma2]
+    assert new.x.tolist() == [0.0, -(gamma2 * 2.0)]
+
+
+def test_ngn_md_v2_still_rejects_a_bad_loss():
+    spec = OptimizerSpec(kind="ngn_md_v2", c=1e308, beta2=0.0)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="requires c > 0, loss >= 0"):
+        step(init_state(np.zeros(2)), make_sample(-1.0, [0.5, 1.0]), spec)
+
+
 def test_dec_ngn_mdv1_shrinks_weights():
     lam = 0.1
     spec = OptimizerSpec(kind="dec_ngn_mdv1", c=1.0, beta1=0.0, wd_lambda=lam,

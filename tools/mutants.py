@@ -19,13 +19,13 @@ mutants that `verify` alone kills is reported but not gated on.
 from __future__ import annotations
 
 import json
-import os
 import shutil
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+from outputs import ngnopt, run
 
 ROOT = Path(__file__).resolve().parents[1]
 MUTANTS = ROOT / "tools" / "mutants.json"
@@ -46,11 +46,6 @@ def load_mutants() -> list:
     return mutants
 
 
-def _run(cmd: list, tree: Path) -> subprocess.CompletedProcess:
-    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    return subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
-
-
 def _first_failure(output: str) -> str:
     """The test named on pytest's first FAILED or ERROR summary line."""
     for line in output.splitlines():
@@ -68,12 +63,12 @@ def check(mutant: dict) -> tuple:
         path = tree / mutant["file"]
         path.write_text(path.read_text(encoding="utf-8").replace(mutant["old"], mutant["new"]),
                         encoding="utf-8")
-        tests = _run([sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
-                      "--continue-on-collection-errors", f"--ignore={_LIST_TEST}"], tree)
-        verify = _run([sys.executable, "-c",
-                       "import sys; from ngnopt.harness import main; sys.exit(main())",
-                       "verify", "--out", str(Path(tmp) / "verify.csv")], tree)
-    return ("survived" if tests.returncode == 0 else _first_failure(tests.stdout),
+        tests = run([sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
+                     "--continue-on-collection-errors", f"--ignore={_LIST_TEST}"], tree,
+                    PYTHONDONTWRITEBYTECODE="1")
+        verify = ngnopt(tree, ["verify", "--out", str(Path(tmp) / "verify.csv")],
+                        PYTHONDONTWRITEBYTECODE="1")
+    return ("survived" if tests.returncode == 0 else _first_failure(tests.stdout.decode()),
             verify.returncode != 0)
 
 
