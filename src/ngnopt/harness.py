@@ -12,9 +12,10 @@ tested only when the oracle's loss is not finite. run_once is the
 loop's one-cell case and returns the record it stepped; sweeps, the CLI
 and the audits use these two. Sweeps execute a
 deterministic grid of (kind, c, beta, seed[, x0]) cells, serially (one
-group per batch sequence) or in several processes (one run at a time), and
-aggregate per-cell summaries in cell order, so repeated invocations of
-the same config produce byte-identical CSV output.
+group per batch sequence) or in several processes (one run at a time, on
+the pool that the audit battery shares: _pool), and aggregate per-cell
+summaries in cell order, so repeated invocations of the same config
+produce byte-identical CSV output.
 
 Config files use a flat INI-style key-value schema with [problem],
 [optimizers], [grid], [budget], and [output] sections; unknown sections
@@ -428,6 +429,43 @@ def _handouts(counter, n: int):
         yield i
 
 
+def _pool(processes: int, n: int, here, child, args: tuple) -> dict:
+    """Tasks 0 .. n - 1 in `processes` processes, this one included, as
+    {index: result}; sweep runs and the audit battery share it. Each
+    process takes task indices from a shared counter (_handouts) until
+    none is left: this one runs here(i) for each, and each child started
+    as child(*args, counter, conn) sends [(i, result), ...] down conn
+    when it is done. A daemonic process may start none, so there this one
+    runs every task. An exception here ends the call; a child that exits
+    before it sends raises RuntimeError. No child outlives the call."""
+    import multiprocessing  # only pools pay its import
+    if multiprocessing.current_process().daemon:
+        return {i: here(i) for i in range(n)}
+    ctx = multiprocessing.get_context()
+    counter, children = ctx.Value("q", 0), []
+    try:
+        for _ in range(processes - 1):
+            conn, child_end = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=child, args=(*args, counter, child_end), daemon=True)
+            proc.start()
+            child_end.close()  # so that a dead child's pipe reads EOF
+            children.append((proc, conn))
+        done = {i: here(i) for i in _handouts(counter, n)}
+        for proc, conn in children:
+            try:  # read before the join: a large payload fills the pipe
+                done.update(conn.recv())
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"a pool process exited with code {proc.exitcode} "
+                                   "before it sent its rows") from None
+            proc.join()
+    finally:  # no child outlives the call
+        for proc, _ in children:
+            proc.terminate()  # does nothing to a child already joined
+            proc.join()
+    return done
+
+
 def _pool_child(sweep: SweepSpec, runs: list, counter, conn) -> None:
     """A pooled sweep's child: build the problem once, run the runs it takes, send their rows."""
     problem = build_problem(sweep.problem)
@@ -439,9 +477,9 @@ def run_sweep(sweep: SweepSpec, workers: int = 1) -> SweepResult:
     order. On a full batch, cells that differ only in seed are one run,
     stepped once for all their rows. Serially the distinct runs make one
     lockstep group per batch sequence; workers > 1 counts this process,
-    and each of at most one process per run takes runs one at a time from
-    a shared counter. Rows are merged by run index and every run has the
-    bits of its one-cell run, so both paths write the same output. A
+    and at most one process per run steps them one run at a time on the
+    shared pool (_pool). Rows are merged by run index and every run has
+    the bits of its one-cell run, so both paths write the same output. A
     problem that cannot be built raises here; a cell that fails is an `error` row."""
     if not (isinstance(workers, numbers.Integral) and workers >= 1):
         raise ValueError(f"workers must be a whole number >= 1, got {workers!r}")
@@ -455,31 +493,9 @@ def run_sweep(sweep: SweepSpec, workers: int = 1) -> SweepResult:
             for i, (kind, c, beta, seed, x0) in enumerate(cells)]
     distinct = [cells[i] for i in first.values()]
     if min(workers, len(distinct)) > 1:
-        import multiprocessing  # only pooled sweeps pay its import
-        ctx = multiprocessing.get_context()
-        counter, children = ctx.Value("q", 0), []
-        try:
-            for _ in range(min(workers, len(distinct)) - 1):
-                conn, child_end = ctx.Pipe(duplex=False)
-                child = ctx.Process(target=_pool_child, args=(sweep, distinct, counter, child_end),
-                                    daemon=True)
-                child.start()
-                child_end.close()  # so that a dead child's pipe reads EOF
-                children.append((child, conn))
-            done = {i: _sweep_rows(sweep, [distinct[i]], problem)[0]  # around _cell_worker,
-                    for i in _handouts(counter, len(distinct))}  # which is a child's entry
-            for child, conn in children:
-                try:  # read before the join: a large payload fills the pipe
-                    done.update(conn.recv())
-                except EOFError:
-                    child.join()
-                    raise RuntimeError(f"a sweep process exited with code {child.exitcode} "
-                                       "before it sent its rows") from None
-                child.join()
-        finally:  # no child outlives the call
-            for child, _ in children:
-                child.terminate()  # does nothing to a child already joined
-                child.join()
+        done = _pool(min(workers, len(distinct)), len(distinct),
+                     lambda i: _sweep_rows(sweep, [distinct[i]], problem)[0],  # around _cell_worker,
+                     _pool_child, (sweep, distinct))  # which is a child's entry
     else:
         done = dict(enumerate(_sweep_rows(sweep, distinct, problem)))
     row_of = {j: done[i] for i, j in enumerate(first.values())}

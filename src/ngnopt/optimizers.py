@@ -186,7 +186,10 @@ def ngn_gamma(c, loss, grad_sq):
     grad_sq, and non-decreasing in loss. Python floats, the inputs of every
     scalar rule, skip np.ndim; every input is validated either way, on
     the array path by min/max reductions. A positive loss with every
-    g_j^2 positive needs no guard against a zero denominator.
+    g_j^2 positive needs no guard against a zero denominator. Where
+    2 c loss or the denominator overflows, the quotient is taken as
+    2 loss / (2 loss / c + grad_sq), which is finite where gamma is; every
+    other input keeps the bits of the plain quotient.
     """
     if ((type(c) is float or np.ndim(c) == 0)
             and (type(grad_sq) is float or np.ndim(grad_sq) == 0)):
@@ -204,29 +207,39 @@ def ngn_gamma(c, loss, grad_sq):
             # loss = 0 and c*gs underflowed: the quotient's limit, as on
             # the array path
             return 0.0
-        # the quotient can land one ulp above c when c*gs underflows
-        # against 2*loss in the denominator; the cap is a hard contract
         gamma = 2.0 * c * loss / denom
+        if gamma < c and denom < math.inf:
+            return gamma
+        if 2.0 * c * loss < math.inf and denom < math.inf:
+            # the quotient can land one ulp above c when c*gs underflows
+            # against 2*loss in the denominator; the cap is a hard contract
+            return c
+        gamma = 2.0 * loss / (2.0 * loss / c + gs)
         return gamma if gamma < c else c  # min(c, gamma) without a call; NaN gives c
     c = np.asarray(c, dtype=float)
     gs = np.asarray(grad_sq, dtype=float)
     loss = float(loss)
     # min and max see every NaN and +-inf; `initial` lets an empty operand
     # through, as the elementwise checks did
-    c_lo, c_hi = c.min(initial=1.0), c.max(initial=1.0)
-    gs_lo, gs_hi = gs.min(initial=1.0), gs.max(initial=1.0)
+    c_lo, c_hi = c.min(initial=1.0), float(c.max(initial=1.0))
+    gs_lo, gs_hi = gs.min(initial=1.0), float(gs.max(initial=1.0))
     if not (math.isfinite(c_lo) and math.isfinite(c_hi) and math.isfinite(loss)
             and math.isfinite(gs_lo) and math.isfinite(gs_hi)):
         raise ValueError("non-finite inputs to ngn_gamma")
     if c_lo <= 0.0 or loss < 0.0 or gs_lo < 0.0:
         raise ValueError("ngn_gamma requires c > 0, loss >= 0, grad_sq >= 0")
-    if loss > 0.0 and gs_lo > 0.0:
-        # every denominator is positive and no g_j^2 is zero, so both
+    # upper bounds on every 2 c_j loss and every denominator, rounded as they are
+    finite = 2.0 * c_hi * loss < math.inf and 2.0 * loss + c_hi * gs_hi < math.inf
+    if loss > 0.0 and gs_lo > 0.0 and finite:
+        # every denominator is positive and no g_j^2 is zero, so the
         # np.where's below would keep this quotient: the same bits
         return np.minimum(c, 2.0 * c * loss / (2.0 * loss + c * gs))
-    denom = 2.0 * loss + c * gs
-    safe = np.where(denom > 0.0, denom, 1.0)
-    return np.where(gs == 0.0, c, np.minimum(c, 2.0 * c * loss / safe))
+    num, denom = 2.0 * c * loss, 2.0 * loss + c * gs
+    gamma = num / np.where(denom > 0.0, denom, 1.0)
+    if not finite:
+        gamma = np.where((num < math.inf) & (denom < math.inf), gamma,
+                         2.0 * loss / (2.0 * loss / c + gs))
+    return np.where(gs == 0.0, c, np.minimum(c, gamma))
 
 
 def precond_update(v: np.ndarray, grad: np.ndarray, beta2: float, k: int, eps: float):

@@ -9,19 +9,23 @@ sequence); the one step loop here is the moving-average twin of the
 equivalence audit. The other checks take a run's whole history at once
 (stacks of its steps, argmax per row, in-order np.add.accumulate), with
 a step loop's bits. Audits are deterministic given their seed,
-independent, and report the exact violation and where it occurred.
+independent, and report the exact violation and where it occurred, so
+the default battery runs as eight tasks on the sweeps' process pool
+(harness._pool), each on a problem it builds, with the rows of one
+process.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import theory
+from . import harness, theory
 from .harness import (
     STATUS_DIVERGED, RunBudget, RunRecord, _write_csv, run_lockstep,
 )
@@ -390,6 +394,58 @@ def multimodal_global_basin(problem: StochasticObjective, lo: float = -25.0,
     return tuple(float(_grid_points(lo, hi, n_grid, i, i + 1)[0]) for i in (edge(-1), edge(1)))
 
 
+_IMA_BETAS = (0.1, 0.5, 0.9)
+_BATTERY_ROWS = (5, 6, 7, 4, 2, 3, 0, 1)  # the tasks in the order of their rows
+
+
+def _battery_problem(seed: int, quick: bool, interpolating: bool = False) -> StochasticObjective:
+    d = 5 if quick else 20
+    return build_problem(ProblemSpec(kind=KIND_LEAST_SQUARES, dim=d, n_samples=2 * d,
+                                     seed=seed, interpolating=interpolating))
+
+
+def _audit_task(i: int, seed: int, quick: bool) -> list:
+    """Task i of the battery, longest first, on a problem it builds: its
+    reports, in row order. 0 and 1: the constant and decaying theorem
+    bounds; 2: the coordinate step-size bounds and the fundamental
+    equality of one NGN-D run; 3: the reductions; 4: the scalar step-size
+    bounds; 5, 6 and 7: the moving-average equivalences."""
+    if i < 2:
+        return [audit_theorem_bound(_battery_problem(seed, quick, interpolating=True),
+                                    400 if quick else 2500, decaying=i == 1)]
+    problem = _battery_problem(seed, quick)
+    steps = 200 if quick else 1000
+    if i == 2:
+        c = np.full(problem.dim, 0.7)
+        run = _trajectories(problem, [OptimizerSpec(kind=NGN_D, c=1.0, c_coord=c)], steps, seed,
+                            batch_size=max(1, problem.n_samples // 4))[0]
+        return [audit_stepsize_bounds(run, c, problem.metadata.L_coord,
+                                      name="stepsize_bounds_coordinate"),
+                audit_fundamental_equality(run)]
+    if i == 3:
+        return [audit_reductions(problem, seed=seed, batch_size=max(1, problem.n_samples // 2))]
+    if i == 4:
+        run = _trajectories(problem, [OptimizerSpec(kind=NGN, c=1.0)], steps, seed)[0]
+        return [audit_stepsize_bounds(run, 1.0, problem.metadata.L, name="stepsize_bounds_scalar")]
+    beta = _IMA_BETAS[i - 5]
+    return [audit_ima_equivalence(problem, OptimizerSpec(kind=NGN_M_V1, c=1.0, beta1=beta),
+                                  steps=100, seed=seed, name=f"ima_equivalence_beta_{beta:g}")]
+
+
+def _task_outcome(i: int, seed: int, quick: bool):
+    """_audit_task's reports, or the exception that ended it."""
+    try:
+        return _audit_task(i, seed, quick)
+    except Exception as exc:  # raised in row order by run_default_audits
+        return exc
+
+
+def _audit_child(seed: int, quick: bool, counter, conn) -> None:
+    """A pooled battery's child: run the tasks it takes, send their outcomes."""
+    conn.send([(i, _task_outcome(i, seed, quick))
+               for i in harness._handouts(counter, len(_BATTERY_ROWS))])
+
+
 def run_default_audits(seed: int = 0, quick: bool = False) -> list:
     """The standard audit battery, one AuditReport per row.
 
@@ -398,37 +454,31 @@ def run_default_audits(seed: int = 0, quick: bool = False) -> list:
     equality, the four reduction identities, and the constant- and
     decaying-schedule convergence bounds on an interpolating
     least-squares problem. quick shrinks run lengths for smoke checks.
+
+    The battery's eight independent tasks (_audit_task) run on the
+    sweeps' pool (harness._pool) in min(8, CPU count) processes, this
+    one included, longest first, and their rows have the bits of one
+    process. They run here alone on one CPU, in a daemonic process, or
+    where the default start method is not fork: a spawned child takes
+    longer to start than the battery takes. The first exception in row
+    order is raised, as a serial run would raise it.
     """
-    d = 5 if quick else 20
-    steps = 200 if quick else 1000
-    K = 400 if quick else 2500
-    problem = build_problem(ProblemSpec(kind=KIND_LEAST_SQUARES, dim=d,
-                                        n_samples=2 * d, seed=seed))
-    interp = build_problem(ProblemSpec(kind=KIND_LEAST_SQUARES, dim=d,
-                                       n_samples=2 * d, seed=seed, interpolating=True))
-    meta = problem.metadata
+    n = len(_BATTERY_ROWS)
+    processes = min(n, os.cpu_count() or 1)
+    if processes > 1:
+        import multiprocessing  # only a pooled battery pays its import
+        if multiprocessing.get_context().get_start_method() != "fork":
+            processes = 1
+    if processes > 1:
+        done = harness._pool(processes, n, lambda i: _task_outcome(i, seed, quick),
+                             _audit_child, (seed, quick))
+    else:
+        done = {i: _task_outcome(i, seed, quick) for i in range(n)}
     reports = []
-
-    for beta in (0.1, 0.5, 0.9):
-        spec = OptimizerSpec(kind=NGN_M_V1, c=1.0, beta1=beta)
-        reports.append(audit_ima_equivalence(problem, spec, steps=100, seed=seed,
-                                             name=f"ima_equivalence_beta_{beta:g}"))
-
-    run = _trajectories(problem, [OptimizerSpec(kind=NGN, c=1.0)], steps, seed)[0]
-    reports.append(audit_stepsize_bounds(run, 1.0, meta.L, name="stepsize_bounds_scalar"))
-
-    coord_spec = OptimizerSpec(kind=NGN_D, c=1.0, c_coord=np.full(problem.dim, 0.7))
-    coord_run = _trajectories(problem, [coord_spec], steps, seed,
-                              batch_size=max(1, problem.n_samples // 4))[0]
-    reports.append(audit_stepsize_bounds(coord_run, np.full(problem.dim, 0.7),
-                                         meta.L_coord, name="stepsize_bounds_coordinate"))
-    reports.append(audit_fundamental_equality(coord_run))
-
-    reports.append(audit_reductions(problem, seed=seed,
-                                    batch_size=max(1, problem.n_samples // 2)))
-
-    reports.append(audit_theorem_bound(interp, K))
-    reports.append(audit_theorem_bound(interp, K, decaying=True))
+    for i in _BATTERY_ROWS:
+        if isinstance(done[i], Exception):
+            raise done[i]
+        reports.extend(done[i])
     return reports
 
 

@@ -29,7 +29,7 @@ from ngnopt import (
     run_once,
     run_sweep,
 )
-from ngnopt import harness
+from ngnopt import harness, verify
 from ngnopt.harness import make_optimizer_spec, split_kind
 from ngnopt.optimizers import OPTIMIZER_KINDS
 from ngnopt.problems import evaluate, sample_batch
@@ -460,6 +460,42 @@ def test_pooled_sweep_under_spawn_writes_the_serial_bytes(tmp_path, monkeypatch)
     run_sweep(small_sweep(tmp_path), workers=2)
     assert (tmp_path / "summary.csv").read_bytes() == serial
     assert multiprocessing.active_children() == []
+
+
+def in_daemonic_child(fn):
+    """fn() run in a daemonic forked child, which may start no process of its own: its result."""
+    fork = multiprocessing.get_context("fork")
+    conn, child_end = fork.Pipe(duplex=False)
+
+    def send():
+        try:
+            child_end.send(("returned", fn()))
+        except Exception as exc:
+            child_end.send(("raised", repr(exc)))
+
+    child = fork.Process(target=send, daemon=True)
+    child.start()
+    child_end.close()
+    try:
+        assert conn.poll(60)
+        return conn.recv()
+    finally:
+        child.join(30)
+        assert not child.is_alive()
+
+
+@fork_only
+def test_pooled_sweep_in_a_daemonic_process_runs_there():
+    serial = run_sweep(small_sweep()).rows
+    assert in_daemonic_child(lambda: run_sweep(small_sweep(), workers=2).rows) == ("returned", serial)
+
+
+@fork_only
+def test_battery_in_a_daemonic_process_runs_there(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    expected = verify.run_default_audits(quick=True, seed=2)
+    assert in_daemonic_child(lambda: verify.run_default_audits(quick=True, seed=2)) == (
+        "returned", expected)
 
 
 def test_run_sweep_three_processes_write_the_serial_bytes(tmp_path):

@@ -189,6 +189,25 @@ def test_ngn_gamma_zero_loss_with_underflowing_denominator():
     assert np.all(ngn_gamma(np.full(2, 0.5), 0.0, np.full(2, 5e-324)) == 0.0)
 
 
+@pytest.mark.parametrize("c, loss, gs, want", [
+    (1e308, 1.0, 4.0, 0.5),                       # 2 c f and the denominator overflow
+    (1e200, 1.0, 1e200, 2e-200),                  # the denominator alone overflows
+    (1.7976931348623157e308, 0.0, 1.0, 0.0),      # 2c overflows against a zero loss
+])
+def test_ngn_gamma_takes_the_finite_value_where_the_quotient_overflows(c, loss, gs, want):
+    assert ngn_gamma(c, loss, gs) == pytest.approx(want, rel=1e-15, abs=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vec = ngn_gamma(np.array([c, 0.5]), loss, np.array([gs, 4.0]))
+    assert vec[0] == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert same_bits(vec[1], ngn_gamma(0.5, loss, 4.0))  # no overflow: the plain quotient's bits
+
+
+def test_cli_run_of_ngn_where_2c_overflows(capsys):
+    assert cli(["run", "--problem", "least_squares", "--dim", "3", "--optimizer", "ngn",
+                "--c", "1e308", "--steps", "200"]) == 0
+    assert capsys.readouterr().out.startswith("status=budget_exhausted steps=200 ")
+
+
 @settings(max_examples=100, deadline=None)
 @given(c=st.floats(1e-6, 1e6), loss=st.floats(1e-12, 1e12),
        gs=st.floats(0.0, 1e12), factor=st.floats(1.0 + 1e-9, 1e6))
@@ -206,8 +225,10 @@ def test_ngn_gamma_smoothness_lower_bound():
 
 def reference_ngn_gamma_vector(c, loss, grad_sq):
     """The array path of ngn_gamma as it stood before its fast path: full
-    validation, then two np.where's. The fast path must return these
-    bits, and raise these errors."""
+    validation, then np.where's, with the quotient taken as
+    2 loss / (2 loss / c + g^2) wherever 2 c loss or the denominator
+    overflows. The fast path must return these bits, and raise these
+    errors."""
     c = np.asarray(c, dtype=float)
     gs = np.asarray(grad_sq, dtype=float)
     loss = float(loss)
@@ -215,9 +236,11 @@ def reference_ngn_gamma_vector(c, loss, grad_sq):
         raise ValueError("non-finite inputs to ngn_gamma")
     if (c <= 0.0).any() or loss < 0.0 or (gs < 0.0).any():
         raise ValueError("ngn_gamma requires c > 0, loss >= 0, grad_sq >= 0")
-    denom = 2.0 * loss + c * gs
+    num, denom = 2.0 * c * loss, 2.0 * loss + c * gs
     safe = np.where(denom > 0.0, denom, 1.0)
-    return np.where(gs == 0.0, c, np.minimum(c, 2.0 * c * loss / safe))
+    gamma = np.where(np.isfinite(num) & np.isfinite(denom), num / safe,
+                     2.0 * loss / (2.0 * loss / c + gs))
+    return np.where(gs == 0.0, c, np.minimum(c, gamma))
 
 
 # zero, subnormals, the smallest normal, and values whose products
@@ -250,7 +273,7 @@ def outcome(fn, *args):
 
 
 def assert_same_outcome(c, loss, gs):
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="ignore"):
         got = outcome(ngn_gamma, c, loss, gs)
         want = outcome(reference_ngn_gamma_vector, c, loss, gs)
     assert got[0] == want[0], (got, want)

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import multiprocessing
+import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -561,6 +564,79 @@ def test_run_default_audits_quick_all_pass():
     assert len(set(names)) == 9
     for r in reports:
         assert r.passed, f"{r.name}: {r.max_violation} at {r.location}"
+
+
+# --- the battery on the pool ---------------------------------------------------------
+
+fork_only = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                               reason="the battery pools only where the start method is fork")
+
+
+def report_bits(reports):
+    return [(r.name, r.passed, np.float64(r.max_violation).tobytes(), r.location) for r in reports]
+
+
+def battery(monkeypatch, cpus, **kw):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    try:
+        return run_default_audits(**kw)
+    finally:
+        assert multiprocessing.active_children() == []
+
+
+@fork_only
+@pytest.mark.parametrize("kw", [dict(seed=0), dict(seed=1), dict(seed=3, quick=True)])
+def test_pooled_battery_has_the_rows_of_one_process(monkeypatch, kw):
+    one = battery(monkeypatch, 1, **kw)
+    assert report_bits(battery(monkeypatch, 2, **kw)) == report_bits(one)
+
+
+def this_process_takes_one_task(monkeypatch):
+    """This process takes the first task, then waits while the child takes the rest."""
+    parent, handouts = os.getpid(), harness._handouts
+
+    def one_then_wait(counter, n):
+        for i in handouts(counter, n):
+            yield i
+            deadline = time.monotonic() + 30
+            while os.getpid() == parent and counter.value < n and time.monotonic() < deadline:
+                time.sleep(0.01)
+
+    monkeypatch.setattr(harness, "_handouts", one_then_wait)
+
+
+@fork_only
+def test_pooled_battery_raises_the_first_error_in_row_order(monkeypatch):
+    task = verify._audit_task
+    errors = {0: KeyError("theorem bound, this process's, raised first"),
+              4: OverflowError("scalar step-size bounds, in the child, fourth row"),
+              6: ZeroDivisionError("ima_equivalence_beta_0.5, in the child, second row")}
+
+    def raising(i, seed, quick):
+        if i in errors:
+            raise errors[i]
+        return task(i, seed, quick)
+
+    monkeypatch.setattr(verify, "_audit_task", raising)
+    with pytest.raises(ZeroDivisionError, match="^ima_equivalence_beta_0.5, in the child"):
+        battery(monkeypatch, 1, quick=True)
+    this_process_takes_one_task(monkeypatch)
+    with pytest.raises(ZeroDivisionError, match="^ima_equivalence_beta_0.5, in the child"):
+        battery(monkeypatch, 2, quick=True)
+
+
+@fork_only
+def test_battery_child_that_dies_before_sending_fails_the_call(monkeypatch):
+    monkeypatch.setattr(verify, "_audit_child", lambda *args: os._exit(3))
+    with pytest.raises(RuntimeError, match="exited with code 3 before it sent its rows"):
+        battery(monkeypatch, 2, quick=True)
+
+
+def test_battery_under_spawn_starts_no_process(monkeypatch):
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(multiprocessing, "get_context", lambda: spawn)
+    monkeypatch.setattr(spawn, "Process", lambda **kw: pytest.fail("a process was started"))
+    assert len(battery(monkeypatch, 2, quick=True)) == 9
 
 
 # --- array-wide checks against their per-step loops ----------------------------------

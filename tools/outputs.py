@@ -11,6 +11,10 @@ in it, with PYTHONPATH=PATH/src, and writes each case's files into DIR:
   --workers 2, NAME.serial.csv and NAME.workers2.csv: `write` exits 1
   when the two fail or differ. Printed wall times gate nothing;
 - `verify` at seeds 0 and 1, `--quick` at 3, with `exit N` in verify*.status;
+  `verify --seed 0` runs again with os.cpu_count() patched to 1, so that
+  its audits run in one process, and `write` exits 1 when that run's CSV
+  or exit code differs from verify.csv's. That run is written outside
+  DIR;
 - `ngnopt run` trajectories, traj_*.csv with the status line in
   traj_*.status: every kind on mini-batch least squares under each
   schedule; ngn_m_v1 and ngn_md_v2 on full-batch least squares; ngn,
@@ -58,6 +62,7 @@ MANIFEST = "SHA256SUMS"
 KINDS = ("ngn", "ngn_m_v1", "ngn_m_v2", "ngn_d", "ngn_md_v1", "ngn_md_v2", "dec_ngn_mdv1",
          "ngn_mdv1w", "sgdm", "adam")
 _MAIN = 'import sys; from ngnopt.harness import main; sys.argv[0] = "ngnopt"; sys.exit(main())'
+_ONE_CPU = "import os; os.cpu_count = lambda: 1; " + _MAIN  # set before ngnopt is imported
 
 
 def run(cmd: list, tree: Path, **env: str) -> subprocess.CompletedProcess:
@@ -181,7 +186,8 @@ def cases(cfgs: Path) -> list:
 
 def write(out: Path, tree: Path) -> int:
     """Write every case's files and the manifest into out; 1 when a
-    shipped config's serial and two-worker sweeps fail or differ."""
+    shipped config's serial and two-worker sweeps fail or differ, or
+    `verify --seed 0` in one process differs from verify.csv."""
     out, tree = out.resolve(), tree.resolve()
     if out.exists() and any(out.iterdir()):
         sys.exit(f"error: {out} is not empty")
@@ -202,6 +208,10 @@ def write(out: Path, tree: Path) -> int:
         done = list(map(timed, todo[:alone]))
         with ThreadPoolExecutor(2) as pool:
             done += pool.map(timed, todo[alone:])
+        csv = Path(cfgs) / "verify.csv"
+        code = run([sys.executable, "-c", _ONE_CPU, "verify", "--seed", "0", "--out", str(csv)],
+                   tree).returncode
+        one_cpu = code, csv.read_bytes() if csv.is_file() else None
     codes = {}
     for (name, _, record), p, seconds in done:
         print(f"{name:40s} exit {p.returncode}  {seconds:6.3f} s")
@@ -212,6 +222,10 @@ def write(out: Path, tree: Path) -> int:
     (out / MANIFEST).write_text("".join(f"{hashlib.sha256(f.read_bytes()).hexdigest()}  {f.name}\n"
                                         for f in sorted(out.iterdir())))
     status = 0
+    csv = out / "verify.csv"
+    if one_cpu != (codes["verify"], csv.read_bytes() if csv.is_file() else None):
+        print("verify: one process and the pooled audits differ", file=sys.stderr)
+        status = 1
     for stem in shipped():
         serial, workers = out / f"{stem}.serial.csv", out / f"{stem}.workers2.csv"
         if codes[serial.stem] or codes[workers.stem] or serial.read_bytes() != workers.read_bytes():
