@@ -42,9 +42,9 @@ from . import optimizers as opt
 from . import theory
 from .optimizers import OptimizerSpec, StepReport, apply_step, init_state
 from .problems import (
-    KIND_LEAST_SQUARES, KIND_MULTIMODAL, KIND_POLYNOMIAL, KEY_BOUND, KIND_RIDGE,
-    KIND_ROSENBROCK, ProblemSpec, StochasticObjective, _check_key, build_problem,
-    check_point, evaluate_cells, evaluate_loss, sample_batches,
+    KIND_MULTIMODAL, KIND_POLYNOMIAL, KEY_BOUND, KIND_RIDGE, PROBLEM_KINDS, ProblemSpec,
+    StochasticObjective, _check_key, _check_whole, build_problem, check_point,
+    evaluate_cells, evaluate_loss, sample_batches,
 )
 
 STATUS_CONVERGED = "converged"
@@ -84,16 +84,14 @@ class RunBudget:
     batch_size: Optional[int] = None
 
     def __post_init__(self):
-        if not (isinstance(self.max_steps, numbers.Integral) and self.max_steps >= 1):
-            raise ValueError(f"max_steps must be a whole number >= 1, got {self.max_steps!r}")
+        _check_whole("max_steps", self.max_steps, 1)
         for name in ("success_loss", "diverge_loss"):
             if math.isnan(getattr(self, name)):
                 raise ValueError(f"{name} must not be NaN, got {getattr(self, name)!r}")
         if not self.success_loss < self.diverge_loss:
             raise ValueError("success_loss must be < diverge_loss")
-        if self.batch_size is not None and not (
-                isinstance(self.batch_size, numbers.Integral) and self.batch_size >= 1):
-            raise ValueError(f"batch_size must be a whole number >= 1, got {self.batch_size!r}")
+        if self.batch_size is not None:
+            _check_whole("batch_size", self.batch_size, 1)
 
 
 class RunRecord:
@@ -481,8 +479,7 @@ def run_sweep(sweep: SweepSpec, workers: int = 1) -> SweepResult:
     shared pool (_pool). Rows are merged by run index and every run has
     the bits of its one-cell run, so both paths write the same output. A
     problem that cannot be built raises here; a cell that fails is an `error` row."""
-    if not (isinstance(workers, numbers.Integral) and workers >= 1):
-        raise ValueError(f"workers must be a whole number >= 1, got {workers!r}")
+    _check_whole("workers", workers, 1)
     sweep.__post_init__()  # the construction checks, for fields assigned since
     cells = sweep.cells()
     problem = build_problem(sweep.problem)
@@ -622,31 +619,11 @@ def parse_summary_csv(path: str) -> list:
 
 # --- config ingestion -------------------------------------------------------
 
-_PROBLEM_ALIASES = {
-    "least_squares": KIND_LEAST_SQUARES,
-    "ridge": KIND_RIDGE,
-    "ridge_quadratic": KIND_RIDGE,
-    "rosenbrock": KIND_ROSENBROCK,
-    "multimodal": KIND_MULTIMODAL,
-    "multimodal_1d": KIND_MULTIMODAL,
-    "polynomial": KIND_POLYNOMIAL,
-    "polynomial_1d": KIND_POLYNOMIAL,
-}
-
-_OPTIMIZER_ALIASES = {
-    "ngn": opt.NGN,
-    "ngn_m": opt.NGN_M_V1,
-    "ngn_m_v1": opt.NGN_M_V1,
-    "ngn_m_v2": opt.NGN_M_V2,
-    "ngn_d": opt.NGN_D,
-    "ngn_md_v1": opt.NGN_MD_V1,
-    "ngn_md_v2": opt.NGN_MD_V2,
-    "dec_ngn_mdv1": opt.DEC_NGN_MDV1,
-    "ngn_mdv1w": opt.NGN_MDV1W,
-    "sgdm": opt.SGDM,
-    "gdm": opt.SGDM,
-    "adam": opt.ADAM,
-}
+# The names a config or the CLI accepts: every kind, and five short aliases.
+_PROBLEM_ALIASES = {**{kind: kind for kind in PROBLEM_KINDS}, "ridge": KIND_RIDGE,
+                    "multimodal": KIND_MULTIMODAL, "polynomial": KIND_POLYNOMIAL}
+_OPTIMIZER_ALIASES = {**{kind: kind for kind in opt.OPTIMIZER_KINDS},
+                      "ngn_m": opt.NGN_M_V1, "gdm": opt.SGDM}
 
 _WD_KINDS = {"decoupled": opt.DEC_NGN_MDV1, "coupled": opt.NGN_MDV1W}
 _DEFAULT_WD_MODE = "decoupled"
@@ -897,8 +874,7 @@ _ERRORS_SHOWN = 3  # failed cells whose error text `ngnopt sweep` prints
 
 
 def _cmd_sweep(args) -> int:
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be a whole number >= 1, got {args.workers}")
+    _check_whole("--workers", args.workers, 1)
     sweep = parse_config(args.config)
     if args.out is not None:
         sweep.out_path = args.out

@@ -17,12 +17,13 @@ the kind's rule as rule(state, sample, spec, c_k) -> (x_new, v, m,
 sizes), advances state in place to (x_new, state.x, v, m, k + 1) and
 returns sizes, the fields of a StepReport (the run loop builds one only
 for a run that keeps history), so a rule sees the schedule only through
-c_k. The NGN-MD kinds share the preconditioner and one rule, the only
-one that reads spec.kind; every other kind has its own. A rule unpacks
-its sample, a StepSample or any (loss, grad, grad_sq) tuple. Rules are
-pure, and apply_step only rebinds the fields of the slotted
-OptimizerState: nothing writes into an array, so a run history can keep
-iterates and gradients by reference.
+c_k. OPTIMIZER_KINDS lists the keys of that rule table, _STEP_FNS. The
+NGN-MD kinds share one rule, the only one that reads spec.kind; every
+other kind has its own. Adam shares the NGN-MD kinds' second moment and
+D (precond_update). A rule unpacks its sample, a StepSample or any
+(loss, grad, grad_sq) tuple. Rules are pure, and apply_step only
+rebinds the fields of the slotted OptimizerState: nothing writes into
+an array, so a run history can keep iterates and gradients by reference.
 
 Reductions use ndarray methods such as `(g*g).sum()`. They run the same
 ufunc reductions as `np.sum` (`add.reduce`), so they give the same bits
@@ -57,14 +58,13 @@ and 1.01-1.03 at d=8. _float_or_array picks the side for both rules.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .problems import StepSample
+from .problems import StepSample, _check_whole
 
 NGN = "ngn"
 NGN_M_V1 = "ngn_m_v1"
@@ -76,11 +76,6 @@ DEC_NGN_MDV1 = "dec_ngn_mdv1"
 NGN_MDV1W = "ngn_mdv1w"
 SGDM = "sgdm"
 ADAM = "adam"
-
-OPTIMIZER_KINDS = (
-    NGN, NGN_M_V1, NGN_M_V2, NGN_D, NGN_MD_V1, NGN_MD_V2,
-    DEC_NGN_MDV1, NGN_MDV1W, SGDM, ADAM,
-)
 
 SCHEDULE_CONSTANT = "constant"
 SCHEDULE_INV_SQRT_K = "inv_sqrt_k"
@@ -133,9 +128,8 @@ class OptimizerSpec:
             raise ValueError(f"unknown schedule {self.schedule!r}; expected one of {SCHEDULES}")
         if self.schedule == SCHEDULE_INV_SQRT_K and self.total_steps is None:
             raise ValueError("inv_sqrt_k schedule requires total_steps")
-        if self.total_steps is not None and not (
-                isinstance(self.total_steps, numbers.Integral) and self.total_steps >= 1):
-            raise ValueError(f"total_steps must be a whole number >= 1, got {self.total_steps!r}")
+        if self.total_steps is not None:
+            _check_whole("total_steps", self.total_steps, 1)
         if self.c_coord is not None:
             cc = np.asarray(self.c_coord, dtype=float)
             if cc.ndim != 1 or not np.all(np.isfinite(cc)) or not np.all(cc > 0.0):
@@ -418,13 +412,12 @@ def step_sgdm(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, c_
 
 
 def step_adam(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, c_k: float):
-    """Bias-corrected Adam."""
+    """Bias-corrected Adam, whose second moment and denominator
+    eps + sqrt(vhat) are the NGN-MD kinds' D (precond_update)."""
     g = sample[1]
     m_new = spec.beta1 * state.m + (1.0 - spec.beta1) * g
-    v_new = spec.beta2 * state.v + (1.0 - spec.beta2) * g * g
+    v_new, denom = precond_update(state.v, g, spec.beta2, state.k, spec.eps)
     mhat = m_new / (1.0 - spec.beta1 ** (state.k + 1))
-    vhat = v_new / (1.0 - spec.beta2 ** (state.k + 1))
-    denom = np.sqrt(vhat) + spec.eps
     return state.x - c_k * mhat / denom, v_new, m_new, (c_k, c_k / denom, None, None)
 
 
@@ -440,6 +433,8 @@ _STEP_FNS = {
     SGDM: step_sgdm,
     ADAM: step_adam,
 }
+
+OPTIMIZER_KINDS = tuple(_STEP_FNS)
 
 
 def apply_step(state: OptimizerState, sample: StepSample, spec: OptimizerSpec) -> tuple:

@@ -41,14 +41,6 @@ KIND_ROSENBROCK = "rosenbrock"
 KIND_MULTIMODAL = "multimodal_1d"
 KIND_POLYNOMIAL = "polynomial_1d"
 
-PROBLEM_KINDS = (
-    KIND_LEAST_SQUARES,
-    KIND_RIDGE,
-    KIND_ROSENBROCK,
-    KIND_MULTIMODAL,
-    KIND_POLYNOMIAL,
-)
-
 
 @dataclass(frozen=True, eq=False)
 class ObjectiveMetadata:
@@ -123,12 +115,10 @@ class ProblemSpec:
             raise ValueError(f"unknown problem kind {self.kind!r}; expected one of {PROBLEM_KINDS}")
         if not math.isfinite(self.r):
             raise ValueError(f"r must be finite, got {self.r!r}")
-        for name, low in (("dim", 1), ("n_samples", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if name == "n_samples" and value is None:  # the kind's default
-                continue
-            if not (isinstance(value, numbers.Integral) and value >= low):
-                raise ValueError(f"{name} must be a whole number >= {low}, got {value!r}")
+        _check_whole("dim", self.dim, 1)
+        if self.n_samples is not None:  # None: the kind's default
+            _check_whole("n_samples", self.n_samples, 1)
+        _check_whole("seed", self.seed, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,9 +224,12 @@ def _check_key(name: str, value) -> None:
         raise ValueError(f"{name} must be a whole number in [0, 2**64), got {value!r}")
 
 
-def _check_batch_size(batch_size, n: int) -> None:
-    if not (isinstance(batch_size, (int, np.integer)) and 1 <= batch_size <= n):
-        raise ValueError(f"batch_size must be a whole number in [1, {n}], got {batch_size!r}")
+def _check_whole(name: str, value, low: int, high: Optional[int] = None) -> None:
+    """ValueError unless value is a whole number >= low, and <= high when given."""
+    if not (isinstance(value, numbers.Integral) and low <= value
+            and (high is None or value <= high)):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be a whole number {bound}, got {value!r}")
 
 
 @functools.cache
@@ -292,7 +285,7 @@ def sample_batch(problem: StochasticObjective, seed: int, step: int, batch_size:
     each process has its own generator.
     """
     n = problem.n_samples
-    _check_batch_size(batch_size, n)
+    _check_whole("batch_size", batch_size, 1, n)
     _check_key("seed", seed)
     _check_key("step", step)
     if batch_size == n:
@@ -332,11 +325,10 @@ def sample_batches(problem: StochasticObjective, seed: int, step: int, count: in
     Shares sample_batch's generator, and its threading caveat.
     """
     n = problem.n_samples
-    _check_batch_size(batch_size, n)
+    _check_whole("batch_size", batch_size, 1, n)
     _check_key("seed", seed)
     _check_key("step", step)
-    if not (isinstance(count, numbers.Integral) and count >= 1):
-        raise ValueError(f"count must be a whole number >= 1, got {count!r}")
+    _check_whole("count", count, 1)
     step, count = int(step), int(count)  # Python ints: a NumPy step + count could wrap
     if step + count - 1 >= KEY_BOUND:
         raise ValueError(f"the last step, step + count - 1 = {step + count - 1}, must be below 2**64")
@@ -612,6 +604,8 @@ _BUILDERS = {
     KIND_MULTIMODAL: _build_multimodal,
     KIND_POLYNOMIAL: _build_polynomial,
 }
+
+PROBLEM_KINDS = tuple(_BUILDERS)
 
 
 def build_problem(spec: ProblemSpec) -> StochasticObjective:

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 
 import numpy as np
 
-from .problems import StochasticObjective, sample_batches
+from .problems import StochasticObjective, _check_whole, sample_batches
 
 
 def _check(low: str, **values) -> None:
@@ -174,8 +173,7 @@ def estimate_sigmas(problem: StochasticObjective, batch_size: int,
     if f_star is None:
         raise ValueError("estimate_sigmas requires f_star metadata")
     n = problem.n_samples
-    if not (isinstance(batch_size, numbers.Integral) and 1 <= batch_size <= n):
-        raise ValueError(f"batch_size must be a whole number in [1, {n}], got {batch_size!r}")
+    _check_whole("batch_size", batch_size, 1, n)
 
     def batch_min(idx):
         if batch_size == n:

@@ -18,7 +18,6 @@ process.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -34,7 +33,7 @@ from .optimizers import (
     OptimizerSpec, ngn_gamma, schedule_c,
 )
 from .problems import (
-    KIND_LEAST_SQUARES, ProblemSpec, StochasticObjective, build_problem,
+    KIND_LEAST_SQUARES, ProblemSpec, StochasticObjective, _check_whole, build_problem,
     evaluate, evaluate_loss, sample_batch,
 )
 
@@ -350,8 +349,7 @@ def multimodal_global_basin(problem: StochasticObjective, lo: float = -25.0,
     the scan's memory is one chunk's at any n_grid. The points and
     edges have the bits of np.linspace(lo, hi, n_grid) and its argmin.
     """
-    if not (isinstance(n_grid, numbers.Integral) and n_grid >= 1):
-        raise ValueError(f"n_grid must be a whole number >= 1, got {n_grid!r}")
+    _check_whole("n_grid", n_grid, 1)
     lo, hi = float(lo), float(hi)
     batch = problem.full_batch()
 

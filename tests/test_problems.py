@@ -1,8 +1,11 @@
+import contextlib
 import dataclasses
 import inspect
+import io
 import math
 import pathlib
 import random
+import re
 import struct
 import tracemalloc
 
@@ -30,6 +33,9 @@ from ngnopt import (
     sample_batches,
 )
 from ngnopt import problems
+from ngnopt.harness import cli
+from ngnopt.theory import estimate_sigmas
+from ngnopt.verify import multimodal_global_basin
 from ngnopt.problems import PROBLEM_KINDS, StepSample
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -981,3 +987,61 @@ def test_least_squares_oracle_bits_do_not_depend_on_alignment(monkeypatch):
                 assert bits(problems.evaluate_loss(q, X, batch)) == bits(
                     problems.evaluate_loss(p, X, batch))
         assert_same_metadata(q.metadata, p.metadata)
+
+
+def _lsq12():
+    return build_problem(ProblemSpec(kind="least_squares", dim=3, n_samples=12, seed=0))
+
+
+def _one_cell_sweep():
+    return SweepSpec(ProblemSpec(kind="polynomial_1d"), ["sgdm"], [1e-3], [0.9], [0],
+                     RunBudget(max_steps=10))
+
+
+def _cli_sweep_workers(workers):
+    """`ngnopt sweep --workers N` as a call: its one stderr line, the text
+    after "error: ", raised as a ValueError when it exits 1."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli(["sweep", "--config", "unread.cfg", "--workers", str(workers)])
+    assert code == 1 and err.getvalue().startswith("error: ") and err.getvalue().endswith("\n")
+    assert err.getvalue().count("\n") == 1
+    raise ValueError(err.getvalue()[len("error: "):-1])
+
+
+# Every whole-number check: (entry point of a value, the name it reports,
+# low, high or None). argparse's type=int turns a fraction away before
+# `ngnopt sweep` checks --workers, so the CLI is checked below its low only.
+_CLI_WORKERS = "ngnopt sweep --workers"
+WHOLE_NUMBER_CHECKS = {
+    "RunBudget.max_steps": (lambda v: RunBudget(max_steps=v), "max_steps", 1, None),
+    "RunBudget.batch_size": (lambda v: RunBudget(max_steps=1, batch_size=v), "batch_size", 1, None),
+    "ProblemSpec.dim": (lambda v: ProblemSpec(kind="least_squares", dim=v), "dim", 1, None),
+    "ProblemSpec.n_samples": (lambda v: ProblemSpec(kind="least_squares", n_samples=v),
+                              "n_samples", 1, None),
+    "ProblemSpec.seed": (lambda v: ProblemSpec(kind="least_squares", seed=v), "seed", 0, None),
+    "OptimizerSpec.total_steps": (lambda v: OptimizerSpec(kind="ngn", c=1.0, total_steps=v),
+                                  "total_steps", 1, None),
+    "run_sweep.workers": (lambda v: run_sweep(_one_cell_sweep(), workers=v), "workers", 1, None),
+    _CLI_WORKERS: (_cli_sweep_workers, "--workers", 1, None),
+    "sample_batch.batch_size": (lambda v: sample_batch(_lsq12(), 0, 0, v), "batch_size", 1, 12),
+    "sample_batches.batch_size": (lambda v: sample_batches(_lsq12(), 0, 0, 2, v),
+                                  "batch_size", 1, 12),
+    "sample_batches.count": (lambda v: sample_batches(_lsq12(), 0, 0, v, 3), "count", 1, None),
+    "estimate_sigmas.batch_size": (lambda v: estimate_sigmas(_lsq12(), v), "batch_size", 1, 12),
+    "multimodal_global_basin.n_grid": (
+        lambda v: multimodal_global_basin(build_problem(ProblemSpec(kind="multimodal_1d")),
+                                          n_grid=v), "n_grid", 1, None),
+}
+
+
+@pytest.mark.parametrize("entry, bad", [
+    (entry, bad) for entry, (_, _, low, high) in WHOLE_NUMBER_CHECKS.items()
+    for bad in (() if entry == _CLI_WORKERS else (2.5,)) + (low - 1,)
+    + (() if high is None else (high + 1,))])
+def test_every_whole_number_check_rejects_a_fraction_and_a_value_out_of_range(entry, bad):
+    call, name, low, high = WHOLE_NUMBER_CHECKS[entry]
+    bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+    message = f"{name} must be a whole number {bound}, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(bad)

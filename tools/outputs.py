@@ -16,11 +16,12 @@ in it, with PYTHONPATH=PATH/src, and writes each case's files into DIR:
   or exit code differs from verify.csv's. That run is written outside
   DIR;
 - `ngnopt run` trajectories, traj_*.csv with the status line in
-  traj_*.status: every kind on mini-batch least squares under each
-  schedule; ngn_m_v1 and ngn_md_v2 on full-batch least squares; ngn,
-  ngn_m_v1 and sgdm, full-batch and mini-batch, at d = _FLOAT_MAX and
-  _FLOAT_MAX + 1 of this checkout, either side of the float-side
-  threshold in optimizers.py; the lsq-minibatch benchmark's shape
+  traj_*.status: every kind (KINDS, the OPTIMIZER_KINDS of this
+  checkout) on mini-batch least squares under each schedule; ngn_m_v1
+  and ngn_md_v2 on full-batch least squares; ngn, ngn_m_v1 and sgdm,
+  full-batch and mini-batch, at d = _FLOAT_MAX and _FLOAT_MAX + 1 of
+  this checkout, either side of the float-side threshold in
+  optimizers.py; the lsq-minibatch benchmark's shape
   (n = 1000, batch 32), whose block draws mostly have distinct targets;
   ngn_m_v1 and sgdm on the three closed-form problems (one-point oracle);
   two runs that diverge on their loss and two on a non-finite iterate,
@@ -56,11 +57,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
-from ngnopt.optimizers import _FLOAT_MAX  # noqa: E402  this checkout's float-side threshold
+# this checkout's float-side threshold and kinds
+from ngnopt.optimizers import _FLOAT_MAX, OPTIMIZER_KINDS as KINDS  # noqa: E402
 
 MANIFEST = "SHA256SUMS"
-KINDS = ("ngn", "ngn_m_v1", "ngn_m_v2", "ngn_d", "ngn_md_v1", "ngn_md_v2", "dec_ngn_mdv1",
-         "ngn_mdv1w", "sgdm", "adam")
 _MAIN = 'import sys; from ngnopt.harness import main; sys.argv[0] = "ngnopt"; sys.exit(main())'
 _ONE_CPU = "import os; os.cpu_count = lambda: 1; " + _MAIN  # set before ngnopt is imported
 
