@@ -29,7 +29,6 @@ import argparse
 import configparser
 import itertools
 import math
-import numbers
 import os
 import pickle
 import sys
@@ -43,7 +42,7 @@ from . import theory
 from .optimizers import OptimizerSpec, StepReport, apply_step, init_state
 from .problems import (
     KIND_MULTIMODAL, KIND_POLYNOMIAL, KEY_BOUND, KIND_RIDGE, PROBLEM_KINDS, ProblemSpec,
-    StochasticObjective, _check_key, _check_whole, build_problem, check_point,
+    StochasticObjective, _check_key, _check_whole, _is_whole, build_problem, check_point,
     evaluate_cells, evaluate_loss, sample_batches,
 )
 
@@ -193,7 +192,7 @@ class SweepSpec:
         for name in ("kinds", "c_grid", "beta_grid", "seeds"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be a non-empty list")
-        if not all(isinstance(seed, numbers.Integral) and seed >= 0 for seed in self.seeds):
+        if not all(_is_whole(seed) and seed >= 0 for seed in self.seeds):
             raise ValueError(f"seeds must be whole numbers >= 0, got {self.seeds!r}")
         if max(self.seeds) >= KEY_BOUND:  # a seed keys the batch draws
             raise ValueError(f"seeds must be below 2**64, got {self.seeds!r}")
@@ -260,8 +259,9 @@ def run_lockstep(problem: StochasticObjective, cells: list, budget: RunBudget, s
     iterates and makes one oracle call; a lone cell makes a one-point call
     on its iterate, with no (1, d) stack, which keeps a stacked row's bits
     and 16-byte alignment (see evaluate_cells). Stochastic runs also log
-    the full-batch loss of every active cell every full_eval_every steps
-    (default: about 100 checkpoints per run). Mini-batches come from
+    the full-batch loss of every active cell with a finite iterate every
+    full_eval_every steps (default: about 100 checkpoints per run), once
+    per checkpoint step, before the stop tests. Mini-batches come from
     sample_batches in blocks of 8, 16, 32 and then 64 steps, each drawn
     when the loop reaches its first step (see _minibatches). Each cell
     then applies the stop tests in Python floats, before any further
@@ -271,16 +271,15 @@ def run_lockstep(problem: StochasticObjective, cells: list, budget: RunBudget, s
     success_loss success. One comparison first passes a cell that none
     of them stops. A non-finite point gets a non-finite loss (see
     StochasticObjective), so an iterate is tested only then; a non-finite
-    one records an infinite loss and gradient norm and no checkpoint. A
-    cell that does not stop takes one step of its own rule through
-    apply_step. Cells leave the group as they stop, so every cell ends
-    where its one-cell run ends, with the same bits. A few-cell step is
-    mostly fixed cost (about 1 us per NumPy call on a 1-element array),
-    so the oracle hands the loop floats (see evaluate_cells). An
-    exception in a step rule ends that cell alone (RunRecord.error); any
-    other exception ends every cell still running. history=False keeps
-    only the running summary and the state, which is what a sweep row
-    reads, and builds no StepReport.
+    one records an infinite loss and gradient norm. A cell that does not
+    stop takes one step of its own rule through apply_step. Cells leave
+    the group as they stop, so every cell ends where its one-cell run
+    ends, with the same bits. A few-cell step is mostly fixed cost (about
+    1 us per NumPy call on a 1-element array), so the oracle hands the
+    loop floats (see evaluate_cells). An exception in a step rule ends
+    that cell alone (RunRecord.error); any other exception ends every
+    cell still running. history=False keeps only the running summary and
+    the state, which is what a sweep row reads, and builds no StepReport.
     """
     step_fn = apply_step  # read here, so a patched harness.apply_step is the one called
     active = [cell for cell in cells if cell.error is None]
@@ -297,23 +296,23 @@ def run_lockstep(problem: StochasticObjective, cells: list, budget: RunBudget, s
             full_batch = problem.full_batch()
             batches = (_minibatches(problem, seed, budget.max_steps, bs) if stochastic
                        else itertools.repeat(full_batch))
-            no_fulls = itertools.repeat(None)
             diverge_loss, success_loss = budget.diverge_loss, budget.success_loss
             loss_cap = min(diverge_loss, sys.float_info.max)  # no infinite loss at or below it
             for k, batch in zip(range(budget.max_steps if active else 0), batches):
                 X = _stack_iterates(active)
                 losses, grads, grad_sqs = evaluate_cells(problem, X, batch)
-                fulls = (evaluate_loss(problem, np.atleast_2d(X), full_batch).tolist()
-                         if history and stochastic and full_eval_every and k % full_eval_every == 0
-                         else no_fulls)
+                if history and stochastic and full_eval_every and k % full_eval_every == 0:
+                    fulls = evaluate_loss(problem, np.atleast_2d(X), full_batch).tolist()
+                    for cell, full in zip(active, fulls):  # none at a non-finite iterate
+                        if math.isfinite(full) or np.isfinite(cell.state.x).all():
+                            cell.full_losses.append((k, full))
                 running = []
-                for cell, loss, grad, grad_sq, full in zip(active, losses, grads, grad_sqs, fulls):
+                for cell, loss, grad, grad_sq in zip(active, losses, grads, grad_sqs):
                     if success_loss < loss <= loss_cap and grad_sq < math.inf:
                         stop = None  # no stop test fires: loss and ||g||^2 finite, loss in range
                     elif not (math.isfinite(loss) or np.isfinite(cell.state.x).all()):
-                        cell.record(k, math.inf, math.inf, history)
-                        cell.stop(k, STATUS_DIVERGED, STOP_NON_FINITE_ITERATE)
-                        continue
+                        loss = grad_sq = math.inf
+                        stop = STATUS_DIVERGED, STOP_NON_FINITE_ITERATE
                     elif not math.isfinite(loss):
                         stop = STATUS_DIVERGED, STOP_NON_FINITE_LOSS
                     elif loss > diverge_loss:
@@ -322,8 +321,6 @@ def run_lockstep(problem: StochasticObjective, cells: list, budget: RunBudget, s
                         stop = STATUS_DIVERGED, STOP_NON_FINITE_GRAD
                     else:  # loss <= success_loss
                         stop = STATUS_CONVERGED, STOP_SUCCESS
-                    if full is not None:
-                        cell.full_losses.append((k, full))
                     cell.record(k, loss, math.sqrt(grad_sq), history)
                     if stop is not None:
                         cell.stop(k, *stop)
@@ -629,18 +626,18 @@ _WD_KINDS = {"decoupled": opt.DEC_NGN_MDV1, "coupled": opt.NGN_MDV1W}
 _DEFAULT_WD_MODE = "decoupled"
 
 
-def _cfg_float(section: str, key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: expected a number, got {raw!r}") from exc
+def _cfg_number(convert, noun: str):
+    """A parser of one value by convert; noun names what it expects."""
+    def parse(section: str, key: str, raw: str):
+        try:
+            return convert(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{section}.{key}: expected {noun}, got {raw!r}") from exc
+    return parse
 
 
-def _cfg_int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: expected an integer, got {raw!r}") from exc
+_cfg_float = _cfg_number(float, "a number")
+_cfg_int = _cfg_number(int, "an integer")
 
 
 def _cfg_bool(section: str, key: str, raw: str) -> bool:

@@ -219,15 +219,18 @@ KEY_BOUND = 2 ** 64  # a seed and a step key Philox as two 64-bit words
 _WORD = 2 ** 32  # NumPy draws a bound below 2**32 from 32-bit words
 
 
+def _is_whole(value) -> bool:  # a bool is a numbers.Integral too
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_key(name: str, value) -> None:
-    if not (isinstance(value, numbers.Integral) and 0 <= value < KEY_BOUND):
+    if not (_is_whole(value) and 0 <= value < KEY_BOUND):
         raise ValueError(f"{name} must be a whole number in [0, 2**64), got {value!r}")
 
 
 def _check_whole(name: str, value, low: int, high: Optional[int] = None) -> None:
     """ValueError unless value is a whole number >= low, and <= high when given."""
-    if not (isinstance(value, numbers.Integral) and low <= value
-            and (high is None or value <= high)):
+    if not (_is_whole(value) and low <= value and (high is None or value <= high)):
         bound = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ValueError(f"{name} must be a whole number {bound}, got {value!r}")
 

@@ -139,34 +139,30 @@ def audit_stepsize_bounds(run: RunRecord, c, L, name: str = "stepsize_bounds") -
     1e-12 c as required; tolerance 1e-12.
     """
     schedule, total, reports = run.spec.schedule, run.spec.total_steps, run.step_reports
-
-    def scalar_violations():  # Python floats: NumPy scalars make this loop ~20x slower
-        c_0, L_0 = float(c), float(L)
-        for k, rep in enumerate(reports):
-            c_k = schedule_c(schedule, c_0, k, total)
-            gamma = rep.gamma_scalar  # NaN: the first term is NaN, and max keeps it
-            yield max(c_k / (1.0 + c_k * L_0) - gamma, gamma - c_k, 0.0) / c_k, f"step {k}"
-
-    def coordinate_violations():  # on (K, d) stacks, with each step's bits
+    scalar = not (c is None or np.ndim(c) > 0 or np.ndim(L) > 0)
+    if not scalar:
         for rep in reports:
             if rep.gamma_coord is None:
                 raise ValueError("run lacks per-coordinate step sizes")
             if c is None and rep.c_coord_used is None:
                 raise ValueError("run lacks recorded per-coordinate c values")
-        if not reports:
-            return ()
+    if not reports:
+        return _report(name, 1e-12, ())
+    if scalar:  # (K,) stacks, with step k's c_k
+        gamma = np.array([rep.gamma_scalar for rep in reports])
+        c_vec = np.array([schedule_c(schedule, float(c), k, total) for k in range(len(reports))])
+    else:  # (K, d) stacks
         gamma = np.array([rep.gamma_coord for rep in reports])
         if c is None:
             c_vec = np.array([rep.c_coord_used for rep in reports])
         else:
             scale = [schedule_c(schedule, 1.0, k, total) for k in range(len(reports))]
             c_vec = np.asarray(c, dtype=float) * np.array(scale)[:, None]
-        viol = np.maximum(np.maximum(c_vec / (1.0 + c_vec * np.asarray(L, dtype=float)) - gamma,
-                                     gamma - c_vec), 0.0) / c_vec
-        return _row_worst(viol)
-
-    coordinate = c is None or np.ndim(c) > 0 or np.ndim(L) > 0
-    return _report(name, 1e-12, coordinate_violations() if coordinate else scalar_violations())
+    # each + - * / rounds as on one step's floats; a NaN step size gives a NaN violation
+    viol = np.maximum(np.maximum(c_vec / (1.0 + c_vec * np.asarray(L, dtype=float)) - gamma,
+                                 gamma - c_vec), 0.0) / c_vec
+    return _report(name, 1e-12, ((v, f"step {k}") for k, v in enumerate(viol.tolist()))
+                   if scalar else _row_worst(viol))
 
 
 def audit_fundamental_equality(run: RunRecord) -> AuditReport:

@@ -102,6 +102,8 @@ def test_sweep_spec_validation():
         small_sweep(seeds=[0, -1])
     with pytest.raises(ValueError, match=r"seeds must be whole numbers >= 0, got \[1\.5\]"):
         small_sweep(seeds=[1.5])
+    with pytest.raises(ValueError, match=r"seeds must be whole numbers >= 0, got \[True\]"):
+        small_sweep(seeds=[True])  # a bool is no seed: the summary CSV would print it as true
     with pytest.raises(ValueError, match="x0_grid, when given, must be non-empty"):
         small_sweep(x0_grid=[])
 

@@ -479,7 +479,7 @@ def test_a_failing_batch_ends_only_the_cells_still_running(monkeypatch):
     assert str(running.error) == "no batch at step 8" and len(running.losses) == 8
 
 
-@pytest.mark.parametrize("seed", [1.5, -3, 2**64, "3"])
+@pytest.mark.parametrize("seed", [1.5, -3, 2**64, "3", True])
 def test_a_seed_that_cannot_key_a_batch_fails_the_run_on_any_batch(seed):
     # a full batch draws nothing with the seed, and still rejects it as a mini-batch does
     p = build_problem(LSQ)
@@ -720,6 +720,27 @@ def test_a_group_that_goes_non_finite_at_a_checkpoint_logs_no_checkpoint_there()
         diverged_on_the_iterate(cell, 2)
         assert not np.isfinite(cell.x_final).all()
         assert [k for k, _ in cell.full_losses] == [0]
+
+
+def test_a_finite_iterate_whose_loss_overflows_logs_its_checkpoint():
+    # step 0 of a stochastic group is a checkpoint: the 1e200 start is
+    # finite, and its batch and full losses overflow, so it stops on the
+    # loss and logs an infinite checkpoint; the NaN start stops on the
+    # iterate and logs none; the third cell keeps stepping
+    p = build_problem(LSQ)
+    budget = RunBudget(max_steps=20, batch_size=4)
+    spec = OptimizerSpec(kind="ngn", c=0.1)
+    starts = [np.full(4, 1e200), np.array([np.nan, 0.0, 0.0, 0.0]), None]
+    cells = [RunRecord(p, spec, x0) for x0 in starts]
+    run_lockstep(p, cells, budget, seed=0)
+    for cell, x0 in zip(cells, starts):
+        same_run(cell, run_once(p, spec, budget, seed=0, x0=x0))
+    overflow, nan_start, running = cells
+    assert (overflow.stop_reason, overflow.stop_step) == ("non_finite_loss", 0)
+    assert overflow.full_losses == [(0, math.inf)]
+    diverged_on_the_iterate(nan_start, 0)
+    assert nan_start.full_losses == []
+    assert running.status == STATUS_BUDGET and [k for k, _ in running.full_losses] == list(range(20))
 
 
 # --- stack rows start where a fresh iterate does ------------------------------------

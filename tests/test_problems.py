@@ -1010,8 +1010,10 @@ def _cli_sweep_workers(workers):
 
 
 # Every whole-number check: (entry point of a value, the name it reports,
-# low, high or None). argparse's type=int turns a fraction away before
-# `ngnopt sweep` checks --workers, so the CLI is checked below its low only.
+# low, high or None). Each rejects a fraction, a bool (True, and False
+# where low is 0) and a value out of range. argparse's type=int turns a
+# fraction or a bool away before `ngnopt sweep` checks --workers, so the
+# CLI is checked below its low only.
 _CLI_WORKERS = "ngnopt sweep --workers"
 WHOLE_NUMBER_CHECKS = {
     "RunBudget.max_steps": (lambda v: RunBudget(max_steps=v), "max_steps", 1, None),
@@ -1037,8 +1039,8 @@ WHOLE_NUMBER_CHECKS = {
 
 @pytest.mark.parametrize("entry, bad", [
     (entry, bad) for entry, (_, _, low, high) in WHOLE_NUMBER_CHECKS.items()
-    for bad in (() if entry == _CLI_WORKERS else (2.5,)) + (low - 1,)
-    + (() if high is None else (high + 1,))])
+    for bad in (() if entry == _CLI_WORKERS else (2.5, True)) + (low - 1,)
+    + (() if high is None else (high + 1,)) + ((False,) if low == 0 else ())])
 def test_every_whole_number_check_rejects_a_fraction_and_a_value_out_of_range(entry, bad):
     call, name, low, high = WHOLE_NUMBER_CHECKS[entry]
     bound = f">= {low}" if high is None else f"in [{low}, {high}]"

@@ -653,6 +653,15 @@ def loop_weighted_sums(weights, iterates, losses, f_star):
     return xhat, weighted_subopt
 
 
+def loop_scalar_violations(run, c, L):
+    schedule, total = run.spec.schedule, run.spec.total_steps
+    c_0, L_0 = float(c), float(L)
+    for k, rep in enumerate(run.step_reports):
+        c_k = verify.schedule_c(schedule, c_0, k, total)
+        gamma = rep.gamma_scalar
+        yield max(c_k / (1.0 + c_k * L_0) - gamma, gamma - c_k, 0.0) / c_k, f"step {k}"
+
+
 def loop_coordinate_violations(run, c, L):
     schedule, total = run.spec.schedule, run.spec.total_steps
     L_vec = np.asarray(L, dtype=float)
@@ -787,6 +796,25 @@ def test_coordinate_checks_have_the_bits_of_the_step_loops(monkeypatch):
         values = [np.frombuffer(value)[0] for value, _ in got]
         assert values[4] == math.inf and math.isnan(values[9]) and math.isnan(values[12])
         assert got[9][1] == "step 9 coord 0" and got[12][1] == "step 12 coord 2"
+
+
+@pytest.mark.parametrize("schedule", ["constant", "inv_sqrt_step"])
+def test_scalar_check_has_the_bits_of_the_step_loop(monkeypatch, schedule):
+    # over-cap step sizes at steps 10 and 20 and a NaN at step 30, checked
+    # at the run's c, at an understated L (every step violates its lower
+    # bound) and at another c
+    p = quadratic()
+    run = run_once(p, OptimizerSpec(kind="ngn", c=1.0, schedule=schedule),
+                   RunBudget(max_steps=60, success_loss=0.0), seed=0)
+    for k, gamma in ((10, 1.5), (20, 1.5), (30, math.nan)):
+        run.step_reports[k] = dataclasses.replace(run.step_reports[k], gamma_scalar=gamma)
+    report_pairs(monkeypatch)
+    for c, L in ((1.0, p.metadata.L), (1.0, 1e-9), (0.7, p.metadata.L)):
+        got = pair_bits(audit_stepsize_bounds(run, c, L))
+        assert got == pair_bits(loop_scalar_violations(run, c, L))
+        assert len(got) == 60 and got[30][1] == "step 30"
+        values = [np.frombuffer(value)[0] for value, _ in got]
+        assert math.isnan(values[30]) and values[10] > 0.0 and values[20] > 0.0
 
 
 def test_coordinate_checks_of_an_empty_history_pass_at_none():
