@@ -424,18 +424,24 @@ def _handouts(counter, n: int):
         yield i
 
 
+def _processes(wanted: int) -> int:
+    """A pool's size for `wanted` tasks: at most one per CPU, 1 where daemonic."""
+    processes = min(wanted, os.cpu_count() or 1)
+    if processes > 1:
+        import multiprocessing  # only pools pay its import
+        return 1 if multiprocessing.current_process().daemon else processes
+    return processes
+
+
 def _pool(processes: int, n: int, here, child, args: tuple) -> dict:
     """Tasks 0 .. n - 1 in `processes` processes, this one included, as
     {index: result}; sweep runs and the audit battery share it. Each
     process takes task indices from a shared counter (_handouts) until
     none is left: this one runs here(i) for each, and each child started
     as child(*args, counter, conn) sends [(i, result), ...] down conn
-    when it is done. A daemonic process may start none, so there this one
-    runs every task. An exception here ends the call; a child that exits
+    when it is done. An exception here ends the call; a child that exits
     before it sends raises RuntimeError. No child outlives the call."""
-    import multiprocessing  # only pools pay its import
-    if multiprocessing.current_process().daemon:
-        return {i: here(i) for i in range(n)}
+    import multiprocessing
     ctx = multiprocessing.get_context()
     counter, children = ctx.Value("q", 0), []
     try:
@@ -472,10 +478,11 @@ def run_sweep(sweep: SweepSpec, workers: int = 1) -> SweepResult:
     order. On a full batch, cells that differ only in seed are one run,
     stepped once for all their rows. Serially the distinct runs make one
     lockstep group per batch sequence; workers > 1 counts this process,
-    and at most one process per run steps them one run at a time on the
-    shared pool (_pool). Rows are merged by run index and every run has
-    the bits of its one-cell run, so both paths write the same output. A
-    problem that cannot be built raises here; a cell that fails is an `error` row."""
+    and at most one process per run and per CPU (_processes) steps them
+    one at a time on the shared pool (_pool). Rows are merged by run index
+    and every run has the bits of its one-cell run, so both paths write
+    the same output. A problem that cannot be built raises here; a cell
+    that fails is an `error` row."""
     _check_whole("workers", workers, 1)
     sweep.__post_init__()  # the construction checks, for fields assigned since
     cells = sweep.cells()
@@ -486,8 +493,8 @@ def run_sweep(sweep: SweepSpec, workers: int = 1) -> SweepResult:
     reps = [first.setdefault(pickle.dumps((kind, c, beta, None if shared else seed, x0)), i)
             for i, (kind, c, beta, seed, x0) in enumerate(cells)]
     distinct = [cells[i] for i in first.values()]
-    if min(workers, len(distinct)) > 1:
-        done = _pool(min(workers, len(distinct)), len(distinct),
+    if (processes := _processes(min(workers, len(distinct)))) > 1:
+        done = _pool(processes, len(distinct),
                      lambda i: _sweep_rows(sweep, [distinct[i]], problem)[0],  # around _cell_worker,
                      _pool_child, (sweep, distinct))  # which is a child's entry
     else:
@@ -825,7 +832,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweepp = sub.add_parser("sweep", help="execute a config-driven sweep")
     sweepp.add_argument("--config", required=True)
     sweepp.add_argument("--out", default=None, help="override output.path")
-    sweepp.add_argument("--workers", type=int, default=1, help="capped at the CPU count")
+    sweepp.add_argument("--workers", type=int, default=1, help="capped at the distinct runs and the CPUs")
 
     verifyp = sub.add_parser("verify", help="run the audit suite")
     verifyp.add_argument("--quick", action="store_true", help="smaller audit sizes")
@@ -877,7 +884,7 @@ def _cmd_sweep(args) -> int:
         sweep.out_path = args.out
     if sweep.out_path is None:
         raise ConfigError("no output path: set output.path in the config or pass --out")
-    result = run_sweep(sweep, workers=min(args.workers, os.cpu_count() or 1))
+    result = run_sweep(sweep, workers=args.workers)
     print(f"wrote {len(result.rows)} rows to {resolve_out_path(sweep.out_path)}")
     failed = [r for r in result.rows if r["status"] == STATUS_ERROR]
     if failed:

@@ -177,19 +177,17 @@ def ngn_gamma(c, loss, grad_sq):
 
     Accepts scalars or arrays (per-coordinate c_j and g_j^2 broadcast
     against a scalar loss). Always lies in [0, c], is non-increasing in
-    grad_sq, and non-decreasing in loss. Python floats, the inputs of every
-    scalar rule, skip np.ndim; every input is validated either way, on
-    the array path by min/max reductions. A positive loss with every
-    g_j^2 positive needs no guard against a zero denominator. Where
-    2 c loss or the denominator overflows, the quotient is taken as
-    2 loss / (2 loss / c + grad_sq), which is finite where gamma is; every
-    other input keeps the bits of the plain quotient.
+    grad_sq, and non-decreasing in loss. Every input is validated; Python
+    floats, the inputs of every scalar rule, skip np.ndim. A scalar with a
+    positive finite denominator takes the quotient, capped at c where
+    2 c loss is finite; the array path defines every other case, a scalar
+    as a one-element array. There a zero denominator gives 0, and where
+    2 c loss or the denominator overflows, 2 loss / (2 loss / c + grad_sq)
+    is taken, or c where that is NaN (loss >= 2^1023, where gamma -> c).
     """
     if ((type(c) is float or np.ndim(c) == 0)
             and (type(grad_sq) is float or np.ndim(grad_sq) == 0)):
-        c = float(c)
-        loss = float(loss)
-        gs = float(grad_sq)
+        c, loss, gs = float(c), float(loss), float(grad_sq)
         if not (math.isfinite(c) and math.isfinite(loss) and math.isfinite(gs)):
             raise ValueError("non-finite inputs to ngn_gamma")
         if c <= 0.0 or loss < 0.0 or gs < 0.0:
@@ -197,19 +195,14 @@ def ngn_gamma(c, loss, grad_sq):
         if gs == 0.0:
             return c
         denom = 2.0 * loss + c * gs
-        if denom == 0.0:
-            # loss = 0 and c*gs underflowed: the quotient's limit, as on
-            # the array path
-            return 0.0
-        gamma = 2.0 * c * loss / denom
-        if gamma < c and denom < math.inf:
-            return gamma
-        if 2.0 * c * loss < math.inf and denom < math.inf:
-            # the quotient can land one ulp above c when c*gs underflows
-            # against 2*loss in the denominator; the cap is a hard contract
-            return c
-        gamma = 2.0 * loss / (2.0 * loss / c + gs)
-        return gamma if gamma < c else c  # min(c, gamma) without a call; NaN gives c
+        if 0.0 < denom < math.inf:
+            gamma = 2.0 * c * loss / denom
+            if gamma < c:
+                return gamma
+            if 2.0 * c * loss < math.inf:
+                # c*gs can underflow against 2*loss, leaving the quotient an ulp above c
+                return c
+        return float(ngn_gamma(np.array([c]), loss, np.array([gs]))[0])
     c = np.asarray(c, dtype=float)
     gs = np.asarray(grad_sq, dtype=float)
     loss = float(loss)
@@ -228,12 +221,13 @@ def ngn_gamma(c, loss, grad_sq):
         # every denominator is positive and no g_j^2 is zero, so the
         # np.where's below would keep this quotient: the same bits
         return np.minimum(c, 2.0 * c * loss / (2.0 * loss + c * gs))
-    num, denom = 2.0 * c * loss, 2.0 * loss + c * gs
-    gamma = num / np.where(denom > 0.0, denom, 1.0)
-    if not finite:
-        gamma = np.where((num < math.inf) & (denom < math.inf), gamma,
-                         2.0 * loss / (2.0 * loss / c + gs))
-    return np.where(gs == 0.0, c, np.minimum(c, gamma))
+    with np.errstate(over="ignore", invalid="ignore"):  # the limits replace what overflows
+        num, denom = 2.0 * c * loss, 2.0 * loss + c * gs
+        gamma = num / np.where(denom > 0.0, denom, 1.0)
+        if not finite:
+            gamma = np.where((num < math.inf) & (denom < math.inf), gamma,
+                             2.0 * loss / (2.0 * loss / c + gs))
+    return np.where(gs == 0.0, c, np.fmin(c, gamma))  # fmin: a NaN fallback gives c
 
 
 def precond_update(v: np.ndarray, grad: np.ndarray, beta2: float, k: int, eps: float):

@@ -174,6 +174,7 @@ def estimate_sigmas(problem: StochasticObjective, batch_size: int,
         raise ValueError("estimate_sigmas requires f_star metadata")
     n = problem.n_samples
     _check_whole("batch_size", batch_size, 1, n)
+    _check_whole("n_mc", n_mc, 1)  # also where the batches are enumerated
 
     def batch_min(idx):
         if batch_size == n:

@@ -18,7 +18,6 @@ process.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -136,8 +135,11 @@ def audit_stepsize_bounds(run: RunRecord, c, L, name: str = "stepsize_bounds") -
     [c_j/(1+c_j L_j), c_j]. c=None on the coordinate path uses each
     step's recorded effective c_j (the preconditioner-assisted mode).
     Violations are normalized by c (resp. c_j), so the bound holds up to
-    1e-12 c as required; tolerance 1e-12.
+    1e-12 c as required; tolerance 1e-12. A c or c_j that is not positive
+    and finite raises ValueError, as OptimizerSpec does.
     """
+    if c is not None and not (np.isfinite(c) & np.greater(c, 0.0)).all():
+        raise ValueError(f"c must be positive and finite, got {c!r}")
     schedule, total, reports = run.spec.schedule, run.spec.total_steps, run.step_reports
     scalar = not (c is None or np.ndim(c) > 0 or np.ndim(L) > 0)
     if not scalar:
@@ -451,16 +453,16 @@ def run_default_audits(seed: int = 0, quick: bool = False) -> list:
 
     The battery's eight independent tasks (_audit_task) run on the
     sweeps' pool (harness._pool) in min(8, CPU count) processes, this
-    one included, longest first, and their rows have the bits of one
-    process. They run here alone on one CPU, in a daemonic process, or
-    where the default start method is not fork: a spawned child takes
-    longer to start than the battery takes. The first exception in row
-    order is raised, as a serial run would raise it.
+    one included (harness._processes), longest first, and their rows
+    have the bits of one process. They run here alone on one CPU, in a
+    daemonic process, or where the default start method is not fork: a
+    spawned child takes longer to start than the battery takes. The
+    first exception in row order is raised, as a serial run raises it.
     """
     n = len(_BATTERY_ROWS)
-    processes = min(n, os.cpu_count() or 1)
+    processes = harness._processes(n)
     if processes > 1:
-        import multiprocessing  # only a pooled battery pays its import
+        import multiprocessing  # imported already by harness._processes
         if multiprocessing.get_context().get_start_method() != "fork":
             processes = 1
     if processes > 1:

@@ -500,7 +500,8 @@ def test_battery_in_a_daemonic_process_runs_there(monkeypatch):
         "returned", expected)
 
 
-def test_run_sweep_three_processes_write_the_serial_bytes(tmp_path):
+def test_run_sweep_three_processes_write_the_serial_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # three processes on any runner
     run_sweep(small_sweep(tmp_path))
     serial = (tmp_path / "summary.csv").read_bytes()
     run_sweep(small_sweep(tmp_path), workers=3)
@@ -570,10 +571,20 @@ def recording_pool(monkeypatch) -> list:
 def test_run_sweep_starts_no_more_workers_than_cells(monkeypatch):
     expected = run_sweep(small_sweep()).rows
     counts = recording_pool(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5000)  # so that only the runs cap the pool
     assert run_sweep(small_sweep(), workers=5000).rows == expected
     assert run_sweep(small_sweep(), workers=3).rows == expected
     # processes, this one included: small_sweep has 8 cells, 4 distinct runs on its full batch
     assert counts == [4, 3]
+
+
+@pytest.mark.parametrize("cpus, pools", [(2, [2]), (None, [])])
+def test_run_sweep_starts_no_more_workers_than_cpus(monkeypatch, cpus, pools):
+    expected = run_sweep(small_sweep()).rows
+    counts = recording_pool(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert run_sweep(small_sweep(), workers=64).rows == expected
+    assert counts == pools  # processes, this one included; no CPU count runs serially
 
 
 @pytest.mark.parametrize("batch_size, tasks", [(None, 4), (6, 4), (3, 8)])

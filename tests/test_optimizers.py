@@ -227,8 +227,8 @@ def reference_ngn_gamma_vector(c, loss, grad_sq):
     """The array path of ngn_gamma as it stood before its fast path: full
     validation, then np.where's, with the quotient taken as
     2 loss / (2 loss / c + g^2) wherever 2 c loss or the denominator
-    overflows. The fast path must return these bits, and raise these
-    errors."""
+    overflows, and as c where that is NaN (2 loss overflows). The fast
+    path must return these bits, and raise these errors."""
     c = np.asarray(c, dtype=float)
     gs = np.asarray(grad_sq, dtype=float)
     loss = float(loss)
@@ -240,7 +240,7 @@ def reference_ngn_gamma_vector(c, loss, grad_sq):
     safe = np.where(denom > 0.0, denom, 1.0)
     gamma = np.where(np.isfinite(num) & np.isfinite(denom), num / safe,
                      2.0 * loss / (2.0 * loss / c + gs))
-    return np.where(gs == 0.0, c, np.minimum(c, gamma))
+    return np.where(gs == 0.0, c, np.where(np.isnan(gamma), c, np.minimum(c, gamma)))
 
 
 # zero, subnormals, the smallest normal, and values whose products
@@ -304,6 +304,24 @@ def test_ngn_gamma_vector_rejects_what_the_reference_rejects(data, length, loss,
         arr[data.draw(st.integers(0, arr.size - 1))] = bad
         c, gs = (arr, gs) if where == "c" else (c, arr)
     assert_same_outcome(c, loss, gs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(c=positive, loss=non_negative, gs=non_negative)
+def test_ngn_gamma_scalar_has_the_bits_of_a_one_element_array(c, loss, gs):
+    # loss is drawn up to the largest double: at loss >= 2^1023, 2 loss
+    # overflows and gamma's limit is c on both paths
+    want = ngn_gamma(np.array([c]), loss, np.array([gs]))[0]
+    got = ngn_gamma(c, loss, gs)
+    assert type(got) is float and same_bits(got, want), (c, loss, gs, got, want)
+    assert 0.0 <= got <= c
+
+
+@pytest.mark.parametrize("c, loss, gs", [(1.0, 1.7976931348623157e308, 1.0),
+                                         (1.0, 1e308, 4.0), (3.0, 2.0 ** 1023, 1e308)])
+def test_ngn_gamma_is_c_where_2_loss_overflows(c, loss, gs):
+    assert ngn_gamma(c, loss, gs) == c
+    assert ngn_gamma(np.array([c, c]), loss, np.array([gs, 0.0])).tolist() == [c, c]
 
 
 def test_ngn_gamma_vector_edge_cases_have_the_reference_bits():

@@ -285,6 +285,14 @@ def test_estimate_sigmas_monte_carlo_has_the_bits_of_one_draw_per_batch():
     assert estimate_sigmas(p, batch_size=15, n_mc=200, seed=4) == want
 
 
+@pytest.mark.parametrize("n_mc", [0, 2.5, True])
+@pytest.mark.parametrize("n, batch_size", [(4, 2), (30, 15)], ids=["enumerated", "sampled"])
+def test_estimate_sigmas_names_a_bad_n_mc(n, batch_size, n_mc):
+    p = build_problem(ProblemSpec(kind="least_squares", dim=2, n_samples=n, seed=0))
+    with pytest.raises(ValueError, match=r"n_mc must be a whole number >= 1, got "):
+        estimate_sigmas(p, batch_size=batch_size, n_mc=n_mc)
+
+
 def test_estimate_sigmas_validation():
     p = build_problem(ProblemSpec(kind="least_squares", dim=2, n_samples=4, seed=0))
     with pytest.raises(ValueError):

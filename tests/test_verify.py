@@ -118,6 +118,15 @@ def test_stepsize_bounds_fails_on_tampered_report():
     assert rep.location == "step 10"
 
 
+@pytest.mark.parametrize("c", [0.0, -1.0, math.inf, math.nan, np.array([1.0, 0.0, 2.0])],
+                         ids=["0", "-1", "inf", "nan", "one c_j 0"])
+def test_stepsize_bounds_rejects_a_c_that_is_not_positive_and_finite(c):
+    p = quadratic(dim=3, n=12)
+    run = run_once(p, OptimizerSpec(kind="ngn_d", c=1.0), RunBudget(max_steps=3), seed=0)
+    with pytest.raises(ValueError, match="c must be positive and finite"):
+        audit_stepsize_bounds(run, c=c, L=p.metadata.L if np.ndim(c) == 0 else p.metadata.L_coord)
+
+
 def test_stepsize_bounds_coordinate_passes():
     p = quadratic(dim=3, n=12)
     c_coord = np.array([0.5, 1.0, 2.0])
