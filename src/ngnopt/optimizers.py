@@ -244,15 +244,19 @@ def precond_update(v: np.ndarray, grad: np.ndarray, beta2: float, k: int, eps: f
 
 
 def schedule_c(schedule: str, c0: float, k: int, total_steps: Optional[int] = None) -> float:
-    """Step-size hyperparameter at step k: c0, c0/sqrt(K), or c0/sqrt(k+1)."""
+    """Step-size hyperparameter at step k: c0, c0/sqrt(K), or c0/sqrt(k+1).
+
+    A decaying c_k that underflows to 0 is taken as the smallest positive
+    double, so that c_k > 0, as ngn_gamma requires, for every c0 > 0.
+    """
     if schedule == SCHEDULE_CONSTANT:
         return c0
     if schedule == SCHEDULE_INV_SQRT_K:
         if total_steps is None or total_steps < 1:
             raise ValueError("inv_sqrt_k schedule requires a positive total_steps")
-        return c0 / math.sqrt(total_steps)
+        return c0 / math.sqrt(total_steps) or 5e-324
     if schedule == SCHEDULE_INV_SQRT_STEP:
-        return c0 / math.sqrt(k + 1)
+        return c0 / math.sqrt(k + 1) or 5e-324
     raise ValueError(f"unknown schedule {schedule!r}")
 
 

@@ -3,6 +3,9 @@ every cell ends with the bits of its one-cell run."""
 
 import filecmp
 import math
+import struct
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,10 +23,14 @@ from ngnopt import (
     run_sweep,
 )
 from ngnopt import harness, verify
-from ngnopt.harness import STATUS_BUDGET, RunRecord, run_lockstep
+from ngnopt.harness import (
+    STATUS_BUDGET, STATUS_CONVERGED, STATUS_DIVERGED, STOP_BUDGET, STOP_SUCCESS, RunRecord,
+    run_lockstep,
+)
 from ngnopt.optimizers import (
-    DEC_NGN_MDV1, NGN_D, NGN_MDV1W, OPTIMIZER_KINDS, SCHEDULE_INV_SQRT_K, SCHEDULES,
-    StepSample, apply_step, init_state,
+    DEC_NGN_MDV1, NGN, NGN_D, NGN_M_V1, NGN_M_V2, NGN_MD_V1, NGN_MD_V2, NGN_MDV1W,
+    OPTIMIZER_KINDS, SCHEDULE_INV_SQRT_K, SCHEDULES, StepSample, apply_step, init_state,
+    precond_update, schedule_c,
 )
 from ngnopt.problems import evaluate, sample_batch, sample_batches
 
@@ -769,3 +776,85 @@ def test_every_stacked_row_starts_on_a_16_byte_boundary(monkeypatch, dim):
     monkeypatch.setattr(harness, "evaluate_cells", original)
     for spec, x0, cell in zip(specs, starts, cells):
         same_run(cell, run_once(p, spec, budget, seed=0, x0=x0))
+
+
+# --- the run contract over the whole double range ------------------------------------
+
+# every positive finite double, subnormals included, log-uniform: a uniform bit pattern
+POSITIVE_DOUBLES = st.integers(1, 0x7FEFFFFFFFFFFFFF).map(
+    lambda i: struct.unpack("<d", struct.pack("<q", i))[0])
+START_ENTRIES = st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([-1.0, 1.0]),
+                          st.floats(-3.0, 150.0))
+# the kinds whose docstrings put gamma in [0, c_k] (ngn_gamma's range), and the
+# per-coordinate kinds that put gamma_j in [0, c_j]
+SCALAR_RANGE_KINDS = (NGN, NGN_M_V1, NGN_M_V2, NGN_MD_V1, DEC_NGN_MDV1)
+COORD_RANGE_KINDS = (NGN_D, NGN_MD_V2)
+# the kinds whose gamma is NGN's on the rule's own norm: gamma ||g||^2 <= 2 f
+NGN_BOUND_KINDS = (NGN, NGN_M_V1, NGN_MD_V1)
+STEP_BOUND = 1 + 8 * Fraction(2.0 ** -52)
+
+
+@st.composite
+def edge_groups(draw):
+    name = draw(st.sampled_from(sorted(PROBLEMS)))
+    problem = problem_named(name)
+    n = problem.n_samples
+    steps = draw(st.integers(1, 30))
+    budget = RunBudget(max_steps=steps, diverge_loss=math.inf,
+                       batch_size=draw(st.sampled_from([None, 1, 2, n // 2] if n > 2 else [None])))
+    cells = []
+    for _ in range(draw(st.integers(1, 3))):
+        spec = make_spec(draw(st.sampled_from(OPTIMIZER_KINDS)), draw(POSITIVE_DOUBLES),
+                         draw(st.sampled_from([0.0, 0.5, 0.99])), draw(st.sampled_from(SCHEDULES)),
+                         steps)
+        x0 = draw(st.one_of(st.none(), st.lists(START_ENTRIES, min_size=problem.dim,
+                                                 max_size=problem.dim).map(np.array)))
+        cells.append((spec, x0))
+    return name, budget, draw(st.integers(0, 3)), cells
+
+
+def check_step(spec, k, v, sample, sizes) -> None:
+    """One step's sizes against the bounds that its rule's docstring states."""
+    loss, g, grad_sq = sample
+    gamma, gamma_coord, c_coord = sizes[:3]
+    c_k = schedule_c(spec.schedule, spec.c, k, spec.total_steps)
+    if spec.kind in SCALAR_RANGE_KINDS:
+        assert 0.0 <= gamma <= c_k, (spec.kind, c_k, gamma)
+    if spec.kind in COORD_RANGE_KINDS:
+        assert np.all((0.0 <= gamma_coord) & (gamma_coord <= c_coord)), (gamma_coord, c_coord)
+        if spec.kind == NGN_D:
+            assert np.all(c_coord == c_k)
+    if spec.kind in NGN_BOUND_KINDS:
+        if spec.kind == NGN_MD_V1:
+            d = precond_update(v, g, spec.beta2, k, spec.eps)[1]
+            grad_sq = float((g * g / d).sum())  # ||g||^2_{D^-1}, as the rule computes it
+        assert Fraction(gamma) * Fraction(grad_sq) <= 2 * Fraction(loss) * STEP_BOUND
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(group=edge_groups())
+def test_every_run_ends_by_a_stop_rule_over_the_whole_double_range(group):
+    # c from the smallest subnormal to the largest double and starts up to
+    # 1e150: no rule raises, every run ends converged, diverged or out of
+    # budget, and every step keeps the step-size bounds its rule promises
+    name, budget, seed, cells = group
+    problem = problem_named(name)
+    records = [RunRecord(problem, spec, x0) for spec, x0 in cells]
+    steps = []
+
+    def recorded(state, sample, spec):
+        k, v = state.k, state.v
+        sizes = apply_step(state, sample, spec)
+        steps.append((spec, k, v, sample, sizes))
+        return sizes
+
+    with mock.patch.object(harness, "apply_step", recorded):
+        run_lockstep(problem, records, budget, seed)
+    for rec in records:
+        assert rec.error is None, repr(rec.error)
+        assert rec.status in (STATUS_CONVERGED, STATUS_DIVERGED, STATUS_BUDGET)
+        assert (rec.status == STATUS_BUDGET) == (rec.stop_reason == STOP_BUDGET)
+        assert (rec.status == STATUS_CONVERGED) == (rec.stop_reason == STOP_SUCCESS)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+        for step in steps:
+            check_step(*step)

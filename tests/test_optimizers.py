@@ -359,6 +359,16 @@ def test_schedules():
         schedule_c("nope", 2.0, 5)
 
 
+@pytest.mark.parametrize("schedule, k, total", [("inv_sqrt_k", 0, 4), ("inv_sqrt_step", 3, None)])
+def test_a_decaying_c_that_underflows_stays_positive(schedule, k, total):
+    # 5e-324 / 2 rounds to 0, which ngn_gamma rejects; the run goes on
+    assert schedule_c(schedule, 5e-324, k, total_steps=total) == 5e-324
+    spec = OptimizerSpec(kind="ngn", c=5e-324, schedule=schedule, total_steps=total)
+    rec = run_once(build_problem(ProblemSpec(kind="multimodal_1d")), spec, RunBudget(max_steps=5),
+                   seed=0)
+    assert rec.status == "budget_exhausted" and len(rec.step_reports) == 5
+
+
 def test_precond_update_bias_correction():
     v0 = np.zeros(2)
     g = np.array([3.0, 4.0])
