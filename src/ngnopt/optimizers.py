@@ -2,15 +2,15 @@
 
 The scalar NGN step size is
 
-    gamma = c / (1 + (c / (2 f_S(x))) ||g||^2)
-          = 2 c f_S(x) / (2 f_S(x) + c ||g||^2),
+    gamma = 2 c f_S(x) / (2 f_S(x) + c ||g||^2) = 2 / (2/c + ||g||^2 / f_S(x)),
 
-computed in the second, division-safe form; it returns c when ||g||^2 = 0
-(including the 0/0 corner f_S = 0, g = 0). Momentum uses the heavy-ball
-form x' = x - (1-beta) gamma g + beta (x - x_prev), whose iterate-moving-
-average twin is exercised by the verification layer. Diagonal variants
-rescale either the squared gradient norm (V1) or the per-coordinate c
-(V2) by an RMSprop-style preconditioner D = eps + sqrt(vhat).
+computed in the second, reciprocal form and capped at c (ngn_gamma): c
+when ||g||^2 = 0 (the 0/0 corner f_S = 0, g = 0 included), 0 when f_S = 0
+< ||g||^2. Momentum uses the heavy-ball form x' = x - (1-beta) gamma g +
+beta (x - x_prev), whose iterate-moving-average twin is exercised by the
+verification layer. Diagonal variants rescale either the squared
+gradient norm (V1) or the per-coordinate c (V2) by an RMSprop-style
+preconditioner D = eps + sqrt(vhat).
 
 apply_step(state, sample, spec) computes the schedule's c_k once, calls
 the kind's rule as rule(state, sample, spec, c_k) -> (x_new, v, m,
@@ -178,13 +178,11 @@ def ngn_gamma(c, loss, grad_sq):
     Accepts scalars or arrays (per-coordinate c_j and g_j^2 broadcast
     against a scalar loss). Always lies in [0, c], is non-increasing in
     grad_sq, and non-decreasing in loss. Every input is validated; Python
-    floats, the inputs of every scalar rule, skip np.ndim. A scalar with a
-    positive finite denominator takes the quotient, capped at c where
-    2 c loss is finite; the array path defines every other case, a scalar
-    as a one-element array. There a zero denominator gives 0, and where
-    2 c loss or the denominator overflows, 2 loss / (2 loss / c + grad_sq)
-    is taken, or c where that is NaN (loss >= 2^1023, where gamma -> c).
-    """
+    floats, the inputs of every scalar rule, skip np.ndim. Both paths take
+    2 / (2/c + grad_sq / loss), capped at c, and 0 where loss = 0 < grad_sq,
+    so a scalar has the bits of a one-element array. IEEE arithmetic takes
+    every other limit, and 2/c is normal up to c = 2^1023, so gamma is
+    within a few ulps of its exact value, or within a subnormal of it."""
     if ((type(c) is float or np.ndim(c) == 0)
             and (type(grad_sq) is float or np.ndim(grad_sq) == 0)):
         c, loss, gs = float(c), float(loss), float(grad_sq)
@@ -194,40 +192,32 @@ def ngn_gamma(c, loss, grad_sq):
             raise ValueError("ngn_gamma requires c > 0, loss >= 0, grad_sq >= 0")
         if gs == 0.0:
             return c
-        denom = 2.0 * loss + c * gs
-        if 0.0 < denom < math.inf:
-            gamma = 2.0 * c * loss / denom
-            if gamma < c:
-                return gamma
-            if 2.0 * c * loss < math.inf:
-                # c*gs can underflow against 2*loss, leaving the quotient an ulp above c
-                return c
-        return float(ngn_gamma(np.array([c]), loss, np.array([gs]))[0])
+        if loss == 0.0:
+            return 0.0
+        gamma = 2.0 / (2.0 / c + gs / loss)
+        return c if gamma > c else gamma
     c = np.asarray(c, dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):  # the limits; a bad c is reported there
+        return _ngn_gamma_array(2.0 / c, c, loss, grad_sq, c.min(initial=1.0), float(c.max(initial=1.0)))
+
+
+def _ngn_gamma_array(two_over_c, c, loss, grad_sq, c_lo=1.0, c_hi=1.0):
+    """ngn_gamma on arrays, given 2/c; checks loss, grad_sq and c's extremes
+    c_lo and c_hi, which NGN-MD V2 (whose c_j may be 0 or inf) leaves at 1."""
     gs = np.asarray(grad_sq, dtype=float)
     loss = float(loss)
     # min and max see every NaN and +-inf; `initial` lets an empty operand
     # through, as the elementwise checks did
-    c_lo, c_hi = c.min(initial=1.0), float(c.max(initial=1.0))
     gs_lo, gs_hi = gs.min(initial=1.0), float(gs.max(initial=1.0))
     if not (math.isfinite(c_lo) and math.isfinite(c_hi) and math.isfinite(loss)
             and math.isfinite(gs_lo) and math.isfinite(gs_hi)):
         raise ValueError("non-finite inputs to ngn_gamma")
     if c_lo <= 0.0 or loss < 0.0 or gs_lo < 0.0:
         raise ValueError("ngn_gamma requires c > 0, loss >= 0, grad_sq >= 0")
-    # upper bounds on every 2 c_j loss and every denominator, rounded as they are
-    finite = 2.0 * c_hi * loss < math.inf and 2.0 * loss + c_hi * gs_hi < math.inf
-    if loss > 0.0 and gs_lo > 0.0 and finite:
-        # every denominator is positive and no g_j^2 is zero, so the
-        # np.where's below would keep this quotient: the same bits
-        return np.minimum(c, 2.0 * c * loss / (2.0 * loss + c * gs))
-    with np.errstate(over="ignore", invalid="ignore"):  # the limits replace what overflows
-        num, denom = 2.0 * c * loss, 2.0 * loss + c * gs
-        gamma = num / np.where(denom > 0.0, denom, 1.0)
-        if not finite:
-            gamma = np.where((num < math.inf) & (denom < math.inf), gamma,
-                             2.0 * loss / (2.0 * loss / c + gs))
-    return np.where(gs == 0.0, c, np.fmin(c, gamma))  # fmin: a NaN fallback gives c
+    if loss == 0.0:
+        return np.where(gs == 0.0, c, 0.0)
+    gamma = np.minimum(c, 2.0 / (two_over_c + gs / loss))
+    return gamma if gs_lo > 0.0 else np.where(gs == 0.0, c, gamma)
 
 
 def precond_update(v: np.ndarray, grad: np.ndarray, beta2: float, k: int, eps: float):
@@ -244,11 +234,8 @@ def precond_update(v: np.ndarray, grad: np.ndarray, beta2: float, k: int, eps: f
 
 
 def schedule_c(schedule: str, c0: float, k: int, total_steps: Optional[int] = None) -> float:
-    """Step-size hyperparameter at step k: c0, c0/sqrt(K), or c0/sqrt(k+1).
-
-    A decaying c_k that underflows to 0 is taken as the smallest positive
-    double, so that c_k > 0, as ngn_gamma requires, for every c0 > 0.
-    """
+    """Step-size hyperparameter at step k: c0, c0/sqrt(K), or c0/sqrt(k+1);
+    a decaying c_k that underflows to 0 is 5e-324, so that c_k > 0."""
     if schedule == SCHEDULE_CONSTANT:
         return c0
     if schedule == SCHEDULE_INV_SQRT_K:
@@ -332,17 +319,17 @@ def step_ngn_md(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, 
     V1: gamma = ngn_gamma(c, f_S, ||g||^2_{D^-1}), Sigma^-1 g = gamma D^-1 g.
     V2: gamma_j = ngn_gamma(c / D_j, f_S, g_j^2),  Sigma^-1 g = gamma_j g_j.
     Then x' = base - (1-beta1) Sigma^-1 g + beta1 (x - x_prev), with base = x.
-    Where c / D_j rounds to inf (D_j < 1 and c near the largest double)
-    or to 0, V2 takes the step's finite limit in c_j (_ngn_md_v2_limits),
-    so that the run goes on, and ends as any run does.
+    V2 passes 2 D_j / c as 2 / c_j, so a c_j that rounds to inf (D_j < 1
+    and c near the largest double) or to 0 needs no branch; gamma_j = c_j
+    = inf where g_j = 0 takes no step.
 
     Decoupled: base = x - lambda c x, with gamma exactly as in V1.
 
     Coupled: gamma = (c/(1+lambda c)) [2 f_S - c lambda g.x]_+ /
                      (2 f_S + (c/(1+lambda c)) ||g||^2_{D^-1}),
              base = x/(1+lambda c),
-    the division-safe form of the damped step size; when the whole
-    denominator vanishes (f_S = 0 and g = 0) it returns c/(1+lambda c).
+    computed over 2 f_S, so that no 2 f_S overflows; at f_S = 0 it is
+    [-c lambda g.x]_+ / ||g||^2_{D^-1}, or c/(1+lambda c) where g = 0.
     Both weight-decay variants reduce bit-exactly to V1 at lambda = 0.
     With D = I they converge to x_lambda = argmin f + (lambda/2)||x||^2
     at beta1 = 0, and near x_{lambda/(1-beta1)} with momentum: the shrink
@@ -354,25 +341,22 @@ def step_ngn_md(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, 
         d = np.ones_like(g)
     base = x
     if spec.kind == NGN_MD_V2:
-        c_vec = c_k / d
-        try:
-            gamma = ngn_gamma(c_vec, loss, g * g)
-        except ValueError:
-            gamma, sigma_inv_g = _ngn_md_v2_limits(c_vec, loss, g)
-        else:
-            sigma_inv_g = gamma * g
+        with np.errstate(over="ignore", invalid="ignore"):  # c_j or g_j^2 may round to inf
+            c_vec = c_k / d
+            gamma = _ngn_gamma_array(2.0 * d / c_k, c_vec, loss, g * g)
+            sigma_inv_g = np.where(g == 0.0, g, gamma * g)  # no step where gamma_j = c_j = inf
         sizes = (float("nan"), gamma, c_vec, g)
     else:
         lam = spec.wd_lambda
         gdsq = float((g * g / d).sum())  # ||g||^2_{D^-1}
         if spec.kind == NGN_MDV1W and lam != 0.0:
             one_plus = 1.0 + lam * c_k
-            c_eff = c_k / one_plus
-            denom = 2.0 * loss + c_eff * gdsq
-            if denom == 0.0:
-                gamma = c_eff
+            gx = float((g * x).sum())
+            if loss > 0.0:
+                gamma = (max(0.0, 2.0 - (c_k * lam) * (gx / loss))
+                         / (2.0 * one_plus / c_k + gdsq / loss))
             else:
-                gamma = c_eff * max(0.0, 2.0 * loss - (c_k * lam) * float((g * x).sum())) / denom
+                gamma = max(0.0, -(c_k * lam) * gx) / gdsq if gdsq > 0.0 else c_k / one_plus
             base = x / one_plus
         else:  # V1's step size, so that lambda = 0 collapses bit-exactly, cap clamp included
             gamma = ngn_gamma(c_k, loss, gdsq)
@@ -382,24 +366,6 @@ def step_ngn_md(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, 
         sizes = (gamma, gamma / d, None, None)
     x_new = base - (1.0 - spec.beta1) * sigma_inv_g + spec.beta1 * (x - state.x_prev)
     return x_new, v_new, state.m, sizes
-
-
-def _ngn_md_v2_limits(c_vec, loss, g):
-    """NGN-MD V2's (gamma, Sigma^-1 g) when some c_j rounded to inf or 0.
-
-    There gamma_j and gamma_j g_j take their limits in c_j: as c_j -> inf,
-    2 f_S / g_j^2 (c_j where g_j^2 = 0) and 2 f_S / g_j (0 where g_j = 0);
-    as c_j -> 0, 0 and 0. Every finite positive c_j keeps ngn_gamma's
-    bits. With no c_j rounded off, ngn_gamma's error is raised again.
-    """
-    gs = g * g
-    tiny = c_vec == 0.0
-    off = tiny | (c_vec == math.inf)
-    gamma = ngn_gamma(np.where(off, 1.0, c_vec), loss, gs)
-    with np.errstate(all="ignore"):
-        gamma_lim = np.where(tiny | (gs == 0.0), c_vec, 2.0 * loss / gs)
-        step_lim = np.where(tiny | (g == 0.0), 0.0, 2.0 * loss / g)
-    return np.where(off, gamma_lim, gamma), np.where(off, step_lim, gamma * g)
 
 
 def step_sgdm(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, c_k: float):

@@ -3,6 +3,8 @@ import itertools
 import math
 import pickle
 import struct
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -223,24 +225,38 @@ def test_ngn_gamma_smoothness_lower_bound():
         assert ngn_gamma(c, f, gs) >= c / (1.0 + c * L) * (1 - 1e-12)
 
 
-def reference_ngn_gamma_vector(c, loss, grad_sq):
-    """The array path of ngn_gamma as it stood before its fast path: full
-    validation, then np.where's, with the quotient taken as
-    2 loss / (2 loss / c + g^2) wherever 2 c loss or the denominator
-    overflows, and as c where that is NaN (2 loss overflows). The fast
-    path must return these bits, and raise these errors."""
-    c = np.asarray(c, dtype=float)
-    gs = np.asarray(grad_sq, dtype=float)
+def exact_ngn_gamma(c, loss, grad_sq):
+    """NGN's step size 2 c f / (2 f + c g^2) (c where g^2 = 0) in exact
+    rational arithmetic, one Fraction for each entry of c and grad_sq
+    broadcast together; raises ngn_gamma's errors for what it rejects."""
+    c, gs = np.broadcast_arrays(np.asarray(c, dtype=float), np.asarray(grad_sq, dtype=float))
     loss = float(loss)
     if not (np.isfinite(c).all() and math.isfinite(loss) and np.isfinite(gs).all()):
         raise ValueError("non-finite inputs to ngn_gamma")
     if (c <= 0.0).any() or loss < 0.0 or (gs < 0.0).any():
         raise ValueError("ngn_gamma requires c > 0, loss >= 0, grad_sq >= 0")
-    num, denom = 2.0 * c * loss, 2.0 * loss + c * gs
-    safe = np.where(denom > 0.0, denom, 1.0)
-    gamma = np.where(np.isfinite(num) & np.isfinite(denom), num / safe,
-                     2.0 * loss / (2.0 * loss / c + gs))
-    return np.where(gs == 0.0, c, np.where(np.isnan(gamma), c, np.minimum(c, gamma)))
+    f = Fraction(loss)
+    return [Fraction(cj) if gj == 0.0 else 2 * Fraction(cj) * f / (2 * f + Fraction(cj) * Fraction(gj))
+            for cj, gj in zip(c.ravel().tolist(), gs.ravel().tolist())]
+
+
+TINY = sys.float_info.min  # the smallest normal double
+STEP_BOUND = 1 + 8 * Fraction(sys.float_info.epsilon)
+
+
+def assert_near_exact(got, c, loss, gs) -> None:
+    """got, ngn_gamma's value, against the exact one: within 4 ulps where
+    that is a normal double (4.5 where c > 2^1023, since 2/c is then
+    subnormal), within a subnormal of it otherwise, in [0, c], and with
+    gamma g^2 <= 2 f (1 + 8 eps)."""
+    want = exact_ngn_gamma(c, loss, gs)
+    c, gs, got = (np.broadcast_to(v, np.shape(got)).ravel().tolist() for v in (c, gs, got))
+    for g, w, cj, gj in zip(got, want, c, gs):
+        exact = float(w)
+        tol = (4.5 if cj > 2.0 ** 1023 else 4.0) * math.ulp(exact) if exact >= TINY else TINY
+        assert abs(Fraction(g) - w) <= Fraction(tol), (cj, loss, gj, g, exact)
+        assert 0.0 <= g <= cj
+        assert Fraction(g) * Fraction(gj) <= 2 * Fraction(loss) * STEP_BOUND, (cj, loss, gj, g)
 
 
 # zero, subnormals, the smallest normal, and values whose products
@@ -273,21 +289,38 @@ def outcome(fn, *args):
 
 
 def assert_same_outcome(c, loss, gs):
+    """ngn_gamma raises what exact_ngn_gamma raises, and else returns an
+    array of the broadcast shape near the exact value."""
     with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="ignore"):
         got = outcome(ngn_gamma, c, loss, gs)
-        want = outcome(reference_ngn_gamma_vector, c, loss, gs)
+        want = outcome(exact_ngn_gamma, c, loss, gs)
     assert got[0] == want[0], (got, want)
     if got[0] == "error":
         assert got[1] == want[1]
     else:
-        assert type(got[1]) is np.ndarray
-        assert got[1].shape == want[1].shape and got[1].dtype == want[1].dtype
-        assert got[1].tobytes() == want[1].tobytes(), (c, loss, gs, got[1], want[1])
+        assert type(got[1]) is np.ndarray and got[1].dtype == float
+        assert got[1].shape == np.broadcast_shapes(np.shape(c), np.shape(gs))
+        assert_near_exact(got[1], c, loss, gs)
 
 
-@settings(max_examples=400, deadline=None)
+# every positive finite double, subnormals included, log-uniform: a uniform bit pattern
+positive_doubles = st.integers(1, 0x7FEFFFFFFFFFFFFF).map(
+    lambda i: struct.unpack("<d", struct.pack("<q", i))[0])
+any_positive = st.one_of(positive_doubles, positive)
+
+
+@settings(max_examples=500, deadline=None)
+@given(c=any_positive, loss=st.one_of(positive_doubles, non_negative),
+       gs=st.one_of(positive_doubles, non_negative))
+def test_ngn_gamma_is_near_its_exact_value(c, loss, gs):
+    got = ngn_gamma(c, loss, gs)
+    assert_near_exact(got, c, loss, gs)
+    assert same_bits(got, ngn_gamma(np.array([c]), loss, np.array([gs]))[0])
+
+
+@settings(max_examples=300, deadline=None)
 @given(data=st.data(), length=st.integers(1, 6), loss=non_negative)
-def test_ngn_gamma_vector_has_the_reference_bits(data, length, loss):
+def test_ngn_gamma_vector_is_near_its_exact_value(data, length, loss):
     c, gs = vector_inputs(data.draw, length)
     assert_same_outcome(c, loss, gs)
 
@@ -317,14 +350,22 @@ def test_ngn_gamma_scalar_has_the_bits_of_a_one_element_array(c, loss, gs):
     assert 0.0 <= got <= c
 
 
-@pytest.mark.parametrize("c, loss, gs", [(1.0, 1.7976931348623157e308, 1.0),
-                                         (1.0, 1e308, 4.0), (3.0, 2.0 ** 1023, 1e308)])
-def test_ngn_gamma_is_c_where_2_loss_overflows(c, loss, gs):
-    assert ngn_gamma(c, loss, gs) == c
-    assert ngn_gamma(np.array([c, c]), loss, np.array([gs, 0.0])).tolist() == [c, c]
+@pytest.mark.parametrize("c, loss, gs, want", [
+    (1.0, 1.7976931348623157e308, 1.0, 1.0),  # 2 loss overflows
+    (1.0, 1e308, 4.0, 1.0),
+    (3.0, 2.0 ** 1023, 1e308, 1.124),          # ... where gamma ||g||^2 <= 2 loss bites
+    (0.5, 8e307, 4e307, 0.4444),               # 2 loss / c overflows too
+    (1e-20, 1e-300, 1.0, 2e-300),              # 2 c loss underflows
+    (3.1e-295, 3e-85, 6e150, 3.1e-295),        # 2 c loss underflows to 0; gamma is about c
+])
+def test_ngn_gamma_where_2_c_loss_or_2_loss_leaves_the_double_range(c, loss, gs, want):
+    got = ngn_gamma(c, loss, gs)
+    assert got == pytest.approx(want, rel=1e-3)
+    assert_near_exact(got, c, loss, gs)
+    assert ngn_gamma(np.array([c, c]), loss, np.array([gs, 0.0])).tolist() == [got, c]
 
 
-def test_ngn_gamma_vector_edge_cases_have_the_reference_bits():
+def test_ngn_gamma_vector_edge_cases_are_near_the_exact_value():
     one = np.ones(3)
     for c, loss, gs in [
         (one, 0.0, one),                                   # zero loss
@@ -343,6 +384,8 @@ def test_ngn_gamma_vector_edge_cases_have_the_reference_bits():
         (one, math.inf, one),
         (np.array([1.0, 0.0]), 1.0, one[:2]),              # zero cap
         (np.empty(0), 1.0, np.empty(0)),                   # no coordinates
+        (np.array([5e-324, 1.0]), -0.0, np.full(2, 1.0)),  # gamma is 0 at a -0.0 loss
+        (np.full(2, 1.7976931348623157e308), 1e-300, np.array([1e-300, 5e-324])),  # 2/c subnormal
     ]:
         assert_same_outcome(c, loss, gs)
 
@@ -556,6 +599,17 @@ def test_ngn_mdv1w_zero_lambda_equals_plain():
     new_w, _ = step(state, sample, spec_w)
     new_p, _ = step(state, sample, spec_p)
     assert np.array_equal(new_w.x, new_p.x)
+
+
+@pytest.mark.parametrize("loss", [1e308, 1.7e308])
+def test_ngn_mdv1w_takes_its_limit_where_2_loss_overflows(loss):
+    # gamma = c_eff [2 f - c lam g.x]_+ / (2 f + c_eff ||g||^2) -> c_eff = c / (1 + lam c)
+    lam, c = 0.5, 2.0
+    spec = OptimizerSpec(kind="ngn_mdv1w", c=c, wd_lambda=lam, precond_identity=True)
+    new, rep = step(init_state(np.array([1.0, -2.0])), make_sample(loss, [3.0, 1.0]), spec)
+    c_eff = c / (1.0 + lam * c)
+    assert rep.gamma_scalar == pytest.approx(c_eff, rel=1e-15)
+    assert new.x.tolist() == pytest.approx([0.5 - c_eff * 3.0, -1.0 - c_eff])  # x / 2 - gamma g
 
 
 def test_ngn_mdv1w_negative_bracket_zeroes_gradient_term():

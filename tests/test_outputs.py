@@ -42,6 +42,20 @@ def test_compare_lists_a_changed_byte_and_a_file_that_one_side_lacks(tmp_path, c
     assert capsys.readouterr().out.splitlines() == listed
 
 
+def test_compare_prints_the_status_counts_under_a_differing_sweep(tmp_path):
+    head = b"optimizer,c,beta,seed,status\n"
+    a = corpus(tmp_path / "a", {"s.serial.csv": head + b"ngn,1,0,0,converged\nngn,1,0,1,converged\n"
+                                                   b"sgdm,1,0,0,diverged\n"})
+    b = corpus(tmp_path / "b", {"s.serial.csv": head + b"ngn,1,0,0,converged\nngn,1,0,1,diverged\n"
+                                                   b"ngn,10,0,0,budget_exhausted\n"})
+    assert outputs.compare(a, b) == [
+        "s.serial.csv: differs",
+        "  ngn c=1: converged 2 | converged 1, diverged 1",
+        "  sgdm c=1: diverged 1 | -",
+        "  ngn c=10: - | budget_exhausted 1",
+    ]
+
+
 def test_case_names_are_unique():
     assert len(set(NAMES)) == len(NAMES)
 

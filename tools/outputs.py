@@ -39,13 +39,16 @@ in it, with PYTHONPATH=PATH/src, and writes each case's files into DIR:
 DIR must be new or empty, and no byte written depends on its path. Only
 the CLI is driven, so PATH may be a commit older than this tool.
 `compare A B` lists each file that differs or that one side lacks, and
-exits 1 if there is one.
+exits 1 if there is one. Under each differing NAME.serial.csv, a shipped
+config's sweep, it prints each (optimizer, c)'s status counts in A and B.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import configparser
+import csv
 import hashlib
 import os
 import subprocess
@@ -234,14 +237,30 @@ def write(out: Path, tree: Path) -> int:
     return status
 
 
+def status_counts(path: Path) -> dict:
+    """{(optimizer, c): Counter of the status column} of a sweep's summary CSV."""
+    counts = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            counts.setdefault((row["optimizer"], row["c"]), collections.Counter())[row["status"]] += 1
+    return counts
+
+
 def compare(a: Path, b: Path) -> list:
     """A line for each file of a or b, less the manifest, whose bytes
-    differ or that one side lacks."""
+    differ or that one side lacks; a differing sweep's line is followed by
+    one for each (optimizer, c), with its status counts in a and in b."""
     diffs = []
     for name in sorted({f.name for d in (a, b) for f in d.iterdir()} - {MANIFEST}):
         sides = [d for d in (a, b) if (d / name).is_file()]
         if len(sides) == 1 or (a / name).read_bytes() != (b / name).read_bytes():
             diffs.append(f"{name}: " + ("differs" if len(sides) == 2 else f"only in {sides[0]}"))
+            if len(sides) == 2 and name.endswith(".serial.csv"):
+                before, after = status_counts(a / name), status_counts(b / name)
+                for key in {**before, **after}:
+                    counts = [", ".join(f"{status} {n}" for status, n in sorted(side[key].items()))
+                              if key in side else "-" for side in (before, after)]
+                    diffs.append(f"  {key[0]} c={key[1]}: {counts[0]} | {counts[1]}")
     return diffs
 
 
