@@ -306,7 +306,7 @@ def step_ngn_d(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, c
         c_vec = spec.c_coord * (c_k / spec.c)
     else:
         c_vec = np.full_like(g, c_k)
-    gamma = ngn_gamma(c_vec, loss, g * g)
+    gamma = _ngn_gamma_array(2.0 / c_vec, c_vec, loss, g * g)  # gamma_j = 0 where c_j underflowed
     sizes = (float("nan"), gamma, np.asarray(c_vec, dtype=float), g)
     return state.x - gamma * g, state.v, state.m, sizes
 

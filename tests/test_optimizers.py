@@ -511,6 +511,16 @@ def test_ngn_d_c_coord_oracle():
     assert np.allclose(rep.c_coord_used, [1.0, 2.0])
 
 
+def test_ngn_d_takes_no_step_where_a_scheduled_c_j_underflows():
+    # 5e-324 / 2 rounds to 0 from step 3 on, which ngn_gamma would reject
+    spec = OptimizerSpec(kind="ngn_d", c=1.0, c_coord=np.array([5e-324, 1.0]),
+                         schedule="inv_sqrt_step")
+    problem = build_problem(ProblemSpec(kind="least_squares", dim=2, n_samples=6, seed=0))
+    rec = run_once(problem, spec, RunBudget(max_steps=10), seed=0)
+    assert rec.status == "budget_exhausted" and len(rec.step_reports) == 10
+    assert rec.step_reports[-1].c_coord_used[0] == rec.step_reports[-1].gamma_coord[0] == 0.0
+
+
 def test_ngn_d_c_coord_shape_mismatch():
     spec = OptimizerSpec(kind="ngn_d", c=1.0, c_coord=np.array([1.0, 2.0, 3.0]))
     state = init_state(np.zeros(2))
