@@ -203,7 +203,7 @@ def ngn_gamma(c, loss, grad_sq):
 
 def _ngn_gamma_array(two_over_c, c, loss, grad_sq, c_lo=1.0, c_hi=1.0):
     """ngn_gamma on arrays, given 2/c; checks loss, grad_sq and c's extremes
-    c_lo and c_hi, which NGN-MD V2 (whose c_j may be 0 or inf) leaves at 1."""
+    c_lo and c_hi, which the per-coordinate rules (c_j may be 0) leave at 1."""
     gs = np.asarray(grad_sq, dtype=float)
     loss = float(loss)
     # min and max see every NaN and +-inf; `initial` lets an empty operand
