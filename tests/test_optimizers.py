@@ -254,8 +254,8 @@ def assert_near_exact(got, c, loss, gs) -> None:
     for g, w, cj, gj in zip(got, want, c, gs):
         exact = float(w)
         tol = (4.5 if cj > 2.0 ** 1023 else 4.0) * math.ulp(exact) if exact >= TINY else TINY
+        assert 0.0 <= g <= cj, (cj, loss, gj, g)
         assert abs(Fraction(g) - w) <= Fraction(tol), (cj, loss, gj, g, exact)
-        assert 0.0 <= g <= cj
         assert Fraction(g) * Fraction(gj) <= 2 * Fraction(loss) * STEP_BOUND, (cj, loss, gj, g)
 
 
