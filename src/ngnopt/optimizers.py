@@ -2,11 +2,11 @@
 
 The scalar NGN step size is
 
-    gamma = 2 c f_S(x) / (2 f_S(x) + c ||g||^2) = 2 / (2/c + ||g||^2 / f_S(x)),
+    gamma = 2 c f_S(x) / (2 f_S(x) + c ||g||^2) = 4 / (4/c + 2 ||g||^2 / f_S(x)),
 
-computed in the second, reciprocal form and capped at c (ngn_gamma): c
-when ||g||^2 = 0 (the 0/0 corner f_S = 0, g = 0 included), 0 when f_S = 0
-< ||g||^2. Momentum uses the heavy-ball form x' = x - (1-beta) gamma g +
+computed in the second, reciprocal form and capped at c (ngn_gamma; as
+c (2 / (2 + c ||g||^2 / f_S)) where 4/c overflows): c when ||g||^2 = 0
+(the 0/0 corner f_S = 0, g = 0 included), 0 when f_S = 0 < ||g||^2. Momentum uses the heavy-ball form x' = x - (1-beta) gamma g +
 beta (x - x_prev), whose iterate-moving-average twin is exercised by the
 verification layer. Diagonal variants rescale either the squared
 gradient norm (V1) or the per-coordinate c (V2) by an RMSprop-style
@@ -179,10 +179,12 @@ def ngn_gamma(c, loss, grad_sq):
     against a scalar loss). Always lies in [0, c], is non-increasing in
     grad_sq, and non-decreasing in loss. Every input is validated; Python
     floats, the inputs of every scalar rule, skip np.ndim. Both paths take
-    2 / (2/c + grad_sq / loss), capped at c, and 0 where loss = 0 < grad_sq,
-    so a scalar has the bits of a one-element array. IEEE arithmetic takes
-    every other limit, and 2/c is normal up to c = 2^1023, so gamma is
-    within a few ulps of its exact value, or within a subnormal of it."""
+    4 / (4/c + 2 grad_sq / loss), capped at c, where 4/c is a normal double
+    (c > 2^-1022), c (2 / (2 + c grad_sq / loss)) at a smaller c, and 0
+    where loss = 0 < grad_sq, so a scalar has the bits of a one-element
+    array. IEEE arithmetic takes every other limit: gamma is within 4 ulps
+    of its exact value where that is a normal double, and within a
+    subnormal of it elsewhere."""
     if ((type(c) is float or np.ndim(c) == 0)
             and (type(grad_sq) is float or np.ndim(grad_sq) == 0)):
         c, loss, gs = float(c), float(loss), float(grad_sq)
@@ -194,29 +196,40 @@ def ngn_gamma(c, loss, grad_sq):
             return c
         if loss == 0.0:
             return 0.0
-        gamma = 2.0 / (2.0 / c + gs / loss)
+        if c <= 2.2250738585072014e-308:  # 4/c overflows
+            return c * (2.0 / (2.0 + c * (gs / loss)))
+        gamma = 4.0 / (4.0 / c + gs / loss * 2.0)
         return c if gamma > c else gamma
     c = np.asarray(c, dtype=float)
-    with np.errstate(divide="ignore", over="ignore"):  # the limits; a bad c is reported there
-        return _ngn_gamma_array(2.0 / c, c, loss, grad_sq, c.min(initial=1.0), float(c.max(initial=1.0)))
+    # min and max see every NaN and +-inf; `initial` lets an empty c through
+    c_lo, c_hi = c.min(initial=1.0), float(c.max(initial=1.0))
+    if not (math.isfinite(c_lo) and math.isfinite(c_hi)):
+        raise ValueError("non-finite inputs to ngn_gamma")
+    with np.errstate(all="ignore"):  # 4/c overflows where c <= 2^-1022; c <= 0 is rejected below
+        gamma = _ngn_gamma_array(4.0 / c, c, loss, grad_sq)  # raises for a bad loss or grad_sq first
+    if c_lo <= 0.0:
+        raise ValueError("ngn_gamma requires c > 0, loss >= 0, grad_sq >= 0")
+    return gamma
 
 
-def _ngn_gamma_array(two_over_c, c, loss, grad_sq, c_lo=1.0, c_hi=1.0):
-    """ngn_gamma on arrays, given 2/c; checks loss, grad_sq and c's extremes
-    c_lo and c_hi, which the per-coordinate rules (c_j may be 0) leave at 1."""
+def _ngn_gamma_array(four_over_c, c, loss, grad_sq):
+    """ngn_gamma's forms on arrays, given 4/c; checks loss and grad_sq only.
+    A c_j of 0 (a per-coordinate rule's c_j that underflowed) gives 0
+    where g_j^2 > 0."""
     gs = np.asarray(grad_sq, dtype=float)
     loss = float(loss)
-    # min and max see every NaN and +-inf; `initial` lets an empty operand
-    # through, as the elementwise checks did
     gs_lo, gs_hi = gs.min(initial=1.0), float(gs.max(initial=1.0))
-    if not (math.isfinite(c_lo) and math.isfinite(c_hi) and math.isfinite(loss)
-            and math.isfinite(gs_lo) and math.isfinite(gs_hi)):
+    if not (math.isfinite(loss) and math.isfinite(gs_lo) and math.isfinite(gs_hi)):
         raise ValueError("non-finite inputs to ngn_gamma")
-    if c_lo <= 0.0 or loss < 0.0 or gs_lo < 0.0:
+    if loss < 0.0 or gs_lo < 0.0:
         raise ValueError("ngn_gamma requires c > 0, loss >= 0, grad_sq >= 0")
     if loss == 0.0:
         return np.where(gs == 0.0, c, 0.0)
-    gamma = np.minimum(c, 2.0 / (two_over_c + gs / loss))
+    r = gs / loss
+    gamma = np.minimum(c, 4.0 / (four_over_c + r * 2.0))
+    if four_over_c.max(initial=0.0) == math.inf:  # some 4/c_j overflowed
+        # fmin: 0 where c_j = 0 and r_j = inf, where the product is NaN
+        gamma = np.where(four_over_c == math.inf, np.fmin(c, c * (2.0 / (2.0 + c * r))), gamma)
     return gamma if gs_lo > 0.0 else np.where(gs == 0.0, c, gamma)
 
 
@@ -306,7 +319,7 @@ def step_ngn_d(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, c
         c_vec = spec.c_coord * (c_k / spec.c)
     else:
         c_vec = np.full_like(g, c_k)
-    gamma = _ngn_gamma_array(2.0 / c_vec, c_vec, loss, g * g)  # gamma_j = 0 where c_j underflowed
+    gamma = _ngn_gamma_array(4.0 / c_vec, c_vec, loss, g * g)  # gamma_j = 0 where c_j underflowed
     sizes = (float("nan"), gamma, np.asarray(c_vec, dtype=float), g)
     return state.x - gamma * g, state.v, state.m, sizes
 
@@ -319,7 +332,7 @@ def step_ngn_md(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, 
     V1: gamma = ngn_gamma(c, f_S, ||g||^2_{D^-1}), Sigma^-1 g = gamma D^-1 g.
     V2: gamma_j = ngn_gamma(c / D_j, f_S, g_j^2),  Sigma^-1 g = gamma_j g_j.
     Then x' = base - (1-beta1) Sigma^-1 g + beta1 (x - x_prev), with base = x.
-    V2 passes 2 D_j / c as 2 / c_j, so a c_j that rounds to inf (D_j < 1
+    V2 passes 4 D_j / c as 4 / c_j, so a c_j that rounds to inf (D_j < 1
     and c near the largest double) or to 0 needs no branch; gamma_j = c_j
     = inf where g_j = 0 takes no step.
 
@@ -328,8 +341,10 @@ def step_ngn_md(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, 
     Coupled: gamma = (c/(1+lambda c)) [2 f_S - c lambda g.x]_+ /
                      (2 f_S + (c/(1+lambda c)) ||g||^2_{D^-1}),
              base = x/(1+lambda c),
-    computed over 2 f_S, so that no 2 f_S overflows; at f_S = 0 it is
-    [-c lambda g.x]_+ / ||g||^2_{D^-1}, or c/(1+lambda c) where g = 0.
+    computed as c_eff ([f_S - (c lambda / 2) g.x]_+ / (f_S + (c_eff / 2)
+    ||g||^2_{D^-1})), c_eff = c/(1+lambda c): halved, so that no 2 f_S
+    overflows, and with no quotient by f_S, which overflows at a small
+    f_S; c_eff where that denominator is 0 (f_S = 0 and g = 0).
     Both weight-decay variants reduce bit-exactly to V1 at lambda = 0.
     With D = I they converge to x_lambda = argmin f + (lambda/2)||x||^2
     at beta1 = 0, and near x_{lambda/(1-beta1)} with momentum: the shrink
@@ -343,7 +358,7 @@ def step_ngn_md(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, 
     if spec.kind == NGN_MD_V2:
         with np.errstate(over="ignore", invalid="ignore"):  # c_j or g_j^2 may round to inf
             c_vec = c_k / d
-            gamma = _ngn_gamma_array(2.0 * d / c_k, c_vec, loss, g * g)
+            gamma = _ngn_gamma_array(4.0 * d / c_k, c_vec, loss, g * g)
             sigma_inv_g = np.where(g == 0.0, g, gamma * g)  # no step where gamma_j = c_j = inf
         sizes = (float("nan"), gamma, c_vec, g)
     else:
@@ -351,12 +366,12 @@ def step_ngn_md(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, 
         gdsq = float((g * g / d).sum())  # ||g||^2_{D^-1}
         if spec.kind == NGN_MDV1W and lam != 0.0:
             one_plus = 1.0 + lam * c_k
-            gx = float((g * x).sum())
-            if loss > 0.0:
-                gamma = (max(0.0, 2.0 - (c_k * lam) * (gx / loss))
-                         / (2.0 * one_plus / c_k + gdsq / loss))
+            c_eff = c_k / one_plus
+            denom = loss + 0.5 * c_eff * gdsq
+            if denom == 0.0:
+                gamma = c_eff
             else:
-                gamma = max(0.0, -(c_k * lam) * gx) / gdsq if gdsq > 0.0 else c_k / one_plus
+                gamma = c_eff * (max(0.0, loss - 0.5 * c_k * lam * float((g * x).sum())) / denom)
             base = x / one_plus
         else:  # V1's step size, so that lambda = 0 collapses bit-exactly, cap clamp included
             gamma = ngn_gamma(c_k, loss, gdsq)
