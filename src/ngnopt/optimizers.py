@@ -201,8 +201,7 @@ def ngn_gamma(c, loss, grad_sq):
         gamma = 4.0 / (4.0 / c + gs / loss * 2.0)
         return c if gamma > c else gamma
     c = np.asarray(c, dtype=float)
-    # min and max see every NaN and +-inf; `initial` lets an empty c through
-    c_lo, c_hi = c.min(initial=1.0), float(c.max(initial=1.0))
+    c_lo, c_hi = c.min(initial=1.0), float(c.max(initial=1.0))  # see every NaN and +-inf
     if not (math.isfinite(c_lo) and math.isfinite(c_hi)):
         raise ValueError("non-finite inputs to ngn_gamma")
     with np.errstate(all="ignore"):  # 4/c overflows where c <= 2^-1022; c <= 0 is rejected below
@@ -341,10 +340,9 @@ def step_ngn_md(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, 
     Coupled: gamma = (c/(1+lambda c)) [2 f_S - c lambda g.x]_+ /
                      (2 f_S + (c/(1+lambda c)) ||g||^2_{D^-1}),
              base = x/(1+lambda c),
-    computed as c_eff ([f_S - (c lambda / 2) g.x]_+ / (f_S + (c_eff / 2)
-    ||g||^2_{D^-1})), c_eff = c/(1+lambda c): halved, so that no 2 f_S
-    overflows, and with no quotient by f_S, which overflows at a small
-    f_S; c_eff where that denominator is 0 (f_S = 0 and g = 0).
+    computed halved, as c_eff ([f_S - (c lambda/2) g.x]_+ / (f_S + (c_eff/2)
+    ||g||^2_{D^-1})) with c_eff = c/(1+lambda c), so that neither 2 f_S nor
+    a quotient by f_S overflows; c_eff where f_S = 0 and g = 0.
     Both weight-decay variants reduce bit-exactly to V1 at lambda = 0.
     With D = I they converge to x_lambda = argmin f + (lambda/2)||x||^2
     at beta1 = 0, and near x_{lambda/(1-beta1)} with momentum: the shrink
@@ -368,10 +366,8 @@ def step_ngn_md(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, 
             one_plus = 1.0 + lam * c_k
             c_eff = c_k / one_plus
             denom = loss + 0.5 * c_eff * gdsq
-            if denom == 0.0:
-                gamma = c_eff
-            else:
-                gamma = c_eff * (max(0.0, loss - 0.5 * c_k * lam * float((g * x).sum())) / denom)
+            gamma = (c_eff if denom == 0.0  # f = 0 and g = 0
+                     else c_eff * (max(0.0, loss - 0.5 * c_k * lam * float((g * x).sum())) / denom))
             base = x / one_plus
         else:  # V1's step size, so that lambda = 0 collapses bit-exactly, cap clamp included
             gamma = ngn_gamma(c_k, loss, gdsq)
