@@ -204,8 +204,8 @@ def ngn_gamma(c, loss, grad_sq):
     c_lo, c_hi = c.min(initial=1.0), float(c.max(initial=1.0))  # see every NaN and +-inf
     if not (math.isfinite(c_lo) and math.isfinite(c_hi)):
         raise ValueError("non-finite inputs to ngn_gamma")
-    with np.errstate(all="ignore"):  # 4/c overflows where c <= 2^-1022; c <= 0 is rejected below
-        gamma = _ngn_gamma_array(4.0 / c, c, loss, grad_sq)  # raises for a bad loss or grad_sq first
+    with np.errstate(all="ignore"):  # 4/c overflows where c <= 2^-1022; c <= 0 is rejected below,
+        gamma = _ngn_gamma_array(4.0 / c, c, loss, grad_sq)  # after a non-finite loss or grad_sq
     if c_lo <= 0.0:
         raise ValueError("ngn_gamma requires c > 0, loss >= 0, grad_sq >= 0")
     return gamma

@@ -641,25 +641,18 @@ def test_ngn_mdv1w_zero_lambda_equals_plain():
     assert np.array_equal(new_w.x, new_p.x)
 
 
-@pytest.mark.parametrize("loss", [1e308, 1.7e308])
-def test_ngn_mdv1w_takes_its_limit_where_2_loss_overflows(loss):
-    # gamma = c_eff [2 f - c lam g.x]_+ / (2 f + c_eff ||g||^2) -> c_eff = c / (1 + lam c)
-    lam, c = 0.5, 2.0
-    spec = OptimizerSpec(kind="ngn_mdv1w", c=c, wd_lambda=lam, precond_identity=True)
-    new, rep = step(init_state(np.array([1.0, -2.0])), make_sample(loss, [3.0, 1.0]), spec)
-    c_eff = c / (1.0 + lam * c)
-    assert rep.gamma_scalar == pytest.approx(c_eff, rel=1e-15)
-    assert new.x.tolist() == pytest.approx([0.5 - c_eff * 3.0, -1.0 - c_eff])  # x / 2 - gamma g
-
-
-@pytest.mark.parametrize("loss, x, want", [(5e-324, -1.0, 1.0), (1e-300, -1e9, 1e9)])
-def test_ngn_mdv1w_at_a_loss_near_zero(loss, x, want):
-    # gamma = c_eff [f - (c lam / 2) g.x]_+ / (f + (c_eff / 2) ||g||^2) = 1 * (-x/2) / (1/2)
-    # to within f: no quotient by f, whose g.x / f overflows
+@pytest.mark.parametrize("loss, x, g, want", [
+    (1e308, [1.0, -2.0], [3.0, 1.0], 1.0),    # 2 f overflows: gamma -> c_eff = c / (1 + lam c)
+    (1.7e308, [1.0, -2.0], [3.0, 1.0], 1.0),
+    (5e-324, [-1.0], [1.0], 1.0),             # g.x / f overflows: gamma -> c_eff (-g.x) / ||g||^2
+    (1e-300, [-1e9], [1.0], 1e9),
+])
+def test_ngn_mdv1w_takes_its_limit_where_2_loss_or_g_x_over_loss_overflows(loss, x, g, want):
+    # gamma = c_eff [2 f - c lam g.x]_+ / (2 f + c_eff ||g||^2), with c_eff = 1
     spec = OptimizerSpec(kind="ngn_mdv1w", c=2.0, wd_lambda=0.5, precond_identity=True)
-    new, rep = step(init_state(np.array([x])), make_sample(loss, [1.0]), spec)
+    new, rep = step(init_state(np.array(x)), make_sample(loss, g), spec)
     assert rep.gamma_scalar == want
-    assert np.isfinite(new.x).all()
+    assert new.x.tolist() == (np.array(x) / 2.0 - want * np.array(g)).tolist()  # x / 2 - gamma g
 
 
 def test_ngn_mdv1w_negative_bracket_zeroes_gradient_term():
