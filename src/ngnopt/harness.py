@@ -107,11 +107,12 @@ class RunRecord:
 
     Every run keeps a running summary: final_loss and best_loss have the
     bits of losses[-1] and min(losses), and stop_step is the step at
-    which a stop condition fired (None out of budget). x_final is
-    state.x, with history the same object as iterates[-1]. status and
-    stop_reason (one of the STOP_* names: the test that ended the run, or
-    `budget`) are set when a stop rule fires; error holds an exception
-    that ended the run.
+    which a stop condition fired (None out of budget or on an error).
+    x_final is state.x, with history the same object as iterates[-1].
+    status and stop_reason (one of the STOP_* names: the test that ended
+    the run, or `budget`) are set when a stop rule fires. An exception
+    that ended the run is kept in error, with status `error` and
+    stop_reason None, as an error sweep row reads.
     """
 
     def __init__(self, problem: StochasticObjective, spec: OptimizerSpec,
@@ -126,7 +127,7 @@ class RunRecord:
         self.final_loss = self.best_loss = float("nan")
         self.stop_step: Optional[int] = None
         self.status = STATUS_BUDGET
-        self.stop_reason = STOP_BUDGET
+        self.stop_reason: Optional[str] = STOP_BUDGET
         self.error: Optional[Exception] = None
 
     def record(self, k: int, loss: float, grad_norm: float, history: bool) -> None:
@@ -277,8 +278,9 @@ def run_lockstep(problem: StochasticObjective, cells: list, budget: RunBudget, s
     ends, with the same bits. A few-cell step is mostly fixed cost (about
     1 us per NumPy call on a 1-element array), so the oracle hands the
     loop floats (see evaluate_cells). An exception in a step rule ends
-    that cell alone (RunRecord.error); any other exception ends every
-    cell still running. history=False keeps only the running summary and
+    that cell alone, any other exception every cell still running: each
+    such record keeps it in RunRecord.error, with status `error` and no
+    stop_reason. history=False keeps only the running summary and
     the state, which is what a sweep row reads, and builds no StepReport.
     """
     step_fn = apply_step  # read here, so a patched harness.apply_step is the one called
@@ -328,7 +330,7 @@ def run_lockstep(problem: StochasticObjective, cells: list, budget: RunBudget, s
                     try:
                         sizes = step_fn(cell.state, (loss, grad, grad_sq), cell.spec)
                     except Exception as exc:  # this cell's rule failed
-                        cell.error = exc
+                        cell.error, cell.status, cell.stop_reason = exc, STATUS_ERROR, None
                         continue
                     if history:
                         cell.iterates.append(cell.state.x)
@@ -339,8 +341,8 @@ def run_lockstep(problem: StochasticObjective, cells: list, budget: RunBudget, s
                     break
         except Exception as exc:  # the group's batch or oracle failed
             for cell in active:
-                if cell.status == STATUS_BUDGET and cell.error is None:
-                    cell.error = exc
+                if cell.status == STATUS_BUDGET:  # neither stopped nor failed
+                    cell.error, cell.status, cell.stop_reason = exc, STATUS_ERROR, None
 
 
 def run_once(problem: StochasticObjective, spec: OptimizerSpec, budget: RunBudget,
@@ -629,9 +631,6 @@ _PROBLEM_ALIASES = {**{kind: kind for kind in PROBLEM_KINDS}, "ridge": KIND_RIDG
 _OPTIMIZER_ALIASES = {**{kind: kind for kind in opt.OPTIMIZER_KINDS},
                       "ngn_m": opt.NGN_M_V1, "gdm": opt.SGDM}
 
-_WD_KINDS = {"decoupled": opt.DEC_NGN_MDV1, "coupled": opt.NGN_MDV1W}
-_DEFAULT_WD_MODE = "decoupled"
-
 
 def _cfg_number(convert, noun: str):
     """A parser of one value by convert; noun names what it expects."""
@@ -698,9 +697,9 @@ def _cfg_batch_size(section: str, key: str, raw: str) -> Optional[int]:
 
 class _Key:
     """A config key: the field it sets (on ProblemSpec, SweepSpec or
-    RunBudget, by section; wd_mode is read by _build_sweep), its parser of
-    the key's raw text, and the `ngnopt run` flag that gives it, with that
-    flag's argparse settings (None: `run` does not take the key)."""
+    RunBudget, by section), its parser of the key's raw text, and the
+    `ngnopt run` flag that gives it, with that flag's argparse settings
+    (None: `run` does not take the key)."""
 
     def __init__(self, field: str, parse, flag: Optional[str] = None, **flag_kw):
         self.field, self.parse, self.flag, self.flag_kw = field, parse, flag, flag_kw
@@ -718,7 +717,7 @@ _CONFIG_KEYS = {
                        help="ascending p(x) coefficients"),
         "scale": _Key("scale", _cfg_float, "--scale", type=float),
         "interpolating": _Key("interpolating", _cfg_bool, "--interpolating", action="store_true"),
-        "x0": _Key("x0", _cfg_list(_cfg_float, tuple)),  # `run --x0` starts the run instead
+        "x0": _Key("x0", _cfg_list(_cfg_float, tuple), "--x0", help="comma-separated start point"),
     },
     "optimizers": {
         "kinds": _Key("kinds", _cfg_list(_cfg_name), "--optimizer", required=True,
@@ -726,8 +725,6 @@ _CONFIG_KEYS = {
         "beta2": _Key("beta2", _cfg_float, "--beta2", type=float),
         "eps": _Key("eps", _cfg_float, "--eps", type=float),
         "wd": _Key("wd_lambda", _cfg_float, "--wd", type=float),
-        "wd_mode": _Key("wd_mode", _cfg_choice(tuple(_WD_KINDS)), "--wd-mode",
-                        choices=tuple(_WD_KINDS)),
         "schedule": _Key("schedule", _cfg_choice(opt.SCHEDULES), "--schedule",
                          choices=sorted(opt.SCHEDULES)),
     },
@@ -756,14 +753,13 @@ def _build_sweep(settings) -> SweepSpec:
     """The SweepSpec of the settings that a config or `ngnopt run` gave,
     as (section, key, raw text) triples, each parsed as its _CONFIG_KEYS
     row says. A field not given takes its dataclass's default. Resolves the
-    problem and optimizer aliases and applies wd_mode; a ValueError
-    becomes a ConfigError."""
+    problem and optimizer aliases; a ValueError becomes a ConfigError, as
+    does a wd > 0 that no listed kind reads (optimizers.WD_KINDS)."""
     given = {section: {} for section in _CONFIG_KEYS}
     for section, key, raw in settings:
         row = _CONFIG_KEYS[section][key]
         given[section][row.field] = row.parse(section, key, raw)
     problem, opts = given["problem"], given["optimizers"]
-    wd_mode = opts.pop("wd_mode", _DEFAULT_WD_MODE)
     kinds = []
     for name in opts.pop("kinds"):
         base = split_kind(name)[0]
@@ -776,9 +772,9 @@ def _build_sweep(settings) -> SweepSpec:
                           **given["output"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if sweep.wd_lambda > 0.0:  # each ngn_md_v1 column becomes wd_mode's kind, keeping its suffix
-        sweep.kinds = [_WD_KINDS[wd_mode] + k[len(opt.NGN_MD_V1):]
-                       if split_kind(k)[0] == opt.NGN_MD_V1 else k for k in sweep.kinds]
+    if sweep.wd_lambda > 0.0 and not any(split_kind(k)[0] in opt.WD_KINDS for k in kinds):
+        raise ConfigError(f"optimizers.wd: only {' and '.join(opt.WD_KINDS)} read it, "
+                          "and no listed kind is one of them")
     return sweep
 
 
@@ -827,7 +823,6 @@ def _build_parser() -> argparse.ArgumentParser:
             if row.flag:
                 runp.add_argument(row.flag, **row.flag_kw)
     runp.add_argument("--out", default=None, help="trajectory CSV path")
-    runp.add_argument("--x0", default=None, help="comma-separated start point")
 
     sweepp = sub.add_parser("sweep", help="execute a config-driven sweep")
     sweepp.add_argument("--config", required=True)
@@ -861,11 +856,7 @@ def _cmd_run(args) -> int:
                 settings.append((section, key, value if isinstance(value, str) else repr(value)))
     sweep = _build_sweep(settings)
     spec = make_optimizer_spec(sweep, sweep.kinds[0], sweep.c_grid[0], sweep.beta_grid[0])
-    try:
-        x0 = None if args.x0 is None else np.array([float(v) for v in args.x0.split(",")])
-    except ValueError as exc:
-        raise ConfigError(f"--x0: expected comma-separated numbers, got {args.x0!r}") from exc
-    rec = run_once(build_problem(sweep.problem), spec, sweep.budget, sweep.seeds[0], x0=x0)
+    rec = run_once(build_problem(sweep.problem), spec, sweep.budget, sweep.seeds[0])
     steps = rec.steps_to_success
     print(f"status={rec.status} steps={len(rec.losses)} final_loss={rec.final_loss} "
           f"best_loss={rec.best_loss} steps_to_success={'' if steps is None else steps}")

@@ -94,9 +94,9 @@ class OptimizerSpec:
 
     beta1 is the momentum weight (beta in the heavy-ball updates), beta2
     the second-moment decay, wd_lambda the weight-decay strength for the
-    decoupled/coupled variants. c_coord supplies per-coordinate c_j for
-    NGN-D; precond_identity forces D = I in the diagonal variants (used
-    by the reduction audits). total_steps is the horizon K required by
+    decoupled/coupled variants (WD_KINDS). c_coord supplies per-coordinate
+    c_j for NGN-D; precond_identity forces D = I in the diagonal variants
+    (used by the reduction audits). total_steps is the horizon K required by
     the inv_sqrt_k schedule, an integer >= 1 when set.
     """
 
@@ -182,9 +182,11 @@ def ngn_gamma(c, loss, grad_sq):
     4 / (4/c + 2 grad_sq / loss), capped at c, where 4/c is a normal double
     (c > 2^-1022), c (2 / (2 + c grad_sq / loss)) at a smaller c, and 0
     where loss = 0 < grad_sq, so a scalar has the bits of a one-element
-    array. IEEE arithmetic takes every other limit: gamma is within 4 ulps
-    of its exact value where that is a normal double, and within a
-    subnormal of it elsewhere."""
+    array. Where 4/c + 2 grad_sq / loss overflows, gamma is at most about
+    2^-1022, and both take the halved form 2 / (2/c + grad_sq / loss).
+    IEEE arithmetic takes every other limit: gamma is within 4 ulps of its
+    exact value where that is a normal double, and within a subnormal of
+    it elsewhere."""
     if ((type(c) is float or np.ndim(c) == 0)
             and (type(grad_sq) is float or np.ndim(grad_sq) == 0)):
         c, loss, gs = float(c), float(loss), float(grad_sq)
@@ -199,6 +201,8 @@ def ngn_gamma(c, loss, grad_sq):
         if c <= 2.2250738585072014e-308:  # 4/c overflows
             return c * (2.0 / (2.0 + c * (gs / loss)))
         gamma = 4.0 / (4.0 / c + gs / loss * 2.0)
+        if gamma == 0.0:  # the denominator overflowed
+            gamma = 2.0 / (4.0 / c * 0.5 + gs / loss)
         return c if gamma > c else gamma
     c = np.asarray(c, dtype=float)
     c_lo, c_hi = c.min(initial=1.0), float(c.max(initial=1.0))  # see every NaN and +-inf
@@ -226,7 +230,8 @@ def _ngn_gamma_array(four_over_c, c, loss, grad_sq):
         return np.where(gs == 0.0, c, 0.0)
     r = gs / loss
     gamma = np.minimum(c, 4.0 / (four_over_c + r * 2.0))
-    if four_over_c.max(initial=0.0) == math.inf:  # some 4/c_j overflowed
+    if gamma.min(initial=1.0) == 0.0:  # some denominator overflowed, 4/c_j's included
+        gamma = np.where(gamma == 0.0, np.minimum(c, 2.0 / (four_over_c * 0.5 + r)), gamma)
         # fmin: 0 where c_j = 0 and r_j = inf, where the product is NaN
         gamma = np.where(four_over_c == math.inf, np.fmin(c, c * (2.0 / (2.0 + c * r))), gamma)
     return gamma if gs_lo > 0.0 else np.where(gs == 0.0, c, gamma)
@@ -377,6 +382,9 @@ def step_ngn_md(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, 
         sizes = (gamma, gamma / d, None, None)
     x_new = base - (1.0 - spec.beta1) * sigma_inv_g + spec.beta1 * (x - state.x_prev)
     return x_new, v_new, state.m, sizes
+
+
+WD_KINDS = (DEC_NGN_MDV1, NGN_MDV1W)  # the kinds that read wd_lambda; every other kind ignores it
 
 
 def step_sgdm(state: OptimizerState, sample: StepSample, spec: OptimizerSpec, c_k: float):

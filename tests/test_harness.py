@@ -143,12 +143,17 @@ def test_cli_sweep_rejects_a_bad_shared_setting_and_writes_no_csv(tmp_path, caps
     assert not out.exists()
 
 
-@pytest.mark.parametrize("x0", ["1,a,2", "1,,2", ""])
-def test_cli_run_names_x0_in_its_error(x0, capsys):
+@pytest.mark.parametrize("x0, message", [
+    ("1,a,2", "problem.x0: expected a number, got 'a'"),
+    ("1,,2", "x0 has shape (2,), problem dimension is 3"),
+    ("", "problem.x0: must be a non-empty list"),
+])
+def test_cli_run_names_x0_in_its_error(x0, message, capsys):
+    # `run --x0` is read as problem.x0, so a bad start fails the build
     argv = ["run", "--problem", "least_squares", "--dim", "3", "--optimizer", "ngn",
             "--c", "0.5", "--steps", "5", "--x0", x0]
     assert cli(argv) == 1
-    assert capsys.readouterr().err == f"error: --x0: expected comma-separated numbers, got {x0!r}\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -896,7 +901,6 @@ seed = 0
 [optimizers]
 kinds = ngn_md_v1
 wd = 0.1
-wd_mode = decoupled
 
 [grid]
 c = 1.0
@@ -908,21 +912,31 @@ max_steps = 10
 """
 
 
-def test_parse_config_weight_decay_rewrites_kind(tmp_path):
-    sweep = parse_config(write_config(tmp_path, WD_CONFIG))
-    assert sweep.kinds == ["dec_ngn_mdv1"]
-    assert sweep.wd_lambda == 0.1
-    coupled = WD_CONFIG.replace("decoupled", "coupled")
-    sweep = parse_config(write_config(tmp_path, coupled))
-    assert sweep.kinds == ["ngn_mdv1w"]
-
-
-def test_parse_config_wd_mode_defaults_to_decoupled(tmp_path):
-    # wd > 0 must never be dropped silently: without wd_mode the
-    # decoupled variant runs, and its spec carries the weight decay
-    sweep = parse_config(write_config(tmp_path, WD_CONFIG.replace("wd_mode = decoupled\n", "")))
-    assert sweep.kinds == ["dec_ngn_mdv1"]
-    assert make_optimizer_spec(sweep, sweep.kinds[0], 1.0, 0.9).wd_lambda == 0.1
+def test_wd_is_an_error_unless_a_listed_kind_reads_it(tmp_path, capsys, monkeypatch):
+    # wd > 0 must never be dropped silently: a kind that ignores it, ngn_md_v1
+    # included, fails the build from a config and from `run`
+    message = ("optimizers.wd: only dec_ngn_mdv1 and ngn_mdv1w read it, "
+               "and no listed kind is one of them")
+    run_args = ["run", "--problem", "least_squares", "--c", "1.0", "--wd", "0.1", "--steps", "5"]
+    for kind in ("ngn_md_v1", "adam"):
+        with pytest.raises(ConfigError) as info:
+            parse_config(write_config(tmp_path, WD_CONFIG.replace("ngn_md_v1", kind)))
+        assert str(info.value) == message
+        assert cli(run_args + ["--optimizer", kind]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    # the weight-decay kinds, named directly, carry it, also beside a kind that ignores it
+    for kinds in (["dec_ngn_mdv1"], ["ngn_mdv1w"], ["adam", "ngn_mdv1w@inv_sqrt_step"]):
+        text = WD_CONFIG.replace("ngn_md_v1", ", ".join(kinds))
+        sweep = parse_config(write_config(tmp_path, text))
+        assert sweep.kinds == kinds
+        assert make_optimizer_spec(sweep, kinds[-1], 1.0, 0.9).wd_lambda == 0.1
+    seen, run = [], harness.run_once
+    monkeypatch.setattr(harness, "run_once",
+                        lambda problem, spec, *rest: run(problem, seen.append(spec) or spec, *rest))
+    for kind in ("dec_ngn_mdv1", "ngn_mdv1w"):
+        assert cli(run_args + ["--optimizer", kind]) == 0
+    assert [(spec.kind, spec.wd_lambda) for spec in seen] == [("dec_ngn_mdv1", 0.1),
+                                                              ("ngn_mdv1w", 0.1)]
 
 
 def test_sweep_spec_rejects_negative_weight_decay(tmp_path):
@@ -1024,11 +1038,16 @@ def test_cli_run_diverged_still_exits_zero(capsys):
 # `ngnopt run` flags and the config of the same one-cell sweep, every optional flag given a
 # value other than its default in some case
 RUN_CASES = {
-    "ngn_md_v1-wd-coupled": (
-        "--problem least_squares --dim 3 --n-samples 6 --batch-size 2 --optimizer ngn_md_v1 "
-        "--c 0.5 --beta 0.9 --wd 0.1 --wd-mode coupled",
+    "ngn_mdv1w-wd": (
+        "--problem least_squares --dim 3 --n-samples 6 --batch-size 2 --optimizer ngn_mdv1w "
+        "--c 0.5 --beta 0.9 --wd 0.1",
         "[problem]\nkind = least_squares\ndim = 3\nn_samples = 6\n[budget]\nbatch_size = 2\n"
-        "[optimizers]\nkinds = ngn_md_v1\nwd = 0.1\nwd_mode = coupled\n[grid]\nc = 0.5\nbeta = 0.9\n"),
+        "[optimizers]\nkinds = ngn_mdv1w\nwd = 0.1\n[grid]\nc = 0.5\nbeta = 0.9\n"),
+    "least_squares-x0": (
+        "--problem least_squares --dim 3 --n-samples 6 --optimizer ngn_m --c 0.5 --beta 0.9 "
+        "--x0 1,-1e3,0.5",
+        "[problem]\nkind = least_squares\ndim = 3\nn_samples = 6\nx0 = 1, -1e3, 0.5\n[budget]\n"
+        "[optimizers]\nkinds = ngn_m\n[grid]\nc = 0.5\nbeta = 0.9\n"),
     "ngn-inv_sqrt_k": (
         "--problem least_squares --dim 3 --n-samples 6 --batch-size 2 --optimizer ngn --c 0.5 "
         "--schedule inv_sqrt_k",
@@ -1078,8 +1097,8 @@ def test_cli_run_matches_one_cell_sweep(tmp_path, capsys, case):
 
 def test_run_cases_give_every_optional_flag():
     given = {arg for args, _ in RUN_CASES.values() for arg in args.split() if arg.startswith("--")}
-    # every case gives --steps and --seed; --out and --x0 set no config key
-    assert given | {"--steps", "--seed"} == set(RUN_FLAGS) - {"--out", "--x0"}
+    # every case gives --steps and --seed; --out sets no config key
+    assert given | {"--steps", "--seed"} == set(RUN_FLAGS) - {"--out"}
 
 
 # every config key and `ngnopt run` flag (type, choices, required, nargs), pinned, so that
@@ -1087,7 +1106,7 @@ def test_run_cases_give_every_optional_flag():
 CONFIG_KEYS = {
     "problem": {"kind", "dim", "n_samples", "seed", "r", "coeffs", "scale", "interpolating",
                 "x0"},
-    "optimizers": {"kinds", "beta2", "eps", "wd", "wd_mode", "schedule"},
+    "optimizers": {"kinds", "beta2", "eps", "wd", "schedule"},
     "grid": {"c", "beta", "seeds", "x0", "x0_range"},
     "budget": {"max_steps", "success_loss", "diverge_loss", "batch_size"},
     "output": {"path"},
@@ -1104,7 +1123,6 @@ RUN_FLAGS = {
     "--beta2": (float, None, False, None),
     "--eps": (float, None, False, None),
     "--wd": (float, None, False, None),
-    "--wd-mode": (None, ["decoupled", "coupled"], False, None),
     "--schedule": (None, ["constant", "inv_sqrt_k", "inv_sqrt_step"], False, None),
     "--steps": (int, None, False, None),
     "--batch-size": (None, None, False, None),
@@ -1130,6 +1148,9 @@ def test_config_keys_and_run_flags_are_pinned():
                                     a.required, a.nargs)
              for a in sub.choices["run"]._actions if a.dest != "help"}
     assert flags == RUN_FLAGS
+    # each flag but --out gives a config key
+    keyed = {row.flag for keys in harness._CONFIG_KEYS.values() for row in keys.values() if row.flag}
+    assert set(flags) - keyed == {"--out"}
 
 
 def assert_dataclass_defaults(obj) -> None:

@@ -24,8 +24,8 @@ from ngnopt import (
 )
 from ngnopt import harness, verify
 from ngnopt.harness import (
-    STATUS_BUDGET, STATUS_CONVERGED, STATUS_DIVERGED, STOP_BUDGET, STOP_SUCCESS, RunRecord,
-    run_lockstep,
+    STATUS_BUDGET, STATUS_CONVERGED, STATUS_DIVERGED, STATUS_ERROR, STOP_BUDGET, STOP_SUCCESS,
+    RunRecord, run_lockstep,
 )
 from ngnopt.optimizers import (
     DEC_NGN_MDV1, NGN, NGN_D, NGN_M_V1, NGN_M_V2, NGN_MD_V1, NGN_MD_V2, NGN_MDV1W,
@@ -448,6 +448,7 @@ def test_an_error_cell_is_isolated_from_its_group():
     cells = [RunRecord(p, spec) for spec in specs]
     run_lockstep(p, cells, budget, seed=2)
     assert "c_coord" in str(cells[1].error)
+    assert (cells[1].status, cells[1].stop_reason, cells[1].stop_step) == ("error", None, None)
     for cell, spec in zip(cells, specs):
         if spec.kind != NGN_D:
             same_run(cell, run_once(p, spec, budget, seed=2))
@@ -484,6 +485,7 @@ def test_a_failing_batch_ends_only_the_cells_still_running(monkeypatch):
     run_lockstep(p, [done, running], budget, seed=0)
     assert (done.status, done.stop_step, done.error) == ("converged", 0, None)
     assert str(running.error) == "no batch at step 8" and len(running.losses) == 8
+    assert (running.status, running.stop_reason, running.stop_step) == ("error", None, None)
 
 
 @pytest.mark.parametrize("seed", [1.5, -3, 2**64, "3", True])
@@ -851,6 +853,7 @@ def test_every_run_ends_by_a_stop_rule_over_the_whole_double_range(group):
     with mock.patch.object(harness, "apply_step", recorded):
         run_lockstep(problem, records, budget, seed)
     for rec in records:
+        assert (rec.status == STATUS_ERROR) == (rec.error is not None)
         assert rec.error is None, repr(rec.error)
         assert rec.status in (STATUS_CONVERGED, STATUS_DIVERGED, STATUS_BUDGET)
         assert (rec.status == STATUS_BUDGET) == (rec.stop_reason == STOP_BUDGET)

@@ -366,6 +366,7 @@ def test_ngn_gamma_is_c_where_2_loss_overflows(c, loss, gs):
     (1e-20, 1e-300, 1.0, 2e-300),              # 2 c loss underflows
     (3.1e-295, 3e-85, 6e150, 3.1e-295),        # 2 c loss underflows to 0; gamma is about c
     (1.7976931348623157e308, 1e-300, 1e-300, 2.0),  # 2/c would be subnormal; 4/c is normal
+    (1.0, 2.2250738585072014e-308, 2.0, 2.2250738585072014e-308),  # 2 g^2 / loss overflows
 ])
 def test_ngn_gamma_where_2_c_loss_or_2_loss_leaves_the_double_range(c, loss, gs, want):
     got = ngn_gamma(c, loss, gs)

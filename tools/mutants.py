@@ -1,7 +1,8 @@
 """Mutation check: does the test suite, or `ngnopt verify`, notice a broken rule?
 
 Each entry of tools/mutants.json names a file, an exact old text that
-occurs once in it, and the new text that breaks it. For each mutant this
+occurs once in it, and the new text that breaks it; `"verify": true`
+marks a mutant that `ngnopt verify` alone must kill. For each mutant this
 script copies the repository tree (without .git and caches) to a
 temporary directory and applies the mutant there. It then runs the
 Tier-1 suite with -x, less tests/test_mutants.py (which checks the list
@@ -11,9 +12,10 @@ is never written.
 
     python tools/mutants.py
 
-Exit status: 0 when Tier-1 kills every mutant, 1 when one survives, 2
-when a mutant's old text does not occur exactly once. The count of
-mutants that `verify` alone kills is reported but not gated on.
+Exit status: 0 when Tier-1 kills every mutant and `verify` every
+flagged one, 1 when one of them survives, 2 when a mutant's old text
+does not occur exactly once. The count of mutants that `verify` alone
+kills is reported for all of them.
 """
 
 from __future__ import annotations
@@ -78,20 +80,24 @@ def main() -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    survived, verify_kills = [], 0
+    survived, verify_missed, verify_kills = [], [], 0
     for m in mutants:
         start = time.perf_counter()
         tier1, verify_killed = check(m)
         verify_kills += verify_killed
         if tier1 == "survived":
             survived.append(m["id"])
+        if m.get("verify") and not verify_killed:
+            verify_missed.append(m["id"])
         print(f"{m['id']:34s} tier1: {tier1}  verify: {'killed' if verify_killed else 'survived'}"
               f"  ({time.perf_counter() - start:.0f} s)", flush=True)
     print(f"Tier-1 killed {len(mutants) - len(survived)} of {len(mutants)}; "
           f"verify alone killed {verify_kills} of {len(mutants)}")
     if survived:
         print(f"survived Tier-1: {', '.join(survived)}")
-    return 1 if survived else 0
+    if verify_missed:
+        print(f"survived verify, flagged to be killed by it: {', '.join(verify_missed)}")
+    return 1 if survived or verify_missed else 0
 
 
 if __name__ == "__main__":

@@ -60,8 +60,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
-# this checkout's float-side threshold and kinds
-from ngnopt.optimizers import _FLOAT_MAX, OPTIMIZER_KINDS as KINDS  # noqa: E402
+# this checkout's float-side threshold, kinds and kinds that read --wd
+from ngnopt.optimizers import _FLOAT_MAX, OPTIMIZER_KINDS as KINDS, WD_KINDS  # noqa: E402
 
 MANIFEST = "SHA256SUMS"
 _MAIN = 'import sys; from ngnopt.harness import main; sys.argv[0] = "ngnopt"; sys.exit(main())'
@@ -90,8 +90,8 @@ CONFIGS = {
     "every_key_least_squares": {
         "problem": dict(kind="least_squares", dim=3, n_samples=9, seed=2, interpolating="true",
                         x0="1, -1, 0.5", r="0.5", coeffs="0, 0.5, 1", scale=2),
-        "optimizers": dict(kinds="ngn_md_v1, adam@inv_sqrt_k, ngn_m", beta2="0.99", eps="1e-6",
-                           wd="0.01", wd_mode="coupled", schedule="inv_sqrt_step"),
+        "optimizers": dict(kinds="ngn_mdv1w, adam@inv_sqrt_k, ngn_m", beta2="0.99", eps="1e-6",
+                           wd="0.01", schedule="inv_sqrt_step"),
         "grid": dict(c="0.1, 1", beta="0, 0.9", seeds="0, 3"),
         "budget": dict(max_steps=500, success_loss="1e-6", diverge_loss="1e4", batch_size=3)},
     "every_key_polynomial": {
@@ -138,7 +138,7 @@ def cases(cfgs: Path) -> list:
         case(name, f"verify {flags} --out {name}.csv", STATUS)
     lsq = "--problem least_squares"
     for kind in KINDS:
-        wd = " --wd 0.01" if kind in ("dec_ngn_mdv1", "ngn_mdv1w") else ""  # else ngn_md_v1's
+        wd = " --wd 0.01" if kind in WD_KINDS else ""  # any other kind fails with it
         args = (f"{lsq} --dim 5 --n-samples 20 --batch-size 5 --optimizer {kind} --c 0.5"
                 f" --beta 0.9{wd} --steps 300")
         traj(f"traj_{kind}", args)
@@ -171,8 +171,8 @@ def cases(cfgs: Path) -> list:
          f"{lsq} --dim 4 --n-samples 12 --problem-seed 3 --interpolating --batch-size 3"
          " --optimizer adam --c 0.5 --beta 0.9 --beta2 0.99 --eps 1e-6 --schedule inv_sqrt_step"
          " --success-loss 1e-4 --diverge-loss 1e3 --steps 400 --seed 2 --x0 1,-1,0.5,2")
-    traj("traj_flags_ngn_md_v1", f"{lsq} --dim 4 --n-samples 12 --batch-size 3 --optimizer ngn_md_v1"
-                                 " --c 0.5 --beta 0.9 --wd 0.01 --wd-mode coupled --steps 300")
+    traj("traj_flags_ngn_md_v1", f"{lsq} --dim 4 --n-samples 12 --batch-size 3 --optimizer ngn_mdv1w"
+                                 " --c 0.5 --beta 0.9 --wd 0.01 --steps 300")
     traj("traj_flags_ridge", "--problem ridge --dim 6 --r 0.5 --problem-seed 1 --optimizer ngn_m"
                              " --c 0.5 --beta 0.9 --schedule inv_sqrt_k --steps 300")
     traj("traj_flags_polynomial", "--problem polynomial --coeffs 0,0.5,1 --scale 2 --x0 2"
