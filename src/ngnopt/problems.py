@@ -580,16 +580,33 @@ def _horner(coef: list, t):
     return value
 
 
+def _derivative(coef: list) -> list:
+    """The ascending coefficients of p' from those of p, with the bits of
+    Polynomial.deriv: j * c_j, and c_0 * 0 for a constant p (-0.0 for a
+    negative c_0, as polyder's c[:1]*0 gives)."""
+    return [j * c for j, c in enumerate(coef) if j] or [coef[0] * 0]
+
+
 def _build_polynomial(spec: ProblemSpec) -> StochasticObjective:
-    """f(x) = L x^2 (1 + p(x)^2) with L = spec.scale and p from spec.coeffs."""
+    """f(x) = L x^2 (1 + p(x)^2) with L = spec.scale and p from spec.coeffs
+    (ascending; a single number is one coefficient). p' comes from
+    `_derivative`, so no process imports numpy.polynomial; a coefficient
+    whose j * c_j overflows is rejected, as p' would be inf at every x != 0."""
     L = float(spec.scale)
     if not (math.isfinite(L) and L > 0.0):
         raise ValueError("polynomial scale must be positive and finite")
     coeffs = np.asarray(spec.coeffs, dtype=float)
     if not np.isfinite(coeffs).all():
         raise ValueError(f"polynomial coeffs must be finite, got {coeffs.tolist()}")
-    p = np.polynomial.Polynomial(coeffs)
-    coef, dcoef = p.coef.tolist(), p.deriv().coef.tolist()
+    if coeffs.ndim > 1 or coeffs.size == 0:
+        raise ValueError(f"polynomial coeffs must be a non-empty list of numbers, "
+                         f"got {coeffs.tolist()}")
+    coef = coeffs.reshape(-1).tolist()
+    dcoef = _derivative(coef)
+    for j, d in enumerate(dcoef, 1):
+        if not math.isfinite(d):
+            raise ValueError(f"polynomial coeffs[{j}] = {coef[j]!r} overflows the "
+                             f"derivative: {j} * {coef[j]!r} is not finite")
 
     def polynomial(t):
         pv = _horner(coef, t)

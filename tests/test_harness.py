@@ -1048,6 +1048,12 @@ RUN_CASES = {
         "--x0 1,-1e3,0.5",
         "[problem]\nkind = least_squares\ndim = 3\nn_samples = 6\nx0 = 1, -1e3, 0.5\n[budget]\n"
         "[optimizers]\nkinds = ngn_m\n[grid]\nc = 0.5\nbeta = 0.9\n"),
+    # a value that starts with `-` is joined to its flag by `=`: argparse reads
+    # `--x0 -1,0.5` as a flag with no value
+    "least_squares-negative-x0": (
+        "--problem least_squares --dim 2 --n-samples 6 --optimizer ngn --c 0.5 --x0=-1,0.5",
+        "[problem]\nkind = least_squares\ndim = 2\nn_samples = 6\nx0 = -1, 0.5\n[budget]\n"
+        "[optimizers]\nkinds = ngn\n[grid]\nc = 0.5\nbeta = 0.0\n"),
     "ngn-inv_sqrt_k": (
         "--problem least_squares --dim 3 --n-samples 6 --batch-size 2 --optimizer ngn --c 0.5 "
         "--schedule inv_sqrt_k",
@@ -1096,7 +1102,8 @@ def test_cli_run_matches_one_cell_sweep(tmp_path, capsys, case):
 
 
 def test_run_cases_give_every_optional_flag():
-    given = {arg for args, _ in RUN_CASES.values() for arg in args.split() if arg.startswith("--")}
+    given = {arg.split("=", 1)[0] for args, _ in RUN_CASES.values() for arg in args.split()
+             if arg.startswith("--")}
     # every case gives --steps and --seed; --out sets no config key
     assert given | {"--steps", "--seed"} == set(RUN_FLAGS) - {"--out"}
 

@@ -3,10 +3,13 @@ import dataclasses
 import inspect
 import io
 import math
+import os
 import pathlib
 import random
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -458,10 +461,56 @@ def test_polynomial_rejects_non_finite_scale(scale):
         build_problem(ProblemSpec(kind="polynomial_1d", scale=scale))
 
 
-@pytest.mark.parametrize("coeffs", [(0.0, float("inf")), (float("nan"),), (1.0, -float("inf"), 2.0)])
-def test_polynomial_rejects_non_finite_coeffs(coeffs):
-    with pytest.raises(ValueError, match="polynomial coeffs must be finite"):
+@pytest.mark.parametrize("coeffs, message", [
+    ((0.0, float("inf")), "polynomial coeffs must be finite"),
+    ((float("nan"),), "polynomial coeffs must be finite"),
+    ((1.0, -float("inf"), 2.0), "polynomial coeffs must be finite"),
+    # 2 * 1e308 overflows: p' would be inf at every x != 0
+    ((0.0, 0.0, 1e308), r"polynomial coeffs\[2\] = 1e\+308 overflows the derivative"),
+], ids=["inf", "nan", "-inf", "derivative-overflow"])
+def test_polynomial_rejects_non_finite_coeffs(coeffs, message):
+    with pytest.raises(ValueError, match=message):
         build_problem(ProblemSpec(kind="polynomial_1d", coeffs=coeffs))
+
+
+@pytest.mark.parametrize("coeffs", [(), ((1.0, 2.0),)], ids=["empty", "2-d"])
+def test_polynomial_rejects_empty_or_2d_coeffs(coeffs):
+    with pytest.raises(ValueError, match="polynomial coeffs must be a non-empty list of numbers"):
+        build_problem(ProblemSpec(kind="polynomial_1d", coeffs=coeffs))
+
+
+def test_polynomial_takes_a_single_number_as_one_coefficient():
+    one = build_problem(ProblemSpec(kind="polynomial_1d", coeffs=-2.0))
+    listed = build_problem(ProblemSpec(kind="polynomial_1d", coeffs=(-2.0,)))
+    a, b = (evaluate(p, np.array([1.5]), p.full_batch()) for p in (one, listed))
+    assert bits([a.loss, *a.grad]) == bits([b.loss, *b.grad])
+
+
+_COEFFICIENTS = st.one_of(st.sampled_from([0.0, -0.0, 1e300, -1e300]),
+                          st.floats(-1e300, 1e300), st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_COEFFICIENTS, min_size=1, max_size=8))
+def test_polynomial_derivative_has_the_bits_of_polynomial_deriv(coef):
+    reference = np.polynomial.Polynomial(np.asarray(coef, dtype=float)).deriv().coef
+    assert [d.hex() for d in problems._derivative(coef)] == [d.hex() for d in reference.tolist()]
+
+
+def test_building_and_running_every_kind_leaves_numpy_polynomial_unimported():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys\n"
+            "from ngnopt import OptimizerSpec, ProblemSpec, RunBudget, build_problem, run_once\n"
+            "from ngnopt.problems import PROBLEM_KINDS\n"
+            "for kind in PROBLEM_KINDS:\n"
+            "    p = build_problem(ProblemSpec(kind=kind, dim=3))\n"
+            "    run_once(p, OptimizerSpec(kind='ngn', c=0.1), RunBudget(max_steps=5), seed=0)\n"
+            "print('numpy.polynomial' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src),
+                                                                    os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_ridge_metadata_scales_with_r():
